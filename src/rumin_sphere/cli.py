@@ -5,8 +5,10 @@ Subcommands: ``spectrum`` (eigenvalue/multiplicity tables), ``kappa``
 (exact-identity suites).  Output is a single deterministic JSON record, or
 CSV for spectrum tables.
 
-Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 out-of-range
-degree, 4 pole or divergent parameter range.
+Exit codes: 0 ok; 1 verification failure; 2 usage error, including a
+non-finite ``--s``; 3 out-of-range input: a ``spectrum`` degree outside
+0..2n+1, or ``torsion --n`` above ``torsion.MAX_TORSION_N`` (279), where
+T = (4 pi)^{n+1} overflows a double; 4 pole or divergent parameter range.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from math import factorial, pi
+from math import factorial, isfinite, pi
 from typing import Optional
 
 from . import spectrum, torsion, verify
@@ -148,6 +150,9 @@ def cmd_kappa(args: argparse.Namespace) -> int:
     if n < 1:
         print(f"--n must be >= 1, got {n}", file=sys.stderr)
         return EXIT_USAGE
+    if not isfinite(s):
+        print(f"--s must be finite, got {s}", file=sys.stderr)
+        return EXIT_USAGE
     params = {"n": n, "s": s, "mode": mode, "prec": prec}
     checks: list[dict] = []
     try:
@@ -210,6 +215,13 @@ def cmd_torsion(args: argparse.Namespace) -> int:
     if n < 1:
         print(f"--n must be >= 1, got {n}", file=sys.stderr)
         return EXIT_USAGE
+    if n > torsion.MAX_TORSION_N:
+        print(
+            f"--n {n} out of range 1..{torsion.MAX_TORSION_N}: the torsion "
+            "(4 pi)^(n+1) overflows a double",
+            file=sys.stderr,
+        )
+        return EXIT_RANGE
     include_kernel = args.zeta_convention == "kernel-included"
     try:
         report = torsion.torsion_report(n, precision=prec, include_kernel=include_kernel)

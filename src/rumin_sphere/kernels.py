@@ -1,48 +1,5 @@
-"""Backend selection for the truncated spectral-sum kernels.
+"""The truncated spectral-sum kernels used by the direct torsion route."""
 
-The compiled extension is picked up at import when available; otherwise the
-pure-Python implementation takes over.  Both expose the same two functions
-with identical summation order, so switching backends never changes results
-beyond the last bit.
-"""
+from ._kernels_py import axis_family_sum, pair_family_sum
 
-from __future__ import annotations
-
-from types import ModuleType
-from typing import Optional
-
-from . import _kernels_py
-
-try:
-    from . import _kernels_cy  # type: ignore[attr-defined]
-except ImportError:
-    _kernels_cy = None
-
-_default: ModuleType = _kernels_cy if _kernels_cy is not None else _kernels_py
-
-BACKEND: str = _default.BACKEND
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("python", "cython") if _kernels_cy is not None else ("python",)
-
-
-def load(backend: Optional[str] = None) -> ModuleType:
-    """Return the kernel module for ``backend`` (None/'auto' picks the best)."""
-    if backend in (None, "auto"):
-        return _default
-    if backend == "python":
-        return _kernels_py
-    if backend == "cython":
-        if _kernels_cy is None:
-            raise ImportError("compiled kernels are not available in this install")
-        return _kernels_cy
-    raise ValueError(f"unknown kernel backend {backend!r}")
-
-
-def pair_family_sum(n: int, i: int, j: int, N: int, s: float) -> float:
-    return _default.pair_family_sum(n, i, j, N, s)
-
-
-def axis_family_sum(n: int, i: int, N: int, s: float) -> float:
-    return _default.axis_family_sum(n, i, N, s)
+__all__ = ["axis_family_sum", "pair_family_sum"]

@@ -17,8 +17,9 @@ metric.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from math import exp, factorial, pi
+from math import exp, factorial, log, pi
 from typing import Optional
 
 import mpmath
@@ -35,6 +36,9 @@ from .zeta import (
     riemann_zeta,
     riemann_zeta_deriv,
 )
+
+# Largest n whose torsion T = (4 pi)^{n+1} is a finite double.
+MAX_TORSION_N = int(log(sys.float_info.max) / log(4 * pi)) - 1
 
 KERNEL_INCLUDED = "kernel-included"
 KERNEL_EXCLUDED = "kernel-excluded"
@@ -123,34 +127,37 @@ def degree_zetas_direct(
     s: float,
     N: int,
     include_kernel: bool = True,
-    backend: Optional[str] = None,
 ) -> list[float]:
     """Truncated per-degree spectral zetas [zeta(Delta^0)(s), ..., zeta(Delta^n)(s)].
 
-    Each family's sum is computed once and added to every degree its blocks
-    populate; the family order is the canonical one from ``all_families``.
+    Each distinct kernel sum is computed once and added to every degree its
+    families populate; the family order is the canonical one from
+    ``all_families``.  The pair sums of (i, j) and (j, i) are equal (dual
+    labels share dimension and eigenvalue), Cases III and IV repeat the axis
+    sums of 0..n-1, and VI and VII share the i = n axis sum.
     """
     if 2 * s <= n + 1:
         raise DivergenceError(f"need 2s > n+1 for convergence; got s={s}, n={n}")
     if N < 1:
         raise ValueError("truncation must be >= 1")
-    kern = kernels.load(backend)
     zk = [0.0] * (n + 1)
     if include_kernel:
         zk[0] += 1.0  # dim Ker Delta^0 = 1; all other kernels vanish
+    sums: dict[tuple, float] = {}
     for fam in all_families(n):
         if fam.case is Case.I:
             continue
         if fam.case in (Case.II, Case.V):
-            val = kern.pair_family_sum(n, fam.i, fam.j, N, float(s))
-        elif fam.case is Case.III:
-            val = kern.axis_family_sum(n, fam.i, N, float(s))
-        elif fam.case is Case.IV:
-            val = kern.axis_family_sum(n, fam.j, N, float(s))
-        else:  # VI and VII share the i = n axis sum
-            val = kern.axis_family_sum(n, n, N, float(s))
+            pair = (min(fam.i, fam.j), max(fam.i, fam.j))
+            key: tuple = (kernels.pair_family_sum, *pair)
+        else:
+            axis = {Case.III: fam.i, Case.IV: fam.j}.get(fam.case, n)
+            key = (kernels.axis_family_sum, axis)
+        if key not in sums:
+            kernel, *indices = key
+            sums[key] = kernel(n, *indices, N, float(s))
         for bs, bt in fam.spaces:
-            zk[bs + bt] += val
+            zk[bs + bt] += sums[key]
     return zk
 
 
@@ -159,7 +166,6 @@ def kappa_direct(
     s: float,
     N: int,
     include_kernel: bool = True,
-    backend: Optional[str] = None,
 ) -> KappaEstimate:
     """kappa(s) by direct evaluation of the defining sum, truncated at N.
 
@@ -168,7 +174,7 @@ def kappa_direct(
     cancelled numerically; the returned bound covers the discarded tail of
     the combination.
     """
-    zk = degree_zetas_direct(n, s, N, include_kernel, backend)
+    zk = degree_zetas_direct(n, s, N, include_kernel)
     value = 0.0
     for dw in degree_weights(n):
         value += dw.w * zk[dw.k]
@@ -181,7 +187,6 @@ def kappa_reduced(
     N: Optional[int] = None,
     precision: Optional[int] = None,
     include_kernel: bool = True,
-    backend: Optional[str] = None,
 ) -> KappaEstimate:
     """kappa(s) through the reduced route kappa_1 + 2 kappa_2.
 
@@ -198,10 +203,10 @@ def kappa_reduced(
             raise DivergenceError(
                 f"need 2s > n+1 for convergence; got s={s}, n={n}"
             )
-        kern = kernels.load(backend)
         value = kappa1
         for i in range(n + 1):
-            value += 2.0 * (-1.0) ** (i + 1) * kern.axis_family_sum(n, i, N, float(s))
+            axis = kernels.axis_family_sum(n, i, N, float(s))
+            value += 2.0 * (-1.0) ** (i + 1) * axis
         return KappaEstimate(value=value, bound=tail_bound(n, s, N))
 
     prec = _check_precision(precision)

@@ -168,3 +168,23 @@ def test_precision_env_override(capsys, monkeypatch):
     args = parser.parse_args(["kappa", "--n", "1", "--s", "0"])
     assert args.prec == 96
     monkeypatch.delenv("RUMIN_PRECISION_BITS")
+
+
+@pytest.mark.parametrize("s", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "mode_args", [("--mode", "closed"), ("--mode", "direct", "--max", "10"),
+                  ("--mode", "reduced"), ("--mode", "reduced", "--max", "10")]
+)
+def test_kappa_non_finite_s_exits_2(capsys, s, mode_args):
+    code, out, err = run_cli(capsys, "kappa", "--n", "1", f"--s={s}", *mode_args)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+def test_torsion_n_beyond_double_range_exits_3(capsys):
+    # T = (4 pi)^(n+1) first overflows a double at n = 280.
+    code, out, err = run_cli(capsys, "torsion", "--n", "280")
+    assert code == 3
+    assert out == ""
+    assert "279" in err

@@ -1,0 +1,27 @@
+"""Package surface: the exported names and the cost of importing the CLI."""
+
+import os
+import subprocess
+import sys
+
+import rumin_sphere
+
+
+def test_every_exported_name_resolves():
+    for name in rumin_sphere.__all__:
+        assert hasattr(rumin_sphere, name), name
+    namespace: dict = {}
+    exec("from rumin_sphere import *", namespace)
+    assert set(rumin_sphere.__all__) <= set(namespace)
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy costs a CLI process more set-up time than a whole direct-route
+    # solve; nothing on the CLI path may import it.
+    code = "import sys, rumin_sphere.cli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert result.stdout.strip() == "False"
