@@ -6,9 +6,13 @@ Subcommands: ``spectrum`` (eigenvalue/multiplicity tables), ``kappa``
 CSV for spectrum tables.
 
 Exit codes: 0 ok; 1 verification failure; 2 usage error, including a
-non-finite ``--s``; 3 out-of-range input: a ``spectrum`` degree outside
-0..2n+1, or ``torsion --n`` above ``torsion.MAX_TORSION_N`` (279), where
-T = (4 pi)^{n+1} overflows a double; 4 pole or divergent parameter range.
+non-finite ``--s`` and a non-integer ``RUMIN_PRECISION_BITS``; 3 out-of-range
+input: a ``spectrum`` degree outside 0..2n+1, ``torsion --n`` above
+``torsion.MAX_TORSION_N`` (279), where T = (4 pi)^{n+1} overflows a double,
+or a ``kappa`` that cannot be evaluated within the double range (an
+overflow, or a non-finite value or bound; rejected up front when s > 1/2
+and (n+1) 2^{2s+1} overflows a double, since |kappa(s)| exceeds that
+there); 4 pole or divergent parameter range.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from math import factorial, isfinite, pi
+from math import factorial, isfinite, log2, pi
 from typing import Optional
 
 from . import spectrum, torsion, verify
@@ -33,6 +37,8 @@ EXIT_USAGE = 2
 EXIT_RANGE = 3
 EXIT_POLE = 4
 
+_LOG2_DOUBLE_MAX = log2(sys.float_info.max)
+
 
 def _default_precision() -> int:
     env = os.environ.get("RUMIN_PRECISION_BITS")
@@ -40,9 +46,9 @@ def _default_precision() -> int:
         try:
             return int(env)
         except ValueError:
-            raise SystemExit(
-                f"RUMIN_PRECISION_BITS must be an integer, got {env!r}"
-            )
+            print(f"RUMIN_PRECISION_BITS must be an integer, got {env!r}",
+                  file=sys.stderr)
+            raise SystemExit(EXIT_USAGE)
     return 128
 
 
@@ -72,37 +78,23 @@ def _frac_str(x: Fraction) -> str:
 def _spectrum_rows(n: int, degree: int, max_level: int) -> list[dict]:
     """Rows sorted by eigenvalue; each row lists its contributing blocks."""
     blocks: dict[Fraction, list] = {}
-    for fam in spectrum.all_families(n):
-        for bs, bt in fam.spaces:
-            if bs + bt != degree:
-                continue
-            for label in fam.labels(max_level, max_level):
-                blk = spectrum.block(label, bs, bt)
-                blocks.setdefault(blk.eigenvalue, []).append(blk)
+    for label, mu, dim, spaces in spectrum.degree_labels(n, degree, max_level):
+        key = (label.case.value, label.i, label.j, label.q, label.p)
+        blocks.setdefault(mu, []).extend((*key, s, t, dim) for s, t in spaces)
     rows = []
     for mu in sorted(blocks):
-        contributing = sorted(
-            blocks[mu],
-            key=lambda b: (b.label.case.value, b.label.i, b.label.j,
-                           b.label.q, b.label.p, b.s, b.t),
-        )
+        # (case, i, j, q, p, s, t) names one block, so the dimension never
+        # takes part in the order.
+        contributing = sorted(blocks[mu])
         rows.append(
             {
                 "eigenvalue": _frac_str(mu),
                 "eigenvalue_float": float(mu),
-                "multiplicity": sum(b.dimension for b in contributing),
+                "multiplicity": sum(b[-1] for b in contributing),
                 "blocks": [
-                    {
-                        "case": b.label.case.value,
-                        "q": b.label.q,
-                        "j": b.label.j,
-                        "i": b.label.i,
-                        "p": b.label.p,
-                        "s": b.s,
-                        "t": b.t,
-                        "dimension": b.dimension,
-                    }
-                    for b in contributing
+                    {"case": case, "q": q, "j": j, "i": i, "p": p,
+                     "s": s, "t": t, "dimension": dim}
+                    for case, i, j, q, p, s, t, dim in contributing
                 ],
             }
         )
@@ -153,6 +145,12 @@ def cmd_kappa(args: argparse.Namespace) -> int:
     if not isfinite(s):
         print(f"--s must be finite, got {s}", file=sys.stderr)
         return EXIT_USAGE
+    out_of_range = (f"kappa(s) at n={n}, s={s} cannot be evaluated within "
+                    "the double range")
+    # For s > 1/2, zeta(2s) > 1, so |kappa(s)| > (n+1) 2^(2s+1).
+    if s > 0.5 and log2(n + 1) + 2 * s + 1 > _LOG2_DOUBLE_MAX:
+        print(out_of_range, file=sys.stderr)
+        return EXIT_RANGE
     params = {"n": n, "s": s, "mode": mode, "prec": prec}
     checks: list[dict] = []
     try:
@@ -205,6 +203,12 @@ def cmd_kappa(args: argparse.Namespace) -> int:
     except PrecisionError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
+    except OverflowError:
+        print(out_of_range, file=sys.stderr)
+        return EXIT_RANGE
+    if not all(isfinite(v) for v in payload.values()):
+        print(out_of_range, file=sys.stderr)
+        return EXIT_RANGE
 
     _emit(_record("kappa", params, payload, checks), sys.stdout)
     return EXIT_OK

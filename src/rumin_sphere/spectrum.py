@@ -39,22 +39,11 @@ def eigenvalue_formula(label: RuminLabel) -> Fraction:
 
 
 def block_bidegrees(label: RuminLabel) -> tuple[tuple[int, int], ...]:
-    """Bidegrees (s, t) at which the label has a nonzero block."""
-    n, i, j = label.n, label.i, label.j
-    case = label.case
-    if case is Case.I:
-        return ((0, 0),)
-    if case is Case.II:
-        return ((i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1))
-    if case is Case.V:
-        return ((i, j), (i + 1, j), (i, j + 1))
-    if case is Case.III:
-        return ((i, 0), (i + 1, 0))
-    if case is Case.IV:
-        return ((0, j), (0, j + 1))
-    if case is Case.VI:
-        return ((n, 0),)
-    return ((0, n),)
+    """Bidegrees (s, t) at which the label has a nonzero block: the
+    ``spaces`` of its family in ``all_families``."""
+    key = (label.case, label.i, label.j)
+    return next(f.spaces for f in all_families(label.n)
+                if (f.case, f.i, f.j) == key)
 
 
 @dataclass(frozen=True)
@@ -110,23 +99,15 @@ class BlockFamily:
             for q in qs:
                 yield RuminLabel(self.n, q, self.j, self.i, p)
 
-    def degree_count(self, k: int) -> int:
-        return sum(1 for s, t in self.spaces if s + t == k)
-
-    def blocks(self, s: int, t: int, max_p: int, max_q: int) -> Iterator[IrrepBlock]:
-        if (s, t) not in self.spaces:
-            raise CaseRangeError(f"family {self.case}({self.i},{self.j}) "
-                                 f"has no blocks at ({s}, {t})")
-        for label in self.labels(max_p, max_q):
-            yield block(label, s, t)
-
 
 @lru_cache(maxsize=None)
 def all_families(n: int) -> tuple[BlockFamily, ...]:
     """The complete, finite list of label families for S^{2n+1}.
 
-    Order is canonical (I, then II/V by (i, j), then III, IV, VI, VII) so
-    that every enumeration and summation downstream is deterministic.
+    This is the one table of the label set and of its bidegrees: every
+    enumeration of labels or blocks in the package is built on it.  Order is
+    canonical (I, then II/V by (i, j), then III, IV, VI, VII) so that every
+    enumeration and summation downstream is deterministic.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -148,6 +129,26 @@ def all_families(n: int) -> tuple[BlockFamily, ...]:
     fams.append(BlockFamily(n, Case.VI, n - 1, 0, -1, None, ((n, 0),)))
     fams.append(BlockFamily(n, Case.VII, 0, n - 1, None, -1, ((0, n),)))
     return tuple(fams)
+
+
+def degree_labels(
+    n: int, k: int, N: int
+) -> Iterator[tuple[RuminLabel, Fraction, int, tuple[tuple[int, int], ...]]]:
+    """Every label with a block in degree k, free parameters running 1..N.
+
+    Yields (label, eigenvalue, Weyl dimension, bidegrees (s, t) of the
+    label's blocks with s + t = k), in canonical family order.  The
+    eigenvalue and the dimension are shared by all blocks of a label, so
+    each is computed once per label.  Only degrees k <= n carry blocks;
+    higher degrees are reached through the mirror rule.
+    """
+    for fam in all_families(n):
+        spaces = tuple((s, t) for s, t in fam.spaces if s + t == k)
+        if not spaces:
+            continue
+        for label in fam.labels(N, N):
+            yield (label, eigenvalue_formula(label),
+                   weyl_dimension(label_to_weight(label)), spaces)
 
 
 def decompose(n: int, s: int, t: int) -> tuple[BlockFamily, ...]:
@@ -198,14 +199,8 @@ def spectrum_slice(n: int, k: int, N: int) -> SpectrumSlice:
         raise ValueError("truncation must be >= 1")
     kk = min(k, 2 * n + 1 - k)
     entries: dict[Fraction, int] = {}
-    for fam in all_families(n):
-        count = fam.degree_count(kk)
-        if count == 0:
-            continue
-        for label in fam.labels(N, N):
-            mu = eigenvalue_formula(label)
-            dim = weyl_dimension(label_to_weight(label))
-            entries[mu] = entries.get(mu, 0) + count * dim
+    for _, mu, dim, spaces in degree_labels(n, kk, N):
+        entries[mu] = entries.get(mu, 0) + len(spaces) * dim
     return SpectrumSlice(n=n, degree=kk, truncation=N, entries=entries)
 
 

@@ -26,7 +26,7 @@ import mpmath
 from mpmath import mpf, workprec
 
 from . import kernels
-from .spectrum import all_families, block_bidegrees
+from .spectrum import all_families
 from .weights import Case
 from .zeta import (
     PoleError,
@@ -245,7 +245,7 @@ def cancellation_check(n: int, p_max: int, q_max: int) -> bool:
         if fam.case not in (Case.II, Case.V):
             continue
         for label in fam.labels(p_max, q_max):
-            total = sum(ws[bs + bt] for bs, bt in block_bidegrees(label))
+            total = sum(ws[bs + bt] for bs, bt in fam.spaces)
             if total != 0:
                 return False
     return True

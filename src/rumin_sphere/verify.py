@@ -12,14 +12,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, log, pi
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from . import spectrum, torsion, zeta
 from .weights import (
     Case,
     HighestWeight,
+    RuminLabel,
     gt_pattern_count,
-    iter_valid_labels,
     label_to_weight,
     special_dimension,
     weyl_dimension,
@@ -37,10 +37,18 @@ def _exact(name: str, violations: int) -> CheckResult:
     return CheckResult(name=name, passed=violations == 0, residual=float(violations))
 
 
+def _labels(n: int, bound: int, *cases: Case) -> Iterator[RuminLabel]:
+    """Labels of the families of ``cases`` (of every family if none are
+    given), free parameters running 1..bound."""
+    for fam in spectrum.all_families(n):
+        if not cases or fam.case in cases:
+            yield from fam.labels(bound, bound)
+
+
 def check_weyl_vs_gt(n: int, bound: int) -> CheckResult:
     bound = min(bound, 4)
     bad = 0
-    for label in iter_valid_labels(n, bound, bound):
+    for label in _labels(n, bound):
         w = label_to_weight(label)
         if weyl_dimension(w) != gt_pattern_count(w, budget=10**7):
             bad += 1
@@ -69,7 +77,7 @@ def check_dimension_polynomial(n: int, bound: int) -> CheckResult:
 
 def check_eigenvalue_reductions(n: int, bound: int) -> CheckResult:
     bad = 0
-    for label in iter_valid_labels(n, bound, bound):
+    for label in _labels(n, bound, Case.I, Case.III, Case.IV, Case.VI, Case.VII):
         mu = spectrum.eigenvalue_formula(label)
         q, j, i, p = label.q, label.j, label.i, label.p
         if label.case is Case.III and mu != Fraction((p + i) ** 2, 4):
@@ -87,9 +95,7 @@ def check_eigenvalue_reductions(n: int, bound: int) -> CheckResult:
 
 def check_norm_route(n: int, bound: int) -> CheckResult:
     bad = 0
-    for label in iter_valid_labels(n, bound, bound):
-        if label.case not in (Case.II, Case.V):
-            continue
+    for label in _labels(n, bound, Case.II, Case.V):
         if spectrum.norm_route_eigenvalue(label) != spectrum.eigenvalue_formula(label):
             bad += 1
     return _exact("norm_route_eigenvalue_equivalence", bad)
@@ -97,9 +103,7 @@ def check_norm_route(n: int, bound: int) -> CheckResult:
 
 def check_case_v_mixed(n: int, bound: int) -> CheckResult:
     bad = 0
-    for label in iter_valid_labels(n, bound, bound):
-        if label.case is not Case.V:
-            continue
+    for label in _labels(n, bound, Case.V):
         mu = spectrum.eigenvalue_formula(label)
         if spectrum.case_v_mixed_eigenvalue(label) != mu:
             bad += 1
@@ -113,9 +117,7 @@ def check_norm_ratios(n: int, bound: int) -> CheckResult:
     # (p+i)^2/(n-i-j) * |psi^{(i+1,j)}|^2 / |psi^{(i,j)}|^2 wherever the
     # tabulated norms apply (j > 0); same for B^2 with i > 0.
     bad = 0
-    for label in iter_valid_labels(n, bound, bound):
-        if label.case not in (Case.II, Case.V):
-            continue
+    for label in _labels(n, bound, Case.II, Case.V):
         i, j, p, q = label.i, label.j, label.p, label.q
         d = label.n - i - j
         a2, b2 = spectrum.operator_norm_squares(label)
@@ -140,7 +142,7 @@ def check_weight_determined(n: int, bound: int) -> CheckResult:
     bound = min(bound, 10)
     seen: dict[tuple[int, ...], Fraction] = {}
     bad = 0
-    for label in iter_valid_labels(n, bound, bound):
+    for label in _labels(n, bound):
         key = label_to_weight(label).entries
         mu = spectrum.eigenvalue_formula(label)
         if seen.setdefault(key, mu) != mu:

@@ -204,26 +204,3 @@ def special_dimension(n: int, i: int, p: int) -> int:
         raise ArithmeticError(f"non-integral special dimension at ({n}, {i}, {p})")
     return int(v)
 
-
-def iter_valid_labels(n: int, max_p: int, max_q: int) -> Iterator[RuminLabel]:
-    """Every valid label for S^{2n+1} with free parameters capped at the bounds.
-
-    Structural parameter values (q in {0, -1}, p in {0, -1}) are always
-    included; only the free p, q >= 1 ranges are truncated.
-    """
-    yield RuminLabel(n, 0, 0, 0, 0)
-    for i in range(n):
-        for j in range(n - i):
-            for p in range(1, max_p + 1):
-                for q in range(1, max_q + 1):
-                    yield RuminLabel(n, q, j, i, p)
-    for i in range(n):
-        for p in range(1, max_p + 1):
-            yield RuminLabel(n, 0, 0, i, p)
-    for j in range(n):
-        for q in range(1, max_q + 1):
-            yield RuminLabel(n, q, j, 0, 0)
-    for p in range(1, max_p + 1):
-        yield RuminLabel(n, -1, 0, n - 1, p)
-    for q in range(1, max_q + 1):
-        yield RuminLabel(n, q, n - 1, 0, -1)

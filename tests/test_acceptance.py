@@ -31,8 +31,7 @@ from rumin_sphere import (
     vanishing_correction_check,
     weyl_dimension,
 )
-from rumin_sphere.spectrum import block_bidegrees
-from rumin_sphere.weights import iter_valid_labels
+from rumin_sphere.spectrum import all_families, block_bidegrees
 
 
 class Timer:
@@ -106,8 +105,10 @@ def test_criterion_05_case_ii_v_cancellation():
             assert cancellation_check(n, 20, 20)
             # The same identity, spelled out on the degree weights.
             ws = {dw.k: dw.w for dw in degree_weights(n)}
-            for label in iter_valid_labels(n, 20, 20):
-                if label.case in (Case.II, Case.V):
+            for fam in all_families(n):
+                if fam.case not in (Case.II, Case.V):
+                    continue
+                for label in fam.labels(20, 20):
                     assert sum(ws[s + t] for s, t in block_bidegrees(label)) == 0
     report(5, "Case II/V cancellation, p,q <= 20, n <= 4", t)
 
@@ -129,22 +130,24 @@ def test_criterion_06_coefficient_identities():
 def test_criterion_07_eigenvalue_route_equivalence():
     with Timer(30.0) as t:
         for n in range(1, 5):
-            for label in iter_valid_labels(n, 50, 50):
-                if label.case not in (Case.II, Case.V):
+            for fam in all_families(n):
+                if fam.case not in (Case.II, Case.V):
                     continue
-                mu = eigenvalue_formula(label)
-                assert norm_route_eigenvalue(label) == mu
-                if label.case is Case.V:
-                    assert case_v_mixed_eigenvalue(label) == mu
+                for label in fam.labels(50, 50):
+                    mu = eigenvalue_formula(label)
+                    assert norm_route_eigenvalue(label) == mu
+                    if label.case is Case.V:
+                        assert case_v_mixed_eigenvalue(label) == mu
     report(7, "norm and mixed routes == formula, p,q <= 50, n <= 4", t)
 
 
 def test_criterion_08_dimension_oracle():
     with Timer(60.0) as t:
         for n in range(1, 4):
-            for label in iter_valid_labels(n, 4, 4):
-                w = label_to_weight(label)
-                assert weyl_dimension(w) == gt_pattern_count(w)
+            for fam in all_families(n):
+                for label in fam.labels(4, 4):
+                    w = label_to_weight(label)
+                    assert weyl_dimension(w) == gt_pattern_count(w)
         for n in range(1, 5):
             for i in range(n + 1):
                 for p in range(1, 31):

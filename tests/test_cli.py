@@ -1,12 +1,15 @@
 """CLI contract: determinism, schema validity, exit codes, formats."""
 
+import hashlib
 import json
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from rumin_sphere import cli
+from rumin_sphere import cli, spectrum_slice
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "output_record.schema.json")
@@ -20,9 +23,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
-    record = json.loads(out)
+    # Strict: Python's json would accept NaN and Infinity.
+    record = json.loads(out, parse_constant=_reject_constant)
     jsonschema.validate(record, SCHEMA)
     return code, record, out
 
@@ -56,6 +64,38 @@ def test_spectrum_mirror_byte_identical(capsys):
         capsys, "spectrum", "--n", "1", "--degree", "3", "--max", "5"
     )
     assert out_low == out_high
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("--n", "2", "--degree", "1", "--max", "6"),
+         "0b92371bcf059597849f98df33e989980592d7b2845824a60f63d5d58242433c"),
+        (("--n", "3", "--degree", "4", "--max", "5"),
+         "6519ef1b3c29ebf3da32189e3c9a4346b4b1d1a2b15225f15e5185489d30c1c9"),
+        (("--n", "1", "--degree", "2", "--max", "7", "--format", "csv"),
+         "0e825edcbc226b6a5a6e38821e7987e211ec54393ed87491bde24656fcc12ab4"),
+    ],
+)
+def test_spectrum_output_is_pinned(capsys, argv, digest):
+    # Golden bytes: any change to rows, order, fields or formatting shows.
+    code, out, _ = run_cli(capsys, "spectrum", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_spectrum_rows_match_spectrum_slice(capsys):
+    for n in (1, 2, 3):
+        for k in range(2 * n + 2):
+            _, record, _ = run_json(capsys, "spectrum", "--n", str(n),
+                                    "--degree", str(k), "--max", "5")
+            rows = record["payload"]["rows"]
+            for row in rows:
+                assert row["multiplicity"] == sum(
+                    b["dimension"] for b in row["blocks"]
+                )
+            got = {Fraction(r["eigenvalue"]): r["multiplicity"] for r in rows}
+            assert got == spectrum_slice(n, k, 5).entries, (n, k)
 
 
 def test_spectrum_csv_header_and_rows(capsys):
@@ -170,6 +210,16 @@ def test_precision_env_override(capsys, monkeypatch):
     monkeypatch.delenv("RUMIN_PRECISION_BITS")
 
 
+def test_precision_env_not_an_integer_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("RUMIN_PRECISION_BITS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["kappa", "--n", "1", "--s", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "RUMIN_PRECISION_BITS must be an integer, got 'abc'" in captured.err
+
+
 @pytest.mark.parametrize("s", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
     "mode_args", [("--mode", "closed"), ("--mode", "direct", "--max", "10"),
@@ -188,3 +238,44 @@ def test_torsion_n_beyond_double_range_exits_3(capsys):
     assert code == 3
     assert out == ""
     assert "279" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # The i = 0 axis term 2 (1/2)^(-2s) overflows a double.
+        ("--s", "600", "--mode", "direct", "--max", "10"),
+        ("--s", "600", "--mode", "reduced", "--max", "10"),
+        # (n+1) 2^(2s+1) = 2^1024: the value would print as -Infinity.
+        ("--s", "511"),
+        ("--s", "511", "--mode", "reduced"),
+        # The degree sums overflow to -inf before the alternating sum, and
+        # the tail bound is NaN.
+        ("--s", "510.9", "--mode", "direct", "--max", "10"),
+        # 2^(2s+1) zeta(2s) overflows through zeta's growth at negative 2s.
+        ("--s=-200.25",),
+        ("--s=-200.25", "--mode", "reduced"),
+    ],
+)
+def test_kappa_beyond_double_range_exits_3(capsys, argv):
+    code, out, err = run_cli(capsys, "kappa", "--n", "1", *argv)
+    assert code == 3
+    assert out == ""
+    assert "double range" in err
+
+
+def test_kappa_huge_s_exits_3_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "kappa", "--n", "1", "--s", "1e6")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+
+
+@pytest.mark.parametrize("mode_args", [("--mode", "closed"), ("--mode", "reduced")])
+def test_kappa_just_inside_double_range_is_valid_json(capsys, mode_args):
+    # (n+1) 2^(2s+1) = 2^1023.8 at s = 510.9: finite, and strictly parsed.
+    code, record, _ = run_json(capsys, "kappa", "--n", "1", "--s", "510.9",
+                               *mode_args)
+    assert code == 0
+    assert -1.6e308 < record["payload"]["value"] < -1.5e308

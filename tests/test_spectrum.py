@@ -23,8 +23,12 @@ from rumin_sphere import (
     squared_norm,
     weyl_dimension,
 )
-from rumin_sphere.spectrum import block, block_bidegrees
-from rumin_sphere.weights import iter_valid_labels
+from rumin_sphere.spectrum import block, block_bidegrees, degree_labels
+
+
+def table_labels(n, bound):
+    """Every label of the family table, free parameters running 1..bound."""
+    return [lab for fam in all_families(n) for lab in fam.labels(bound, bound)]
 
 
 def test_eigenvalue_examples():
@@ -35,7 +39,7 @@ def test_eigenvalue_examples():
 
 def test_eigenvalue_case_reductions():
     for n in range(1, 5):
-        for label in iter_valid_labels(n, 50, 50):
+        for label in table_labels(n, 50):
             mu = eigenvalue_formula(label)
             q, j, i, p = label.q, label.j, label.i, label.p
             if label.case is Case.III:
@@ -165,7 +169,7 @@ def test_operator_norms_reject_one_parameter_cases():
 
 def test_norm_route_matches_formula():
     for n in range(1, 5):
-        for label in iter_valid_labels(n, 12, 12):
+        for label in table_labels(n, 12):
             if label.case in (Case.II, Case.V):
                 assert norm_route_eigenvalue(label) == eigenvalue_formula(label)
 
@@ -173,7 +177,7 @@ def test_norm_route_matches_formula():
 def test_case_v_mixed_route():
     assert case_v_mixed_eigenvalue(RuminLabel(1, 1, 0, 0, 1)) == 4
     for n in range(1, 5):
-        for label in iter_valid_labels(n, 12, 12):
+        for label in table_labels(n, 12):
             if label.case is Case.V:
                 mu = eigenvalue_formula(label)
                 assert case_v_mixed_eigenvalue(label) == mu
@@ -208,7 +212,7 @@ def test_squared_norm_ratio_rule():
     # |psi^{(i+1,j)}|^2 / |psi^{(i,j)}|^2 == (q+n-i) / (2(p+i)) where the
     # (i+1, j) formula applies (j > 0).
     for n in (2, 3, 4):
-        for label in iter_valid_labels(n, 6, 6):
+        for label in table_labels(n, 6):
             if label.case not in (Case.II, Case.V) or label.j == 0:
                 continue
             i, j, p, q = label.i, label.j, label.p, label.q
@@ -218,7 +222,7 @@ def test_squared_norm_ratio_rule():
 
 def test_operator_norm_consistent_with_l2_ratios():
     for n in (2, 3, 4):
-        for label in iter_valid_labels(n, 8, 8):
+        for label in table_labels(n, 8):
             if label.case not in (Case.II, Case.V):
                 continue
             i, j, p, q = label.i, label.j, label.p, label.q
@@ -249,7 +253,7 @@ def test_squared_norm_rejects_out_of_range():
 def test_eigenvalue_determined_by_weight():
     for n in (1, 2, 3):
         seen = {}
-        for label in iter_valid_labels(n, 10, 10):
+        for label in table_labels(n, 10):
             key = label_to_weight(label).entries
             mu = eigenvalue_formula(label)
             assert seen.setdefault(key, mu) == mu
@@ -261,3 +265,62 @@ def test_families_cover_all_cases_once():
     assert sorted(pair_ij) == [(i, j) for i in range(3) for j in range(3 - i)]
     assert sum(1 for f in fams if f.case is Case.VI) == 1
     assert sum(1 for f in fams if f.case is Case.VII) == 1
+
+
+def _paper_bidegrees(label):
+    # The bidegree table of the seven cases, written out independently of
+    # ``all_families``.
+    n, i, j = label.n, label.i, label.j
+    return {
+        Case.I: ((0, 0),),
+        Case.II: ((i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1)),
+        Case.V: ((i, j), (i + 1, j), (i, j + 1)),
+        Case.III: ((i, 0), (i + 1, 0)),
+        Case.IV: ((0, j), (0, j + 1)),
+        Case.VI: ((n, 0),),
+        Case.VII: ((0, n),),
+    }[label.case]
+
+
+def test_family_labels_are_valid_distinct_and_cover_all_cases():
+    for n in range(1, 5):
+        for bound in (1, 3):
+            labels = []
+            for fam in all_families(n):
+                for lab in fam.labels(bound, bound):
+                    # RuminLabel validates on construction; the case it
+                    # finds must be the family's.
+                    assert lab.case is fam.case, (fam, lab)
+                    assert (lab.i, lab.j) == (fam.i, fam.j)
+                    labels.append(lab)
+            assert len(labels) == len(set(labels))
+            # Case II needs i + j <= n - 2, so n = 1 has none.
+            expected = set(Case) if n >= 2 else set(Case) - {Case.II}
+            assert {lab.case for lab in labels} == expected
+
+
+def test_block_bidegrees_is_the_family_table():
+    for n in range(1, 6):
+        for fam in all_families(n):
+            for lab in fam.labels(3, 3):
+                assert block_bidegrees(lab) == fam.spaces
+                assert block_bidegrees(lab) == _paper_bidegrees(lab)
+
+
+def test_degree_labels_enumerates_each_label_once():
+    for n in (1, 2, 3):
+        for k in range(2 * n + 2):
+            got = list(degree_labels(n, k, 4))
+            expected = [
+                lab for lab in table_labels(n, 4)
+                if any(s + t == k for s, t in block_bidegrees(lab))
+            ]
+            assert [lab for lab, *_ in got] == expected
+            if k > n:
+                assert got == []
+            for lab, mu, dim, spaces in got:
+                assert mu == eigenvalue_formula(lab)
+                assert dim == weyl_dimension(label_to_weight(lab))
+                assert spaces == tuple(
+                    (s, t) for s, t in block_bidegrees(lab) if s + t == k
+                )

@@ -15,7 +15,7 @@ from rumin_sphere import (
     special_dimension,
     weyl_dimension,
 )
-from rumin_sphere.weights import iter_valid_labels
+from rumin_sphere.spectrum import all_families
 
 
 def test_highest_weight_requires_nonincreasing():
@@ -98,9 +98,10 @@ def test_gt_budget_guard():
 
 def test_weyl_matches_gt_on_bounded_labels():
     for n in (1, 2, 3):
-        for label in iter_valid_labels(n, 4, 4):
-            w = label_to_weight(label)
-            assert weyl_dimension(w) == gt_pattern_count(w), label
+        for fam in all_families(n):
+            for label in fam.labels(4, 4):
+                w = label_to_weight(label)
+                assert weyl_dimension(w) == gt_pattern_count(w), label
 
 
 small_weights = st.lists(
@@ -147,9 +148,3 @@ def test_special_dimension_rejects_bad_input():
     with pytest.raises(ValueError):
         special_dimension(2, 0, 0)
 
-
-def test_iter_valid_labels_yields_only_valid_and_distinct():
-    labels = list(iter_valid_labels(2, 3, 3))
-    assert len(labels) == len(set(labels))
-    cases = {lab.case for lab in labels}
-    assert cases == set(Case)
