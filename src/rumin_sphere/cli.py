@@ -9,10 +9,13 @@ Exit codes: 0 ok; 1 verification failure; 2 usage error, including a
 non-finite ``--s`` and a non-integer ``RUMIN_PRECISION_BITS``; 3 out-of-range
 input: a ``spectrum`` degree outside 0..2n+1, ``torsion --n`` above
 ``torsion.MAX_TORSION_N`` (279), where T = (4 pi)^{n+1} overflows a double,
-or a ``kappa`` that cannot be evaluated within the double range (an
+a ``kappa`` that cannot be evaluated within the double range (an
 overflow, or a non-finite value or bound; rejected up front when s > 1/2
 and (n+1) 2^{2s+1} overflows a double, since |kappa(s)| exceeds that
-there); 4 pole or divergent parameter range.
+there), or a zeta argument whose guard bits alone exceed the working range
+of ``zeta.MAX_PRECISION_BITS`` (65536) bits (``zeta.WorkBudgetError``,
+raised before any work: ``kappa --s=-1e6`` exits at once); 4 pole or
+divergent parameter range.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from math import factorial, isfinite, log2, pi
 from typing import Optional
 
 from . import spectrum, torsion, verify
-from .zeta import PoleError, PrecisionError
+from .zeta import PoleError, PrecisionError, WorkBudgetError
 
 SCHEMA_VERSION = "1"
 
@@ -50,6 +53,13 @@ def _default_precision() -> int:
                   file=sys.stderr)
             raise SystemExit(EXIT_USAGE)
     return 128
+
+
+def _precision_failure(exc: PrecisionError) -> int:
+    # A --prec outside the working range is a usage error; an s whose guard
+    # bits alone exceed it (WorkBudgetError) is an out-of-range input.
+    print(str(exc), file=sys.stderr)
+    return EXIT_RANGE if isinstance(exc, WorkBudgetError) else EXIT_USAGE
 
 
 def _record(command: str, parameters: dict, payload, checks: list[dict]) -> dict:
@@ -183,10 +193,12 @@ def cmd_kappa(args: argparse.Namespace) -> int:
                 params["max"] = args.max
                 est = torsion.kappa_reduced(n, s, N=args.max)
                 tolerance = est.bound + 1e-8
+                closed = torsion.kappa_closed(n, s, prec)
             else:
-                est = torsion.kappa_reduced(n, s, precision=prec)
+                # Both routes read the one zeta(2s) evaluation.
+                est, closed_est = torsion._continued_and_closed(n, s, prec)
                 tolerance = est.bound + 1e-12
-            closed = torsion.kappa_closed(n, s, prec)
+                closed = closed_est.value
             residual = abs(est.value - closed)
             payload = {
                 "value": est.value,
@@ -201,8 +213,7 @@ def cmd_kappa(args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_POLE
     except PrecisionError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+        return _precision_failure(exc)
     except OverflowError:
         print(out_of_range, file=sys.stderr)
         return EXIT_RANGE
@@ -230,8 +241,7 @@ def cmd_torsion(args: argparse.Namespace) -> int:
     try:
         report = torsion.torsion_report(n, precision=prec, include_kernel=include_kernel)
     except PrecisionError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+        return _precision_failure(exc)
     payload = dataclasses.asdict(report)
     expected_kappa0 = 0.0 if include_kernel else float(n + 1)
     checks = [
@@ -265,8 +275,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         results = verify.run_all(n, bound, prec)
     except PrecisionError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+        return _precision_failure(exc)
     checks = [_check(r.name, r.passed, r.residual) for r in results]
     all_passed = all(r.passed for r in results)
     record = _record(

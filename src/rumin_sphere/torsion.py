@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from math import exp, factorial, log, pi
+from math import exp, factorial, fsum, lgamma, log, pi, ulp
 from typing import Optional
 
 import mpmath
@@ -30,11 +30,12 @@ from .spectrum import all_families
 from .weights import Case
 from .zeta import (
     PoleError,
+    ZetaValue,
     _check_precision,
     _to_mpf,
     c_coefficients,
+    hurwitz_zeta_and_deriv,
     riemann_zeta,
-    riemann_zeta_deriv,
 )
 
 # Largest n whose torsion T = (4 pi)^{n+1} is a finite double.
@@ -75,13 +76,13 @@ def kappa_closed(n: int, s: float, precision: Optional[int] = None) -> float:
     return kappa_closed_estimate(n, s, precision).value
 
 
-def kappa_closed_estimate(
-    n: int, s: float, precision: Optional[int] = None
-) -> KappaEstimate:
-    prec = _check_precision(precision)
+def _check_kappa_pole(s: float) -> None:
     if 2 * s == 1:
         raise PoleError("kappa(s) has a pole at s = 1/2 (zeta(2s) pole)")
-    z = riemann_zeta(2 * s, prec)
+
+
+def _closed_from(n: int, s: float, z: ZetaValue, prec: int) -> KappaEstimate:
+    # The closed form from z = zeta(2s).
     with workprec(prec + 16):
         scale = mpf(2) ** (2 * _to_mpf(s) + 1)
         value = -(n + 1) * (1 + scale * z.value)
@@ -89,17 +90,30 @@ def kappa_closed_estimate(
     return KappaEstimate(value=float(value), bound=float(bound))
 
 
-def kappa_closed_deriv(n: int, s: float, precision: Optional[int] = None) -> float:
-    """d/ds of the closed form: -(n+1) 2^{2s+2} (log(2) zeta(2s) + zeta'(2s))."""
-    prec = _check_precision(precision)
-    if 2 * s == 1:
-        raise PoleError("kappa(s) has a pole at s = 1/2 (zeta(2s) pole)")
-    z = riemann_zeta(2 * s, prec)
-    dz = riemann_zeta_deriv(2 * s, prec)
+def _closed_deriv_from(
+    n: int, s: float, z: ZetaValue, dz: ZetaValue, prec: int
+) -> float:
+    # The s-derivative of the closed form from z = zeta(2s), dz = zeta'(2s).
     with workprec(prec + 16):
         scale = mpf(2) ** (2 * _to_mpf(s) + 2)
         value = -(n + 1) * scale * (mpmath.log(2) * z.value + dz.value)
     return float(value)
+
+
+def kappa_closed_estimate(
+    n: int, s: float, precision: Optional[int] = None
+) -> KappaEstimate:
+    prec = _check_precision(precision)
+    _check_kappa_pole(s)
+    return _closed_from(n, s, riemann_zeta(2 * s, prec), prec)
+
+
+def kappa_closed_deriv(n: int, s: float, precision: Optional[int] = None) -> float:
+    """d/ds of the closed form: -(n+1) 2^{2s+2} (log(2) zeta(2s) + zeta'(2s))."""
+    prec = _check_precision(precision)
+    _check_kappa_pole(s)
+    z, dz = hurwitz_zeta_and_deriv(2 * s, 1, prec)
+    return _closed_deriv_from(n, s, z, dz, prec)
 
 
 def tail_bound(n: int, s: float, N: int) -> float:
@@ -109,17 +123,28 @@ def tail_bound(n: int, s: float, N: int) -> float:
     (see ``cancellation_check``), so the discarded tail consists of the four
     one-parameter families.  Their dimensions are bounded by
     C(n,i) (n+1)^n p^n / n! and the eigenvalue factor by 2^{2s} p^{-2s},
-    which integrates to the monomial bound below.
+    which integrates to the monomial bound
+
+        2^{2s+1} (2(n+1))^n / n! * N^{n+1-2s} / (2s-n-1).
+
+    It is evaluated as a sum of logarithms, so that no factor leaves the
+    double range on its own.  Each logarithmic term is off by a few units in
+    the last place of its own size and the exponential by one more, so the
+    result is rounded up by the relative margin 16 u (1 + sum |terms|),
+    u = 2^-53.  A bound below the smallest subnormal double is reported as
+    that double, never as 0.
     """
     if 2 * s <= n + 1:
         raise DivergenceError(f"need 2s > n+1 for convergence; got s={s}, n={n}")
-    return (
-        2.0 ** (2 * s + 1)
-        * (2 * (n + 1)) ** n
-        / factorial(n)
-        * N ** (n + 1 - 2 * s)
-        / (2 * s - n - 1)
+    terms = (
+        (2 * s + 1) * log(2.0),
+        n * log(2 * (n + 1)),
+        -lgamma(n + 1),
+        (n + 1 - 2 * s) * log(N),
+        -log(2 * s - n - 1),
     )
+    margin = 16 * 2.0**-53 * (1 + sum(abs(t) for t in terms))
+    return max(exp(fsum(terms)) * (1 + margin), ulp(0.0))
 
 
 def degree_zetas_direct(
@@ -195,32 +220,54 @@ def kappa_reduced(
     the coefficient identities: kappa_2(s) = -(2^{2s}/n!) sum_l c_l
     zeta(2s-l+1), where every c_l except c_1 = (n+1)! vanishes exactly.
     """
-    kappa1 = -(n + 1.0)
-    if not include_kernel:
-        kappa1 = 0.0
     if N is not None:
         if 2 * s <= n + 1:
             raise DivergenceError(
                 f"need 2s > n+1 for convergence; got s={s}, n={n}"
             )
-        value = kappa1
+        value = -(n + 1.0) if include_kernel else 0.0
         for i in range(n + 1):
             axis = kernels.axis_family_sum(n, i, N, float(s))
             value += 2.0 * (-1.0) ** (i + 1) * axis
         return KappaEstimate(value=value, bound=tail_bound(n, s, N))
 
     prec = _check_precision(precision)
-    cs = c_coefficients(n)
+    _check_reduced_pole(s, 1)
+    return _continued_from(n, s, riemann_zeta(2 * s, prec), prec, include_kernel)
+
+
+def _continued_and_closed(
+    n: int, s: float, precision: Optional[int]
+) -> tuple[KappaEstimate, KappaEstimate]:
+    """The continued reduced route and the closed form at s, from one
+    evaluation of zeta(2s)."""
+    prec = _check_precision(precision)
+    _check_reduced_pole(s, 1)
+    z = riemann_zeta(2 * s, prec)
+    return _continued_from(n, s, z, prec, True), _closed_from(n, s, z, prec)
+
+
+def _check_reduced_pole(s: float, l: int) -> None:
+    if 2 * s - l + 1 == 1:
+        raise PoleError(f"zeta pole at 2s - l + 1 = 1 (s={s}, l={l})")
+
+
+def _continued_from(
+    n: int, s: float, z: ZetaValue, prec: int, include_kernel: bool
+) -> KappaEstimate:
+    # The continued reduced route from z = zeta(2s), the zeta factor of c_1.
+    # Every other c_l is computed, not assumed zero; a non-zero one (which
+    # the identity rules out) is evaluated here.
+    kappa1 = -(n + 1.0) if include_kernel else 0.0
     with workprec(prec + 16):
         total = mpf(0)
         err = mpf(0)
-        for l, cl in enumerate(cs, start=1):
+        for l, cl in enumerate(c_coefficients(n), start=1):
             if cl == 0:
                 continue  # exact zero: never evaluated, so no spurious poles
-            arg = 2 * s - l + 1
-            if arg == 1:
-                raise PoleError(f"zeta pole at 2s - l + 1 = 1 (s={s}, l={l})")
-            z = riemann_zeta(arg, prec)
+            if l > 1:
+                _check_reduced_pole(s, l)
+                z = riemann_zeta(2 * s - l + 1, prec)
             total += cl * z.value
             err += abs(cl) * z.error_bound
         scale = mpf(2) ** (2 * _to_mpf(s)) / factorial(n)
@@ -229,26 +276,22 @@ def kappa_reduced(
     return KappaEstimate(value=float(value), bound=float(bound))
 
 
-def cancellation_check(n: int, p_max: int, q_max: int) -> bool:
+def cancellation_check(n: int) -> bool:
     """Verify that every two-parameter label drops out of the kappa sum.
 
-    For each Case II/V label with p <= p_max, q <= q_max, the sum of the
-    degree weights over its block list must vanish as an exact integer
-    (w_k + 2 w_{k+1} + w_{k+2} for Case II, w_{n-1} + 2 w_n for Case V).
-    All blocks of one label share its eigenvalue and dimension, so this
-    weight identity kills the label's entire contribution term by term.
+    Every label of a Case II/V family populates the family's bidegrees
+    ``spaces``, and all its blocks share its eigenvalue and dimension, so
+    the label's contribution is that common term times the sum of the
+    degree weights over ``spaces``.  The check is that this sum vanishes as
+    an exact integer for each family (w_k + 2 w_{k+1} + w_{k+2} for Case II,
+    w_{n-1} + 2 w_n for Case V): one sum per family covers all its labels.
     """
-    if p_max < 1 or q_max < 1:
-        raise ValueError("bounds must be >= 1")
     ws = {dw.k: dw.w for dw in degree_weights(n)}
-    for fam in all_families(n):
-        if fam.case not in (Case.II, Case.V):
-            continue
-        for label in fam.labels(p_max, q_max):
-            total = sum(ws[bs + bt] for bs, bt in fam.spaces)
-            if total != 0:
-                return False
-    return True
+    return all(
+        sum(ws[bs + bt] for bs, bt in fam.spaces) == 0
+        for fam in all_families(n)
+        if fam.case in (Case.II, Case.V)
+    )
 
 
 @dataclass(frozen=True)
@@ -284,19 +327,23 @@ def torsion_report(
     convention = KERNEL_INCLUDED if include_kernel else KERNEL_EXCLUDED
     shift = 0.0 if include_kernel else float(n + 1)
 
-    kappa0 = kappa_closed(n, 0, prec) + shift
-    kappa_prime0 = kappa_closed_deriv(n, 0, prec)
+    # One Euler-Maclaurin pass per zeta argument: zeta(0) and zeta'(0) come
+    # from one derivative pass, and zeta(2 s_ref) serves both the closed form
+    # and the continued reduced route at s_ref.
+    z0, dz0 = hurwitz_zeta_and_deriv(0, 1, prec)
+    kappa0 = _closed_from(n, 0, z0, prec).value + shift
+    kappa_prime0 = _closed_deriv_from(n, 0, z0, dz0, prec)
     torsion = exp(kappa_prime0 / 2)
     t_dr = (4 * pi) ** (n + 1) / factorial(n)
 
     if s_ref is None:
         s_ref = (n + 3) / 2
-    closed_ref = kappa_closed(n, s_ref, prec) + shift
+    _check_kappa_pole(s_ref)
+    z_ref = riemann_zeta(2 * s_ref, prec)
+    closed_ref = _closed_from(n, s_ref, z_ref, prec).value + shift
     direct_ref = kappa_direct(n, s_ref, N_ref, include_kernel)
     reduced_trunc = kappa_reduced(n, s_ref, N=N_ref, include_kernel=include_kernel)
-    reduced_cont = kappa_reduced(
-        n, s_ref, precision=prec, include_kernel=include_kernel
-    )
+    reduced_cont = _continued_from(n, s_ref, z_ref, prec, include_kernel)
     residuals = {
         f"direct_vs_closed@(s={s_ref}, N={N_ref})": abs(direct_ref.value - closed_ref),
         f"reduced_truncated_vs_closed@(s={s_ref}, N={N_ref})": abs(

@@ -184,8 +184,8 @@ def check_vanishing_correction(n: int) -> CheckResult:
     return _exact("vanishing_correction_identity", bad)
 
 
-def check_cancellation(n: int, bound: int) -> CheckResult:
-    ok = torsion.cancellation_check(n, bound, bound)
+def check_cancellation(n: int) -> CheckResult:
+    ok = torsion.cancellation_check(n)
     return _exact("case_ii_v_cancellation", 0 if ok else 1)
 
 
@@ -295,7 +295,7 @@ def run_all(n: int, bound: int = 20, precision: Optional[int] = None) -> list[Ch
         lambda: check_c_coefficients(n),
         lambda: check_sigma(n),
         lambda: check_vanishing_correction(n),
-        lambda: check_cancellation(n, bound),
+        lambda: check_cancellation(n),
         lambda: check_mirror(n, bound),
         lambda: check_kernel_uniqueness(n, bound),
         lambda: check_zeta_constants(precision),

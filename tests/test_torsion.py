@@ -1,10 +1,13 @@
 """The three kappa routes, the exact cancellation identity, and the torsion report."""
 
+import dataclasses
 from fractions import Fraction
-from math import factorial, log, pi
+from math import factorial, isfinite, log, pi
 
+import mpmath
 import pytest
 
+from rumin_sphere import cli, spectrum, torsion, zeta
 from rumin_sphere import (
     DivergenceError,
     PoleError,
@@ -111,6 +114,24 @@ def test_tail_bound_monotone():
         tail_bound(3, 1.0, 50)
 
 
+def test_tail_bound_is_the_monomial_bound_rounded_up():
+    for n, s, N in [(1, 2.0, 50), (3, 5.0, 100), (6, 4.75, 80), (2, 40.5, 7)]:
+        with mpmath.workprec(200):
+            exact = (mpmath.mpf(2) ** (2 * s + 1) * (2 * (n + 1)) ** n
+                     / factorial(n) * mpmath.mpf(N) ** (n + 1 - 2 * s)
+                     / (2 * s - n - 1))
+        bound = tail_bound(n, s, N)
+        assert exact <= bound <= exact * (1 + 1e-11), (n, s, N)
+
+
+def test_tail_bound_is_finite_and_positive_past_the_double_range():
+    # 2^{2s+1} overflows a double and N^{n+1-2s} underflows; the bound
+    # itself underflows, and is reported as the smallest positive double.
+    for args in [(60, 400, 10), (1, 510.9, 10)]:
+        bound = tail_bound(*args)
+        assert isfinite(bound) and bound > 0, args
+
+
 def test_kappa_reduced_truncated_matches_direct():
     # Identical axis sums; the two routes differ only by the float-level
     # cancellation of the two-parameter families.
@@ -139,13 +160,57 @@ def test_kappa_reduced_kappa1_term():
 
 def test_cancellation_check():
     for n in range(1, 5):
-        assert cancellation_check(n, 20, 20)
+        assert cancellation_check(n)
     # n=2 Case II: w_0 + 2 w_1 + w_2 = -3 + 4 - 1 = 0
     ws = [dw.w for dw in degree_weights(2)]
     assert ws[0] + 2 * ws[1] + ws[2] == 0
     # n=1 Case V: w_0 + 2 w_1 = -2 + 2 = 0
     ws = [dw.w for dw in degree_weights(1)]
     assert ws[0] + 2 * ws[1] == 0
+
+
+def test_cancellation_check_fails_on_a_non_cancelling_family(monkeypatch):
+    families = spectrum.all_families(3)
+    broken = tuple(
+        dataclasses.replace(fam, spaces=fam.spaces[:-1])
+        if fam.case is spectrum.Case.II else fam
+        for fam in families
+    )
+    monkeypatch.setattr(torsion, "all_families", lambda n: broken)
+    assert not cancellation_check(3)
+
+
+@pytest.fixture
+def em_passes(monkeypatch):
+    """Counts the Euler-Maclaurin passes made through the zeta engine."""
+    calls = []
+    original = zeta._euler_maclaurin
+
+    def counted(s, a, prec, want_derivative):
+        calls.append((s, want_derivative))
+        return original(s, a, prec, want_derivative)
+
+    monkeypatch.setattr(zeta, "_euler_maclaurin", counted)
+    return calls
+
+
+def test_torsion_report_makes_one_pass_per_zeta_argument(em_passes):
+    # zeta(0) and zeta'(0) from one derivative pass; zeta(2 s_ref) once.
+    for n in (1, 3):
+        em_passes.clear()
+        torsion_report(n, precision=128)
+        assert len(em_passes) == 2
+        assert sorted(em_passes) == [(0, True), (n + 3, False)]
+
+
+def test_kappa_closed_deriv_makes_one_pass(em_passes):
+    kappa_closed_deriv(2, 0.75, 128)
+    assert len(em_passes) == 1
+
+
+def test_reduced_kappa_command_makes_one_pass(em_passes, capsys):
+    assert cli.main(["kappa", "--n", "3", "--s=-1.25", "--mode", "reduced"]) == 0
+    assert len(em_passes) == 1
 
 
 def test_torsion_report_n1():

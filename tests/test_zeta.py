@@ -12,10 +12,12 @@ from rumin_sphere import (
     DimensionPolynomial,
     PoleError,
     PrecisionError,
+    WorkBudgetError,
     bernoulli_number,
     c_coefficients,
     elementary_symmetric,
     hurwitz_zeta,
+    hurwitz_zeta_and_deriv,
     hurwitz_zeta_deriv,
     riemann_zeta,
     riemann_zeta_deriv,
@@ -36,6 +38,24 @@ def test_bernoulli_numbers():
     assert bernoulli_number(2) == Fraction(1, 6)
     assert bernoulli_number(12) == Fraction(-691, 2730)
     assert all(bernoulli_number(2 * r + 1) == 0 for r in range(1, 10))
+
+
+def test_bernoulli_numbers_match_mpmath_up_to_600():
+    for m in range(0, 601, 2):
+        assert bernoulli_number(m) == Fraction(*mpmath.bernfrac(m)), m
+
+
+def test_bernoulli_numbers_match_the_binomial_recurrence():
+    # The textbook recurrence sum_{t<=k} C(k+1, t) B_t = 0, over every
+    # index, odd ones included.
+    old = [Fraction(1)]
+    for k in range(1, 41):
+        old.append(-sum(comb(k + 1, t) * old[t] for t in range(k)) / (k + 1))
+    assert [bernoulli_number(m) for m in range(41)] == old
+    assert bernoulli_number(1) == Fraction(-1, 2)
+    assert bernoulli_number(3) == bernoulli_number(39) == 0
+    with pytest.raises(ValueError):
+        bernoulli_number(-1)
 
 
 def test_zeta_two_is_pi_squared_over_six():
@@ -111,6 +131,22 @@ def test_doubling_precision_shrinks_difference():
         high = hurwitz_zeta(s, a, precision=128)
         assert abs(float(low.value - high.value)) <= float(low.error_bound)
         assert float(high.error_bound) < float(low.error_bound)
+
+
+def test_value_and_derivative_from_one_pass():
+    for s, a in [(0, 1), (-1.5, 0.7), (3.25, 4.0)]:
+        z, dz = hurwitz_zeta_and_deriv(s, a)
+        assert abs(float(z.value - mp_zeta(s, a))) <= float(z.error_bound)
+        assert abs(float(dz.value - mp_zeta(s, a, 1))) <= float(dz.error_bound)
+        assert dz == hurwitz_zeta_deriv(s, a)
+
+
+def test_guard_bits_beyond_the_working_range_are_refused():
+    # s = -2e6 needs about 4e7 guard bits; the refusal comes before any work.
+    with pytest.raises(WorkBudgetError, match="guard bits"):
+        riemann_zeta(-2e6)
+    with pytest.raises(WorkBudgetError):
+        hurwitz_zeta_deriv(-2e6, 0.5)
 
 
 def test_pole_and_precision_errors():
