@@ -47,34 +47,6 @@ def block_bidegrees(label: RuminLabel) -> tuple[tuple[int, int], ...]:
 
 
 @dataclass(frozen=True)
-class IrrepBlock:
-    """One summand: a label sitting inside bidegree (s, t)."""
-
-    label: RuminLabel
-    s: int
-    t: int
-    eigenvalue: Fraction
-    dimension: int
-
-    @property
-    def degree(self) -> int:
-        return self.s + self.t
-
-
-def block(label: RuminLabel, s: int, t: int) -> IrrepBlock:
-    """Build the block of ``label`` at bidegree (s, t), validating membership."""
-    if (s, t) not in block_bidegrees(label):
-        raise CaseRangeError(f"{label} has no block at bidegree ({s}, {t})")
-    return IrrepBlock(
-        label=label,
-        s=s,
-        t=t,
-        eigenvalue=eigenvalue_formula(label),
-        dimension=weyl_dimension(label_to_weight(label)),
-    )
-
-
-@dataclass(frozen=True)
 class BlockFamily:
     """All labels sharing (case, i, j); free parameters range over p, q >= 1.
 

@@ -32,6 +32,7 @@ from rumin_sphere import (
     weyl_dimension,
 )
 from rumin_sphere.spectrum import all_families, block_bidegrees
+from rumin_sphere.verify import run_all
 
 
 class Timer:
@@ -196,3 +197,11 @@ def test_criterion_10_mirror_and_kernel_structure():
                     zero_mult = sl.multiplicity_of(Fraction(0))
                     assert zero_mult == (1 if k in (0, 2 * n + 1) else 0)
     report(10, "mirror rule and kernel uniqueness, n <= 3, N <= 20", t)
+
+
+def test_criterion_11_verify_every_label_up_to_the_bound():
+    with Timer(5.0) as t:
+        results = run_all(6, 10)
+    assert len(results) == 19
+    assert [r.name for r in results if not r.passed] == []
+    report(11, "every verify check at n = 6, labels up to 10", t)

@@ -23,7 +23,7 @@ from rumin_sphere import (
     squared_norm,
     weyl_dimension,
 )
-from rumin_sphere.spectrum import block, block_bidegrees, degree_labels
+from rumin_sphere.spectrum import block_bidegrees, degree_labels
 
 
 def table_labels(n, bound):
@@ -99,12 +99,16 @@ def test_block_multiplicity_one():
 
 def test_block_validates_bidegree():
     lab = RuminLabel(2, 1, 0, 0, 1)  # Case II at n=2
-    assert set(block_bidegrees(lab)) == {(0, 0), (1, 0), (0, 1), (1, 1)}
-    b = block(lab, 1, 1)
-    assert b.degree == 2
-    assert b.dimension == weyl_dimension(label_to_weight(lab))
-    with pytest.raises(CaseRangeError):
-        block(lab, 2, 0)
+    spaces = block_bidegrees(lab)
+    assert set(spaces) == {(0, 0), (1, 0), (0, 1), (1, 1)}
+    assert (1, 1) in spaces and (2, 0) not in spaces
+    # Degree 2 carries the label's block at (1, 1) alone, with the Weyl
+    # dimension of its weight; bidegree (2, 0) has no family holding it.
+    degree2 = {l: (dim, sp) for l, _, dim, sp in degree_labels(2, 2, 1)}
+    assert degree2[lab] == (weyl_dimension(label_to_weight(lab)), ((1, 1),))
+    assert all(lab not in fam.labels(1, 1) for fam in decompose(2, 2, 0))
+    holders = [fam for fam in decompose(2, 1, 1) if lab in fam.labels(1, 1)]
+    assert [(fam.case, fam.i, fam.j) for fam in holders] == [(Case.II, 0, 0)]
 
 
 def test_spectrum_slice_n1_degree0():

@@ -1,5 +1,8 @@
 """Weight bookkeeping: tuple expansion, Weyl dimension, GT oracle."""
 
+import itertools
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,9 +94,57 @@ def test_gt_pattern_count_examples():
     assert gt_pattern_count((1, 0, -1)) == 8
 
 
+def gt_leaf_count(row):
+    """Gelfand-Tsetlin patterns with top row ``row``, counted one leaf at a
+    time by a depth-first walk over every interlacing triangle: the
+    exhaustive reference for the memoised ``gt_pattern_count``."""
+    if len(row) == 1:
+        return 1
+    total = 0
+    for child in itertools.product(
+        *(range(row[t + 1], row[t] + 1) for t in range(len(row) - 1))
+    ):
+        total += gt_leaf_count(child)
+    return total
+
+
+def test_gt_pattern_count_matches_leaf_count():
+    rows = [
+        row
+        for m in range(1, 6)
+        for row in itertools.combinations_with_replacement(range(3, -4, -1), m)
+    ]
+    assert len(rows) == 7 + 28 + 84 + 210 + 462
+    for row in rows:
+        assert gt_pattern_count(row) == gt_leaf_count(row), row
+
+
+def test_gt_pattern_count_shares_a_memo_between_rows():
+    # Counts through one shared memo equal fresh counts, whatever the order.
+    memo = {}
+    rows = [(q, 1, 0, -1, -p) for q in range(1, 7) for p in range(1, 7)]
+    for row in rows[::-1] + rows:
+        assert gt_pattern_count(row, memo=memo) == gt_pattern_count(row), row
+    # The memo is keyed on rows shifted to end in 0; a translated row is a hit.
+    # With every count made, a call does no work at all.
+    assert (12, 7, 6, 5, 0) in memo
+    assert gt_pattern_count((9, 4, 3, 2, -3), budget=0, memo=memo) == (
+        gt_pattern_count((6, 1, 0, -1, -6))
+    )
+
+
 def test_gt_budget_guard():
     with pytest.raises(EnumerationBudgetError):
         gt_pattern_count((5, 2, 0, -2, -5), budget=50)
+
+
+def test_gt_budget_guard_raises_before_a_large_sum():
+    # 21^3 child rows under one first entry: the budget is charged before
+    # they are summed, so the guard trips at once.
+    start = time.perf_counter()
+    with pytest.raises(EnumerationBudgetError):
+        gt_pattern_count((40, 20, 0, -20, -40), budget=1000)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_weyl_matches_gt_on_bounded_labels():
