@@ -12,8 +12,11 @@ input: a ``spectrum`` degree outside 0..2n+1, ``torsion --n`` above
 a ``kappa`` that cannot be evaluated within the double range (an
 overflow, or a non-finite value or bound; rejected up front when s > 1/2
 and (n+1) 2^{2s+1} overflows a double, since |kappa(s)| exceeds that
-there), or a zeta argument whose guard bits alone exceed the working range
-of ``zeta.MAX_PRECISION_BITS`` (65536) bits (``zeta.WorkBudgetError``,
+there, and, for the closed form and the continued reduced route, when
+s < 0 and a double-precision lower bound on log|kappa(s)| from the
+functional equation of zeta exceeds the double range), or a zeta argument
+whose guard bits alone exceed the working range of
+``zeta.MAX_PRECISION_BITS`` (65536) bits (``zeta.WorkBudgetError``,
 raised before any work: ``kappa --s=-1e6`` exits at once); 4 pole or
 divergent parameter range.
 """
@@ -26,7 +29,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from math import factorial, isfinite, log2, pi
+from math import factorial, inf, isfinite, lgamma, log, log2, pi, sin
 from typing import Optional
 
 from . import spectrum, torsion, verify
@@ -41,6 +44,7 @@ EXIT_RANGE = 3
 EXIT_POLE = 4
 
 _LOG2_DOUBLE_MAX = log2(sys.float_info.max)
+_LN_DOUBLE_MAX = log(sys.float_info.max)
 
 
 def _default_precision() -> int:
@@ -62,6 +66,25 @@ def _precision_failure(exc: PrecisionError) -> int:
     return EXIT_RANGE if isinstance(exc, WorkBudgetError) else EXIT_USAGE
 
 
+def _log_kappa_lower_bound(n: int, s: float) -> float:
+    """A lower bound on log|kappa(s)| for s < 0, in doubles; -inf where it
+    gives none (s >= 0, or s a negative integer, where kappa = -(n+1)).
+
+    By the functional equation, 2^{2s+1} zeta(2s) = 2^{4s+1} pi^{2s-1}
+    sin(pi s) Gamma(1-2s) zeta(1-2s), and zeta(1-2s) >= 1 for s < 0.  The
+    sine is taken at s - round(s), which is exact in doubles, so it keeps
+    its accuracy at large |s|.  The bound drops the 1 of 1 + 2^{2s+1}
+    zeta(2s), which shifts the logarithm by about exp(-bound) only.
+    """
+    if not s < 0:
+        return -inf
+    sine = abs(sin(pi * (s - round(s))))
+    if sine == 0:
+        return -inf
+    return (log(n + 1) + (4 * s + 1) * log(2) + (2 * s - 1) * log(pi)
+            + log(sine) + lgamma(1 - 2 * s))
+
+
 def _record(command: str, parameters: dict, payload, checks: list[dict]) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -81,34 +104,74 @@ def _emit(record: dict, stream) -> None:
     stream.write("\n")
 
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+# One block of a spectrum row as ``json.dumps(indent=2, sort_keys=True)``
+# writes it, filled with (case, dimension, i, j, p, q, s, t).
+_BLOCK_JSON = (
+    '          {\n'
+    '            "case": "%s",\n'
+    '            "dimension": %d,\n'
+    '            "i": %d,\n'
+    '            "j": %d,\n'
+    '            "p": %d,\n'
+    '            "q": %d,\n'
+    '            "s": %d,\n'
+    '            "t": %d\n'
+    '          }'
+)
 
 
-def _spectrum_rows(n: int, degree: int, max_level: int) -> list[dict]:
-    """Rows sorted by eigenvalue; each row lists its contributing blocks."""
-    blocks: dict[Fraction, list] = {}
-    for label, mu, dim, spaces in spectrum.degree_labels(n, degree, max_level):
-        key = (label.case.value, label.i, label.j, label.q, label.p)
-        blocks.setdefault(mu, []).extend((*key, s, t, dim) for s, t in spaces)
+def _write_spectrum_json(n: int, degree: int, max_level: int, stream) -> None:
+    """Write the spectrum record exactly as ``_emit`` would write it.
+
+    The record has fixed keys, so the text of ``json.dumps(record,
+    indent=2, sort_keys=True)`` is written out directly: keys in sorted
+    order, strings without escapes, ints and float ``repr``s as json writes
+    them.  Rows are sorted by eigenvalue, and the blocks of a row by (case,
+    i, j, q, p, s, t), which names one block, so the dimension never takes
+    part in the order.
+    """
+    blocks: dict[int, list] = {}
+    for case, i, j, q, p, key, dim, spaces in spectrum.degree_labels(
+            n, degree, max_level):
+        row = blocks.get(key)
+        if row is None:
+            row = blocks[key] = []
+        for s, t in spaces:
+            row.append((case.value, i, j, q, p, s, t, dim))
+    denominator = spectrum.eigenvalue_denominator(n)
     rows = []
-    for mu in sorted(blocks):
-        # (case, i, j, q, p, s, t) names one block, so the dimension never
-        # takes part in the order.
-        contributing = sorted(blocks[mu])
+    for key in sorted(blocks):
+        mu = Fraction(key, denominator)
+        row = sorted(blocks[key])
+        text = ",\n".join([_BLOCK_JSON % (case, dim, i, j, p, q, s, t)
+                            for case, i, j, q, p, s, t, dim in row])
         rows.append(
-            {
-                "eigenvalue": _frac_str(mu),
-                "eigenvalue_float": float(mu),
-                "multiplicity": sum(b[-1] for b in contributing),
-                "blocks": [
-                    {"case": case, "q": q, "j": j, "i": i, "p": p,
-                     "s": s, "t": t, "dimension": dim}
-                    for case, i, j, q, p, s, t, dim in contributing
-                ],
-            }
+            '      {\n'
+            '        "blocks": [\n'
+            f'{text}\n'
+            '        ],\n'
+            f'        "eigenvalue": "{mu.numerator}/{mu.denominator}",\n'
+            f'        "eigenvalue_float": {float(mu)!r},\n'
+            f'        "multiplicity": {sum(b[-1] for b in row)}\n'
+            '      }'
         )
-    return rows
+    body = "[\n" + ",\n".join(rows) + "\n    ]" if rows else "[]"
+    stream.write(
+        '{\n'
+        '  "checks": [],\n'
+        '  "command": "spectrum",\n'
+        '  "parameters": {\n'
+        f'    "degree": {degree},\n'
+        '    "format": "json",\n'
+        f'    "max": {max_level},\n'
+        f'    "n": {n}\n'
+        '  },\n'
+        '  "payload": {\n'
+        f'    "rows": {body}\n'
+        '  },\n'
+        f'  "schema_version": "{SCHEMA_VERSION}"\n'
+        '}\n'
+    )
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
@@ -126,24 +189,19 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         )
         return EXIT_RANGE
     canonical = min(degree, 2 * n + 1 - degree)
-    rows = _spectrum_rows(n, canonical, max_level)
 
     if args.format == "csv":
-        sys.stdout.write("eigenvalue_num,eigenvalue_den,eigenvalue_float,multiplicity\n")
-        for row in rows:
-            num, den = row["eigenvalue"].split("/")
-            sys.stdout.write(
-                f"{num},{den},{row['eigenvalue_float']!r},{row['multiplicity']}\n"
-            )
+        # The aggregation of spectrum_slice, whose entries are in increasing
+        # eigenvalue order; no block lists.
+        entries = spectrum.spectrum_slice(n, canonical, max_level).entries
+        sys.stdout.write(
+            "eigenvalue_num,eigenvalue_den,eigenvalue_float,multiplicity\n"
+            + "".join([f"{mu.numerator},{mu.denominator},{float(mu)!r},{mult}\n"
+                       for mu, mult in entries.items()])
+        )
         return EXIT_OK
 
-    record = _record(
-        "spectrum",
-        {"n": n, "degree": canonical, "max": max_level, "format": "json"},
-        {"rows": rows},
-        [],
-    )
-    _emit(record, sys.stdout)
+    _write_spectrum_json(n, canonical, max_level, sys.stdout)
     return EXIT_OK
 
 
@@ -159,6 +217,13 @@ def cmd_kappa(args: argparse.Namespace) -> int:
                     "the double range")
     # For s > 1/2, zeta(2s) > 1, so |kappa(s)| > (n+1) 2^(2s+1).
     if s > 0.5 and log2(n + 1) + 2 * s + 1 > _LOG2_DOUBLE_MAX:
+        print(out_of_range, file=sys.stderr)
+        return EXIT_RANGE
+    # For s < 0 the modes that evaluate zeta(2s) pay for it with |s| (guard
+    # bits and prefix length), so a kappa beyond the double range is
+    # rejected first; the margin of 1 covers the rounding of the bound.
+    if (mode == "closed" or (mode == "reduced" and args.max is None)) \
+            and _log_kappa_lower_bound(n, s) > _LN_DOUBLE_MAX + 1:
         print(out_of_range, file=sys.stderr)
         return EXIT_RANGE
     params = {"n": n, "s": s, "mode": mode, "prec": prec}

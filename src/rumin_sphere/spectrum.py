@@ -11,14 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
-from typing import Iterator, Optional
+from math import factorial, lcm
+from typing import Iterator, Optional, Sequence
 
 from .weights import (
     Case,
+    InvalidLabelError,
     RuminLabel,
     label_to_weight,
-    weyl_dimension,
+    weyl_product,
 )
 
 
@@ -26,16 +27,29 @@ class CaseRangeError(ValueError):
     """Operation applied to a label outside the case range it requires."""
 
 
+def eigenvalue_numerator(n: int, q: int, j: int, i: int, p: int) -> int:
+    """A = (p+i)(q+n-i) + (q+j)(p+n-j), the integer whose square over
+    4 (n-i-j)^2 is the eigenvalue of the label (q, j, i, p)."""
+    return (p + i) * (q + n - i) + (q + j) * (p + n - j)
+
+
 def eigenvalue_formula(label: RuminLabel) -> Fraction:
     """Eigenvalue of the Rumin Laplacian on every block of ``label``.
 
-    The single expression ((p+i)(q+n-i) + (q+j)(p+n-j))^2 / (4 (n-i-j)^2)
-    covers all seven cases; it degenerates to (p+i)^2/4, (q+j)^2/4,
-    (p+n)^2/4 and (q+n)^2/4 on the one-parameter families.
+    The single expression A^2 / (4 (n-i-j)^2), with A from
+    ``eigenvalue_numerator``, covers all seven cases; it degenerates to
+    (p+i)^2/4, (q+j)^2/4, (p+n)^2/4 and (q+n)^2/4 on the one-parameter
+    families.
     """
     n, q, j, i, p = label.n, label.q, label.j, label.i, label.p
-    num = (p + i) * (q + n - i) + (q + j) * (p + n - j)
+    num = eigenvalue_numerator(n, q, j, i, p)
     return Fraction(num * num, 4 * (n - i - j) ** 2)
+
+
+def eigenvalue_denominator(n: int) -> int:
+    """L = 4 lcm(1^2, ..., n^2): every eigenvalue on S^{2n+1} is an
+    integer over L, the key A^2 L / (4 (n-i-j)^2) of ``degree_labels``."""
+    return 4 * lcm(*range(1, n + 1)) ** 2
 
 
 def block_bidegrees(label: RuminLabel) -> tuple[tuple[int, int], ...]:
@@ -63,10 +77,15 @@ class BlockFamily:
     p_fixed: Optional[int]
     spaces: tuple[tuple[int, int], ...]
 
-    def labels(self, max_p: int, max_q: int) -> Iterator[RuminLabel]:
-        """Member labels with free parameters truncated at the given bounds."""
+    def parameters(self, max_p: int, max_q: int) -> tuple[Sequence[int], Sequence[int]]:
+        """The values p and q take: a fixed value, or 1..bound if free."""
         ps = (self.p_fixed,) if self.p_fixed is not None else range(1, max_p + 1)
         qs = (self.q_fixed,) if self.q_fixed is not None else range(1, max_q + 1)
+        return ps, qs
+
+    def labels(self, max_p: int, max_q: int) -> Iterator[RuminLabel]:
+        """Member labels with free parameters truncated at the given bounds."""
+        ps, qs = self.parameters(max_p, max_q)
         for p in ps:
             for q in qs:
                 yield RuminLabel(self.n, q, self.j, self.i, p)
@@ -103,24 +122,58 @@ def all_families(n: int) -> tuple[BlockFamily, ...]:
     return tuple(fams)
 
 
+def _family_weight_middle(fam: BlockFamily) -> tuple[int, ...]:
+    """Validate ``fam`` once and return the fixed middle entries
+    (1^j, 0^{n-1-i-j}, -1^i) of its members' highest weights.
+
+    The check builds one ``RuminLabel`` and its ``HighestWeight`` at the
+    family's fixed values, or at p = q = 1 for a free parameter, and
+    requires the label's case and (i, j) to be the family's.  That is
+    exactly the check of every member: ``_classify`` depends on p and q
+    only through sign tests that are constant over p, q >= 1, and the
+    weight (q, 1^j, 0..., -1^i, -p) is nonincreasing for every p, q >= 1
+    if and only if it is at p = q = 1.
+    """
+    q = 1 if fam.q_fixed is None else fam.q_fixed
+    p = 1 if fam.p_fixed is None else fam.p_fixed
+    label = RuminLabel(fam.n, q, fam.j, fam.i, p)
+    if (label.case, label.i, label.j) != (fam.case, fam.i, fam.j):
+        raise InvalidLabelError(
+            f"family ({fam.case.value}, i={fam.i}, j={fam.j}) holds {label}, "
+            f"a Case {label.case.value} label"
+        )
+    return label_to_weight(label).entries[1:-1]
+
+
 def degree_labels(
     n: int, k: int, N: int
-) -> Iterator[tuple[RuminLabel, Fraction, int, tuple[tuple[int, int], ...]]]:
+) -> Iterator[tuple[Case, int, int, int, int, int, int, tuple[tuple[int, int], ...]]]:
     """Every label with a block in degree k, free parameters running 1..N.
 
-    Yields (label, eigenvalue, Weyl dimension, bidegrees (s, t) of the
-    label's blocks with s + t = k), in canonical family order.  The
-    eigenvalue and the dimension are shared by all blocks of a label, so
-    each is computed once per label.  Only degrees k <= n carry blocks;
-    higher degrees are reached through the mirror rule.
+    Yields plain tuples (case, i, j, q, p, key, dimension, bidegrees (s, t)
+    of the label's blocks with s + t = k), in canonical family order and,
+    within a family, p-major.  The eigenvalue is key / L with L =
+    ``eigenvalue_denominator(n)``, an exact integer key shared by every
+    block of the label, as is the Weyl dimension.  Each family is
+    validated once (``_family_weight_middle``); the dimension of every
+    label is still checked to be a positive integer.  Only degrees k <= n
+    carry blocks; higher degrees are reached through the mirror rule.
     """
+    scale = eigenvalue_denominator(n) // 4
     for fam in all_families(n):
         spaces = tuple((s, t) for s, t in fam.spaces if s + t == k)
         if not spaces:
             continue
-        for label in fam.labels(N, N):
-            yield (label, eigenvalue_formula(label),
-                   weyl_dimension(label_to_weight(label)), spaces)
+        middle = _family_weight_middle(fam)
+        case, i, j = fam.case, fam.i, fam.j
+        d = n - i - j
+        mult = scale // (d * d)
+        ps, qs = fam.parameters(N, N)
+        for p in ps:
+            for q in qs:
+                a = eigenvalue_numerator(n, q, j, i, p)
+                yield (case, i, j, q, p, a * a * mult,
+                       weyl_product((q, *middle, -p)), spaces)
 
 
 def decompose(n: int, s: int, t: int) -> tuple[BlockFamily, ...]:
@@ -143,7 +196,8 @@ class SpectrumSlice:
     """Multiset {eigenvalue -> multiplicity} of the Laplacian on degree-k forms.
 
     Slices are canonicalized under the mirror rule: ``degree`` is always
-    min(k, 2n+1-k), so mirrored requests compare equal.
+    min(k, 2n+1-k), so mirrored requests compare equal.  ``spectrum_slice``
+    fills ``entries`` in increasing eigenvalue order.
     """
 
     n: int
@@ -162,17 +216,21 @@ def spectrum_slice(n: int, k: int, N: int) -> SpectrumSlice:
     """Aggregate the truncated spectrum of the Rumin Laplacian on degree k.
 
     Free label parameters run over 1..N; structural parameters are never
-    truncated.  Aggregation keys are exact rationals, so labels whose
-    eigenvalues genuinely collide are merged correctly.
+    truncated.  Aggregation keys are the exact integer keys of
+    ``degree_labels``, so labels whose eigenvalues genuinely collide are
+    merged correctly; one ``Fraction`` is made per distinct eigenvalue, and
+    the entries are in increasing eigenvalue order.
     """
     if not 0 <= k <= 2 * n + 1:
         raise ValueError(f"degree {k} outside 0..{2 * n + 1}")
     if N < 1:
         raise ValueError("truncation must be >= 1")
     kk = min(k, 2 * n + 1 - k)
-    entries: dict[Fraction, int] = {}
-    for _, mu, dim, spaces in degree_labels(n, kk, N):
-        entries[mu] = entries.get(mu, 0) + len(spaces) * dim
+    counts: dict[int, int] = {}
+    for _, _, _, _, _, key, dim, spaces in degree_labels(n, kk, N):
+        counts[key] = counts.get(key, 0) + len(spaces) * dim
+    denominator = eigenvalue_denominator(n)
+    entries = {Fraction(key, denominator): counts[key] for key in sorted(counts)}
     return SpectrumSlice(n=n, degree=kk, truncation=N, entries=entries)
 
 

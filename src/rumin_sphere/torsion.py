@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from math import exp, factorial, fsum, lgamma, log, pi, ulp
+from math import exp, factorial, fsum, inf, lgamma, log, nextafter, pi, ulp
 from typing import Optional
 
 import mpmath
@@ -87,7 +87,17 @@ def _closed_from(n: int, s: float, z: ZetaValue, prec: int) -> KappaEstimate:
         scale = mpf(2) ** (2 * _to_mpf(s) + 1)
         value = -(n + 1) * (1 + scale * z.value)
         bound = (n + 1) * scale * z.error_bound
-    return KappaEstimate(value=float(value), bound=float(bound))
+    return KappaEstimate(value=float(value), bound=_float_up(bound))
+
+
+def _float_up(x: mpf) -> float:
+    # The nearest double to x, moved up one step if it lies below x, so a
+    # bound never shrinks in the conversion and a positive one stays above
+    # 0 (float(x) alone underflows to 0.0 past about 1070 bits).
+    b = float(x)
+    if mpf(b) < x:
+        b = nextafter(b, inf)
+    return b
 
 
 def _closed_deriv_from(
@@ -273,7 +283,7 @@ def _continued_from(
         scale = mpf(2) ** (2 * _to_mpf(s)) / factorial(n)
         value = kappa1 - 2 * scale * total
         bound = 2 * scale * err
-    return KappaEstimate(value=float(value), bound=float(bound))
+    return KappaEstimate(value=float(value), bound=_float_up(bound))
 
 
 def cancellation_check(n: int) -> bool:

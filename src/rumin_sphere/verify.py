@@ -198,11 +198,7 @@ def check_sigma(n: int) -> CheckResult:
 
 
 def check_vanishing_correction(n: int) -> CheckResult:
-    bad = sum(
-        1
-        for i in range(n + 1)
-        if not zeta.vanishing_correction_check(n, i, s_samples=(1.5, 2.0))
-    )
+    bad = sum(1 for i in range(n + 1) if not zeta.vanishing_correction_check(n, i))
     return _exact("vanishing_correction_identity", bad)
 
 

@@ -130,13 +130,15 @@ def label_to_weight(label: RuminLabel) -> HighestWeight:
     )
 
 
-def weyl_dimension(w: WeightLike) -> int:
-    """Dimension of the U(m) irreducible with highest weight ``w``.
+def weyl_product(entries: Sequence[int]) -> int:
+    """prod_{a<b} (w_a - w_b + b - a)/(b - a) for the integer tuple
+    ``entries``, in exact integer arithmetic.
 
-    Evaluates prod_{a<b} (w_a - w_b + b - a)/(b - a) in exact integer
-    arithmetic and asserts the result is a positive integer.
+    The one Weyl product of the package: ``weyl_dimension`` and the label
+    enumeration of ``spectrum.degree_labels`` both call it.  The
+    numerator is divided by prod_{a<b} (b - a) with ``divmod``, and a
+    remainder or a result below 1 raises ``ArithmeticError``.
     """
-    entries = _as_weight(w).entries
     m = len(entries)
     num = 1
     den = 1
@@ -144,10 +146,18 @@ def weyl_dimension(w: WeightLike) -> int:
         for b in range(a + 1, m):
             num *= entries[a] - entries[b] + b - a
             den *= b - a
-    d = Fraction(num, den)
-    if d.denominator != 1 or d <= 0:
-        raise ArithmeticError(f"Weyl product is not a positive integer: {entries}")
-    return int(d)
+    dim, rem = divmod(num, den)
+    if rem or dim <= 0:
+        raise ArithmeticError(
+            f"Weyl product is not a positive integer: {tuple(entries)}"
+        )
+    return dim
+
+
+def weyl_dimension(w: WeightLike) -> int:
+    """Dimension of the U(m) irreducible with highest weight ``w``: the
+    exact-integer ``weyl_product`` of its entries."""
+    return weyl_product(_as_weight(w).entries)
 
 
 def _interlacing_rows(row: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

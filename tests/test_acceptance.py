@@ -205,3 +205,21 @@ def test_criterion_11_verify_every_label_up_to_the_bound():
     assert len(results) == 19
     assert [r.name for r in results if not r.passed] == []
     report(11, "every verify check at n = 6, labels up to 10", t)
+
+
+def test_criterion_12_spectrum_at_max_100():
+    import contextlib
+    import hashlib
+    import io
+
+    from rumin_sphere import cli
+
+    out = io.StringIO()
+    with Timer(1.5) as t, contextlib.redirect_stdout(out):
+        code = cli.main(["spectrum", "--n", "3", "--degree", "2", "--max", "100"])
+    assert code == 0
+    text = out.getvalue().encode()
+    assert len(text) == 18006210
+    assert hashlib.sha256(text).hexdigest() == (
+        "29a46da4e7c08c7a466e3cb3faeab2cdf5866fa8d9519a4083638fd86e1ad25b")
+    report(12, "spectrum --n 3 --degree 2 --max 100, 18 MB of JSON", t)

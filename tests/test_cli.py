@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -294,10 +298,12 @@ def test_kappa_direct_with_an_underflowing_tail_bound(capsys):
          "699edee5247d9a19a4dd8db662c9f8a1e640fa974e3d6a7d487a86fdc71f8f0e"),
         (("torsion", "--n", "4", "--prec", "1024"),
          "38a312e9fa93062bf4c77e8b33f42f85324efe6dfc37c4e76b850a38214d51cd"),
+        # The two kappa records carry error_bound rounded up to a double:
+        # 8.102150711871305e-156 (was ...304e-156) and 5e-324 (was 0.0).
         (("kappa", "--n", "3", "--s=-1.25", "--mode", "reduced", "--prec", "512"),
-         "edbcc8c1f35049b6c26a0f969eed1dd40be3b7e72d999fabb8be953af7bef376"),
+         "bc8f8659efb03fa50fc88d4ebb3f21ebcf1d7522d5d0be04610c271dfb9729c7"),
         (("kappa", "--n", "2", "--s", "2.35", "--mode", "closed", "--prec", "2048"),
-         "0a00705c1e0cacbe72b860a3c1f152cf8bf9db5ef53785b9d4ef360df2c63bde"),
+         "57e260121a1bae9345680c8618dea8284d42da7ddb5b47fc7dc4bef3eb0c423a"),
     ],
 )
 def test_zeta_records_are_pinned(capsys, argv, digest):
@@ -321,3 +327,88 @@ def test_kappa_just_inside_double_range_is_valid_json(capsys, mode_args):
                                *mode_args)
     assert code == 0
     assert -1.6e308 < record["payload"]["value"] < -1.5e308
+
+
+@pytest.mark.parametrize("mode_args", [("--mode", "closed"), ("--mode", "reduced")])
+@pytest.mark.parametrize("s", ["-300.3", "-500.3", "-2600.7", "-999999.5"])
+def test_kappa_far_below_zero_exits_3_at_once(capsys, s, mode_args):
+    # The double-precision lower bound on log|kappa| rejects these before
+    # zeta(2s) is evaluated (-500.3 took 14-19 s to reach the same exit).
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "kappa", "--n", "1", f"--s={s}", *mode_args)
+    assert time.perf_counter() - start < 0.5
+    assert code == 3
+    assert out == ""
+    assert "double range" in err
+
+
+def test_kappa_far_below_zero_exits_3_at_once_as_a_process():
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "rumin_sphere", "kappa", "--n", "1", "--s=-500.3"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert time.perf_counter() - start < 1.0
+    assert result.returncode == 3
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("mode_args", [("--mode", "direct", "--max", "10"),
+                                       ("--mode", "reduced", "--max", "10")])
+def test_kappa_far_below_zero_truncated_modes_still_diverge(capsys, mode_args):
+    code, out, _ = run_cli(capsys, "kappa", "--n", "1", "--s=-500.3", *mode_args)
+    assert code == 4
+    assert out == ""
+
+
+def test_kappa_below_zero_inside_the_double_range(capsys):
+    # s = -150.3 stays inside the double range; its record is unchanged.
+    code, record, _ = run_json(capsys, "kappa", "--n", "1", "--s=-150.3")
+    assert code == 0
+    assert record["payload"]["value"] == 3.6572315731911445e+285
+    # zeta(2s) = 0 at negative integers, so kappa = -(n+1) there.
+    for mode_args in (("--mode", "closed"), ("--mode", "reduced")):
+        code, record, _ = run_json(capsys, "kappa", "--n", "2", "--s=-160",
+                                   *mode_args)
+        assert code == 0
+        assert record["payload"]["value"] == -3.0
+
+
+def test_log_kappa_lower_bound_is_tight():
+    import mpmath
+
+    for n, s in [(1, -140.3), (1, -150.3), (3, -145.7), (2, -3.25)]:
+        with mpmath.workprec(200):
+            ms = mpmath.mpf(s)
+            kappa = -(n + 1) * (1 + 2 ** (2 * ms + 1) * mpmath.zeta(2 * ms))
+            true = float(mpmath.log(abs(kappa)))
+        bound = cli._log_kappa_lower_bound(n, s)
+        if s < -100:
+            assert abs(bound - true) <= 1e-11 * true, (n, s)
+        else:
+            assert bound <= true
+    assert cli._log_kappa_lower_bound(1, -160.0) == float("-inf")
+    assert cli._log_kappa_lower_bound(1, 0.25) == float("-inf")
+
+
+def test_error_bounds_are_rounded_up():
+    from mpmath import mpf, workprec
+
+    from rumin_sphere.torsion import _float_up
+
+    with workprec(2048):
+        xs = [mpf(2) ** -2000, mpf(1) / 3, mpf(2) ** -1074, mpf(10) ** -320 / 7,
+              mpf(1) / 3 * mpf(2) ** 700, mpf(0)]
+        for x in xs:
+            b = _float_up(x)
+            assert mpf(b) >= x
+            assert x == 0 or mpf(math.nextafter(b, -math.inf)) < x
+    assert _float_up(mpf(2) ** -2000) == 5e-324
+
+
+def test_closed_record_at_2048_bits_reports_a_nonzero_bound(capsys):
+    code, record, _ = run_json(capsys, "kappa", "--n", "2", "--s", "2.35",
+                               "--mode", "closed", "--prec", "2048")
+    assert code == 0
+    assert record["payload"]["error_bound"] > 0

@@ -23,7 +23,11 @@ from rumin_sphere import (
     squared_norm,
     weyl_dimension,
 )
-from rumin_sphere.spectrum import block_bidegrees, degree_labels
+from rumin_sphere.spectrum import (
+    block_bidegrees,
+    degree_labels,
+    eigenvalue_denominator,
+)
 
 
 def table_labels(n, bound):
@@ -104,7 +108,8 @@ def test_block_validates_bidegree():
     assert (1, 1) in spaces and (2, 0) not in spaces
     # Degree 2 carries the label's block at (1, 1) alone, with the Weyl
     # dimension of its weight; bidegree (2, 0) has no family holding it.
-    degree2 = {l: (dim, sp) for l, _, dim, sp in degree_labels(2, 2, 1)}
+    degree2 = {RuminLabel(2, q, j, i, p): (dim, sp)
+               for _, i, j, q, p, _, dim, sp in degree_labels(2, 2, 1)}
     assert degree2[lab] == (weyl_dimension(label_to_weight(lab)), ((1, 1),))
     assert all(lab not in fam.labels(1, 1) for fam in decompose(2, 2, 0))
     holders = [fam for fam in decompose(2, 1, 1) if lab in fam.labels(1, 1)]
@@ -319,11 +324,15 @@ def test_degree_labels_enumerates_each_label_once():
                 lab for lab in table_labels(n, 4)
                 if any(s + t == k for s, t in block_bidegrees(lab))
             ]
-            assert [lab for lab, *_ in got] == expected
+            labels = [RuminLabel(n, q, j, i, p) for _, i, j, q, p, *_ in got]
+            assert labels == expected
             if k > n:
                 assert got == []
-            for lab, mu, dim, spaces in got:
-                assert mu == eigenvalue_formula(lab)
+            denominator = eigenvalue_denominator(n)
+            for lab, (case, _, _, _, _, key, dim, spaces) in zip(labels, got):
+                assert case is lab.case
+                assert all(type(x) is int for x in (key, dim))
+                assert Fraction(key, denominator) == eigenvalue_formula(lab)
                 assert dim == weyl_dimension(label_to_weight(lab))
                 assert spaces == tuple(
                     (s, t) for s, t in block_bidegrees(lab) if s + t == k

@@ -212,7 +212,7 @@ def test_sigma_examples():
 
 def test_vanishing_correction():
     assert vanishing_correction_check(2, 1)
-    assert vanishing_correction_check(3, 2, s_samples=(1.5, 2.5))
+    assert vanishing_correction_check(3, 2)
     assert vanishing_correction_check(1, 0)  # vacuous
     for n in range(1, 7):
         for i in range(n + 1):
@@ -234,3 +234,14 @@ def test_dimension_polynomial_leading_coefficient():
         for i in range(n + 1):
             poly = DimensionPolynomial.build(n, i)
             assert poly.coefficients[-1] == Fraction(comb(n, i), factorial(n))
+
+
+def test_vanishing_correction_detects_a_broken_identity(monkeypatch):
+    # The exact check is the whole check: with the shift values moved by
+    # one, (n-i+1, ..., 1-i), the identity fails.
+    from rumin_sphere import zeta
+
+    monkeypatch.setattr(zeta, "_shift_values",
+                        lambda n, i: [n - i - m + 1 for m in range(n + 1)])
+    assert not vanishing_correction_check(3, 2)
+    assert vanishing_correction_check(3, 0)  # vacuous: no k to check
