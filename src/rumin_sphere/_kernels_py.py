@@ -103,6 +103,16 @@ def pair_family_sum(n: int, i: int, j: int, N: int, s: float) -> float:
     return scale * sum(G[p - 1] * row(p, 1, N) for p in range(1, N + 1))
 
 
+def term_roundings(n: int, N: int, s: float) -> int:
+    """Rounding steps m of one term of either family sum, which is thus
+    within gamma_m of its exact value.  A pair term takes 2N + 16 (two
+    recursive summations and 14 steps per term, rounded up), and up to 2s
+    more on the divided-bases path; an axis term takes N + 2n + 6 (the sum,
+    the binomial product, 4 for the dimension, 2 for the power and 1 for the
+    product).  2N + 2n + ceil(2s) + 16 covers both."""
+    return 2 * N + 2 * n + math.ceil(2 * s) + 16
+
+
 def axis_family_sum(n: int, i: int, N: int, s: float) -> float:
     """sum_{p=1..N} dim V(0^{n-i}, -1^i, -p) * ((p+i)/2)^(-2s).
 

@@ -5,20 +5,15 @@ Subcommands: ``spectrum`` (eigenvalue/multiplicity tables), ``kappa``
 (exact-identity suites).  Output is a single deterministic JSON record, or
 CSV for spectrum tables.
 
-Exit codes: 0 ok; 1 verification failure; 2 usage error, including a
-non-finite ``--s`` and a non-integer ``RUMIN_PRECISION_BITS``; 3 out-of-range
-input: a ``spectrum`` degree outside 0..2n+1, ``torsion --n`` above
-``torsion.MAX_TORSION_N`` (279), where T = (4 pi)^{n+1} overflows a double,
-a ``kappa`` that cannot be evaluated within the double range (an
-overflow, or a non-finite value or bound; rejected up front when s > 1/2
-and (n+1) 2^{2s+1} overflows a double, since |kappa(s)| exceeds that
-there, and, for the closed form and the continued reduced route, when
-s < 0 and a double-precision lower bound on log|kappa(s)| from the
-functional equation of zeta exceeds the double range), or a zeta argument
-whose guard bits alone exceed the working range of
-``zeta.MAX_PRECISION_BITS`` (65536) bits (``zeta.WorkBudgetError``,
-raised before any work: ``kappa --s=-1e6`` exits at once); 4 pole or
-divergent parameter range.
+Exit codes (the README lists the cases): 0 ok; 1 a check of the record
+failed (``kappa``, ``torsion`` and ``verify`` write the record first); 2
+usage error, including a non-finite ``--s`` and a non-integer
+``RUMIN_PRECISION_BITS``; 3 out-of-range input: a ``spectrum`` degree
+outside 0..2n+1, ``torsion --n`` above ``torsion.MAX_TORSION_N``, a
+``kappa`` that cannot be evaluated within the double range (rejected up
+front where a bound on |kappa| already leaves it), or a zeta argument whose
+guard bits alone exceed ``zeta.MAX_PRECISION_BITS`` (``WorkBudgetError``);
+4 pole or divergent parameter range.
 """
 
 from __future__ import annotations
@@ -29,7 +24,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from math import factorial, inf, isfinite, lgamma, log, log2, pi, sin
+from math import inf, isfinite, lgamma, log, log2, pi, sin
 from typing import Optional
 
 from . import spectrum, torsion, verify
@@ -59,13 +54,6 @@ def _default_precision() -> int:
     return 128
 
 
-def _precision_failure(exc: PrecisionError) -> int:
-    # A --prec outside the working range is a usage error; an s whose guard
-    # bits alone exceed it (WorkBudgetError) is an out-of-range input.
-    print(str(exc), file=sys.stderr)
-    return EXIT_RANGE if isinstance(exc, WorkBudgetError) else EXIT_USAGE
-
-
 def _log_kappa_lower_bound(n: int, s: float) -> float:
     """A lower bound on log|kappa(s)| for s < 0, in doubles; -inf where it
     gives none (s >= 0, or s a negative integer, where kappa = -(n+1)).
@@ -85,23 +73,19 @@ def _log_kappa_lower_bound(n: int, s: float) -> float:
             + log(sine) + lgamma(1 - 2 * s))
 
 
-def _record(command: str, parameters: dict, payload, checks: list[dict]) -> dict:
-    return {
+def _emit(command: str, parameters: dict, payload,
+          checks: list[verify.CheckResult]) -> int:
+    """Write the record to stdout; exit 1 if any of its checks fails."""
+    record = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "parameters": parameters,
         "payload": payload,
-        "checks": checks,
+        "checks": [{"name": c.name, "passed": c.passed, "residual": c.residual}
+                   for c in checks],
     }
-
-
-def _check(name: str, passed: bool, residual: Optional[float]) -> dict:
-    return {"name": name, "passed": bool(passed), "residual": residual}
-
-
-def _emit(record: dict, stream) -> None:
-    stream.write(json.dumps(record, indent=2, sort_keys=True))
-    stream.write("\n")
+    sys.stdout.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    return EXIT_OK if all(c.passed for c in checks) else EXIT_VERIFY_FAIL
 
 
 # One block of a spectrum row as ``json.dumps(indent=2, sort_keys=True)``
@@ -176,12 +160,6 @@ def _write_spectrum_json(n: int, degree: int, max_level: int, stream) -> None:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     n, degree, max_level = args.n, args.degree, args.max
-    if n < 1:
-        print(f"--n must be >= 1, got {n}", file=sys.stderr)
-        return EXIT_USAGE
-    if max_level < 1:
-        print(f"--max must be >= 1, got {max_level}", file=sys.stderr)
-        return EXIT_USAGE
     if not 0 <= degree <= 2 * n + 1:
         print(
             f"degree {degree} out of range 0..{2 * n + 1} for n={n}",
@@ -207,94 +185,62 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def cmd_kappa(args: argparse.Namespace) -> int:
     n, s, mode, prec = args.n, args.s, args.mode, args.prec
-    if n < 1:
-        print(f"--n must be >= 1, got {n}", file=sys.stderr)
-        return EXIT_USAGE
     if not isfinite(s):
         print(f"--s must be finite, got {s}", file=sys.stderr)
         return EXIT_USAGE
     out_of_range = (f"kappa(s) at n={n}, s={s} cannot be evaluated within "
                     "the double range")
-    # For s > 1/2, zeta(2s) > 1, so |kappa(s)| > (n+1) 2^(2s+1).
-    if s > 0.5 and log2(n + 1) + 2 * s + 1 > _LOG2_DOUBLE_MAX:
+    # For s > 1/2, zeta(2s) > 1, so |kappa(s)| > (n+1) 2^(2s+1).  For s < 0
+    # the modes that evaluate zeta(2s) pay for it with |s| (guard bits and
+    # prefix length), so a kappa beyond the double range is rejected first;
+    # the margin of 1 covers the rounding of the bound.
+    if (s > 0.5 and log2(n + 1) + 2 * s + 1 > _LOG2_DOUBLE_MAX) or (
+            (mode == "closed" or (mode == "reduced" and args.max is None))
+            and _log_kappa_lower_bound(n, s) > _LN_DOUBLE_MAX + 1):
         print(out_of_range, file=sys.stderr)
         return EXIT_RANGE
-    # For s < 0 the modes that evaluate zeta(2s) pay for it with |s| (guard
-    # bits and prefix length), so a kappa beyond the double range is
-    # rejected first; the margin of 1 covers the rounding of the bound.
-    if (mode == "closed" or (mode == "reduced" and args.max is None)) \
-            and _log_kappa_lower_bound(n, s) > _LN_DOUBLE_MAX + 1:
-        print(out_of_range, file=sys.stderr)
-        return EXIT_RANGE
+    if mode == "direct" and args.max is None:
+        print("--max is required for --mode direct", file=sys.stderr)
+        return EXIT_USAGE
     params = {"n": n, "s": s, "mode": mode, "prec": prec}
-    checks: list[dict] = []
+    checks = []
     try:
         if mode == "closed":
             est = torsion.kappa_closed_estimate(n, s, prec)
             payload = {"value": est.value, "error_bound": est.bound}
-        elif mode == "direct":
+        else:
             if args.max is None:
-                print("--max is required for --mode direct", file=sys.stderr)
-                return EXIT_USAGE
-            params["max"] = args.max
-            est = torsion.kappa_direct(n, s, args.max)
-            closed = torsion.kappa_closed(n, s, prec)
-            residual = abs(est.value - closed)
-            payload = {
-                "value": est.value,
-                "tail_bound": est.bound,
-                "closed_form": closed,
-                "residual_vs_closed": residual,
-            }
-            checks.append(
-                _check(
-                    "direct_within_tail_of_closed",
-                    residual <= est.bound + 1e-8,
-                    residual,
-                )
-            )
-        else:  # reduced
-            if args.max is not None:
-                params["max"] = args.max
-                est = torsion.kappa_reduced(n, s, N=args.max)
-                tolerance = est.bound + 1e-8
-                closed = torsion.kappa_closed(n, s, prec)
+                # The continued reduced route; both routes read the one
+                # zeta(2s) evaluation.
+                est, closed = torsion._continued_and_closed(n, s, prec)
             else:
-                # Both routes read the one zeta(2s) evaluation.
-                est, closed_est = torsion._continued_and_closed(n, s, prec)
-                tolerance = est.bound + 1e-12
-                closed = closed_est.value
-            residual = abs(est.value - closed)
+                params["max"] = args.max
+                route = torsion.kappa_direct if mode == "direct" else torsion.kappa_reduced
+                est = route(n, s, args.max)
+                closed = torsion.kappa_closed_estimate(n, s, prec)
+            checks.append(verify.route_check(
+                "direct_within_tail_of_closed" if mode == "direct"
+                else "reduced_matches_closed", est, closed))
             payload = {
                 "value": est.value,
-                "error_bound": est.bound,
-                "closed_form": closed,
-                "residual_vs_closed": residual,
+                "tail_bound" if mode == "direct" else "error_bound": est.bound,
+                "closed_form": closed.value,
+                "residual_vs_closed": checks[0].residual,
             }
-            checks.append(
-                _check("reduced_matches_closed", residual <= tolerance, residual)
-            )
     except (PoleError, torsion.DivergenceError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_POLE
-    except PrecisionError as exc:
-        return _precision_failure(exc)
     except OverflowError:
         print(out_of_range, file=sys.stderr)
         return EXIT_RANGE
     if not all(isfinite(v) for v in payload.values()):
         print(out_of_range, file=sys.stderr)
         return EXIT_RANGE
-
-    _emit(_record("kappa", params, payload, checks), sys.stdout)
-    return EXIT_OK
+    return _emit("kappa", params, payload, checks)
 
 
 def cmd_torsion(args: argparse.Namespace) -> int:
     n, prec = args.n, args.prec
-    if n < 1:
-        print(f"--n must be >= 1, got {n}", file=sys.stderr)
-        return EXIT_USAGE
     if n > torsion.MAX_TORSION_N:
         print(
             f"--n {n} out of range 1..{torsion.MAX_TORSION_N}: the torsion "
@@ -303,55 +249,19 @@ def cmd_torsion(args: argparse.Namespace) -> int:
         )
         return EXIT_RANGE
     include_kernel = args.zeta_convention == "kernel-included"
-    try:
-        report = torsion.torsion_report(n, precision=prec, include_kernel=include_kernel)
-    except PrecisionError as exc:
-        return _precision_failure(exc)
-    payload = dataclasses.asdict(report)
-    expected_kappa0 = 0.0 if include_kernel else float(n + 1)
-    checks = [
-        _check(
-            "kappa_at_0_matches_convention",
-            abs(report.kappa_at_0 - expected_kappa0) < 1e-12,
-            abs(report.kappa_at_0 - expected_kappa0),
-        ),
-        _check(
-            "torsion_is_4pi_power",
-            abs(report.T / (4 * pi) ** (n + 1) - 1) < 1e-10,
-            abs(report.T / (4 * pi) ** (n + 1) - 1),
-        ),
-        _check(
-            "ray_singer_ratio_is_n_factorial",
-            abs(report.ratio / factorial(n) - 1) < 1e-10,
-            abs(report.ratio / factorial(n) - 1),
-        ),
-    ]
-    _emit(_record("torsion", {"n": n, "prec": prec,
-                              "zeta_convention": args.zeta_convention},
-                  payload, checks), sys.stdout)
-    return EXIT_OK
+    report, checks = verify.torsion_checks(n, prec, include_kernel)
+    return _emit("torsion", {"n": n, "prec": prec,
+                             "zeta_convention": args.zeta_convention},
+                 dataclasses.asdict(report), checks)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     n, bound, prec = args.n, args.max, args.prec
-    if n < 1 or bound < 1:
-        print("--n and --max must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        results = verify.run_all(n, bound, prec)
-    except PrecisionError as exc:
-        return _precision_failure(exc)
-    checks = [_check(r.name, r.passed, r.residual) for r in results]
-    all_passed = all(r.passed for r in results)
-    record = _record(
-        "verify",
-        {"n": n, "max": bound, "prec": prec},
-        {"passed": all_passed, "total": len(results),
-         "failed": sum(1 for r in results if not r.passed)},
-        checks,
-    )
-    _emit(record, sys.stdout)
-    return EXIT_OK if all_passed else EXIT_VERIFY_FAIL
+    results = verify.run_all(n, bound, prec)
+    failed = sum(1 for r in results if not r.passed)
+    return _emit("verify", {"n": n, "max": bound, "prec": prec},
+                 {"passed": not failed, "total": len(results), "failed": failed},
+                 results)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -403,7 +313,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    for flag in ("n", "max"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            print(f"--{flag} must be >= 1, got {value}", file=sys.stderr)
+            return EXIT_USAGE
+    try:
+        return args.func(args)
+    except PrecisionError as exc:
+        # A --prec outside the working range is a usage error; an s whose
+        # guard bits alone exceed it (WorkBudgetError) is an out-of-range input.
+        print(str(exc), file=sys.stderr)
+        return EXIT_RANGE if isinstance(exc, WorkBudgetError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

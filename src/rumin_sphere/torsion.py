@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from math import exp, factorial, fsum, inf, lgamma, log, nextafter, pi, ulp
+from math import exp, factorial, fsum, inf, ldexp, lgamma, log, nextafter, pi, ulp
 from typing import Optional
 
 import mpmath
@@ -63,12 +63,22 @@ def degree_weights(n: int) -> tuple[DegreeWeight, ...]:
     )
 
 
+def rounding_gamma(m: float) -> float:
+    """Higham's gamma_m = m u / (1 - m u), u = 2^-53: the relative error
+    bound of m rounding steps on positive data (Accuracy and Stability of
+    Numerical Algorithms, sec. 3.1 and 4.2)."""
+    return m * 2.0**-53 / (1 - m * 2.0**-53)
+
+
 @dataclass(frozen=True)
 class KappaEstimate:
-    """A kappa evaluation plus a rigorous bound on its truncation error."""
+    """A kappa evaluation: a rigorous bound on its truncation (or mpmath)
+    error, and a bound on the rounding of the double ``value``.  Their sum
+    dominates |value - kappa(s)|."""
 
     value: float
     bound: float
+    rounding: float
 
 
 def kappa_closed(n: int, s: float, precision: Optional[int] = None) -> float:
@@ -87,7 +97,17 @@ def _closed_from(n: int, s: float, z: ZetaValue, prec: int) -> KappaEstimate:
         scale = mpf(2) ** (2 * _to_mpf(s) + 1)
         value = -(n + 1) * (1 + scale * z.value)
         bound = (n + 1) * scale * z.error_bound
-    return KappaEstimate(value=float(value), bound=_float_up(bound))
+        size = (n + 1) * (1 + abs(scale * z.value))
+    return _estimate(value, bound, size, prec)
+
+
+def _estimate(value: mpf, bound: mpf, size: mpf, prec: int) -> KappaEstimate:
+    # The double nearest ``value``.  Its rounding is half an ulp plus the at
+    # most 8 roundings at prec + 16 bits of the form that gave ``value``, each
+    # at most 2^-(prec+16) of ``size``, the largest magnitude among its terms.
+    v = float(value)
+    return KappaEstimate(value=v, bound=_float_up(bound),
+                         rounding=ulp(v) / 2 + ldexp(float(size), -(prec + 13)))
 
 
 def _float_up(x: mpf) -> float:
@@ -102,12 +122,15 @@ def _float_up(x: mpf) -> float:
 
 def _closed_deriv_from(
     n: int, s: float, z: ZetaValue, dz: ZetaValue, prec: int
-) -> float:
+) -> KappaEstimate:
     # The s-derivative of the closed form from z = zeta(2s), dz = zeta'(2s).
     with workprec(prec + 16):
         scale = mpf(2) ** (2 * _to_mpf(s) + 2)
-        value = -(n + 1) * scale * (mpmath.log(2) * z.value + dz.value)
-    return float(value)
+        log2 = mpmath.log(2)
+        value = -(n + 1) * scale * (log2 * z.value + dz.value)
+        bound = (n + 1) * scale * (log2 * z.error_bound + dz.error_bound)
+        size = (n + 1) * scale * (log2 * abs(z.value) + abs(dz.value))
+    return _estimate(value, bound, size, prec)
 
 
 def kappa_closed_estimate(
@@ -123,7 +146,7 @@ def kappa_closed_deriv(n: int, s: float, precision: Optional[int] = None) -> flo
     prec = _check_precision(precision)
     _check_kappa_pole(s)
     z, dz = hurwitz_zeta_and_deriv(2 * s, 1, prec)
-    return _closed_deriv_from(n, s, z, dz, prec)
+    return _closed_deriv_from(n, s, z, dz, prec).value
 
 
 def tail_bound(n: int, s: float, N: int) -> float:
@@ -213,7 +236,15 @@ def kappa_direct(
     value = 0.0
     for dw in degree_weights(n):
         value += dw.w * zk[dw.k]
-    return KappaEstimate(value=value, bound=tail_bound(n, s, N))
+    # Every kernel term is positive, so the value is within gamma_m of
+    # sum_k |w_k| zeta_k (Higham sec. 4.2).  m counts the kernels' roundings
+    # per term, one addition per bidegree a family sum populates, the weight
+    # products and n+1 additions, and one step for this bound's own rounding.
+    m = (kernels.term_roundings(n, N, s) + n + 2
+         + sum(len(fam.spaces) for fam in all_families(n)))
+    abs_sum = sum(abs(dw.w) * zk[dw.k] for dw in degree_weights(n))
+    return KappaEstimate(value=value, bound=tail_bound(n, s, N),
+                         rounding=rounding_gamma(m) * abs_sum)
 
 
 def kappa_reduced(
@@ -231,15 +262,17 @@ def kappa_reduced(
     zeta(2s-l+1), where every c_l except c_1 = (n+1)! vanishes exactly.
     """
     if N is not None:
-        if 2 * s <= n + 1:
-            raise DivergenceError(
-                f"need 2s > n+1 for convergence; got s={s}, n={n}"
-            )
+        bound = tail_bound(n, s, N)  # raises DivergenceError unless 2s > n+1
         value = -(n + 1.0) if include_kernel else 0.0
+        abs_sum = abs(value)
         for i in range(n + 1):
             axis = kernels.axis_family_sum(n, i, N, float(s))
             value += 2.0 * (-1.0) ** (i + 1) * axis
-        return KappaEstimate(value=value, bound=tail_bound(n, s, N))
+            abs_sum += 2.0 * axis
+        # As in ``kappa_direct``, with n+1 additions to combine the sums.
+        m = kernels.term_roundings(n, N, s) + n + 2
+        return KappaEstimate(value=value, bound=bound,
+                             rounding=rounding_gamma(m) * abs_sum)
 
     prec = _check_precision(precision)
     _check_reduced_pole(s, 1)
@@ -283,7 +316,8 @@ def _continued_from(
         scale = mpf(2) ** (2 * _to_mpf(s)) / factorial(n)
         value = kappa1 - 2 * scale * total
         bound = 2 * scale * err
-    return KappaEstimate(value=float(value), bound=_float_up(bound))
+        size = abs(kappa1) + 2 * scale * abs(total)
+    return _estimate(value, bound, size, prec)
 
 
 def cancellation_check(n: int) -> bool:
@@ -318,14 +352,20 @@ class TorsionReport:
     zeta_convention: str
 
 
-def torsion_report(
+def torsion_report(n: int, **options) -> TorsionReport:
+    """Full torsion summary for S^{2n+1}: ``torsion_estimates``' report."""
+    return torsion_estimates(n, **options)[0]
+
+
+def torsion_estimates(
     n: int,
     s_ref: Optional[float] = None,
     N_ref: int = 80,
     precision: Optional[int] = None,
     include_kernel: bool = True,
-) -> TorsionReport:
-    """Full torsion summary for S^{2n+1}.
+) -> tuple[TorsionReport, KappaEstimate, KappaEstimate]:
+    """Full torsion summary for S^{2n+1}, with the closed-form estimates of
+    kappa(0) (before the convention's shift) and kappa'(0) it reports.
 
     ``route_residuals`` records how far the direct and reduced routes land
     from the closed form at a reference point (s_ref, N_ref) where the
@@ -341,9 +381,9 @@ def torsion_report(
     # from one derivative pass, and zeta(2 s_ref) serves both the closed form
     # and the continued reduced route at s_ref.
     z0, dz0 = hurwitz_zeta_and_deriv(0, 1, prec)
-    kappa0 = _closed_from(n, 0, z0, prec).value + shift
+    kappa0 = _closed_from(n, 0, z0, prec)
     kappa_prime0 = _closed_deriv_from(n, 0, z0, dz0, prec)
-    torsion = exp(kappa_prime0 / 2)
+    torsion = exp(kappa_prime0.value / 2)
     t_dr = (4 * pi) ** (n + 1) / factorial(n)
 
     if s_ref is None:
@@ -365,11 +405,11 @@ def torsion_report(
     }
     return TorsionReport(
         n=n,
-        kappa_at_0=kappa0,
-        kappa_prime_at_0=kappa_prime0,
+        kappa_at_0=kappa0.value + shift,
+        kappa_prime_at_0=kappa_prime0.value,
         T=torsion,
         T_ray_singer=t_dr,
         ratio=torsion / t_dr,
         route_residuals=residuals,
         zeta_convention=convention,
-    )
+    ), kappa0, kappa_prime0

@@ -1,9 +1,15 @@
-"""Exact-identity verification suites.
+"""Verification suites: one check type, and one function per claim.
 
-Each check returns (name, passed, residual).  Exact integer/rational checks
-report the number of violations as the residual; floating-point checks
-report the worst absolute residual seen.  The CLI ``verify`` subcommand runs
-all of them and fails (exit 1) if any check fails.
+A check is (name, residual, bound) and passes iff residual <= bound (a NaN
+residual fails).  Exact checks count violations against bound 0.  Numeric
+bounds come from the routes' error terms, with no added slack: two routes
+to one kappa agree when |a - b| <= err(a) + err(b), err being a route's
+bound plus the rounding of its double (``route_check``); the torsion claims
+count the rounding of kappa(0), kappa'(0) and pi (``torsion_checks``); the
+zeta identities compare in mpmath.  A check at several points reports its
+largest residual against the bound that gives the largest residual/bound
+ratio, so it passes iff every point does.  ``verify``, ``kappa`` and
+``torsion`` build their checks here, and exit 1 if one fails.
 
 Every check that loops over labels runs their free parameters over
 1..bound, the ``--max`` of the record; no check lowers it.  There is no
@@ -17,10 +23,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, log, pi
-from typing import Callable, Iterator, Optional
+from math import factorial, inf, pi, ulp
+from typing import Iterator, Optional
+
+import mpmath
+from mpmath import mpf
 
 from . import spectrum, torsion, zeta
+from .torsion import KappaEstimate, TorsionReport, rounding_gamma
 from .weights import (
     Case,
     HighestWeight,
@@ -35,12 +45,34 @@ from .weights import (
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    passed: bool
     residual: float
+    bound: float
+
+    @property
+    def passed(self) -> bool:
+        return self.residual <= self.bound
+
+    @property
+    def ratio(self) -> float:
+        """residual / bound, at most 1 iff the check passes; inf for a NaN
+        residual or a nonzero residual against bound 0."""
+        if self.residual == 0:
+            return 0.0
+        return self.residual / self.bound if self.bound > 0 and self.residual >= 0 else inf
 
 
 def _exact(name: str, violations: int) -> CheckResult:
-    return CheckResult(name=name, passed=violations == 0, residual=float(violations))
+    return CheckResult(name, float(violations), 0.0)
+
+
+def _worst(name: str, parts: list[CheckResult]) -> CheckResult:
+    # The largest residual (NaN counts as largest), against the bound that
+    # gives it the largest ratio of the parts (the smallest bound if every
+    # residual is 0): it passes iff every part does.
+    ratio = max(c.ratio for c in parts)
+    residual = max((c.residual for c in parts), key=lambda r: r if r == r else inf)
+    return CheckResult(name, residual,
+                       residual / ratio if ratio else min(c.bound for c in parts))
 
 
 def _labels(n: int, bound: int, *cases: Case) -> Iterator[RuminLabel]:
@@ -221,95 +253,104 @@ def check_kernel_uniqueness(n: int, bound: int) -> CheckResult:
 
 
 def check_zeta_constants(precision: Optional[int] = None) -> CheckResult:
-    worst = 0.0
-    ok = True
-    cases = [
-        (zeta.riemann_zeta(0, precision), -0.5),
-        (zeta.riemann_zeta_deriv(0, precision), -log(2 * pi) / 2),
-        (zeta.riemann_zeta(2, precision), pi**2 / 6),
-        (zeta.riemann_zeta(4, precision), pi**4 / 90),
-    ]
-    for zv, expected in cases:
-        res = abs(float(zv.value) - expected)
-        worst = max(worst, res)
-        if res > max(1e-12, float(zv.error_bound) + 1e-15):
-            ok = False
-    return CheckResult("zeta_special_values", ok, worst)
+    prec = zeta._check_precision(precision)
+    z0, dz0 = zeta.hurwitz_zeta_and_deriv(0, 1, prec)
+    values = (z0, dz0, zeta.riemann_zeta(2, prec), zeta.riemann_zeta(4, prec))
+    with mpmath.workprec(prec + 32):
+        refs = (mpf(-0.5), -mpmath.log(2 * mpmath.pi) / 2,
+                mpmath.pi**2 / 6, mpmath.pi**4 / 90)
+        # Each reference is within 8 roundings at this precision, counting
+        # pi's rounding amplified by the power.
+        parts = [CheckResult("", float(abs(z.value - ref)), torsion._float_up(
+                     z.error_bound + 8 * abs(ref) * mpf(2) ** -(prec + 32)))
+                 for z, ref in zip(values, refs)]
+    return _worst("zeta_special_values", parts)
 
 
 def check_hurwitz_shift(precision: Optional[int] = None) -> CheckResult:
-    import mpmath
-
+    prec = zeta._check_precision(precision)
     rng = random.Random(20240)
-    worst = 0.0
-    ok = True
+    parts = []
     for _ in range(10):
         s = rng.uniform(-4.0, 6.0)
         if abs(s - 1.0) < 0.05:
             s += 0.2
         a = rng.uniform(0.1, 8.0)
-        left = zeta.hurwitz_zeta(s, a, precision)
-        right = zeta.hurwitz_zeta(s, Fraction(a) + 1, precision)
-        with mpmath.workprec(256):
-            shift = mpmath.mpf(a) ** -mpmath.mpf(s) + right.value
-            res = abs(float(left.value - shift))
-        worst = max(worst, res)
-        allowed = float(left.error_bound + right.error_bound) + 1e-12
-        if res > allowed:
-            ok = False
-    return CheckResult("hurwitz_shift_identity", ok, worst)
+        left = zeta.hurwitz_zeta(s, a, prec)
+        right = zeta.hurwitz_zeta(s, Fraction(a) + 1, prec)
+        with mpmath.workprec(prec + 32):
+            power = mpf(a) ** -mpf(s)
+            shift = power + right.value
+            res = abs(left.value - shift)
+            # The power within 2 roundings, the sum and the difference 1 each.
+            bound = left.error_bound + right.error_bound + (
+                2 * abs(power) + abs(shift) + res) * mpf(2) ** -(prec + 32)
+        parts.append(CheckResult("", float(res), torsion._float_up(bound)))
+    return _worst("hurwitz_shift_identity", parts)
+
+
+def torsion_checks(
+    n: int, precision: Optional[int] = None, include_kernel: bool = True
+) -> tuple[TorsionReport, list[CheckResult]]:
+    """The torsion report and its claims: kappa(0) matches the convention,
+    T = (4 pi)^{n+1} and T / T_RS = n!.  An error e in kappa'(0) moves
+    T = exp(kappa'(0)/2) by the relative amount e/2, and (4 pi)^{n+1}
+    amplifies the rounding of pi by n+1; exp and pow add two units each,
+    every division and int conversion one, and second-order terms one."""
+    report, kappa0, kappa_prime0 = torsion.torsion_estimates(
+        n, precision=precision, include_kernel=include_kernel)
+    expected = 0.0 if include_kernel else float(n + 1)
+    from_exp = (kappa_prime0.bound + kappa_prime0.rounding) / 2
+    return report, [
+        CheckResult("kappa_at_0_matches_convention",
+                    abs(report.kappa_at_0 - expected),
+                    kappa0.bound + kappa0.rounding + ulp(report.kappa_at_0) / 2),
+        CheckResult("torsion_is_4pi_power", abs(report.T / (4 * pi) ** (n + 1) - 1),
+                    from_exp + rounding_gamma(n + 7)),
+        CheckResult("ray_singer_ratio_is_n_factorial",
+                    abs(report.ratio / factorial(n) - 1),
+                    from_exp + rounding_gamma(n + 11)),
+    ]
+
+
+def route_check(name: str, a: KappaEstimate, b: KappaEstimate) -> CheckResult:
+    """Two routes to one kappa agree: |a - b| <= err(a) + err(b), where err
+    is a route's bound plus the rounding of its double."""
+    return CheckResult(name, abs(a.value - b.value),
+                       a.bound + a.rounding + b.bound + b.rounding)
 
 
 def check_torsion_values(n: int, precision: Optional[int] = None) -> CheckResult:
-    report = torsion.torsion_report(n, precision=precision)
-    res = max(
-        abs(report.kappa_at_0),
-        abs(report.T / (4 * pi) ** (n + 1) - 1),
-        abs(report.ratio / factorial(n) - 1),
-    )
-    return CheckResult("torsion_closed_values", res < 1e-10, res)
+    return _worst("torsion_closed_values", torsion_checks(n, precision)[1])
 
 
 def check_reduced_continuation(n: int, precision: Optional[int] = None) -> CheckResult:
-    worst = 0.0
-    for s in (-2.0, -0.5, 0.0, 0.3, 2.0, 4.0):
-        red = torsion.kappa_reduced(n, s, precision=precision).value
-        clo = torsion.kappa_closed(n, s, precision)
-        worst = max(worst, abs(red - clo))
-    return CheckResult("reduced_continuation_vs_closed", worst < 1e-12, worst)
+    return _worst("reduced_continuation_vs_closed", [
+        route_check("", *torsion._continued_and_closed(n, s, precision))
+        for s in (-2.0, -0.5, 0.0, 0.3, 2.0, 4.0)
+    ])
 
 
 def check_direct_route(n: int, precision: Optional[int] = None) -> CheckResult:
     s = (n + 3) / 2
-    N = 100
-    est = torsion.kappa_direct(n, s, N)
-    res = abs(est.value - torsion.kappa_closed(n, s, precision))
-    return CheckResult(
-        "direct_route_within_tail_bound", res < est.bound + 1e-8, res
-    )
+    return route_check("direct_route_within_tail_bound",
+                       torsion.kappa_direct(n, s, 100),
+                       torsion.kappa_closed_estimate(n, s, precision))
 
 
 def run_all(n: int, bound: int = 20, precision: Optional[int] = None) -> list[CheckResult]:
     """Every verification suite at the given label-parameter bound."""
-    checks: list[Callable[[], CheckResult]] = [
-        lambda: check_weyl_vs_gt(n, bound),
-        lambda: check_special_dimension(n, bound),
-        lambda: check_dimension_polynomial(n, bound),
-        lambda: check_eigenvalue_reductions(n, bound),
-        lambda: check_norm_route(n, bound),
-        lambda: check_case_v_mixed(n, bound),
-        lambda: check_norm_ratios(n, bound),
-        lambda: check_weight_determined(n, bound),
-        lambda: check_block_multiplicity_one(n, bound),
-        lambda: check_c_coefficients(n),
-        lambda: check_sigma(n),
-        lambda: check_vanishing_correction(n),
-        lambda: check_cancellation(n),
-        lambda: check_kernel_uniqueness(n, bound),
-        lambda: check_zeta_constants(precision),
-        lambda: check_hurwitz_shift(precision),
-        lambda: check_torsion_values(n, precision),
-        lambda: check_reduced_continuation(n, precision),
-        lambda: check_direct_route(n, precision),
+    return [
+        *(check(n, bound) for check in (
+            check_weyl_vs_gt, check_special_dimension, check_dimension_polynomial,
+            check_eigenvalue_reductions, check_norm_route, check_case_v_mixed,
+            check_norm_ratios, check_weight_determined, check_block_multiplicity_one)),
+        *(check(n) for check in (
+            check_c_coefficients, check_sigma, check_vanishing_correction,
+            check_cancellation)),
+        check_kernel_uniqueness(n, bound),
+        check_zeta_constants(precision),
+        check_hurwitz_shift(precision),
+        *(check(n, precision) for check in (
+            check_torsion_values, check_reduced_continuation, check_direct_route)),
     ]
-    return [c() for c in checks]

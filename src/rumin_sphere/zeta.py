@@ -155,6 +155,9 @@ def _euler_maclaurin(s: Real, a: Real, prec: int, want_derivative: bool):
             f"than the {MAX_PRECISION_BITS}-bit working range"
         )
     guard = 48 + int(extra)
+    if a == 1 and s < 0 and s % 2 == 0 and not want_derivative:
+        # A trivial zero, zeta(-2m) = 0 exactly: no terms to sum.
+        return mpf(0), mpf(0), None, None
 
     with workprec(prec + guard):
         ms = _to_mpf(s)
@@ -266,7 +269,9 @@ def hurwitz_zeta(s: Real, a: Real, precision: Optional[int] = None) -> ZetaValue
     Euler-Maclaurin: prefix sum to a precision-driven cutoff, integral and
     boundary terms, then Bernoulli corrections until the rigorous remainder
     bound reaches the precision target.  The returned ``error_bound`` is
-    that remainder bound plus a rounding-slack term.
+    that remainder bound plus a rounding-slack term.  At a = 1 and a negative
+    even integer s the value is the trivial zero 0, with bound 0, once the
+    argument is inside the working range.
     """
     prec = _check_precision(precision)
     _check_argument(s, a)

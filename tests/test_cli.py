@@ -412,3 +412,28 @@ def test_closed_record_at_2048_bits_reports_a_nonzero_bound(capsys):
                                "--mode", "closed", "--prec", "2048")
     assert code == 0
     assert record["payload"]["error_bound"] > 0
+
+
+def test_kappa_at_a_far_trivial_zero_is_exact_as_a_process():
+    # zeta(-2000) = 0, so kappa = -(n+1) exactly; the Euler-Maclaurin pass
+    # used to run 3.4 s and fail to converge (exit 2).
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "rumin_sphere", "kappa", "--n", "1", "--s=-1000"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert time.perf_counter() - start < 1.0
+    assert result.returncode == 0
+    payload = json.loads(result.stdout)["payload"]
+    assert payload == {"value": -2.0, "error_bound": 0.0}
+
+
+@pytest.mark.parametrize("mode", ["direct", "reduced"])
+def test_kappa_truncation_below_one_exits_2(capsys, mode):
+    # Was a ValueError traceback with exit 1.
+    code, out, err = run_cli(capsys, "kappa", "--n", "1", "--s", "3",
+                             "--mode", mode, "--max", "0")
+    assert code == 2
+    assert out == ""
+    assert "--max must be >= 1" in err

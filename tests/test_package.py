@@ -1,8 +1,10 @@
 """Package surface: the exported names and the cost of importing the CLI."""
 
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import rumin_sphere
 
@@ -65,3 +67,13 @@ def test_cli_import_computes_no_bernoulli_numbers():
             "from rumin_sphere import zeta\n"
             "print(zeta._BERNOULLI_COEFFS)")
     assert _run(code) == "[Fraction(1, 1)]"
+
+
+def test_sources_hold_no_hand_set_slack():
+    # Every check's bound is derived from the error terms of its routes;
+    # none of the decimal slacks 1e-8 ... 1e-15 may come back.
+    slack = re.compile(r"1e-(8|9|10|12|15)")
+    src = Path(rumin_sphere.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            assert not slack.search(line), f"{path.name}:{number}: {line.strip()}"

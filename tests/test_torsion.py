@@ -7,7 +7,7 @@ from math import factorial, isfinite, log, pi
 import mpmath
 import pytest
 
-from rumin_sphere import cli, spectrum, torsion, zeta
+from rumin_sphere import cli, spectrum, torsion
 from rumin_sphere import (
     DivergenceError,
     PoleError,
@@ -178,20 +178,6 @@ def test_cancellation_check_fails_on_a_non_cancelling_family(monkeypatch):
     )
     monkeypatch.setattr(torsion, "all_families", lambda n: broken)
     assert not cancellation_check(3)
-
-
-@pytest.fixture
-def em_passes(monkeypatch):
-    """Counts the Euler-Maclaurin passes made through the zeta engine."""
-    calls = []
-    original = zeta._euler_maclaurin
-
-    def counted(s, a, prec, want_derivative):
-        calls.append((s, want_derivative))
-        return original(s, a, prec, want_derivative)
-
-    monkeypatch.setattr(zeta, "_euler_maclaurin", counted)
-    return calls
 
 
 def test_torsion_report_makes_one_pass_per_zeta_argument(em_passes):

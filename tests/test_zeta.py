@@ -141,6 +141,18 @@ def test_value_and_derivative_from_one_pass():
         assert dz == hurwitz_zeta_deriv(s, a)
 
 
+def test_trivial_zeros_are_exact():
+    # zeta(-2000) used to fail to converge after 3.4 s.
+    for s in (-2, -4.0, Fraction(-60), -2000):
+        z = riemann_zeta(s)
+        assert z.value == 0 and z.error_bound == 0, s
+    # Only at a = 1, and the derivative still sums: zeta'(-2) = -zeta(3)/(4 pi^2).
+    assert hurwitz_zeta(-2, 0.5).error_bound > 0
+    dz = riemann_zeta_deriv(-2)
+    assert abs(float(dz.value - mp_zeta(-2, 1, 1))) <= float(dz.error_bound)
+    assert dz.value != 0
+
+
 def test_guard_bits_beyond_the_working_range_are_refused():
     # s = -2e6 needs about 4e7 guard bits; the refusal comes before any work.
     with pytest.raises(WorkBudgetError, match="guard bits"):
