@@ -44,6 +44,20 @@ def _weyl_row(mid: tuple[int, ...], N: int) -> list[int]:
     return nums
 
 
+def _middle_factor(a: int, b: int, c: int) -> int:
+    """The Weyl product of the middle weight (1^a, 0^b, (-1)^c), m = a+b+c
+    entries: C(b+c, c) C(m, a) C(m+1, a) / C(a+b+1, a), an exact integer.
+
+    Within a block of equal entries every factor is 1, and each pair of
+    blocks telescopes: the 1s against the 0s give C(a+b, a), the 0s against
+    the -1s C(b+c, c), and the 1s against the -1s (difference 2)
+    (m+1)! m! b! (b+1)! / ((m+1-a)! (m-a)! (a+b)! (a+b+1)!).  The product is
+    ``weights.weyl_product`` of the tuple, in O(m) steps instead of O(m^2)."""
+    m = a + b + c
+    return (math.comb(b + c, c) * math.comb(m, a) * math.comb(m + 1, a)
+            // math.comb(a + b + 1, a))
+
+
 def pair_sums_of_k(n: int, k: int, N: int, s: float) -> list[float]:
     """Entry i is sum_{p,q=1..N} dim(q,j,i,p) * eigenvalue(q,j,i,p)^(-s)
     for the family (i, j = n-k-i), i = 0..(n-k)//2: one sum per unordered
@@ -82,12 +96,7 @@ def pair_sums_of_k(n: int, k: int, N: int, s: float) -> list[float]:
     m, F, G = [], [], []
     for i in families:
         mid = (1,) * (h - i) + (0,) * (k - 1) + (-1,) * i
-        m_num = m_den = 1
-        for a in range(n - 1):
-            for b in range(a + 1, n - 1):
-                m_num *= mid[a] - mid[b] + (b - a)
-                m_den *= b - a
-        m.append(m_num / (m_den * n))
+        m.append(_middle_factor(h - i, k - 1, i) / n)
         F.append(list(map(truediv, _weyl_row(mid, N), repeat(den))))
         if i == h - i:
             G.append(F[-1])
@@ -127,14 +136,6 @@ def pair_sums_of_k(n: int, k: int, N: int, s: float) -> list[float]:
                 # q' = r, p' = c over r+1..i+N.
                 out.append(Fi[r - j - 1] * sum(map(mul, Gi[r - i:], W[1:])))
     return [mi * math.pow(D // div, -t) * math.fsum(out) for mi, out in zip(m, halves)]
-
-
-def pair_family_sum(n: int, i: int, j: int, N: int, s: float) -> float:
-    """sum_{p,q=1..N} dim(q,j,i,p) * eigenvalue(q,j,i,p)^(-s): the family
-    {i, j}'s entry of ``pair_sums_of_k(n, n-i-j, N, s)``."""
-    if i < 0 or j < 0 or i + j > n - 1:
-        raise ValueError(f"(i={i}, j={j}) out of range for n={n}")
-    return pair_sums_of_k(n, n - i - j, N, s)[min(i, j)]
 
 
 def term_roundings(n: int, N: int, s: float) -> int:

@@ -29,7 +29,7 @@ from math import inf, isfinite, lgamma, log, log2, pi, sin
 from typing import Optional
 
 from . import spectrum, torsion, verify
-from .zeta import PoleError, PrecisionError, WorkBudgetError
+from .zeta import DEFAULT_PRECISION_BITS, PoleError, PrecisionError, WorkBudgetError
 
 SCHEMA_VERSION = "1"
 
@@ -52,7 +52,7 @@ def _default_precision() -> int:
             print(f"RUMIN_PRECISION_BITS must be an integer, got {env!r}",
                   file=sys.stderr)
             raise SystemExit(EXIT_USAGE)
-    return 128
+    return DEFAULT_PRECISION_BITS
 
 
 def _log_kappa_lower_bound(n: int, s: float) -> float:
@@ -82,8 +82,8 @@ def _emit(command: str, parameters: dict, payload,
         "command": command,
         "parameters": parameters,
         "payload": payload,
-        "checks": [{"name": c.name, "passed": c.passed, "residual": c.residual}
-                   for c in checks],
+        "checks": [{"name": c.name, "passed": c.passed,
+                    "residual": float(c.residual)} for c in checks],
     }
     sys.stdout.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return EXIT_OK if all(c.passed for c in checks) else EXIT_VERIFY_FAIL
@@ -207,18 +207,18 @@ def cmd_kappa(args: argparse.Namespace) -> int:
     checks = []
     try:
         if mode == "closed":
-            est = torsion.kappa_closed_estimate(n, s, prec)
+            est = torsion.kappa_closed(n, s, prec)
             payload = {"value": est.value, "error_bound": est.bound}
         else:
             if args.max is None:
                 # The continued reduced route; both routes read the one
                 # zeta(2s) evaluation.
-                est, closed = torsion._continued_and_closed(n, s, prec)
+                est, closed = torsion.kappa_continued(n, s, prec)
             else:
                 params["max"] = args.max
                 route = torsion.kappa_direct if mode == "direct" else torsion.kappa_reduced
                 est = route(n, s, args.max)
-                closed = torsion.kappa_closed_estimate(n, s, prec)
+                closed = torsion.kappa_closed(n, s, prec)
             checks.append(verify.route_check(
                 "direct_within_tail_of_closed" if mode == "direct"
                 else "reduced_matches_closed", est, closed))

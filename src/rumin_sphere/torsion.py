@@ -4,15 +4,21 @@ The torsion function kappa(s) is assembled three ways and the routes are
 compared:
 
 * direct: the defining alternating sum of per-degree spectral zetas,
-  truncated at level N, with a rigorous tail bound;
+  truncated at level N, with a rigorous tail bound (``kappa_direct``);
 * reduced: the one-parameter dimension sums that survive the exact
-  cancellation of the two-parameter families, truncated or analytically
-  continued through the coefficient identities;
-* closed: -(n+1) (1 + 2^{2s+1} zeta(2s)).
+  cancellation of the two-parameter families, either truncated
+  (``kappa_reduced``) or analytically continued through the coefficient
+  identities (``kappa_continued``, which also returns the closed form from
+  the same zeta(2s));
+* closed: -(n+1) (1 + 2^{2s+1} zeta(2s)) (``kappa_closed``, and its
+  s-derivative ``kappa_closed_deriv``).
 
-kappa'(0) = 2 (n+1) log(4 pi) gives the torsion T = (4 pi)^{n+1}, which is
-n! times the Ray-Singer torsion of the round sphere with the matching
-metric.
+Every route returns a ``KappaEstimate`` of the kernel-included kappa, the one
+whose degree-0 zeta counts dim Ker Delta^0 = 1.  Only ``torsion_estimates``
+reads the convention: excluding the kernel shifts kappa by n+1 and leaves
+kappa' alone.  kappa'(0) = 2 (n+1) log(4 pi) gives the torsion
+T = (4 pi)^{n+1}, which is n! times the Ray-Singer torsion of the round
+sphere with the matching metric.
 """
 
 from __future__ import annotations
@@ -47,26 +53,20 @@ MAX_TORSION_N = min(
     next(n for n in count(1) if factorial(n + 1) > sys.float_info.max),
 )
 
-KERNEL_INCLUDED = "kernel-included"
-KERNEL_EXCLUDED = "kernel-excluded"
+# The truncation of the direct and truncated reduced routes in the torsion
+# report's ``route_residuals``; the reference point is s = (n+3)/2, where
+# the defining sum converges.
+N_REF = 80
 
 
 class DivergenceError(ValueError):
     """Direct summation requested where the defining series diverges."""
 
 
-@dataclass(frozen=True)
-class DegreeWeight:
-    """Weight w_k = (-1)^{k+1} (n+1-k) multiplying the degree-k zeta."""
-
-    k: int
-    w: int
-
-
-def degree_weights(n: int) -> tuple[DegreeWeight, ...]:
-    return tuple(
-        DegreeWeight(k=k, w=(-1) ** (k + 1) * (n + 1 - k)) for k in range(n + 1)
-    )
+def degree_weights(n: int) -> tuple[int, ...]:
+    """The weights w_k = (-1)^{k+1} (n+1-k) of the degree-k zetas, indexed
+    by k = 0..n."""
+    return tuple((-1) ** (k + 1) * (n + 1 - k) for k in range(n + 1))
 
 
 def rounding_gamma(m: float) -> float:
@@ -85,11 +85,6 @@ class KappaEstimate:
     value: float
     bound: float
     rounding: float
-
-
-def kappa_closed(n: int, s: float, precision: Optional[int] = None) -> float:
-    """Closed form -(n+1)(1 + 2^{2s+1} zeta(2s)); pole at s = 1/2."""
-    return kappa_closed_estimate(n, s, precision).value
 
 
 def _check_kappa_pole(s: float) -> None:
@@ -139,20 +134,22 @@ def _closed_deriv_from(
     return _estimate(value, bound, size, prec)
 
 
-def kappa_closed_estimate(
-    n: int, s: float, precision: Optional[int] = None
-) -> KappaEstimate:
+def kappa_closed(n: int, s: float, precision: Optional[int] = None) -> KappaEstimate:
+    """Closed form -(n+1)(1 + 2^{2s+1} zeta(2s)); pole at s = 1/2."""
     prec = _check_precision(precision)
     _check_kappa_pole(s)
     return _closed_from(n, s, riemann_zeta(2 * s, prec), prec)
 
 
-def kappa_closed_deriv(n: int, s: float, precision: Optional[int] = None) -> float:
-    """d/ds of the closed form: -(n+1) 2^{2s+2} (log(2) zeta(2s) + zeta'(2s))."""
+def kappa_closed_deriv(
+    n: int, s: float, precision: Optional[int] = None
+) -> KappaEstimate:
+    """d/ds of the closed form: -(n+1) 2^{2s+2} (log(2) zeta(2s) + zeta'(2s)),
+    from one zeta pass."""
     prec = _check_precision(precision)
     _check_kappa_pole(s)
     z, dz = hurwitz_zeta_and_deriv(2 * s, 1, prec)
-    return _closed_deriv_from(n, s, z, dz, prec).value
+    return _closed_deriv_from(n, s, z, dz, prec)
 
 
 def tail_bound(n: int, s: float, N: int) -> float:
@@ -186,28 +183,22 @@ def tail_bound(n: int, s: float, N: int) -> float:
     return max(exp(fsum(terms)) * (1 + margin), ulp(0.0))
 
 
-def degree_zetas_direct(
-    n: int,
-    s: float,
-    N: int,
-    include_kernel: bool = True,
-) -> list[float]:
-    """Truncated per-degree spectral zetas [zeta(Delta^0)(s), ..., zeta(Delta^n)(s)].
+def degree_zetas_direct(n: int, s: float, N: int) -> list[float]:
+    """Truncated per-degree spectral zetas [zeta(Delta^0)(s), ..., zeta(Delta^n)(s)],
+    the degree-0 one counting dim Ker Delta^0 = 1.
 
     Each distinct kernel sum is computed once and added to every degree its
     families populate; the family order is the canonical one from
     ``all_families``.  One ``pair_sums_of_k`` call per k = n-i-j gives every
     pair sum of that k: the sums of (i, j) and (j, i) are equal (dual labels
     share dimension and eigenvalue).  Cases III and IV repeat the axis sums
-    of 0..n-1, and VI and VII share the i = n axis sum.
+    of 0..n-1, and VI and VII share the i = n axis sum.  The truncated sums
+    exist at every s; ``tail_bound`` refuses the s where they do not
+    converge.
     """
-    if 2 * s <= n + 1:
-        raise DivergenceError(f"need 2s > n+1 for convergence; got s={s}, n={n}")
     if N < 1:
         raise ValueError("truncation must be >= 1")
-    zk = [0.0] * (n + 1)
-    if include_kernel:
-        zk[0] += 1.0  # dim Ker Delta^0 = 1; all other kernels vanish
+    zk = [1.0] + [0.0] * n  # dim Ker Delta^0 = 1; all other kernels vanish
     pair_sums: dict[tuple[int, int], float] = {}
     for k in range(1, n + 1):
         for i, value in enumerate(kernels.pair_sums_of_k(n, k, N, float(s))):
@@ -225,12 +216,7 @@ def degree_zetas_direct(
     return zk
 
 
-def kappa_direct(
-    n: int,
-    s: float,
-    N: int,
-    include_kernel: bool = True,
-) -> KappaEstimate:
+def kappa_direct(n: int, s: float, N: int) -> KappaEstimate:
     """kappa(s) by direct evaluation of the defining sum, truncated at N.
 
     Valid for 2s > n+1.  The alternating weights are applied to the
@@ -238,76 +224,59 @@ def kappa_direct(
     cancelled numerically; the returned bound covers the discarded tail of
     the combination.
     """
-    zk = degree_zetas_direct(n, s, N, include_kernel)
+    bound = tail_bound(n, s, N)  # raises DivergenceError unless 2s > n+1
+    zk = degree_zetas_direct(n, s, N)
+    ws = degree_weights(n)
     value = 0.0
-    for dw in degree_weights(n):
-        value += dw.w * zk[dw.k]
+    for w, z in zip(ws, zk):
+        value += w * z
     # Every kernel term is positive, so the value is within gamma_m of
     # sum_k |w_k| zeta_k (Higham sec. 4.2).  m counts the kernels' roundings
     # per term, one addition per bidegree a family sum populates, the weight
     # products and n+1 additions, and one step for this bound's own rounding.
     m = (kernels.term_roundings(n, N, s) + n + 2
          + sum(len(fam.spaces) for fam in all_families(n)))
-    abs_sum = sum(abs(dw.w) * zk[dw.k] for dw in degree_weights(n))
-    return KappaEstimate(value=value, bound=tail_bound(n, s, N),
-                         rounding=rounding_gamma(m) * abs_sum)
+    abs_sum = sum(abs(w) * z for w, z in zip(ws, zk))
+    return KappaEstimate(value=value, bound=bound, rounding=rounding_gamma(m) * abs_sum)
 
 
-def kappa_reduced(
-    n: int,
-    s: float,
-    N: Optional[int] = None,
-    precision: Optional[int] = None,
-    include_kernel: bool = True,
-) -> KappaEstimate:
-    """kappa(s) through the reduced route kappa_1 + 2 kappa_2.
-
-    With ``N`` given, kappa_2 is the truncated sum over the one-parameter
-    families (needs 2s > n+1).  Without ``N``, kappa_2 is continued through
-    the coefficient identities: kappa_2(s) = -(2^{2s}/n!) sum_l c_l
-    zeta(2s-l+1), where every c_l except c_1 = (n+1)! vanishes exactly.
-    """
-    if N is not None:
-        bound = tail_bound(n, s, N)  # raises DivergenceError unless 2s > n+1
-        value = -(n + 1.0) if include_kernel else 0.0
-        abs_sum = abs(value)
-        for i in range(n + 1):
-            axis = kernels.axis_family_sum(n, i, N, float(s))
-            value += 2.0 * (-1.0) ** (i + 1) * axis
-            abs_sum += 2.0 * axis
-        # As in ``kappa_direct``, with n+1 additions to combine the sums.
-        m = kernels.term_roundings(n, N, s) + n + 2
-        return KappaEstimate(value=value, bound=bound,
-                             rounding=rounding_gamma(m) * abs_sum)
-
-    prec = _check_precision(precision)
-    _check_reduced_pole(s, 1)
-    return _continued_from(n, s, riemann_zeta(2 * s, prec), prec, include_kernel)
+def kappa_reduced(n: int, s: float, N: int) -> KappaEstimate:
+    """kappa(s) through the truncated reduced route kappa_1 + 2 kappa_2:
+    kappa_1 = -(n+1), and kappa_2 the sum over the one-parameter families,
+    truncated at N (needs 2s > n+1)."""
+    bound = tail_bound(n, s, N)  # raises DivergenceError unless 2s > n+1
+    value = -(n + 1.0)
+    abs_sum = abs(value)
+    for i in range(n + 1):
+        axis = kernels.axis_family_sum(n, i, N, float(s))
+        value += 2.0 * (-1.0) ** (i + 1) * axis
+        abs_sum += 2.0 * axis
+    # As in ``kappa_direct``, with n+1 additions to combine the sums.
+    m = kernels.term_roundings(n, N, s) + n + 2
+    return KappaEstimate(value=value, bound=bound, rounding=rounding_gamma(m) * abs_sum)
 
 
-def _continued_and_closed(
-    n: int, s: float, precision: Optional[int]
+def kappa_continued(
+    n: int, s: float, precision: Optional[int] = None
 ) -> tuple[KappaEstimate, KappaEstimate]:
-    """The continued reduced route and the closed form at s, from one
-    evaluation of zeta(2s)."""
+    """kappa(s) through the continued reduced route, and the closed form at
+    s, both from one evaluation of zeta(2s).
+
+    kappa_2 is continued through the coefficient identities:
+    kappa_2(s) = -(2^{2s}/n!) sum_l c_l zeta(2s-l+1), where every c_l except
+    c_1 = (n+1)! vanishes exactly.
+    """
     prec = _check_precision(precision)
-    _check_reduced_pole(s, 1)
+    _check_kappa_pole(s)
     z = riemann_zeta(2 * s, prec)
-    return _continued_from(n, s, z, prec, True), _closed_from(n, s, z, prec)
+    return _continued_from(n, s, z, prec), _closed_from(n, s, z, prec)
 
 
-def _check_reduced_pole(s: float, l: int) -> None:
-    if 2 * s - l + 1 == 1:
-        raise PoleError(f"zeta pole at 2s - l + 1 = 1 (s={s}, l={l})")
-
-
-def _continued_from(
-    n: int, s: float, z: ZetaValue, prec: int, include_kernel: bool
-) -> KappaEstimate:
+def _continued_from(n: int, s: float, z: ZetaValue, prec: int) -> KappaEstimate:
     # The continued reduced route from z = zeta(2s), the zeta factor of c_1.
     # Every other c_l is computed, not assumed zero; a non-zero one (which
-    # the identity rules out) is evaluated here.
-    kappa1 = -(n + 1.0) if include_kernel else 0.0
+    # the identity rules out) is evaluated here, and zeta refuses its pole.
+    kappa1 = -(n + 1.0)
     with workprec(prec + 16):
         total = mpf(0)
         err = mpf(0)
@@ -315,7 +284,6 @@ def _continued_from(
             if cl == 0:
                 continue  # exact zero: never evaluated, so no spurious poles
             if l > 1:
-                _check_reduced_pole(s, l)
                 z = riemann_zeta(2 * s - l + 1, prec)
             total += cl * z.value
             err += abs(cl) * z.error_bound
@@ -336,7 +304,7 @@ def cancellation_check(n: int) -> bool:
     an exact integer for each family (w_k + 2 w_{k+1} + w_{k+2} for Case II,
     w_{n-1} + 2 w_n for Case V): one sum per family covers all its labels.
     """
-    ws = {dw.k: dw.w for dw in degree_weights(n)}
+    ws = degree_weights(n)
     return all(
         sum(ws[bs + bt] for bs, bt in fam.spaces) == 0
         for fam in all_families(n)
@@ -358,30 +326,22 @@ class TorsionReport:
     zeta_convention: str
 
 
-def torsion_report(n: int, **options) -> TorsionReport:
-    """Full torsion summary for S^{2n+1}: ``torsion_estimates``' report."""
-    return torsion_estimates(n, **options)[0]
-
-
 def torsion_estimates(
-    n: int,
-    s_ref: Optional[float] = None,
-    N_ref: int = 80,
-    precision: Optional[int] = None,
-    include_kernel: bool = True,
+    n: int, precision: Optional[int] = None, include_kernel: bool = True
 ) -> tuple[TorsionReport, KappaEstimate, KappaEstimate]:
     """Full torsion summary for S^{2n+1}, with the closed-form estimates of
-    kappa(0) (before the convention's shift) and kappa'(0) it reports.
+    the kernel-included kappa(0) and of kappa'(0) it reports.
 
     ``route_residuals`` records how far the direct and reduced routes land
-    from the closed form at a reference point (s_ref, N_ref) where the
-    defining sum converges.
+    from the closed form at s = (n+3)/2, N = ``N_REF``, where the defining
+    sum converges.  They compare kernel-included routes, so they do not
+    depend on the convention; excluding the kernel drops its 1 from the
+    degree-0 zeta, whose weight is -(n+1), so ``kappa_at_0`` grows by n+1
+    and kappa'(0) is unchanged.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     prec = _check_precision(precision)
-    convention = KERNEL_INCLUDED if include_kernel else KERNEL_EXCLUDED
-    shift = 0.0 if include_kernel else float(n + 1)
 
     # One Euler-Maclaurin pass per zeta argument: zeta(0) and zeta'(0) come
     # from one derivative pass, and zeta(2 s_ref) serves both the closed form
@@ -392,30 +352,22 @@ def torsion_estimates(
     torsion = exp(kappa_prime0.value / 2)
     t_dr = (4 * pi) ** (n + 1) / factorial(n)
 
-    if s_ref is None:
-        s_ref = (n + 3) / 2
-    _check_kappa_pole(s_ref)
-    z_ref = riemann_zeta(2 * s_ref, prec)
-    closed_ref = _closed_from(n, s_ref, z_ref, prec).value + shift
-    direct_ref = kappa_direct(n, s_ref, N_ref, include_kernel)
-    reduced_trunc = kappa_reduced(n, s_ref, N=N_ref, include_kernel=include_kernel)
-    reduced_cont = _continued_from(n, s_ref, z_ref, prec, include_kernel)
-    residuals = {
-        f"direct_vs_closed@(s={s_ref}, N={N_ref})": abs(direct_ref.value - closed_ref),
-        f"reduced_truncated_vs_closed@(s={s_ref}, N={N_ref})": abs(
-            reduced_trunc.value - closed_ref
-        ),
-        f"reduced_continuation_vs_closed@(s={s_ref})": abs(
-            reduced_cont.value - closed_ref
-        ),
+    s_ref = (n + 3) / 2
+    continued, closed = kappa_continued(n, s_ref, prec)
+    routes = {
+        f"direct_vs_closed@(s={s_ref}, N={N_REF})": kappa_direct(n, s_ref, N_REF),
+        f"reduced_truncated_vs_closed@(s={s_ref}, N={N_REF})":
+            kappa_reduced(n, s_ref, N_REF),
+        f"reduced_continuation_vs_closed@(s={s_ref})": continued,
     }
     return TorsionReport(
         n=n,
-        kappa_at_0=kappa0.value + shift,
+        kappa_at_0=kappa0.value + (0.0 if include_kernel else float(n + 1)),
         kappa_prime_at_0=kappa_prime0.value,
         T=torsion,
         T_ray_singer=t_dr,
         ratio=torsion / t_dr,
-        route_residuals=residuals,
-        zeta_convention=convention,
+        route_residuals={name: abs(est.value - closed.value)
+                         for name, est in routes.items()},
+        zeta_convention="kernel-included" if include_kernel else "kernel-excluded",
     ), kappa0, kappa_prime0

@@ -8,12 +8,15 @@ error bounds and the term-wise differentiation are implemented here.
 The correction coefficients B_{2r}/(2r)! come from the tangent numbers by
 Brent and Harvey's integer recurrence (arXiv:1108.0286), in O(R^2) integer
 operations, and are kept in one process-wide table that fills on the first
-zeta call and grows by doubling; nothing is computed at import.  One pass
-yields the value and, on request, the s-derivative with a bound for each
-(``hurwitz_zeta_and_deriv``), so a caller needs one pass per distinct zeta
-argument.  A cold zeta'(0) at 2048 bits takes 0.32-0.40 s in a fresh
-process on a 2-core VM, most of it mpmath's own constants and logarithms at
-that precision; the Bernoulli table's share is about 0.015 s.
+zeta call and grows by doubling; nothing is computed at import.
+
+Two entry points evaluate zeta: ``hurwitz_zeta`` (``riemann_zeta`` is its
+a = 1 case) gives the value, and ``hurwitz_zeta_and_deriv`` gives the value
+and the s-derivative from one pass, with a bound for each, so a caller needs
+one pass per distinct zeta argument.  A cold zeta'(0) at 2048 bits takes
+0.32-0.40 s in a fresh process on a 2-core VM, most of it mpmath's own
+constants and logarithms at that precision; the Bernoulli table's share is
+about 0.015 s.
 """
 
 from __future__ import annotations
@@ -282,7 +285,9 @@ def hurwitz_zeta(s: Real, a: Real, precision: Optional[int] = None) -> ZetaValue
 def hurwitz_zeta_and_deriv(
     s: Real, a: Real, precision: Optional[int] = None
 ) -> tuple[ZetaValue, ZetaValue]:
-    """zeta(s, a) and d/ds zeta(s, a), both from one Euler-Maclaurin pass.
+    """zeta(s, a) and d/ds zeta(s, a), both from one Euler-Maclaurin pass;
+    the derivative is the term-wise differentiated sum (no finite
+    differences).  zeta'(s) is ``hurwitz_zeta_and_deriv(s, 1)[1]``.
 
     The pass runs until both remainder bounds reach the precision target, so
     the value is at least as accurate as ``hurwitz_zeta``'s.
@@ -294,35 +299,35 @@ def hurwitz_zeta_and_deriv(
             ZetaValue(value=deriv, error_bound=dbound, precision_bits=prec))
 
 
-def hurwitz_zeta_deriv(s: Real, a: Real, precision: Optional[int] = None) -> ZetaValue:
-    """d/ds of zeta(s, a), by term-wise differentiated Euler-Maclaurin."""
-    return hurwitz_zeta_and_deriv(s, a, precision)[1]
-
-
 def riemann_zeta(s: Real, precision: Optional[int] = None) -> ZetaValue:
     """Riemann zeta(s) = zeta(s, 1) for real s != 1."""
     return hurwitz_zeta(s, 1, precision)
-
-
-def riemann_zeta_deriv(s: Real, precision: Optional[int] = None) -> ZetaValue:
-    """zeta'(s), analytically (no finite differences)."""
-    return hurwitz_zeta_deriv(s, 1, precision)
 
 
 def elementary_symmetric(values: Sequence[Real], l: int) -> Union[int, Fraction]:
     """Elementary symmetric polynomial e_l of the given values, exactly."""
     if not 0 <= l <= len(values):
         raise ValueError(f"need 0 <= l <= {len(values)}, got {l}")
+    return _symmetric_row(values, l)[l]
+
+
+def _symmetric_row(values: Sequence[Real], l: int) -> list:
+    # [e_0, ..., e_l] of the values, from one pass.
     e: list = [1] + [0] * l
     for v in values:
         for t in range(l, 0, -1):
             e[t] = e[t] + v * e[t - 1]
-    return e[l]
+    return e
 
 
 def _shift_values(n: int, i: int) -> list[int]:
     # The n+1 integers (n-i, n-1-i, ..., -i).
     return [n - i - m for m in range(n + 1)]
+
+
+def _shift_symmetric(n: int, i: int) -> list[int]:
+    # [e_0, ..., e_n] of the shift values of (n, i), from one pass.
+    return _symmetric_row(_shift_values(n, i), n)
 
 
 def c_coefficients(n: int) -> tuple[int, ...]:
@@ -334,15 +339,9 @@ def c_coefficients(n: int) -> tuple[int, ...]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    out = []
-    for l in range(1, n + 2):
-        c = 0
-        for i in range(n + 1):
-            c += (-1) ** i * comb(n, i) * elementary_symmetric(
-                _shift_values(n, i), n + 1 - l
-            )
-        out.append(int(c))
-    return tuple(out)
+    es = [_shift_symmetric(n, i) for i in range(n + 1)]
+    return tuple(sum((-1) ** i * comb(n, i) * es[i][n + 1 - l] for i in range(n + 1))
+                 for l in range(1, n + 2))
 
 
 def sigma(n: int, k: int) -> int:
@@ -362,8 +361,7 @@ def vanishing_correction_check(n: int, i: int) -> bool:
     """
     if not 0 <= i <= n:
         raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
-    vals = _shift_values(n, i)
-    es = [elementary_symmetric(vals, n + 1 - l) for l in range(1, n + 2)]
+    es = _shift_symmetric(n, i)[::-1]  # e_{n+1-l} at index l-1
     for k in range(1, i + 1):
         if sum(e * k**l for l, e in enumerate(es, start=1)) != 0:
             return False
@@ -387,10 +385,7 @@ class DimensionPolynomial:
         if not 0 <= i <= n:
             raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
         pref = Fraction(comb(n, i), factorial(n))
-        vals = _shift_values(n, i)
-        coeffs = tuple(
-            pref * elementary_symmetric(vals, n + 1 - l) for l in range(1, n + 2)
-        )
+        coeffs = tuple(pref * e for e in reversed(_shift_symmetric(n, i)))
         return cls(n=n, i=i, coefficients=coeffs)
 
     def evaluate(self, p: int) -> int:

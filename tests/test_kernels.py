@@ -1,18 +1,20 @@
 """Kernel correctness against exact enumeration and a 200-bit oracle."""
 
 import math
+import time
 import tracemalloc
 
 import mpmath
 import pytest
 
-from rumin_sphere import kernels, torsion
+from rumin_sphere import _kernels_py, kernels, torsion
 from rumin_sphere.spectrum import eigenvalue_formula
 from rumin_sphere.weights import (
     RuminLabel,
     label_to_weight,
     special_dimension,
     weyl_dimension,
+    weyl_product,
 )
 
 UNIT_ROUNDOFF = 2.0**-53
@@ -32,8 +34,13 @@ def gamma(k):
     return k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
 
 
+def pair_sum(n, i, j, N, s):
+    """The family {i, j}'s entry of ``pair_sums_of_k``."""
+    return kernels.pair_sums_of_k(n, n - i - j, N, s)[min(i, j)]
+
+
 def pair_sum_error_bound(N, s, divided=False):
-    """Relative error bound gamma_{2N+c} of pair_family_sum.
+    """Relative error bound gamma_{2N+c} of a pair family sum.
 
     On the large-s path the bases are rounded quotients A/D, and the power
     amplifies that one rounding by the exponent 2s.
@@ -77,7 +84,7 @@ def relative_error(value, reference):
      (3, 0, 2, 12, 4.0), (4, 1, 1, 8, 5.5)],
 )
 def test_pair_sum_matches_exact_enumeration(n, i, j, N, s):
-    fast = kernels.pair_family_sum(n, i, j, N, s)
+    fast = pair_sum(n, i, j, N, s)
     assert relative_error(fast, oracle_pair_sum(n, i, j, N, s)) <= pair_sum_error_bound(N, s)
 
 
@@ -95,7 +102,7 @@ def test_pair_sum_matches_exact_enumeration(n, i, j, N, s):
 def test_pair_sum_within_rounding_bound_of_oracle(n, i, j, N, s):
     bound = pair_sum_error_bound(N, s)
     assert bound <= 1e-12
-    value = kernels.pair_family_sum(n, i, j, N, s)
+    value = pair_sum(n, i, j, N, s)
     assert relative_error(value, oracle_pair_sum(n, i, j, N, s)) <= bound
 
 
@@ -107,7 +114,7 @@ def test_pair_sum_large_s_within_bound_of_oracle(n, i, j, N, s):
     # bases by D before the power instead of factoring D^{2s} out.
     bound = pair_sum_error_bound(N, s, divided=True)
     assert bound <= 1e-12
-    value = kernels.pair_family_sum(n, i, j, N, s)
+    value = pair_sum(n, i, j, N, s)
     assert value > 0.0
     assert relative_error(value, oracle_pair_sum(n, i, j, N, s)) <= bound
 
@@ -119,8 +126,8 @@ def test_pair_sum_duality(n, i, j, N, s):
     # Labels (q, j, i, p) and (p, i, j, q) are dual: same dimension and
     # eigenvalue.  The kernel gives both orientations one sum, which is
     # within the bound of each orientation's exact sum.
-    value = kernels.pair_family_sum(n, i, j, N, s)
-    assert kernels.pair_family_sum(n, j, i, N, s) == value
+    value = pair_sum(n, i, j, N, s)
+    assert pair_sum(n, j, i, N, s) == value
     for a, b in [(i, j), (j, i)]:
         assert relative_error(value, oracle_pair_sum(n, a, b, N, s)) <= pair_sum_error_bound(N, s)
 
@@ -130,7 +137,7 @@ def test_pair_sum_beyond_n17():
     # refused n >= 18.
     n, N, s = 18, 10, 10.0
     for i, j in [(4, 9), (5, 5)]:
-        value = kernels.pair_family_sum(n, i, j, N, s)
+        value = pair_sum(n, i, j, N, s)
         bound = pair_sum_error_bound(N, s)
         assert relative_error(value, oracle_pair_sum(n, i, j, N, s)) <= bound
 
@@ -151,12 +158,8 @@ def test_degree_zetas_direct_calls_each_kernel_once(monkeypatch, n):
         axis_calls.append(i)
         return axis(n_, i, N, s)
 
-    def refuse_family(*args):
-        raise AssertionError(f"per-family pair call {args}")
-
     monkeypatch.setattr(kernels, "pair_sums_of_k", count_k)
     monkeypatch.setattr(kernels, "axis_family_sum", count_axis)
-    monkeypatch.setattr(kernels, "pair_family_sum", refuse_family)
     torsion.degree_zetas_direct(n, (n + 2) / 2, 6)
     assert sorted(k_calls) == list(range(1, n + 1))
     assert sorted(axis_calls) == list(range(n + 1))
@@ -228,7 +231,7 @@ def test_axis_sum_matches_exact_enumeration(n, i, N, s):
 def test_pair_sum_rejects_bad_ranges():
     for i, j in [(1, 1), (-1, 0), (0, -1), (2, 0)]:
         with pytest.raises(ValueError):
-            kernels.pair_family_sum(2, i, j, 10, 3.0)
+            pair_sum(2, i, j, 10, 3.0)
     for i in (-1, 3):
         with pytest.raises(ValueError):
             kernels.axis_family_sum(2, i, 10, 3.0)
@@ -239,12 +242,31 @@ def test_pair_sum_rejects_bad_ranges():
 
 def test_pair_sum_small_value_sanity():
     # Single cell (N=1) at n=1: dim V(1,-1) = 3, eigenvalue 4.
-    val = kernels.pair_family_sum(1, 0, 0, 1, 2.0)
+    val = pair_sum(1, 0, 0, 1, 2.0)
     assert val == pytest.approx(3 * 4.0**-2, rel=1e-15)
-    assert kernels.pair_family_sum(1, 0, 0, 0, 2.0) == 0.0
+    assert pair_sum(1, 0, 0, 0, 2.0) == 0.0
 
 
 def test_axis_sum_small_value_sanity():
     # n=1, i=0, p=1: dim V(0,-1) = 2, eigenvalue (1/2)^2.
     val = kernels.axis_family_sum(1, 0, 1, 3.0)
     assert val == pytest.approx(2 * (0.5) ** -6, rel=1e-15)
+
+
+def test_middle_factor_is_the_weyl_product():
+    # Every middle weight (1^a, 0^b, (-1)^c) with m = a+b+c <= 40 entries.
+    for m in range(41):
+        for a in range(m + 1):
+            for b in range(m + 1 - a):
+                c = m - a - b
+                assert _kernels_py._middle_factor(a, b, c) == weyl_product(
+                    (1,) * a + (0,) * b + (-1,) * c), (a, b, c)
+
+
+def test_pair_sums_of_k_set_up_is_fast_at_large_n():
+    # At n = 80 set-up dominated: the O(n^2) product for each family's
+    # middle factor took 5.1 s over the 80 calls.
+    start = time.perf_counter()
+    for k in range(1, 81):
+        kernels.pair_sums_of_k(80, k, 1, 41.5)
+    assert time.perf_counter() - start < 1.5

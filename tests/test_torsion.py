@@ -1,8 +1,7 @@
 """The three kappa routes, the exact cancellation identity, and the torsion report."""
 
 import dataclasses
-from fractions import Fraction
-from math import factorial, isfinite, log, pi
+from math import exp, factorial, isfinite
 
 import mpmath
 import pytest
@@ -10,50 +9,69 @@ import pytest
 from rumin_sphere import cli, spectrum, torsion
 from rumin_sphere import (
     DivergenceError,
+    KappaEstimate,
     PoleError,
     cancellation_check,
     degree_weights,
-    degree_zetas_direct,
     kappa_closed,
     kappa_closed_deriv,
+    kappa_continued,
     kappa_direct,
     kappa_reduced,
     spectrum_slice,
     tail_bound,
-    torsion_report,
+    torsion_estimates,
 )
+from rumin_sphere.torsion import rounding_gamma
+from rumin_sphere.verify import route_check
+
+
+def reference(f):
+    """f() evaluated in mpmath at 160 bits."""
+    with mpmath.workprec(160):
+        return f()
+
+
+def within(value, ref, bound):
+    """|value - ref| <= bound, decided at 160 bits."""
+    with mpmath.workprec(160):
+        return abs(mpmath.mpf(value) - ref) <= bound
 
 
 def test_degree_weights_alternate_and_are_linear():
     for n in range(1, 7):
         ws = degree_weights(n)
-        assert [dw.k for dw in ws] == list(range(n + 1))
-        for dw in ws:
-            assert dw.w == (-1) ** (dw.k + 1) * (n + 1 - dw.k)
-        assert all(ws[k].w * ws[k + 1].w < 0 for k in range(n))
+        assert ws == tuple((-1) ** (k + 1) * (n + 1 - k) for k in range(n + 1))
+        assert all(type(w) is int for w in ws)
+        assert all(ws[k] * ws[k + 1] < 0 for k in range(n))
 
 
 def test_kappa_closed_vanishes_at_origin():
     for n in range(1, 7):
-        assert abs(kappa_closed(n, 0)) < 1e-12
+        est = kappa_closed(n, 0)
+        assert abs(est.value) <= est.bound + est.rounding
 
 
 def test_kappa_closed_example_value():
-    expected = -2 * (1 + 32 * pi**4 / 90)
-    assert abs(kappa_closed(1, 2) - expected) < 1e-12
+    est = kappa_closed(1, 2)
+    expected = reference(lambda: -2 * (1 + 32 * mpmath.pi**4 / 90))
+    assert within(est.value, expected, est.bound + est.rounding)
 
 
 def test_kappa_closed_pole():
     with pytest.raises(PoleError):
         kappa_closed(2, 0.5)
     with pytest.raises(PoleError):
-        kappa_reduced(2, 0.5)
+        kappa_closed_deriv(2, 0.5)
+    with pytest.raises(PoleError):
+        kappa_continued(2, 0.5)
 
 
 def test_kappa_prime_at_zero():
     for n in range(1, 7):
-        expected = 2 * (n + 1) * log(4 * pi)
-        assert abs(kappa_closed_deriv(n, 0) - expected) < 1e-12
+        est = kappa_closed_deriv(n, 0)
+        expected = reference(lambda: 2 * (n + 1) * mpmath.log(4 * mpmath.pi))
+        assert within(est.value, expected, est.bound + est.rounding)
 
 
 def test_kappa_direct_requires_convergence():
@@ -67,16 +85,15 @@ def test_kappa_direct_requires_convergence():
 
 def test_kappa_direct_containment_at_tiny_truncation():
     est = kappa_direct(1, 3, 1)
-    closed = kappa_closed(1, 3)
+    closed = kappa_closed(1, 3).value
     assert closed - est.bound < est.value < closed + est.bound
 
 
 def test_kappa_direct_converges_to_closed():
     for n in (1, 2):
         for s in (2.0, 3.0):
-            closed = kappa_closed(n, s)
-            est = kappa_direct(n, s, 200)
-            assert abs(est.value - closed) < est.bound + 1e-8
+            check = route_check("", kappa_direct(n, s, 200), kappa_closed(n, s))
+            assert check.passed, (n, s, check)
 
 
 def test_kappa_direct_matches_exact_slice_aggregation():
@@ -84,27 +101,41 @@ def test_kappa_direct_matches_exact_slice_aggregation():
     # then apply the weights.  The kernel-based route must agree closely.
     n, s, N = 2, 3.0, 25
     value = 0.0
-    for dw in degree_weights(n):
-        zk = 1.0 if dw.k == 0 else 0.0
-        for mu, mult in spectrum_slice(n, dw.k, N).entries.items():
+    for k, w in enumerate(degree_weights(n)):
+        zk = 1.0 if k == 0 else 0.0
+        for mu, mult in spectrum_slice(n, k, N).entries.items():
             if mu != 0:
                 zk += mult * float(mu) ** (-s)
-        value += dw.w * zk
+        value += w * zk
     est = kappa_direct(n, s, N)
     assert abs(est.value - value) < 1e-10 * max(1.0, abs(value))
 
 
-def test_degree_zetas_direct_kernel_flag():
-    with_k = degree_zetas_direct(1, 2.0, 30)
-    without_k = degree_zetas_direct(1, 2.0, 30, include_kernel=False)
-    assert with_k[0] == pytest.approx(without_k[0] + 1.0, abs=1e-14)
-    assert with_k[1] == without_k[1]
+@pytest.mark.parametrize("precision", [128, 2048])
+def test_kernel_convention_is_one_shift_of_the_report(precision):
+    # The routes compute the kernel-included kappa; excluding the kernel
+    # moves kappa(0) by exactly n+1 and nothing else in the report.
+    for n in range(1, 7):
+        included, kappa0, kappa_prime0 = torsion_estimates(n, precision)
+        excluded, kappa0_x, kappa_prime0_x = torsion_estimates(
+            n, precision, include_kernel=False)
+        assert (included.zeta_convention, excluded.zeta_convention) == (
+            "kernel-included", "kernel-excluded")
+        assert excluded.route_residuals == included.route_residuals
+        assert excluded.kappa_prime_at_0 == included.kappa_prime_at_0
+        assert excluded.kappa_at_0 == included.kappa_at_0 + (n + 1)
+        assert (kappa0_x, kappa_prime0_x) == (kappa0, kappa_prime0)
 
 
-def test_kappa_conventions_differ_by_shift():
-    included = kappa_direct(2, 3.0, 50).value
-    excluded = kappa_direct(2, 3.0, 50, include_kernel=False).value
-    assert included + 3.0 == pytest.approx(excluded, abs=1e-12)
+def test_every_kappa_route_returns_an_estimate():
+    n, s = 2, 2.25
+    continued = kappa_continued(n, s)
+    assert len(continued) == 2
+    for est in (kappa_closed(n, s), kappa_closed_deriv(n, s), kappa_direct(n, s, 10),
+                kappa_reduced(n, s, 10), *continued):
+        assert type(est) is KappaEstimate
+        assert all(type(x) is float for x in (est.value, est.bound, est.rounding))
+    assert continued[1] == kappa_closed(n, s)
 
 
 def test_tail_bound_monotone():
@@ -133,39 +164,38 @@ def test_tail_bound_is_finite_and_positive_past_the_double_range():
 
 
 def test_kappa_reduced_truncated_matches_direct():
-    # Identical axis sums; the two routes differ only by the float-level
-    # cancellation of the two-parameter families.
+    # Identical axis sums and one truncation: the exact truncated values
+    # are equal (the two-parameter families cancel at every N), so the two
+    # doubles differ by at most their roundings.
     for n, s, N in [(1, 2.0, 150), (2, 3.0, 100)]:
         direct = kappa_direct(n, s, N)
-        reduced = kappa_reduced(n, s, N=N)
-        assert abs(direct.value - reduced.value) < 1e-9
-        assert abs(direct.value - reduced.value) < direct.bound + reduced.bound
+        reduced = kappa_reduced(n, s, N)
+        assert abs(direct.value - reduced.value) <= direct.rounding + reduced.rounding
 
 
 def test_kappa_reduced_continuation_matches_closed():
     for n in range(1, 6):
         for s in (-2.0, -0.5, 0.0, 0.25, 0.3, 2.0, 4.0):
-            red = kappa_reduced(n, s).value
-            clo = kappa_closed(n, s)
-            assert abs(red - clo) < 1e-12, (n, s)
+            check = route_check("", *kappa_continued(n, s))
+            assert check.passed, (n, s, check)
 
 
 def test_kappa_reduced_kappa1_term():
     # At s = -1 the zeta factor hits the trivial zero zeta(-2) = 0, leaving
     # exactly the constant kappa_1 = -(n+1).
     for n in range(1, 5):
-        val = kappa_reduced(n, -1.0).value
-        assert val == pytest.approx(-(n + 1), abs=1e-12)
+        est = kappa_continued(n, -1.0)[0]
+        assert abs(est.value + (n + 1)) <= est.bound + est.rounding
 
 
 def test_cancellation_check():
     for n in range(1, 5):
         assert cancellation_check(n)
     # n=2 Case II: w_0 + 2 w_1 + w_2 = -3 + 4 - 1 = 0
-    ws = [dw.w for dw in degree_weights(2)]
+    ws = degree_weights(2)
     assert ws[0] + 2 * ws[1] + ws[2] == 0
     # n=1 Case V: w_0 + 2 w_1 = -2 + 2 = 0
-    ws = [dw.w for dw in degree_weights(1)]
+    ws = degree_weights(1)
     assert ws[0] + 2 * ws[1] == 0
 
 
@@ -184,7 +214,7 @@ def test_torsion_report_makes_one_pass_per_zeta_argument(em_passes):
     # zeta(0) and zeta'(0) from one derivative pass; zeta(2 s_ref) once.
     for n in (1, 3):
         em_passes.clear()
-        torsion_report(n, precision=128)
+        torsion_estimates(n, precision=128)
         assert len(em_passes) == 2
         assert sorted(em_passes) == [(0, True), (n + 3, False)]
 
@@ -194,40 +224,67 @@ def test_kappa_closed_deriv_makes_one_pass(em_passes):
     assert len(em_passes) == 1
 
 
+def test_closed_and_continued_kappa_make_one_pass_each(em_passes):
+    kappa_closed(2, 0.75, 128)
+    assert em_passes == [(1.5, False)]
+    em_passes.clear()
+    kappa_continued(3, -1.25, 128)
+    assert em_passes == [(-2.5, False)]
+
+
 def test_reduced_kappa_command_makes_one_pass(em_passes, capsys):
     assert cli.main(["kappa", "--n", "3", "--s=-1.25", "--mode", "reduced"]) == 0
     assert len(em_passes) == 1
 
 
+def torsion_bounds(n, kappa0, kappa_prime0):
+    """The derived bounds of the torsion report, as in
+    ``verify.torsion_checks``: kappa(0)'s own error; for T, half the error
+    of kappa'(0) (T = exp(kappa'(0)/2)) plus 2 units for exp and one for
+    second-order terms; for the ratio, also the pi rounding amplified by
+    (4 pi)^{n+1} and the pow, n!, division and conversion steps."""
+    from_exp = (kappa_prime0.bound + kappa_prime0.rounding) / 2
+    return (kappa0.bound + kappa0.rounding, from_exp + rounding_gamma(3),
+            from_exp + rounding_gamma(n + 11))
+
+
 def test_torsion_report_n1():
-    rep = torsion_report(1)
-    assert rep.kappa_at_0 == pytest.approx(0.0, abs=1e-12)
-    assert rep.T == pytest.approx(16 * pi**2, rel=1e-12)
-    assert rep.ratio == pytest.approx(1.0, rel=1e-12)
+    rep, kappa0, kappa_prime0 = torsion_estimates(1)
+    at_0, t_rel, ratio_rel = torsion_bounds(1, kappa0, kappa_prime0)
+    assert abs(rep.kappa_at_0) <= at_0
+    T = reference(lambda: 16 * mpmath.pi**2)
+    assert within(rep.T, T, t_rel * T)
+    assert within(rep.ratio, 1, ratio_rel)
     assert rep.zeta_convention == "kernel-included"
     assert all(v < 1e-3 for v in rep.route_residuals.values())
 
 
 def test_torsion_report_n3():
-    rep = torsion_report(3)
-    assert rep.T == pytest.approx((4 * pi) ** 4, rel=1e-12)
-    assert rep.ratio == pytest.approx(6.0, rel=1e-10)
-    assert rep.T_ray_singer == pytest.approx((4 * pi) ** 4 / 6, rel=1e-12)
+    rep, kappa0, kappa_prime0 = torsion_estimates(3)
+    _, t_rel, ratio_rel = torsion_bounds(3, kappa0, kappa_prime0)
+    T = reference(lambda: (4 * mpmath.pi) ** 4)
+    assert within(rep.T, T, t_rel * T)
+    assert within(rep.ratio, 6, 6 * ratio_rel)
+    # (4 pi)^4 / 3! in doubles: pi's rounding times 4, the pow (2) and the
+    # division (1), and one for second-order terms.
+    assert within(rep.T_ray_singer, T / 6, rounding_gamma(8) * T / 6)
 
 
 def test_torsion_report_kernel_excluded():
-    rep = torsion_report(2, include_kernel=False)
+    rep, kappa0, kappa_prime0 = torsion_estimates(2, include_kernel=False)
+    at_0, t_rel, _ = torsion_bounds(2, kappa0, kappa_prime0)
     assert rep.zeta_convention == "kernel-excluded"
-    # Excluding the kernel shifts kappa by +(n+1) but leaves T unchanged.
-    assert rep.kappa_at_0 == pytest.approx(3.0, abs=1e-12)
-    assert rep.T == pytest.approx((4 * pi) ** 3, rel=1e-12)
+    # Excluding the kernel shifts kappa by +(n+1) but leaves T unchanged;
+    # the shift adds one rounding of the sum.
+    assert abs(rep.kappa_at_0 - 3.0) <= at_0 + rounding_gamma(1) * 3.0
+    T = reference(lambda: (4 * mpmath.pi) ** 3)
+    assert within(rep.T, T, t_rel * T)
     assert all(v < 1e-3 for v in rep.route_residuals.values())
 
 
 def test_exp_relation_between_t_and_kappa_prime():
-    from math import exp
-
     for n in range(1, 7):
-        rep = torsion_report(n)
-        assert rep.T == pytest.approx(exp(rep.kappa_prime_at_0 / 2), rel=1e-15)
-        assert rep.ratio == pytest.approx(factorial(n), rel=1e-10)
+        rep, kappa0, kappa_prime0 = torsion_estimates(n)
+        assert rep.T == exp(rep.kappa_prime_at_0 / 2)
+        _, _, ratio_rel = torsion_bounds(n, kappa0, kappa_prime0)
+        assert within(rep.ratio, factorial(n), factorial(n) * ratio_rel)

@@ -4,6 +4,7 @@ against a bound derived from its routes and fails on errors below it."""
 
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -179,14 +180,14 @@ def test_torsion_record_and_verify_share_one_claims_function(capsys, monkeypatch
     assert failing_checks(capsys, 2, 3) == (1, {"torsion_closed_values"})
 
 
-def shifted(original, delta, only=lambda *args: True):
-    """``original`` with ``delta`` added, at 400 bits, to the value it
+def shifted(original, delta, only=lambda *args: True, prec=400):
+    """``original`` with ``delta`` added, at ``prec`` bits, to the value it
     returns for the arguments ``only`` accepts."""
     def wrapper(*args, **kwargs):
         out = original(*args, **kwargs)
         if not only(*args):
             return out
-        with mpmath.workprec(400):
+        with mpmath.workprec(prec):
             return dataclasses.replace(out, value=out.value + delta)
     return wrapper
 
@@ -211,3 +212,29 @@ def test_zeta_constants_make_three_passes(em_passes):
     # zeta(0) and zeta'(0) from one derivative pass, then zeta(2) and zeta(4).
     assert verify.check_zeta_constants().passed
     assert sorted(em_passes) == [(0, True), (2, False), (4, False)]
+
+
+def test_zeta_checks_are_decided_beyond_the_double_range(monkeypatch):
+    # At 2048 bits both bounds are far below the smallest double, so an
+    # error of 1e-400 used to pass as residual 0.0 against 5e-324.
+    prec, delta = 2048, mpmath.mpf(10) ** -400
+    # The shift check makes 20 slow 2048-bit evaluations; the run with the
+    # injected error reuses those of the clean run.
+    monkeypatch.setattr(zeta, "hurwitz_zeta", functools.cache(zeta.hurwitz_zeta))
+    assert verify.check_zeta_constants(prec).passed
+    assert verify.check_hurwitz_shift(prec).passed
+    value_and_deriv = zeta.hurwitz_zeta_and_deriv
+
+    def shifted_zeta0(s, a, precision=None):
+        z, dz = value_and_deriv(s, a, precision)
+        with mpmath.workprec(2 * prec):
+            return dataclasses.replace(z, value=z.value + delta), dz
+
+    with monkeypatch.context() as m:
+        m.setattr(zeta, "hurwitz_zeta_and_deriv", shifted_zeta0)
+        check = verify.check_zeta_constants(prec)
+        assert not check.passed and check.residual > 0
+    monkeypatch.setattr(zeta, "hurwitz_zeta", shifted(
+        zeta.hurwitz_zeta, delta, lambda s, a, *rest: isinstance(a, float), 2 * prec))
+    check = verify.check_hurwitz_shift(prec)
+    assert not check.passed and check.residual > 0
