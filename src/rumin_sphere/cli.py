@@ -7,13 +7,14 @@ CSV for spectrum tables.
 
 Exit codes (the README lists the cases): 0 ok; 1 a check of the record
 failed (``kappa``, ``torsion`` and ``verify`` write the record first); 2
-usage error, including a non-finite ``--s`` and a non-integer
-``RUMIN_PRECISION_BITS``; 3 out-of-range input: a ``spectrum`` degree
-outside 0..2n+1, ``torsion --n`` above ``torsion.MAX_TORSION_N`` (170,
-where the ratio T / T_RS = n! leaves the double range), a ``kappa`` that
-cannot be evaluated within the double range (rejected up front where a
-bound on |kappa| already leaves it), or a zeta argument whose
-guard bits alone exceed ``zeta.MAX_PRECISION_BITS`` (``WorkBudgetError``);
+usage error, including a non-finite ``--s``, a non-integer
+``RUMIN_PRECISION_BITS`` and a ``--prec`` the zeta engine cannot reach; 3
+out-of-range input: a ``spectrum`` degree outside 0..2n+1, ``torsion --n``
+above ``torsion.MAX_TORSION_N`` (170, where the ratio T / T_RS = n!
+leaves the double range), a ``kappa`` that cannot be evaluated within the
+double range (rejected up front where a bound on |kappa| already leaves
+it), or a zeta argument whose guard bits alone exceed
+``zeta.MAX_PRECISION_BITS`` (``WorkBudgetError``);
 4 pole or divergent parameter range.
 """
 

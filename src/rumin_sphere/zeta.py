@@ -13,10 +13,13 @@ zeta call and grows by doubling; nothing is computed at import.
 Two entry points evaluate zeta: ``hurwitz_zeta`` (``riemann_zeta`` is its
 a = 1 case) gives the value, and ``hurwitz_zeta_and_deriv`` gives the value
 and the s-derivative from one pass, with a bound for each, so a caller needs
-one pass per distinct zeta argument.  A cold zeta'(0) at 2048 bits takes
-0.32-0.40 s in a fresh process on a 2-core VM, most of it mpmath's own
-constants and logarithms at that precision; the Bernoulli table's share is
-about 0.015 s.
+one pass per distinct zeta argument.  A pass adds Bernoulli corrections
+until each remainder bound is at most 2^-(prec+6) (1 + |v|), v the value it
+certifies as returned; one that has not stopped after 700 orders raises
+``PrecisionError``, so no pass stops short of its target.  A cold zeta'(0)
+at 2048 bits takes 0.32-0.40 s in a fresh process on a 2-core VM, most of
+it mpmath's own constants and logarithms at that precision; the Bernoulli
+table's share is about 0.015 s.
 """
 
 from __future__ import annotations
@@ -139,8 +142,14 @@ def _euler_maclaurin(s: Real, a: Real, prec: int, want_derivative: bool):
     are None unless requested.  Runs at an elevated working precision, with
     the truncation bound taken from the integral form of the remainder
     (|periodic Bernoulli| <= 2 zeta(2R+1) (2R+1)! / (2pi)^{2R+1}) and a
-    slack term covering accumulated rounding.
+    slack term covering accumulated rounding.  The Bernoulli loop has one
+    stopping rule, each bound at most eps (1 + |v|) for the v it certifies,
+    and one other exit: ``PrecisionError`` after 700 orders.  A trivial zero
+    returns before the guard-bit budget is checked.
     """
+    if a == 1 and s < 0 and s % 2 == 0 and not want_derivative:
+        # A trivial zero, zeta(-2m) = 0 exactly: no terms to sum.
+        return mpf(0), mpf(0), None, None
     s_f = float(s)
     a_f = float(a)
     K = max(int(abs(s_f)) + 12, int(0.35 * prec) + 8, 16)
@@ -158,9 +167,6 @@ def _euler_maclaurin(s: Real, a: Real, prec: int, want_derivative: bool):
             f"than the {MAX_PRECISION_BITS}-bit working range"
         )
     guard = 48 + int(extra)
-    if a == 1 and s < 0 and s % 2 == 0 and not want_derivative:
-        # A trivial zero, zeta(-2m) = 0 exactly: no terms to sum.
-        return mpf(0), mpf(0), None, None
 
     with workprec(prec + guard):
         ms = _to_mpf(s)
@@ -189,66 +195,50 @@ def _euler_maclaurin(s: Real, a: Real, prec: int, want_derivative: bool):
             deriv += x * xs * (-logx / (ms - 1) - 1 / (ms - 1) ** 2)
             deriv -= logx * xs / 2
 
-        target = eps * (1 + abs(value))
-        dtarget = eps * (1 + abs(deriv)) if want_derivative else None
-
         # Bernoulli correction terms: B_{2r}/(2r)! (s)_{2r-1} x^{-s-2r+1}.
+        # Order r's remainder bound needs (s)_{2r+1} and x^{-s-2r}, the
+        # factors of term r+1, so one chain serves both.
         rf_v = ms            # rising factorial (s)_{2r-1}
         rf_d = one           # its derivative in s
         xp = xs / x          # x^{-s-2r+1}, starting at r = 1
         inv_x2 = 1 / (x * x)
         two_pi = 2 * mpmath.pi
-        bound = None
-        dbound = None
-        prev_term_abs = None
-        r = 0
-        while True:
-            r += 1
-            if r > 700:
-                raise PrecisionError(
-                    f"Euler-Maclaurin failed to converge for s={s}, a={a} "
-                    f"at {prec} bits"
-                )
-            if r > 1:
-                for t in (2 * r - 3, 2 * r - 2):
-                    rf_d = rf_d * (ms + t) + rf_v
-                    rf_v = rf_v * (ms + t)
-                xp *= inv_x2
+        for r in range(1, 701):
             coef = _bernoulli_coefficient(r)
             mcoef = mpf(coef.numerator) / coef.denominator
             term = mcoef * rf_v * xp
-            if prev_term_abs is not None and abs(term) > prev_term_abs \
-                    and bound is not None:
-                # Asymptotic regime reached: stop before the divergent tail.
-                break
             value += term
             magmax = max(magmax, abs(term))
             if want_derivative:
                 dterm = mcoef * (rf_d - rf_v * logx) * xp
                 deriv += dterm
-            prev_term_abs = abs(term)
+            for t in (2 * r - 1, 2 * r):
+                rf_d = rf_d * (ms + t) + rf_v
+                rf_v = rf_v * (ms + t)
+            x_tail = xp / x                          # x^{-s-2r}
+            xp *= inv_x2
 
-            # Remainder bound for the current truncation order R = r,
-            # valid once s + 2R > 0.
+            # Remainder bound for the truncation order R = r, valid once
+            # s + 2R > 0.  The one stopping rule: each bound is at most
+            # eps (1 + |v|), v the value it certifies as returned.
             if s_f + 2 * r > 0:
-                s3_v, s3_d = rf_v, rf_d
-                for t in (2 * r - 1, 2 * r):
-                    s3_d = s3_d * (ms + t) + s3_v
-                    s3_v = s3_v * (ms + t)
                 env = mpf("2.5") / two_pi ** (2 * r + 1)
-                x_tail = xp / x                      # x^{-s-2r}
                 denom = ms + 2 * r
-                bound = env * abs(s3_v) * x_tail / denom
+                bound = env * abs(rf_v) * x_tail / denom
+                done = bound <= eps * (1 + abs(value))
                 if want_derivative:
                     dbound = env * (
-                        abs(s3_d) * x_tail / denom
-                        + abs(s3_v) * (logx / denom + 1 / denom**2) * x_tail
+                        abs(rf_d) * x_tail / denom
+                        + abs(rf_v) * (logx / denom + 1 / denom**2) * x_tail
                     )
-                done = bound <= target
-                if want_derivative:
-                    done = done and dbound <= dtarget
-                if done or r > 600:
+                    done = done and dbound <= eps * (1 + abs(deriv))
+                if done:
                     break
+        else:
+            raise PrecisionError(
+                f"Euler-Maclaurin failed to converge for s={s}, a={a} "
+                f"at {prec} bits"
+            )
 
         magmax = max(magmax, abs(value))
         if want_derivative:
@@ -271,10 +261,11 @@ def hurwitz_zeta(s: Real, a: Real, precision: Optional[int] = None) -> ZetaValue
 
     Euler-Maclaurin: prefix sum to a precision-driven cutoff, integral and
     boundary terms, then Bernoulli corrections until the rigorous remainder
-    bound reaches the precision target.  The returned ``error_bound`` is
-    that remainder bound plus a rounding-slack term.  At a = 1 and a negative
-    even integer s the value is the trivial zero 0, with bound 0, once the
-    argument is inside the working range.
+    bound is at most 2^-(prec+6) (1 + |value|), for the value as returned;
+    a pass that does not get there within 700 orders raises
+    ``PrecisionError``.  The returned ``error_bound`` is that remainder bound
+    plus a rounding-slack term.  At a = 1 and a negative even integer s the
+    value is the trivial zero 0, with bound 0, at every such s.
     """
     prec = _check_precision(precision)
     _check_argument(s, a)

@@ -1,6 +1,8 @@
 """CLI contract: determinism, schema validity, exit codes, formats."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -11,7 +13,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rumin_sphere import cli, spectrum_slice
 
@@ -281,14 +286,18 @@ def test_kappa_beyond_double_range_exits_3(capsys, argv):
 
 
 @pytest.mark.parametrize("mode_args", [("--mode", "closed"), ("--mode", "reduced")])
-def test_kappa_guard_bits_beyond_working_range_exit_3_at_once(capsys, mode_args):
-    # zeta(-2e6) would need about 4e7 guard bits: refused before any work.
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "kappa", "--n", "1", "--s=-1e6", *mode_args)
-    assert time.perf_counter() - start < 1.0
-    assert code == 3
-    assert out == ""
-    assert len(err.splitlines()) == 1 and "guard bits" in err
+def test_kappa_at_an_integer_beyond_the_guard_bit_budget_is_exact(capsys, mode_args):
+    # zeta(-2e6) would need about 4e7 guard bits, but it is a trivial zero,
+    # returned before the budget is checked (it used to exit 3).
+    for s in ("-1e6", "-3000"):
+        start = time.perf_counter()
+        code, record, _ = run_json(capsys, "kappa", "--n", "1", f"--s={s}",
+                                   *mode_args)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert record["payload"]["value"] == -2.0
+        assert record["payload"]["error_bound"] == 0.0
+        assert all(c["passed"] for c in record["checks"])
 
 
 def test_kappa_direct_with_an_underflowing_tail_bound(capsys):
@@ -312,9 +321,11 @@ def test_kappa_direct_with_an_underflowing_tail_bound(capsys):
         (("torsion", "--n", "4", "--prec", "1024"),
          "38a312e9fa93062bf4c77e8b33f42f85324efe6dfc37c4e76b850a38214d51cd"),
         # The two kappa records carry error_bound rounded up to a double:
-        # 8.102150711871305e-156 (was ...304e-156) and 5e-324 (was 0.0).
+        # 6.0410873867698406e-158 and 5e-324 (was 0.0).  The first is within
+        # 2^-512 of zeta(-2.5) as returned, not of its uncorrected prefix
+        # sum (8.102150711871305e-156 before).
         (("kappa", "--n", "3", "--s=-1.25", "--mode", "reduced", "--prec", "512"),
-         "bc8f8659efb03fa50fc88d4ebb3f21ebcf1d7522d5d0be04610c271dfb9729c7"),
+         "d2cb8d9d002b6812b74b13e83c26559d3e74a8ecf83b783131b6a8c2311c4b3e"),
         (("kappa", "--n", "2", "--s", "2.35", "--mode", "closed", "--prec", "2048"),
          "57e260121a1bae9345680c8618dea8284d42da7ddb5b47fc7dc4bef3eb0c423a"),
     ],
@@ -376,10 +387,12 @@ def test_kappa_far_below_zero_truncated_modes_still_diverge(capsys, mode_args):
 
 
 def test_kappa_below_zero_inside_the_double_range(capsys):
-    # s = -150.3 stays inside the double range; its record is unchanged.
+    # s = -150.3 stays inside the double range; mpmath at 400 bits gives
+    # kappa = 3.657231552032246e+285 (the record was 3.6572315731911445e+285
+    # while zeta stopped at the target of its uncorrected prefix sum).
     code, record, _ = run_json(capsys, "kappa", "--n", "1", "--s=-150.3")
     assert code == 0
-    assert record["payload"]["value"] == 3.6572315731911445e+285
+    assert record["payload"]["value"] == 3.657231552032246e+285
     # zeta(2s) = 0 at negative integers, so kappa = -(n+1) there.
     for mode_args in (("--mode", "closed"), ("--mode", "reduced")):
         code, record, _ = run_json(capsys, "kappa", "--n", "2", "--s=-160",
@@ -388,9 +401,47 @@ def test_kappa_below_zero_inside_the_double_range(capsys):
         assert record["payload"]["value"] == -3.0
 
 
-def test_log_kappa_lower_bound_is_tight():
-    import mpmath
+@pytest.mark.parametrize("n, s", [(1, -10.25), (2, -15.6), (3, -30.7),
+                                  (4, -50.25), (1, -150.3)])
+def test_kappa_closed_below_zero_is_correctly_rounded(capsys, n, s):
+    # At the default 128 bits these were 31 ulp to 1.2e10 ulp off while zeta
+    # stopped at the target of its uncorrected prefix sum.
+    code, record, _ = run_json(capsys, "kappa", "--n", str(n), f"--s={s}",
+                               "--mode", "closed")
+    assert code == 0
+    with mpmath.workprec(400):
+        ms = mpmath.mpf(s)
+        kappa = -(n + 1) * (1 + 2 ** (2 * ms + 1) * mpmath.zeta(2 * ms))
+    assert record["payload"]["value"] == float(kappa)
 
+
+_S_VALUES = st.one_of(
+    st.integers(min_value=-10_000, max_value=10_000).map(float),
+    st.integers(min_value=-20_000, max_value=20_000).map(lambda k: k / 2),
+    st.floats(min_value=-1e4, max_value=1e4, allow_nan=False),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(min_value=1, max_value=6), s=_S_VALUES,
+       mode=st.sampled_from(["closed", "reduced"]))
+def test_kappa_gives_a_valid_record_or_one_line_exit(n, s, mode):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["kappa", "--n", str(n), f"--s={s!r}", "--mode", mode])
+    if code == 0:
+        record = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        jsonschema.validate(record, SCHEMA)
+        assert all(c["passed"] for c in record["checks"])
+        assert err.getvalue() == ""
+    else:
+        assert code in (3, 4), (code, err.getvalue())
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1
+        assert "Traceback" not in err.getvalue()
+
+
+def test_log_kappa_lower_bound_is_tight():
     for n, s in [(1, -140.3), (1, -150.3), (3, -145.7), (2, -3.25)]:
         with mpmath.workprec(200):
             ms = mpmath.mpf(s)

@@ -1,5 +1,6 @@
 """Euler-Maclaurin zeta engine and the symmetric-polynomial identities."""
 
+import random
 import time
 from fractions import Fraction
 from math import comb, factorial, log, pi
@@ -109,6 +110,39 @@ def test_deriv_error_bound_holds_against_reference(s):
     assert abs(float(z.value - ref)) <= float(z.error_bound)
 
 
+def _contract_points():
+    # A seeded grid; a is a multiple of 1/20 so that mpmath's reference
+    # takes its fast reflection route at s < 0.  zeta(-20.5) at 128 bits
+    # stopped at a relative bound of 2^-28.4 while the target was taken from
+    # the uncorrected prefix sum.
+    rng = random.Random(20261018)
+    points = [(-20.5, Fraction(1), 128)]
+    for i in range(24):
+        a = Fraction(1) if i % 4 == 0 else Fraction(rng.randint(1, 200), 20)
+        points.append((rng.uniform(-120, 40), a, (53, 128, 256)[i % 3]))
+    return points
+
+
+def test_every_pass_reaches_its_precision_and_holds_its_bound():
+    # Each bound is at most 2^-prec (1 + |value|) for the value it
+    # certifies, and holds.
+    for s, a, prec in _contract_points():
+        ma = mpmath.rational.mpq(a.numerator, a.denominator)
+        z = hurwitz_zeta(s, a, prec)
+        z2, dz = hurwitz_zeta_and_deriv(s, a, prec)
+        for got, derivative in ((z, 0), (z2, 0), (dz, 1)):
+            with mpmath.workprec(prec + 64):
+                target = mpmath.mpf(2) ** -prec * (1 + abs(got.value))
+                assert got.error_bound <= target, (s, a, prec, derivative)
+                # The bound may be far below the target (a < 1, large s), so
+                # the reference runs 64 bits beyond the accuracy it claims.
+                bits = prec + 64 + int(mpmath.log(target / got.error_bound, 2))
+            with mpmath.workprec(bits):
+                want = mpmath.zeta(mpmath.mpf(s), ma, derivative)
+                assert abs(got.value - want) <= got.error_bound, \
+                    (s, a, prec, derivative)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     s=st.floats(min_value=-4, max_value=6).filter(lambda x: abs(x - 1) > 0.05),
@@ -155,10 +189,19 @@ def test_trivial_zeros_are_exact():
 
 def test_guard_bits_beyond_the_working_range_are_refused():
     # s = -2e6 needs about 4e7 guard bits; the refusal comes before any work.
+    start = time.perf_counter()
     with pytest.raises(WorkBudgetError, match="guard bits"):
-        riemann_zeta(-2e6)
-    with pytest.raises(WorkBudgetError):
+        riemann_zeta(-2e6 + 0.5)
+    with pytest.raises(WorkBudgetError, match="guard bits"):
         hurwitz_zeta_and_deriv(-2e6, 0.5)
+    # zeta'(-2m) is not zero, so the derivative pass is refused too.
+    with pytest.raises(WorkBudgetError, match="guard bits"):
+        hurwitz_zeta_and_deriv(-2e6, 1)
+    # The trivial zero itself is exact, whatever the budget.
+    for s in (-2e6, -6000):
+        z = riemann_zeta(s)
+        assert z.value == 0 and z.error_bound == 0, s
+    assert time.perf_counter() - start < 1.0
 
 
 def test_pole_and_precision_errors():
