@@ -5,17 +5,13 @@ Subcommands: ``spectrum`` (eigenvalue/multiplicity tables), ``kappa``
 (exact-identity suites).  Output is a single deterministic JSON record, or
 CSV for spectrum tables.
 
-Exit codes (the README lists the cases): 0 ok; 1 a check of the record
-failed (``kappa``, ``torsion`` and ``verify`` write the record first); 2
-usage error, including a non-finite ``--s``, a non-integer
-``RUMIN_PRECISION_BITS`` and a ``--prec`` the zeta engine cannot reach; 3
-out-of-range input: a ``spectrum`` degree outside 0..2n+1, ``torsion --n``
-above ``torsion.MAX_TORSION_N`` (170, where the ratio T / T_RS = n!
-leaves the double range), a ``kappa`` that cannot be evaluated within the
-double range (rejected up front where a bound on |kappa| already leaves
-it), or a zeta argument whose guard bits alone exceed
-``zeta.MAX_PRECISION_BITS`` (``WorkBudgetError``);
-4 pole or divergent parameter range.
+A command parses and checks its arguments and builds its record.  The
+library raises where it cannot compute, and ``main`` alone maps the
+exception to an exit code and one stderr line.  Exit codes (the README
+lists the cases): 0 ok; 1 a check of the record failed (the record is
+written first); 2 usage error, or ``PrecisionError``; 3 a ``spectrum``
+degree outside 0..2n+1, or ``OverflowError`` (a result outside the double
+range); 4 ``PoleError`` or ``DivergenceError``.
 """
 
 from __future__ import annotations
@@ -23,14 +19,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from fractions import Fraction
-from math import inf, isfinite, lgamma, log, log2, pi, sin
+from math import isfinite
 from typing import Optional
 
 from . import spectrum, torsion, verify
-from .zeta import DEFAULT_PRECISION_BITS, PoleError, PrecisionError, WorkBudgetError
+from .zeta import DEFAULT_PRECISION_BITS, PoleError, PrecisionError
 
 SCHEMA_VERSION = "1"
 
@@ -40,44 +35,12 @@ EXIT_USAGE = 2
 EXIT_RANGE = 3
 EXIT_POLE = 4
 
-_LOG2_DOUBLE_MAX = log2(sys.float_info.max)
-_LN_DOUBLE_MAX = log(sys.float_info.max)
-
-
-def _default_precision() -> int:
-    env = os.environ.get("RUMIN_PRECISION_BITS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            print(f"RUMIN_PRECISION_BITS must be an integer, got {env!r}",
-                  file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
-    return DEFAULT_PRECISION_BITS
-
-
-def _log_kappa_lower_bound(n: int, s: float) -> float:
-    """A lower bound on log|kappa(s)| for s < 0, in doubles; -inf where it
-    gives none (s >= 0, or s a negative integer, where kappa = -(n+1)).
-
-    By the functional equation, 2^{2s+1} zeta(2s) = 2^{4s+1} pi^{2s-1}
-    sin(pi s) Gamma(1-2s) zeta(1-2s), and zeta(1-2s) >= 1 for s < 0.  The
-    sine is taken at s - round(s), which is exact in doubles, so it keeps
-    its accuracy at large |s|.  The bound drops the 1 of 1 + 2^{2s+1}
-    zeta(2s), which shifts the logarithm by about exp(-bound) only.
-    """
-    if not s < 0:
-        return -inf
-    sine = abs(sin(pi * (s - round(s))))
-    if sine == 0:
-        return -inf
-    return (log(n + 1) + (4 * s + 1) * log(2) + (2 * s - 1) * log(pi)
-            + log(sine) + lgamma(1 - 2 * s))
-
 
 def _emit(command: str, parameters: dict, payload,
           checks: list[verify.CheckResult]) -> int:
-    """Write the record to stdout; exit 1 if any of its checks fails."""
+    """Write the record to stdout; exit 1 if any of its checks fails.  A
+    record holding a NaN or an infinity raises ``OverflowError`` before any
+    byte is written."""
     record = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -86,7 +49,12 @@ def _emit(command: str, parameters: dict, payload,
         "checks": [{"name": c.name, "passed": c.passed,
                     "residual": float(c.residual)} for c in checks],
     }
-    sys.stdout.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise OverflowError("the record holds a value that is not a finite "
+                            "double") from None
+    sys.stdout.write(text + "\n")
     return EXIT_OK if all(c.passed for c in checks) else EXIT_VERIFY_FAIL
 
 
@@ -190,66 +158,35 @@ def cmd_kappa(args: argparse.Namespace) -> int:
     if not isfinite(s):
         print(f"--s must be finite, got {s}", file=sys.stderr)
         return EXIT_USAGE
-    out_of_range = (f"kappa(s) at n={n}, s={s} cannot be evaluated within "
-                    "the double range")
-    # For s > 1/2, zeta(2s) > 1, so |kappa(s)| > (n+1) 2^(2s+1).  For s < 0
-    # the modes that evaluate zeta(2s) pay for it with |s| (guard bits and
-    # prefix length), so a kappa beyond the double range is rejected first;
-    # the margin of 1 covers the rounding of the bound.
-    if (s > 0.5 and log2(n + 1) + 2 * s + 1 > _LOG2_DOUBLE_MAX) or (
-            (mode == "closed" or (mode == "reduced" and args.max is None))
-            and _log_kappa_lower_bound(n, s) > _LN_DOUBLE_MAX + 1):
-        print(out_of_range, file=sys.stderr)
-        return EXIT_RANGE
     if mode == "direct" and args.max is None:
         print("--max is required for --mode direct", file=sys.stderr)
         return EXIT_USAGE
     params = {"n": n, "s": s, "mode": mode, "prec": prec}
-    checks = []
-    try:
-        if mode == "closed":
-            est = torsion.kappa_closed(n, s, prec)
-            payload = {"value": est.value, "error_bound": est.bound}
-        else:
-            if args.max is None:
-                # The continued reduced route; both routes read the one
-                # zeta(2s) evaluation.
-                est, closed = torsion.kappa_continued(n, s, prec)
-            else:
-                params["max"] = args.max
-                route = torsion.kappa_direct if mode == "direct" else torsion.kappa_reduced
-                est = route(n, s, args.max)
-                closed = torsion.kappa_closed(n, s, prec)
-            checks.append(verify.route_check(
-                "direct_within_tail_of_closed" if mode == "direct"
-                else "reduced_matches_closed", est, closed))
-            payload = {
-                "value": est.value,
-                "tail_bound" if mode == "direct" else "error_bound": est.bound,
-                "closed_form": closed.value,
-                "residual_vs_closed": checks[0].residual,
-            }
-    except (PoleError, torsion.DivergenceError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_POLE
-    except OverflowError:
-        print(out_of_range, file=sys.stderr)
-        return EXIT_RANGE
-    if not all(isfinite(v) for v in payload.values()):
-        print(out_of_range, file=sys.stderr)
-        return EXIT_RANGE
-    return _emit("kappa", params, payload, checks)
+    if mode == "closed":
+        est = torsion.kappa_closed(n, s, prec)
+        return _emit("kappa", params, {"value": est.value, "error_bound": est.bound}, [])
+    if args.max is None:
+        # The continued reduced route; both routes read the one zeta(2s)
+        # evaluation.
+        est, closed = torsion.kappa_continued(n, s, prec)
+    else:
+        params["max"] = args.max
+        route = torsion.kappa_direct if mode == "direct" else torsion.kappa_reduced
+        est = route(n, s, args.max)
+        closed = torsion.kappa_closed(n, s, prec)
+    check = verify.route_check(
+        "direct_within_tail_of_closed" if mode == "direct"
+        else "reduced_matches_closed", est, closed)
+    return _emit("kappa", params, {
+        "value": est.value,
+        "tail_bound" if mode == "direct" else "error_bound": est.bound,
+        "closed_form": closed.value,
+        "residual_vs_closed": check.residual,
+    }, [check])
 
 
 def cmd_torsion(args: argparse.Namespace) -> int:
     n, prec = args.n, args.prec
-    if n > torsion.MAX_TORSION_N:
-        print(
-            f"--n {n} out of range 1..{torsion.MAX_TORSION_N}: the torsion "
-            "(4 pi)^(n+1) or the ratio n! overflows a double",
-            file=sys.stderr,
-        )
-        return EXIT_RANGE
     include_kernel = args.zeta_convention == "kernel-included"
     report, checks = verify.torsion_checks(n, prec, include_kernel)
     return _emit("torsion", {"n": n, "prec": prec,
@@ -275,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    prec_default = _default_precision()
 
     p_spec = sub.add_parser("spectrum", help="eigenvalue/multiplicity table")
     p_spec.add_argument("--n", type=int, required=True)
@@ -292,12 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
                          default="closed")
     p_kappa.add_argument("--max", type=int, default=None,
                          help="truncation level (direct mode; optional for reduced)")
-    p_kappa.add_argument("--prec", type=int, default=prec_default)
+    p_kappa.add_argument("--prec", type=int, default=DEFAULT_PRECISION_BITS)
     p_kappa.set_defaults(func=cmd_kappa)
 
     p_tor = sub.add_parser("torsion", help="full torsion report")
     p_tor.add_argument("--n", type=int, required=True)
-    p_tor.add_argument("--prec", type=int, default=prec_default)
+    p_tor.add_argument("--prec", type=int, default=DEFAULT_PRECISION_BITS)
     p_tor.add_argument("--zeta-convention",
                        choices=("kernel-included", "kernel-excluded"),
                        default="kernel-included")
@@ -306,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the exact-identity suites")
     p_ver.add_argument("--n", type=int, required=True)
     p_ver.add_argument("--max", type=int, default=20)
-    p_ver.add_argument("--prec", type=int, default=prec_default)
+    p_ver.add_argument("--prec", type=int, default=DEFAULT_PRECISION_BITS)
     p_ver.set_defaults(func=cmd_verify)
 
     return parser
@@ -322,11 +258,14 @@ def main(argv: Optional[list[str]] = None) -> int:
             return EXIT_USAGE
     try:
         return args.func(args)
+    except (PoleError, torsion.DivergenceError) as exc:
+        code, reason = EXIT_POLE, exc
+    except OverflowError as exc:
+        code, reason = EXIT_RANGE, f"outside the double range: {exc}"
     except PrecisionError as exc:
-        # A --prec outside the working range is a usage error; an s whose
-        # guard bits alone exceed it (WorkBudgetError) is an out-of-range input.
-        print(str(exc), file=sys.stderr)
-        return EXIT_RANGE if isinstance(exc, WorkBudgetError) else EXIT_USAGE
+        code, reason = EXIT_USAGE, exc
+    print(f"{args.command}: {reason}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

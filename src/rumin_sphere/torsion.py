@@ -19,6 +19,11 @@ reads the convention: excluding the kernel shifts kappa by n+1 and leaves
 kappa' alone.  kappa'(0) = 2 (n+1) log(4 pi) gives the torsion
 T = (4 pi)^{n+1}, which is n! times the Ray-Singer torsion of the round
 sphere with the matching metric.
+
+This module owns the double range: every kappa route raises
+``OverflowError`` before any work at an s whose kappa(s) leaves it (after
+``DivergenceError``, for the truncated ones), and so does
+``torsion_estimates`` at n above ``MAX_TORSION_N``.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from itertools import count
-from math import exp, factorial, fsum, inf, ldexp, lgamma, log, nextafter, pi, ulp
+from math import exp, factorial, fsum, inf, ldexp, lgamma, log, log2, nextafter, pi, sin, ulp
 from typing import Optional
 
 import mpmath
@@ -52,6 +57,9 @@ MAX_TORSION_N = min(
     int(log(sys.float_info.max) / log(4 * pi)) - 1,
     next(n for n in count(1) if factorial(n + 1) > sys.float_info.max),
 )
+
+_LOG2_DOUBLE_MAX = log2(sys.float_info.max)
+_LN_DOUBLE_MAX = log(sys.float_info.max)
 
 # The truncation of the direct and truncated reduced routes in the torsion
 # report's ``route_residuals``; the reference point is s = (n+3)/2, where
@@ -90,6 +98,43 @@ class KappaEstimate:
 def _check_kappa_pole(s: float) -> None:
     if 2 * s == 1:
         raise PoleError("kappa(s) has a pole at s = 1/2 (zeta(2s) pole)")
+
+
+def _log_kappa_lower_bound(n: int, s: float) -> float:
+    """A lower bound on log|kappa(s)| for s < 0, in doubles; -inf where it
+    gives none (s >= 0, or s a negative integer, where kappa = -(n+1)).
+
+    By the functional equation, 2^{2s+1} zeta(2s) = 2^{4s+1} pi^{2s-1}
+    sin(pi s) Gamma(1-2s) zeta(1-2s), and zeta(1-2s) >= 1 for s < 0.  The
+    sine is taken at s - round(s), which is exact in doubles, so it keeps
+    its accuracy at large |s|.  The bound drops the 1 of 1 + 2^{2s+1}
+    zeta(2s), which shifts the logarithm by about exp(-bound) only.
+    """
+    if not s < 0:
+        return -inf
+    sine = abs(sin(pi * (s - round(s))))
+    if sine == 0:
+        return -inf
+    return (log(n + 1) + (4 * s + 1) * log(2) + (2 * s - 1) * log(pi)
+            + log(sine) + lgamma(1 - 2 * s))
+
+
+def _check_kappa_range(n: int, s: float) -> None:
+    # Refuse an s whose kappa(s) leaves the double range, before any work:
+    # for s > 1/2, zeta(2s) > 1, so |kappa(s)| > (n+1) 2^{2s+1}; for s < 0,
+    # the bound above, with a margin of 1 for its rounding.  Evaluating
+    # zeta(2s) at such an s would cost guard bits and prefix terms in |s|.
+    if (s > 0.5 and log2(n + 1) + 2 * s + 1 > _LOG2_DOUBLE_MAX) or (
+            _log_kappa_lower_bound(n, s) > _LN_DOUBLE_MAX + 1):
+        raise OverflowError(f"kappa(s) at n={n}, s={s} overflows a double")
+
+
+def _check_torsion_range(n: int) -> None:
+    if n > MAX_TORSION_N:
+        raise OverflowError(
+            f"n={n} out of range 1..{MAX_TORSION_N}: the torsion "
+            "(4 pi)^(n+1) or the ratio n! overflows a double"
+        )
 
 
 def _closed_from(n: int, s: float, z: ZetaValue, prec: int) -> KappaEstimate:
@@ -136,6 +181,7 @@ def _closed_deriv_from(
 
 def kappa_closed(n: int, s: float, precision: Optional[int] = None) -> KappaEstimate:
     """Closed form -(n+1)(1 + 2^{2s+1} zeta(2s)); pole at s = 1/2."""
+    _check_kappa_range(n, s)
     prec = _check_precision(precision)
     _check_kappa_pole(s)
     return _closed_from(n, s, riemann_zeta(2 * s, prec), prec)
@@ -225,6 +271,7 @@ def kappa_direct(n: int, s: float, N: int) -> KappaEstimate:
     the combination.
     """
     bound = tail_bound(n, s, N)  # raises DivergenceError unless 2s > n+1
+    _check_kappa_range(n, s)
     zk = degree_zetas_direct(n, s, N)
     ws = degree_weights(n)
     value = 0.0
@@ -245,6 +292,7 @@ def kappa_reduced(n: int, s: float, N: int) -> KappaEstimate:
     kappa_1 = -(n+1), and kappa_2 the sum over the one-parameter families,
     truncated at N (needs 2s > n+1)."""
     bound = tail_bound(n, s, N)  # raises DivergenceError unless 2s > n+1
+    _check_kappa_range(n, s)
     value = -(n + 1.0)
     abs_sum = abs(value)
     for i in range(n + 1):
@@ -266,6 +314,7 @@ def kappa_continued(
     kappa_2(s) = -(2^{2s}/n!) sum_l c_l zeta(2s-l+1), where every c_l except
     c_1 = (n+1)! vanishes exactly.
     """
+    _check_kappa_range(n, s)
     prec = _check_precision(precision)
     _check_kappa_pole(s)
     z = riemann_zeta(2 * s, prec)
@@ -341,6 +390,7 @@ def torsion_estimates(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_torsion_range(n)
     prec = _check_precision(precision)
 
     # One Euler-Maclaurin pass per zeta argument: zeta(0) and zeta'(0) come

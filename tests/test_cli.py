@@ -1,6 +1,7 @@
 """CLI contract: determinism, schema validity, exit codes, formats."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -18,7 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rumin_sphere import cli, spectrum_slice
+from rumin_sphere import (
+    DivergenceError, KappaEstimate, PoleError, PrecisionError, cli, spectrum_slice,
+    torsion,
+)
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "output_record.schema.json")
@@ -211,24 +215,6 @@ def test_verify_passes(capsys):
     assert all(c["passed"] for c in record["checks"])
 
 
-def test_precision_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("RUMIN_PRECISION_BITS", "96")
-    parser = cli.build_parser()
-    args = parser.parse_args(["kappa", "--n", "1", "--s", "0"])
-    assert args.prec == 96
-    monkeypatch.delenv("RUMIN_PRECISION_BITS")
-
-
-def test_precision_env_not_an_integer_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("RUMIN_PRECISION_BITS", "abc")
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["kappa", "--n", "1", "--s", "2"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "RUMIN_PRECISION_BITS must be an integer, got 'abc'" in captured.err
-
-
 @pytest.mark.parametrize("s", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
     "mode_args", [("--mode", "closed"), ("--mode", "direct", "--max", "10"),
@@ -256,6 +242,16 @@ def test_torsion_n_factorial_beyond_double_range_exits_3_at_once(capsys, n):
     # float.
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "torsion", "--n", n)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "1..170" in err
+
+
+def test_verify_n_beyond_double_range_exits_3_at_once(capsys):
+    # The label checks take minutes at n = 171, so the refusal comes first.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--n", "171", "--max", "1")
     assert time.perf_counter() - start < 1.0
     assert code == 3
     assert out == ""
@@ -441,21 +437,6 @@ def test_kappa_gives_a_valid_record_or_one_line_exit(n, s, mode):
         assert "Traceback" not in err.getvalue()
 
 
-def test_log_kappa_lower_bound_is_tight():
-    for n, s in [(1, -140.3), (1, -150.3), (3, -145.7), (2, -3.25)]:
-        with mpmath.workprec(200):
-            ms = mpmath.mpf(s)
-            kappa = -(n + 1) * (1 + 2 ** (2 * ms + 1) * mpmath.zeta(2 * ms))
-            true = float(mpmath.log(abs(kappa)))
-        bound = cli._log_kappa_lower_bound(n, s)
-        if s < -100:
-            assert abs(bound - true) <= 1e-11 * true, (n, s)
-        else:
-            assert bound <= true
-    assert cli._log_kappa_lower_bound(1, -160.0) == float("-inf")
-    assert cli._log_kappa_lower_bound(1, 0.25) == float("-inf")
-
-
 def test_error_bounds_are_rounded_up():
     from mpmath import mpf, workprec
 
@@ -501,3 +482,44 @@ def test_kappa_truncation_below_one_exits_2(capsys, mode):
     assert code == 2
     assert out == ""
     assert "--max must be >= 1" in err
+
+
+@pytest.mark.parametrize("exc, code", [
+    (PoleError("a pole"), 4),
+    (DivergenceError("a divergent sum"), 4),
+    (OverflowError("an overflow"), 3),
+    (PrecisionError("an unreachable precision"), 2),
+])
+def test_each_refusal_maps_to_one_exit_code(capsys, monkeypatch, exc, code):
+    def refuse(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_kappa", refuse)
+    got, out, err = run_cli(capsys, "kappa", "--n", "1", "--s", "2")
+    assert got == code
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("kappa: ") and str(exc) in err
+    assert ("double range" in err) == (code == 3)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_no_record_holds_a_non_finite_value(capsys, monkeypatch, value):
+    monkeypatch.setattr(torsion, "kappa_closed",
+                        lambda n, s, prec=None: KappaEstimate(value, 0.0, 0.0))
+    code, out, err = run_cli(capsys, "kappa", "--n", "1", "--s", "2")
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "double range" in err
+
+    estimates = torsion.torsion_estimates
+
+    def infinite_torsion(*args):
+        report, kappa0, kappa_prime0 = estimates(*args)
+        return dataclasses.replace(report, T=value), kappa0, kappa_prime0
+
+    monkeypatch.setattr(torsion, "torsion_estimates", infinite_torsion)
+    code, out, err = run_cli(capsys, "torsion", "--n", "2")
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "double range" in err

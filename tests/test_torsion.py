@@ -1,6 +1,7 @@
 """The three kappa routes, the exact cancellation identity, and the torsion report."""
 
 import dataclasses
+import time
 from math import exp, factorial, isfinite
 
 import mpmath
@@ -288,3 +289,41 @@ def test_exp_relation_between_t_and_kappa_prime():
         assert rep.T == exp(rep.kappa_prime_at_0 / 2)
         _, _, ratio_rel = torsion_bounds(n, kappa0, kappa_prime0)
         assert within(rep.ratio, factorial(n), factorial(n) * ratio_rel)
+
+
+def test_kappa_routes_refuse_an_s_outside_the_double_range_at_once():
+    # zeta(-1000.6) would take seconds to evaluate, only to overflow.
+    for route in (kappa_closed, kappa_continued):
+        start = time.perf_counter()
+        with pytest.raises(OverflowError, match="overflows a double"):
+            route(1, -500.3)
+        assert time.perf_counter() - start < 0.1
+    for route in (kappa_direct, kappa_reduced):
+        with pytest.raises(OverflowError, match="overflows a double"):
+            route(1, 600, 10)
+        # A divergent truncated sum is refused first.
+        with pytest.raises(DivergenceError):
+            route(1, -500.3, 10)
+
+
+def test_torsion_report_refuses_n_beyond_the_double_range():
+    start = time.perf_counter()
+    with pytest.raises(OverflowError, match=r"1\.\.170"):
+        torsion_estimates(171)
+    assert time.perf_counter() - start < 0.1
+    assert torsion.MAX_TORSION_N == 170
+
+
+def test_log_kappa_lower_bound_is_tight():
+    for n, s in [(1, -140.3), (1, -150.3), (3, -145.7), (2, -3.25)]:
+        with mpmath.workprec(200):
+            ms = mpmath.mpf(s)
+            kappa = -(n + 1) * (1 + 2 ** (2 * ms + 1) * mpmath.zeta(2 * ms))
+            true = float(mpmath.log(abs(kappa)))
+        bound = torsion._log_kappa_lower_bound(n, s)
+        if s < -100:
+            assert abs(bound - true) <= 1e-11 * true, (n, s)
+        else:
+            assert bound <= true
+    assert torsion._log_kappa_lower_bound(1, -160.0) == float("-inf")
+    assert torsion._log_kappa_lower_bound(1, 0.25) == float("-inf")

@@ -238,3 +238,10 @@ def test_zeta_checks_are_decided_beyond_the_double_range(monkeypatch):
         zeta.hurwitz_zeta, delta, lambda s, a, *rest: isinstance(a, float), 2 * prec))
     check = verify.check_hurwitz_shift(prec)
     assert not check.passed and check.residual > 0
+
+
+def test_run_all_refuses_n_beyond_the_double_range_before_any_check(monkeypatch):
+    # The label checks take minutes at n = 171, so the refusal comes first.
+    monkeypatch.setattr(verify, "check_weyl_vs_gt", None)
+    with pytest.raises(OverflowError, match=r"1\.\.170"):
+        verify.run_all(171, 1)
