@@ -25,7 +25,8 @@ from math import isfinite
 from typing import Optional
 
 from . import spectrum, torsion, verify
-from .zeta import DEFAULT_PRECISION_BITS, PoleError, PrecisionError
+from .zeta import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, PoleError,
+                   PrecisionError, _check_precision)
 
 SCHEMA_VERSION = "1"
 
@@ -203,6 +204,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
                  results)
 
 
+_PREC = dict(type=int, default=DEFAULT_PRECISION_BITS,
+             help=f"working precision in bits, 8..{MAX_PRECISION_BITS} "
+                  f"(default {DEFAULT_PRECISION_BITS})")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rumin-sphere",
@@ -228,12 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
                          default="closed")
     p_kappa.add_argument("--max", type=int, default=None,
                          help="truncation level (direct mode; optional for reduced)")
-    p_kappa.add_argument("--prec", type=int, default=DEFAULT_PRECISION_BITS)
+    p_kappa.add_argument("--prec", **_PREC)
     p_kappa.set_defaults(func=cmd_kappa)
 
     p_tor = sub.add_parser("torsion", help="full torsion report")
     p_tor.add_argument("--n", type=int, required=True)
-    p_tor.add_argument("--prec", type=int, default=DEFAULT_PRECISION_BITS)
+    p_tor.add_argument("--prec", **_PREC)
     p_tor.add_argument("--zeta-convention",
                        choices=("kernel-included", "kernel-excluded"),
                        default="kernel-included")
@@ -242,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the exact-identity suites")
     p_ver.add_argument("--n", type=int, required=True)
     p_ver.add_argument("--max", type=int, default=20)
-    p_ver.add_argument("--prec", type=int, default=DEFAULT_PRECISION_BITS)
+    p_ver.add_argument("--prec", **_PREC)
     p_ver.set_defaults(func=cmd_verify)
 
     return parser
@@ -257,6 +263,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"--{flag} must be >= 1, got {value}", file=sys.stderr)
             return EXIT_USAGE
     try:
+        if getattr(args, "prec", None) is not None:
+            _check_precision(args.prec)  # before any work
         return args.func(args)
     except (PoleError, torsion.DivergenceError) as exc:
         code, reason = EXIT_POLE, exc

@@ -344,8 +344,10 @@ def check_direct_route(n: int, precision: Optional[int] = None) -> CheckResult:
 
 def run_all(n: int, bound: int = 20, precision: Optional[int] = None) -> list[CheckResult]:
     """Every verification suite at the given label-parameter bound.  An n
-    whose torsion leaves the double range is refused before any check runs."""
+    whose torsion leaves the double range, or a precision the zeta engine
+    cannot reach, is refused before any check runs."""
     torsion._check_torsion_range(n)
+    zeta._check_precision(precision)
     return [
         *(check(n, bound) for check in (
             check_weyl_vs_gt, check_special_dimension, check_dimension_polynomial,

@@ -317,11 +317,13 @@ def test_kappa_direct_with_an_underflowing_tail_bound(capsys):
         (("torsion", "--n", "4", "--prec", "1024"),
          "38a312e9fa93062bf4c77e8b33f42f85324efe6dfc37c4e76b850a38214d51cd"),
         # The two kappa records carry error_bound rounded up to a double:
-        # 6.0410873867698406e-158 and 5e-324 (was 0.0).  The first is within
+        # 6.041084798261761e-158 and 5e-324 (was 0.0).  The first is within
         # 2^-512 of zeta(-2.5) as returned, not of its uncorrected prefix
-        # sum (8.102150711871305e-156 before).
+        # sum (8.102150711871305e-156 before); its rounding slack is that of
+        # the sieved prefix summed with one rounding (6.0410873867698406e-158
+        # with the slack of the term-by-term prefix).
         (("kappa", "--n", "3", "--s=-1.25", "--mode", "reduced", "--prec", "512"),
-         "d2cb8d9d002b6812b74b13e83c26559d3e74a8ecf83b783131b6a8c2311c4b3e"),
+         "fbcb76fdd6511f35d531addcaa8f6dc51ba45d8786806d59766adac1e6875e1c"),
         (("kappa", "--n", "2", "--s", "2.35", "--mode", "closed", "--prec", "2048"),
          "57e260121a1bae9345680c8618dea8284d42da7ddb5b47fc7dc4bef3eb0c423a"),
     ],
@@ -482,6 +484,30 @@ def test_kappa_truncation_below_one_exits_2(capsys, mode):
     assert code == 2
     assert out == ""
     assert "--max must be >= 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("kappa", "--n", "1", "--s", "2"),
+    ("kappa", "--n", "1", "--s", "3", "--mode", "direct", "--max", "400"),
+    ("torsion", "--n", "2"),
+    ("verify", "--n", "2", "--max", "1"),
+])
+def test_a_precision_above_the_ceiling_exits_2_at_once(capsys, argv):
+    # One bit above the ceiling is refused before any work: verify used to
+    # run its label checks for 20 s at 7000 bits before the first zeta pass
+    # failed to converge, and kappa at 8192 bits took 3.7 s to exit 2.
+    from rumin_sphere.zeta import MAX_PRECISION_BITS
+
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--prec", str(MAX_PRECISION_BITS + 1))
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith(f"{argv[0]}: ") and f"8..{MAX_PRECISION_BITS} bits" in err
+    with pytest.raises(SystemExit):
+        cli.main([argv[0], "--help"])
+    assert f"8..{MAX_PRECISION_BITS}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("exc, code", [

@@ -245,3 +245,11 @@ def test_run_all_refuses_n_beyond_the_double_range_before_any_check(monkeypatch)
     monkeypatch.setattr(verify, "check_weyl_vs_gt", None)
     with pytest.raises(OverflowError, match=r"1\.\.170"):
         verify.run_all(171, 1)
+
+
+def test_run_all_refuses_an_unreachable_precision_before_any_check(monkeypatch):
+    # At 7000 bits the label checks ran for 20 s before the first zeta pass
+    # failed to converge.
+    monkeypatch.setattr(verify, "check_weyl_vs_gt", None)
+    with pytest.raises(zeta.PrecisionError, match="outside the working range"):
+        verify.run_all(2, 1, zeta.MAX_PRECISION_BITS + 1)

@@ -3,13 +3,14 @@
 import random
 import time
 from fractions import Fraction
-from math import comb, factorial, log, pi
+from math import comb, factorial, log, pi, ulp
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rumin_sphere import zeta
 from rumin_sphere import (
     DimensionPolynomial,
     PoleError,
@@ -140,6 +141,107 @@ def test_every_pass_reaches_its_precision_and_holds_its_bound():
                 want = mpmath.zeta(mpmath.mpf(s), ma, derivative)
                 assert abs(got.value - want) <= got.error_bound, \
                     (s, a, prec, derivative)
+
+
+def _holds_against_mpmath(got, s, a, prec, derivative):
+    # The reference runs at least 80 bits beyond the working precision, and
+    # 80 beyond the bound where the bound is far below its target (a series
+    # that ends exactly at a negative integer s).
+    with mpmath.workprec(prec + 80):
+        target = mpmath.mpf(2) ** -prec * (1 + abs(got.value))
+        assert got.error_bound <= target, (s, a, prec, derivative)
+        bits = prec + 80 + max(0, int(mpmath.log(target / got.error_bound, 2)))
+    with mpmath.workprec(bits):
+        want = mpmath.zeta(mpmath.mpf(s), a, derivative)
+        return abs(got.value - want) <= got.error_bound
+
+
+@pytest.mark.parametrize("prec", [64, 128, 512, 2048])
+def test_sieved_prefix_holds_its_bounds(prec):
+    # Integer and non-integer s of both signs up to |s| = 40, through the
+    # value pass and the value-and-derivative pass at a = 1.
+    points = (-40, -39, -20.5, -7.3, -3, -0.5, 0, 0.3, 2, 2.5, 7, 13.7, 39.5, 40)
+    if prec == 2048:
+        points = (-39, -20.5, 0, 2.5, 40)
+    for s in points:
+        z = riemann_zeta(s, prec)
+        z2, dz = hurwitz_zeta_and_deriv(s, 1, prec)
+        if z.error_bound:  # not a trivial zero
+            assert _holds_against_mpmath(z, s, 1, prec, 0), (s, prec)
+        assert _holds_against_mpmath(z2, s, 1, prec, 0), (s, prec)
+        assert _holds_against_mpmath(dz, s, 1, prec, 1), (s, prec)
+
+
+@pytest.mark.parametrize("prec", [64, 256, 1024])
+def test_sieved_prefix_matches_the_general_path(prec):
+    # zeta(s) = 1 + zeta(s, 2) and zeta'(s) = zeta'(s, 2): the sieve on the
+    # left, one power per term on the right.
+    for s in (-17.5, -4, -1.25, 0, 0.5, 3, 6.75, 25):
+        z, dz = hurwitz_zeta_and_deriv(s, 1, prec)
+        h, dh = hurwitz_zeta_and_deriv(s, 2, prec)
+        with mpmath.workprec(4 * prec):
+            assert abs(z.value - 1 - h.value) <= z.error_bound + h.error_bound, s
+            assert abs(dz.value - dh.value) <= dz.error_bound + dh.error_bound, s
+        if s != 0:
+            hv = hurwitz_zeta(s, 2, prec)
+            with mpmath.workprec(4 * prec):
+                assert abs(z.value - 1 - hv.value) <= z.error_bound + hv.error_bound, s
+
+
+def _primes_up_to(m):
+    return [p for p in range(2, m + 1) if all(p % q for q in range(2, int(p**0.5) + 1))]
+
+
+@pytest.mark.parametrize("s, want_derivative", [
+    (2.37, False), (-1.37, False), (0.3, True), (4, False), (0, True)])
+def test_a_sieved_pass_takes_one_log_and_exp_per_prime(monkeypatch, s, want_derivative):
+    # A 2048-bit pass sums K = 724 prefix terms; only the 128 primes up to
+    # K + 1 take transcendentals (a term-by-term pass took 724 powers, and
+    # 724 logs for the derivative), and integer s takes no exp at all.  A
+    # power to a non-integer exponent is an exp (and a log) inside mpmath,
+    # so it counts as one.
+    calls = {"log": 0, "exp": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(mpmath, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(mpmath, name, counted)
+    mpf_type = type(mpmath.mpf(1))
+    power = mpf_type.__pow__
+
+    def counted_power(base, exponent):
+        calls["exp"] += exponent != int(exponent)
+        return power(base, exponent)
+
+    monkeypatch.setattr(mpf_type, "__pow__", counted_power)
+    prec = 2048
+    zeta._euler_maclaurin(s, 1, prec, want_derivative)
+    primes = len(_primes_up_to(int(0.35 * prec) + 9))
+    assert primes == 128
+    integer = s == int(s)
+    # The remainder terms take log(K + 1), log(a) and (K + 1)^-s.
+    assert calls["log"] <= (0 if integer and not want_derivative else primes) + 2
+    assert calls["exp"] <= (0 if integer else primes + 1)
+
+
+def test_a_pass_at_the_precision_ceiling_converges():
+    # The binding argument: 2s for s within an ulp of -163, the lowest s the
+    # kappa range check lets through; 5228 bits would need more than the
+    # 700 Bernoulli orders.
+    from rumin_sphere import torsion
+
+    s = -163 + ulp(163.0)
+    torsion._check_kappa_range(1, s)
+    for k in (164, 170):
+        for t in (-k + ulp(float(k)), -k - ulp(float(k))):
+            with pytest.raises(OverflowError):
+                torsion._check_kappa_range(1, t)
+    prec = zeta.MAX_PRECISION_BITS
+    z = riemann_zeta(2 * s, prec)
+    with mpmath.workprec(prec):
+        assert 0 < z.error_bound <= mpmath.mpf(2) ** -prec * (1 + abs(z.value))
+    with pytest.raises(PrecisionError, match="outside the working range"):
+        riemann_zeta(2 * s, prec + 1)
 
 
 @settings(max_examples=40, deadline=None)
