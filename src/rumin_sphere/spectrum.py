@@ -1,6 +1,10 @@
 """Irreducible blocks of horizontal forms on the CR sphere S^{2n+1} and the
 exact eigenvalues of the rescaled Rumin Laplacian on them.
 
+The label table ``all_families`` is the one encoding of the seven case
+ranges; ``RuminLabel`` validates itself by one lookup in it and keeps the
+family it finds, which gives its case and its bidegrees.
+
 Everything is exact: eigenvalues are ``Fraction``s, dimensions integers, and
 squared norms carry the rational coefficient of the symbolic unit pi^{n+1}.
 Floats only appear downstream, at zeta-evaluation time.
@@ -8,23 +12,77 @@ Floats only appear downstream, at zeta-evaluation time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 from typing import Iterator, Optional, Sequence
 
-from .weights import (
-    Case,
-    InvalidLabelError,
-    RuminLabel,
-    label_to_weight,
-    weyl_product,
-)
+from .weights import HighestWeight, weyl_product
+
+
+class InvalidLabelError(ValueError):
+    """A (q, j, i, p) tuple that lies in none of the admissible case ranges."""
 
 
 class CaseRangeError(ValueError):
     """Operation applied to a label outside the case range it requires."""
+
+
+class Case(Enum):
+    """The seven parameter families of the irreducible decomposition."""
+
+    I = "I"
+    II = "II"
+    III = "III"
+    IV = "IV"
+    V = "V"
+    VI = "VI"
+    VII = "VII"
+
+
+@dataclass(frozen=True, order=True)
+class RuminLabel:
+    """Label (q, j, i, p) of one irreducible summand on S^{2n+1}.
+
+    Construction looks the tuple up in the label table ``all_families`` and
+    raises ``InvalidLabelError`` if no family holds it.  ``label.family`` is
+    the family that does, and ``label.case`` its case; the family takes no
+    part in comparison, hashing or the repr.
+    """
+
+    n: int
+    q: int
+    j: int
+    i: int
+    p: int
+    family: BlockFamily = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        q, p = self.q, self.p
+        key = (self.i, self.j, q if q < 1 else None, p if p < 1 else None)
+        family = _family_index(self.n).get(key) if self.n >= 1 else None
+        if family is None:
+            raise InvalidLabelError(f"{self} lies in no case range")
+        object.__setattr__(self, "family", family)
+
+    @property
+    def case(self) -> Case:
+        return self.family.case
+
+
+def label_to_weight(label: RuminLabel) -> HighestWeight:
+    """Expand a label into its length-(n+1) highest weight.
+
+    The weight is (q, 1 repeated j times, 0 repeated n-1-i-j times,
+    -1 repeated i times, -p); degenerate repetition counts give empty
+    segments.
+    """
+    n, q, j, i, p = label.n, label.q, label.j, label.i, label.p
+    return HighestWeight(
+        (q,) + (1,) * j + (0,) * (n - 1 - i - j) + (-1,) * i + (-p,)
+    )
 
 
 def eigenvalue_numerator(n: int, q: int, j: int, i: int, p: int) -> int:
@@ -55,9 +113,7 @@ def eigenvalue_denominator(n: int) -> int:
 def block_bidegrees(label: RuminLabel) -> tuple[tuple[int, int], ...]:
     """Bidegrees (s, t) at which the label has a nonzero block: the
     ``spaces`` of its family in ``all_families``."""
-    key = (label.case, label.i, label.j)
-    return next(f.spaces for f in all_families(label.n)
-                if (f.case, f.i, f.j) == key)
+    return label.family.spaces
 
 
 @dataclass(frozen=True)
@@ -95,7 +151,8 @@ class BlockFamily:
 def all_families(n: int) -> tuple[BlockFamily, ...]:
     """The complete, finite list of label families for S^{2n+1}.
 
-    This is the one table of the label set and of its bidegrees: every
+    This is the one table of the label set, of its seven case ranges and of
+    its bidegrees: ``RuminLabel`` validates against it, and every
     enumeration of labels or blocks in the package is built on it.  Order is
     canonical (I, then II/V by (i, j), then III, IV, VI, VII) so that every
     enumeration and summation downstream is deterministic.
@@ -122,27 +179,18 @@ def all_families(n: int) -> tuple[BlockFamily, ...]:
     return tuple(fams)
 
 
-def _family_weight_middle(fam: BlockFamily) -> tuple[int, ...]:
-    """Validate ``fam`` once and return the fixed middle entries
-    (1^j, 0^{n-1-i-j}, -1^i) of its members' highest weights.
-
-    The check builds one ``RuminLabel`` and its ``HighestWeight`` at the
-    family's fixed values, or at p = q = 1 for a free parameter, and
-    requires the label's case and (i, j) to be the family's.  That is
-    exactly the check of every member: ``_classify`` depends on p and q
-    only through sign tests that are constant over p, q >= 1, and the
-    weight (q, 1^j, 0..., -1^i, -p) is nonincreasing for every p, q >= 1
-    if and only if it is at p = q = 1.
-    """
-    q = 1 if fam.q_fixed is None else fam.q_fixed
-    p = 1 if fam.p_fixed is None else fam.p_fixed
-    label = RuminLabel(fam.n, q, fam.j, fam.i, p)
-    if (label.case, label.i, label.j) != (fam.case, fam.i, fam.j):
-        raise InvalidLabelError(
-            f"family ({fam.case.value}, i={fam.i}, j={fam.j}) holds {label}, "
-            f"a Case {label.case.value} label"
-        )
-    return label_to_weight(label).entries[1:-1]
+@lru_cache(maxsize=None)
+def _family_index(n: int) -> dict:
+    # The label table keyed as a label looks itself up: (i, j, q, p) with
+    # None for a free parameter.  Two families under one key would give a
+    # label two cases, so the table is refused.
+    index: dict = {}
+    for fam in all_families(n):
+        key = (fam.i, fam.j, fam.q_fixed, fam.p_fixed)
+        if key in index:
+            raise ValueError(f"two families of n={n} share the key {key}")
+        index[key] = fam
+    return index
 
 
 def degree_labels(
@@ -154,19 +202,19 @@ def degree_labels(
     of the label's blocks with s + t = k), in canonical family order and,
     within a family, p-major.  The eigenvalue is key / L with L =
     ``eigenvalue_denominator(n)``, an exact integer key shared by every
-    block of the label, as is the Weyl dimension.  Each family is
-    validated once (``_family_weight_middle``); the dimension of every
-    label is still checked to be a positive integer.  Only degrees k <= n
-    carry blocks; higher degrees are reached through the mirror rule.
+    block of the label, as is the Weyl dimension, which ``weyl_product``
+    checks to be a positive integer.  Only degrees k <= n carry blocks;
+    higher degrees are reached through the mirror rule.
     """
     scale = eigenvalue_denominator(n) // 4
     for fam in all_families(n):
         spaces = tuple((s, t) for s, t in fam.spaces if s + t == k)
         if not spaces:
             continue
-        middle = _family_weight_middle(fam)
         case, i, j = fam.case, fam.i, fam.j
         d = n - i - j
+        # The weight of ``label_to_weight`` between q and -p.
+        middle = (1,) * j + (0,) * (d - 1) + (-1,) * i
         mult = scale // (d * d)
         ps, qs = fam.parameters(N, N)
         for p in ps:

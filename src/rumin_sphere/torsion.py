@@ -38,14 +38,12 @@ import mpmath
 from mpmath import mpf, workprec
 
 from . import kernels
-from .spectrum import all_families
-from .weights import Case
+from .spectrum import Case, all_families
 from .zeta import (
     PoleError,
     ZetaValue,
     _check_precision,
     _to_mpf,
-    c_coefficients,
     hurwitz_zeta_and_deriv,
     riemann_zeta,
 )
@@ -322,20 +320,13 @@ def kappa_continued(
 
 
 def _continued_from(n: int, s: float, z: ZetaValue, prec: int) -> KappaEstimate:
-    # The continued reduced route from z = zeta(2s), the zeta factor of c_1.
-    # Every other c_l is computed, not assumed zero; a non-zero one (which
-    # the identity rules out) is evaluated here, and zeta refuses its pole.
+    # The continued reduced route from z = zeta(2s): of the c_l, the
+    # identity leaves only c_1 = (n+1)! (``verify`` checks it).
     kappa1 = -(n + 1.0)
+    c1 = factorial(n + 1)
     with workprec(prec + 16):
-        total = mpf(0)
-        err = mpf(0)
-        for l, cl in enumerate(c_coefficients(n), start=1):
-            if cl == 0:
-                continue  # exact zero: never evaluated, so no spurious poles
-            if l > 1:
-                z = riemann_zeta(2 * s - l + 1, prec)
-            total += cl * z.value
-            err += abs(cl) * z.error_bound
+        total = c1 * z.value
+        err = c1 * z.error_bound
         scale = mpf(2) ** (2 * _to_mpf(s)) / factorial(n)
         value = kappa1 - 2 * scale * total
         bound = 2 * scale * err

@@ -31,15 +31,8 @@ from mpmath import mpf
 
 from . import spectrum, torsion, zeta
 from .torsion import KappaEstimate, TorsionReport, rounding_gamma
-from .weights import (
-    Case,
-    HighestWeight,
-    RuminLabel,
-    gt_pattern_count,
-    label_to_weight,
-    special_dimension,
-    weyl_dimension,
-)
+from .spectrum import Case, RuminLabel, label_to_weight
+from .weights import HighestWeight, gt_pattern_count, special_dimension, weyl_dimension
 
 
 @dataclass(frozen=True)
@@ -245,10 +238,14 @@ def check_cancellation(n: int) -> CheckResult:
 
 
 def check_kernel_uniqueness(n: int, bound: int) -> CheckResult:
-    # Degree k and 2n+1-k share one canonical slice, so each of the n+1
-    # slices is built once.
-    zero = [spectrum.spectrum_slice(n, k, bound).multiplicity_of(Fraction(0))
-            for k in range(n + 1)]
+    # The multiplicity of 0 in each degree k <= n (degree 2n+1-k mirrors k):
+    # only labels of eigenvalue 0 take a Weyl dimension.
+    zero = [0] * (n + 1)
+    for label in _labels(n, bound):
+        if spectrum.eigenvalue_numerator(n, label.q, label.j, label.i, label.p) == 0:
+            dim = weyl_dimension(label_to_weight(label))
+            for s, t in spectrum.block_bidegrees(label):
+                zero[s + t] += dim
     bad = 0
     for k in range(2 * n + 2):
         expected = 1 if k in (0, 2 * n + 1) else 0

@@ -1,39 +1,23 @@
 """Highest-weight bookkeeping for the unitary group U(m).
 
 The sphere S^{2n+1} carries a U(n+1) action, and every object this package
-computes is indexed by a highest weight.  This module holds the weight and
-label types, the Weyl dimension formula in exact arithmetic, and a
+computes is indexed by a highest weight.  This module holds U(m) data only:
+the weight type, the Weyl dimension formula in exact arithmetic, and a
 Gelfand-Tsetlin pattern counter, a memoised sum over interlacing rows, that
-serves as an independent oracle for the dimension formula.
+serves as an independent oracle for the dimension formula.  The label type
+and its validation live in ``spectrum``, next to the label table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from math import comb
 from typing import Iterator, Optional, Sequence, Union
 
 
-class InvalidLabelError(ValueError):
-    """A (q, j, i, p) tuple that lies in none of the admissible case ranges."""
-
-
 class EnumerationBudgetError(RuntimeError):
     """The Gelfand-Tsetlin enumeration exceeded its work budget."""
-
-
-class Case(Enum):
-    """The seven parameter families of the irreducible decomposition."""
-
-    I = "I"
-    II = "II"
-    III = "III"
-    IV = "IV"
-    V = "V"
-    VI = "VI"
-    VII = "VII"
 
 
 @dataclass(frozen=True, order=True)
@@ -62,72 +46,6 @@ WeightLike = Union[HighestWeight, Sequence[int]]
 
 def _as_weight(w: WeightLike) -> HighestWeight:
     return w if isinstance(w, HighestWeight) else HighestWeight(tuple(w))
-
-
-def _classify(n: int, q: int, j: int, i: int, p: int) -> Case:
-    if n < 1:
-        raise InvalidLabelError(f"sphere index n must be >= 1, got {n}")
-    if min(i, j) < 0 or i + j > n - 1 or q < -1 or p < -1:
-        raise InvalidLabelError(
-            f"(q={q}, j={j}, i={i}, p={p}) violates the basic ranges for n={n}"
-        )
-    if q == 0 and p == 0:
-        if i == 0 and j == 0:
-            return Case.I
-    elif q == 0 and p >= 1:
-        if j == 0:
-            return Case.III
-    elif p == 0 and q >= 1:
-        if i == 0:
-            return Case.IV
-    elif q == -1:
-        if p >= 1 and j == 0 and i == n - 1:
-            return Case.VI
-    elif p == -1:
-        if q >= 1 and i == 0 and j == n - 1:
-            return Case.VII
-    else:  # p >= 1 and q >= 1
-        return Case.II if i + j <= n - 2 else Case.V
-    raise InvalidLabelError(
-        f"(q={q}, j={j}, i={i}, p={p}) lies in no case range for n={n}"
-    )
-
-
-@dataclass(frozen=True, order=True)
-class RuminLabel:
-    """Label (q, j, i, p) of one irreducible summand on S^{2n+1}.
-
-    Construction validates the tuple against the seven case ranges; the
-    matching case is available as ``label.case``.
-    """
-
-    n: int
-    q: int
-    j: int
-    i: int
-    p: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_case", _classify(self.n, self.q, self.j, self.i, self.p)
-        )
-
-    @property
-    def case(self) -> Case:
-        return self._case  # type: ignore[attr-defined]
-
-
-def label_to_weight(label: RuminLabel) -> HighestWeight:
-    """Expand a label into its length-(n+1) highest weight.
-
-    The weight is (q, 1 repeated j times, 0 repeated n-1-i-j times,
-    -1 repeated i times, -p); degenerate repetition counts give empty
-    segments.
-    """
-    n, q, j, i, p = label.n, label.q, label.j, label.i, label.p
-    return HighestWeight(
-        (q,) + (1,) * j + (0,) * (n - 1 - i - j) + (-1,) * i + (-p,)
-    )
 
 
 def weyl_product(entries: Sequence[int]) -> int:
@@ -216,9 +134,12 @@ def gt_pattern_count(
         if got is not None:
             return got
         head, tail = key[0], key[1:]
-        # The first entry from which prefix counts are still missing.
+        # The first entry from which prefix counts are still missing.  Each
+        # step down to it is a memo entry charged below, so the walk stops
+        # where it would exceed the budget left, and the charge trips there.
         x = head
-        while x > tail[0] and (x - 1,) + tail not in table:
+        stop = max(tail[0], head - (budget - work))
+        while x > stop and (x - 1,) + tail not in table:
             x -= 1
         children = 1
         for a, b in zip(tail, tail[1:]):

@@ -8,14 +8,8 @@ import mpmath
 import pytest
 
 from rumin_sphere import _kernels_py, kernels, torsion
-from rumin_sphere.spectrum import eigenvalue_formula
-from rumin_sphere.weights import (
-    RuminLabel,
-    label_to_weight,
-    special_dimension,
-    weyl_dimension,
-    weyl_product,
-)
+from rumin_sphere.spectrum import RuminLabel, eigenvalue_formula, label_to_weight
+from rumin_sphere.weights import special_dimension, weyl_dimension, weyl_product
 
 UNIT_ROUNDOFF = 2.0**-53
 

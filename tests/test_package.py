@@ -61,6 +61,22 @@ def test_cli_import_loads_nothing_beyond_its_dependencies():
     assert not {"numpy", "orjson", "ujson", "simplejson", "rapidjson"} & set(loaded)
 
 
+def test_weights_imports_no_other_module_of_the_package():
+    # ``weights`` holds U(m) data only; the label table and the label type
+    # live in ``spectrum``.  The package is stubbed so that its __init__,
+    # which imports every module, does not run.
+    src = Path(rumin_sphere.__file__).parent
+    code = (
+        "import sys, types\n"
+        "package = types.ModuleType('rumin_sphere')\n"
+        f"package.__path__ = [{str(src)!r}]\n"
+        "sys.modules['rumin_sphere'] = package\n"
+        "import rumin_sphere.weights\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('rumin_sphere'))))"
+    )
+    assert _run(code) == "rumin_sphere rumin_sphere.weights"
+
+
 def test_cli_import_computes_no_bernoulli_numbers():
     # The Bernoulli table fills on the first zeta call, not at import.
     code = ("import rumin_sphere.cli\n"

@@ -1,12 +1,15 @@
 """Block enumeration, exact eigenvalues, norm routes, spectrum slices."""
 
+import dataclasses
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from rumin_sphere import (
     Case,
     CaseRangeError,
+    InvalidLabelError,
     RuminLabel,
     all_families,
     case_v_identity_value,
@@ -23,6 +26,7 @@ from rumin_sphere import (
     squared_norm,
     weyl_dimension,
 )
+from rumin_sphere import spectrum
 from rumin_sphere.spectrum import (
     block_bidegrees,
     degree_labels,
@@ -306,6 +310,64 @@ def test_family_labels_are_valid_distinct_and_cover_all_cases():
             # Case II needs i + j <= n - 2, so n = 1 has none.
             expected = set(Case) if n >= 2 else set(Case) - {Case.II}
             assert {lab.case for lab in labels} == expected
+
+
+def _paper_case(n, q, j, i, p):
+    # The seven case ranges of the paper, written out independently of
+    # ``all_families``: the case of (q, j, i, p), or None outside them all.
+    if min(i, j) < 0 or i + j > n - 1:
+        return None
+    if (q, j, i, p) == (0, 0, 0, 0):
+        return Case.I
+    if q >= 1 and p >= 1:
+        return Case.II if i + j <= n - 2 else Case.V
+    if q == 0 and p >= 1 and j == 0:
+        return Case.III
+    if p == 0 and q >= 1 and i == 0:
+        return Case.IV
+    if q == -1 and p >= 1 and (i, j) == (n - 1, 0):
+        return Case.VI
+    if p == -1 and q >= 1 and (i, j) == (0, n - 1):
+        return Case.VII
+    return None
+
+
+def test_labels_accept_exactly_the_paper_case_ranges():
+    accepted = 0
+    for n in range(1, 6):
+        # The family that yields each label with p, q <= 3; no label twice.
+        owner = {}
+        for fam in all_families(n):
+            for lab in fam.labels(3, 3):
+                assert owner.setdefault(lab, fam) is fam, lab
+        for q, p, i, j in product(range(-3, 4), range(-3, 4),
+                                  range(-2, n + 2), range(-2, n + 2)):
+            case = _paper_case(n, q, j, i, p)
+            if case is None:
+                with pytest.raises(InvalidLabelError):
+                    RuminLabel(n, q, j, i, p)
+                continue
+            label = RuminLabel(n, q, j, i, p)
+            assert label.case is case, label
+            assert label.family is owner[label], label
+            accepted += 1
+    assert accepted == len({lab for n in range(1, 6) for lab in table_labels(n, 3)})
+    with pytest.raises(InvalidLabelError):
+        RuminLabel(0, 0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("duplicate", [
+    lambda fam: fam,  # the same row twice
+    lambda fam: dataclasses.replace(fam, case=Case.V),  # one key, two cases
+])
+def test_label_index_refuses_two_families_under_one_key(monkeypatch, duplicate):
+    n = 3
+    families = all_families(n)
+    pair = next(fam for fam in families if fam.case is Case.II)
+    monkeypatch.setattr(spectrum, "all_families",
+                        lambda m: families + (duplicate(pair),))
+    with pytest.raises(ValueError, match="share the key"):
+        spectrum._family_index.__wrapped__(n)
 
 
 def test_block_bidegrees_is_the_family_table():

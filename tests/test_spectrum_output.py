@@ -8,14 +8,7 @@ from functools import lru_cache
 
 import pytest
 
-from rumin_sphere import (
-    BlockFamily,
-    Case,
-    InvalidLabelError,
-    cli,
-    label_to_weight,
-    spectrum,
-)
+from rumin_sphere import cli, label_to_weight, spectrum
 from rumin_sphere.spectrum import all_families, degree_labels
 
 
@@ -103,29 +96,8 @@ def test_spectrum_writer_handles_an_empty_row_list(monkeypatch):
     assert stream.getvalue() == json.dumps(record, indent=2, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        # Case III holds q = 0, but with q free its members are Case II.
-        lambda n: BlockFamily(n, Case.III, 0, 0, None, None, ((0, 0), (1, 0))),
-        # Case II parameters filed as Case V.
-        lambda n: BlockFamily(n, Case.V, 0, 0, None, None, ((0, 0), (1, 0))),
-        # The parameters of no case: q = 0 with j = 1.
-        lambda n: BlockFamily(n, Case.III, 0, 1, 0, None, ((0, 1), (1, 1))),
-    ],
-)
-def test_family_validation_rejects_a_mismatched_family(monkeypatch, bad):
-    n = 3
-    families = all_families(n) + (bad(n),)
-    monkeypatch.setattr(spectrum, "all_families", lambda m: families)
-    with pytest.raises(InvalidLabelError):
-        list(degree_labels(n, 1, 2))
-    with pytest.raises(InvalidLabelError):
-        spectrum.spectrum_slice(n, 1, 2)
-
-
 def test_every_dimension_is_checked(monkeypatch):
-    # The family check covers case and ordering; the Weyl product of every
+    # The label table fixes case and ordering; the Weyl product of every
     # label is still required to be a positive integer.
     calls = []
     product = spectrum.weyl_product

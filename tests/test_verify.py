@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rumin_sphere import cli, kernels, spectrum, torsion, verify, weyl_dimension, zeta
+from rumin_sphere import cli, kernels, spectrum, torsion, verify, weights, zeta
+from rumin_sphere.weights import weyl_dimension
 
 
 def failing_checks(capsys, n, bound):
@@ -61,19 +62,42 @@ def count_slices(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_run_all_builds_each_canonical_slice_once(monkeypatch, n):
+def test_run_all_builds_no_spectrum_slice(monkeypatch, n):
+    # The kernel check reads the multiplicity of 0 off the labels; no check
+    # aggregates a whole slice.
     calls = count_slices(monkeypatch)
     assert all(r.passed for r in verify.run_all(n, 3))
-    assert sorted(calls) == [(n, k, 3) for k in range(n + 1)]
-    # No slice outlives the call: a second run builds all of them again.
-    verify.run_all(n, 3)
-    assert len(calls) == 2 * (n + 1)
+    assert calls == []
 
 
 def test_kernel_check_slices_reach_the_bound(monkeypatch):
-    calls = count_slices(monkeypatch)
-    assert verify.check_kernel_uniqueness(2, 25).passed
-    assert calls == [(2, k, 25) for k in range(3)]
+    # An eigenvalue 0 only at p = 25 is caught at --max 25, not at 24.
+    numerator = spectrum.eigenvalue_numerator
+
+    def zero_at_p25(n, q, j, i, p):
+        return 0 if p == 25 else numerator(n, q, j, i, p)
+
+    monkeypatch.setattr(spectrum, "eigenvalue_numerator", zero_at_p25)
+    assert verify.check_kernel_uniqueness(2, 24).passed
+    assert not verify.check_kernel_uniqueness(2, 25).passed
+
+
+def test_kernel_check_takes_dimensions_only_at_eigenvalue_zero(monkeypatch):
+    # Only the Case I label has eigenvalue 0, so the check takes one Weyl
+    # dimension whatever the bound.
+    calls = []
+    product = weights.weyl_product
+
+    def counting(entries):
+        calls.append(tuple(entries))
+        return product(entries)
+
+    monkeypatch.setattr(weights, "weyl_product", counting)
+    monkeypatch.setattr(spectrum, "weyl_product", counting)
+    for bound in (1, 5, 20):
+        calls.clear()
+        assert verify.check_kernel_uniqueness(3, bound).passed
+        assert calls == [(0, 0, 0, 0)]
 
 
 def test_run_all_has_no_mirror_check():

@@ -147,6 +147,15 @@ def test_gt_budget_guard_raises_before_a_large_sum():
     assert time.perf_counter() - start < 0.05
 
 
+def test_gt_budget_guard_charges_the_descent_walk():
+    # The row (10^9, 0) walks its first entry down from 10^9 before any sum;
+    # each step is charged as it is taken, so the guard trips at once.
+    start = time.perf_counter()
+    with pytest.raises(EnumerationBudgetError):
+        gt_pattern_count((10**9, 0), budget=10)
+    assert time.perf_counter() - start < 0.1
+
+
 def test_weyl_matches_gt_on_bounded_labels():
     for n in (1, 2, 3):
         for fam in all_families(n):
