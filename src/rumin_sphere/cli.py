@@ -162,6 +162,9 @@ def cmd_kappa(args: argparse.Namespace) -> int:
     if mode == "direct" and args.max is None:
         print("--max is required for --mode direct", file=sys.stderr)
         return EXIT_USAGE
+    if mode == "closed" and args.max is not None:
+        print("--max does not apply to --mode closed", file=sys.stderr)
+        return EXIT_USAGE
     params = {"n": n, "s": s, "mode": mode, "prec": prec}
     if mode == "closed":
         est = torsion.kappa_closed(n, s, prec)

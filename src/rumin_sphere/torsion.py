@@ -22,14 +22,15 @@ sphere with the matching metric.
 
 This module owns the double range: every kappa route raises
 ``OverflowError`` before any work at an s whose kappa(s) leaves it (after
-``DivergenceError``, for the truncated ones), and so does
-``torsion_estimates`` at n above ``MAX_TORSION_N``.
+``DivergenceError``, for the truncated ones, and where their tail bound
+leaves it), and so does ``torsion_estimates`` at n above ``MAX_TORSION_N``.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import count
 from math import exp, factorial, fsum, inf, ldexp, lgamma, log, log2, nextafter, pi, sin, ulp
 from typing import Optional
@@ -98,6 +99,11 @@ def _check_kappa_pole(s: float) -> None:
         raise PoleError("kappa(s) has a pole at s = 1/2 (zeta(2s) pole)")
 
 
+def _check_convergence(n: int, s: float) -> None:
+    if 2 * s <= n + 1:
+        raise DivergenceError(f"need 2s > n+1 for convergence; got s={s}, n={n}")
+
+
 def _log_kappa_lower_bound(n: int, s: float) -> float:
     """A lower bound on log|kappa(s)| for s < 0, in doubles; -inf where it
     gives none (s >= 0, or s a negative integer, where kappa = -(n+1)).
@@ -135,10 +141,18 @@ def _check_torsion_range(n: int) -> None:
         )
 
 
+def _two_power(s: float, k: int) -> mpf:
+    # 2^{2s+k} as an exact power of two times 2^{fraction}: the rounding of s
+    # itself would be amplified by |2s+k| ln 2 (at 8 bits and s = 185, to 28
+    # roundings, where ``_estimate`` allows 8).
+    whole, fraction = divmod(2 * Fraction(s) + k, 1)
+    return mpmath.ldexp(mpf(2) ** _to_mpf(fraction), whole)
+
+
 def _closed_from(n: int, s: float, z: ZetaValue, prec: int) -> KappaEstimate:
     # The closed form from z = zeta(2s).
     with workprec(prec + 16):
-        scale = mpf(2) ** (2 * _to_mpf(s) + 1)
+        scale = _two_power(s, 1)
         value = -(n + 1) * (1 + scale * z.value)
         bound = (n + 1) * scale * z.error_bound
         size = (n + 1) * (1 + abs(scale * z.value))
@@ -169,7 +183,7 @@ def _closed_deriv_from(
 ) -> KappaEstimate:
     # The s-derivative of the closed form from z = zeta(2s), dz = zeta'(2s).
     with workprec(prec + 16):
-        scale = mpf(2) ** (2 * _to_mpf(s) + 2)
+        scale = _two_power(s, 2)
         log2 = mpmath.log(2)
         value = -(n + 1) * scale * (log2 * z.value + dz.value)
         bound = (n + 1) * scale * (log2 * z.error_bound + dz.error_bound)
@@ -211,11 +225,10 @@ def tail_bound(n: int, s: float, N: int) -> float:
     double range on its own.  Each logarithmic term is off by a few units in
     the last place of its own size and the exponential by one more, so the
     result is rounded up by the relative margin 16 u (1 + sum |terms|),
-    u = 2^-53.  A bound below the smallest subnormal double is reported as
-    that double, never as 0.
+    u = 2^-53.  A bound above the largest double raises ``OverflowError``; one
+    below the smallest subnormal double is reported as that double, never 0.
     """
-    if 2 * s <= n + 1:
-        raise DivergenceError(f"need 2s > n+1 for convergence; got s={s}, n={n}")
+    _check_convergence(n, s)
     terms = (
         (2 * s + 1) * log(2.0),
         n * log(2 * (n + 1)),
@@ -224,7 +237,10 @@ def tail_bound(n: int, s: float, N: int) -> float:
         -log(2 * s - n - 1),
     )
     margin = 16 * 2.0**-53 * (1 + sum(abs(t) for t in terms))
-    return max(exp(fsum(terms)) * (1 + margin), ulp(0.0))
+    total = fsum(terms)
+    if total > _LN_DOUBLE_MAX or (bound := exp(total) * (1 + margin)) == inf:
+        raise OverflowError(f"the tail bound at n={n}, s={s}, N={N} overflows a double")
+    return max(bound, ulp(0.0))
 
 
 def degree_zetas_direct(n: int, s: float, N: int) -> list[float]:
@@ -268,8 +284,9 @@ def kappa_direct(n: int, s: float, N: int) -> KappaEstimate:
     cancelled numerically; the returned bound covers the discarded tail of
     the combination.
     """
-    bound = tail_bound(n, s, N)  # raises DivergenceError unless 2s > n+1
+    _check_convergence(n, s)
     _check_kappa_range(n, s)
+    bound = tail_bound(n, s, N)
     zk = degree_zetas_direct(n, s, N)
     ws = degree_weights(n)
     value = 0.0
@@ -289,8 +306,9 @@ def kappa_reduced(n: int, s: float, N: int) -> KappaEstimate:
     """kappa(s) through the truncated reduced route kappa_1 + 2 kappa_2:
     kappa_1 = -(n+1), and kappa_2 the sum over the one-parameter families,
     truncated at N (needs 2s > n+1)."""
-    bound = tail_bound(n, s, N)  # raises DivergenceError unless 2s > n+1
+    _check_convergence(n, s)
     _check_kappa_range(n, s)
+    bound = tail_bound(n, s, N)
     value = -(n + 1.0)
     abs_sum = abs(value)
     for i in range(n + 1):
@@ -327,7 +345,7 @@ def _continued_from(n: int, s: float, z: ZetaValue, prec: int) -> KappaEstimate:
     with workprec(prec + 16):
         total = c1 * z.value
         err = c1 * z.error_bound
-        scale = mpf(2) ** (2 * _to_mpf(s)) / factorial(n)
+        scale = _two_power(s, 0) / factorial(n)
         value = kappa1 - 2 * scale * total
         bound = 2 * scale * err
         size = abs(kappa1) + 2 * scale * abs(total)
@@ -368,9 +386,10 @@ class TorsionReport:
 
 def torsion_estimates(
     n: int, precision: Optional[int] = None, include_kernel: bool = True
-) -> tuple[TorsionReport, KappaEstimate, KappaEstimate]:
+) -> tuple[TorsionReport, KappaEstimate, KappaEstimate, dict]:
     """Full torsion summary for S^{2n+1}, with the closed-form estimates of
-    the kernel-included kappa(0) and of kappa'(0) it reports.
+    the kernel-included kappa(0) and kappa'(0) it reports, and the pair
+    (route, closed form) behind each key of ``route_residuals``.
 
     ``route_residuals`` records how far the direct and reduced routes land
     from the closed form at s = (n+3)/2, N = ``N_REF``, where the defining
@@ -411,4 +430,4 @@ def torsion_estimates(
         route_residuals={name: abs(est.value - closed.value)
                          for name, est in routes.items()},
         zeta_convention="kernel-included" if include_kernel else "kernel-excluded",
-    ), kappa0, kappa_prime0
+    ), kappa0, kappa_prime0, {name: (est, closed) for name, est in routes.items()}

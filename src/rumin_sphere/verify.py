@@ -4,12 +4,13 @@ A check is (name, residual, bound) and passes iff residual <= bound (a NaN
 residual fails).  Exact checks count violations against bound 0.  Numeric
 bounds come from the routes' error terms, with no added slack: two routes
 to one kappa agree when |a - b| <= err(a) + err(b), err being a route's
-bound plus the rounding of its double (``route_check``); the torsion claims
-count the rounding of kappa(0), kappa'(0) and pi (``torsion_checks``); the
-zeta identities compare in mpmath.  A check at several points reports its
-largest residual against the bound that gives the largest residual/bound
-ratio, so it passes iff every point does.  ``verify``, ``kappa`` and
-``torsion`` build their checks here, and exit 1 if one fails.
+bound plus the rounding of its double (``route_check``, also for the routes
+of the torsion report); the torsion claims count the rounding of kappa(0),
+kappa'(0) and pi (``torsion_checks``); the zeta identities compare in mpmath.
+A check at several points reports its largest residual against the bound
+that gives the largest residual/bound ratio, so it passes iff every point
+does.  ``verify``, ``kappa`` and ``torsion`` build their checks here, and
+exit 1 if one fails.
 
 Every check that loops over labels runs their free parameters over
 1..bound, the ``--max`` of the record; no check lowers it.  There is no
@@ -203,18 +204,6 @@ def check_weight_determined(n: int, bound: int) -> CheckResult:
     return _exact("eigenvalue_determined_by_weight", bad)
 
 
-def check_block_multiplicity_one(n: int, bound: int) -> CheckResult:
-    bad = 0
-    for s in range(n + 1):
-        for t in range(n + 1 - s):
-            labels = []
-            for fam in spectrum.decompose(n, s, t):
-                labels.extend(fam.labels(bound, bound))
-            if len(labels) != len(set(labels)):
-                bad += 1
-    return _exact("block_multiplicity_one", bad)
-
-
 def check_c_coefficients(n: int) -> CheckResult:
     cs = zeta.c_coefficients(n)
     bad = int(cs[0] != factorial(n + 1))
@@ -295,11 +284,13 @@ def torsion_checks(
     n: int, precision: Optional[int] = None, include_kernel: bool = True
 ) -> tuple[TorsionReport, list[CheckResult]]:
     """The torsion report and its claims: kappa(0) matches the convention,
-    T = (4 pi)^{n+1} and T / T_RS = n!.  An error e in kappa'(0) moves
-    T = exp(kappa'(0)/2) by the relative amount e/2, and (4 pi)^{n+1}
+    T = (4 pi)^{n+1}, T / T_RS = n!, and each route of ``route_residuals``
+    agrees with the closed form, named by its key.  An error e in kappa'(0)
+    moves T = exp(kappa'(0)/2) by the relative amount e/2, and (4 pi)^{n+1}
     amplifies the rounding of pi by n+1; exp and pow add two units each,
     every division and int conversion one, and second-order terms one."""
-    report, kappa0, kappa_prime0 = torsion.torsion_estimates(n, precision, include_kernel)
+    report, kappa0, kappa_prime0, routes = torsion.torsion_estimates(
+        n, precision, include_kernel)
     expected = 0.0 if include_kernel else float(n + 1)
     from_exp = (kappa_prime0.bound + kappa_prime0.rounding) / 2
     return report, [
@@ -311,6 +302,7 @@ def torsion_checks(
         CheckResult("ray_singer_ratio_is_n_factorial",
                     abs(report.ratio / factorial(n) - 1),
                     from_exp + rounding_gamma(n + 11)),
+        *(route_check(name, *pair) for name, pair in routes.items()),
     ]
 
 
@@ -332,13 +324,6 @@ def check_reduced_continuation(n: int, precision: Optional[int] = None) -> Check
     ])
 
 
-def check_direct_route(n: int, precision: Optional[int] = None) -> CheckResult:
-    s = (n + 3) / 2
-    return route_check("direct_route_within_tail_bound",
-                       torsion.kappa_direct(n, s, 100),
-                       torsion.kappa_closed(n, s, precision))
-
-
 def run_all(n: int, bound: int = 20, precision: Optional[int] = None) -> list[CheckResult]:
     """Every verification suite at the given label-parameter bound.  An n
     whose torsion leaves the double range, or a precision the zeta engine
@@ -349,13 +334,12 @@ def run_all(n: int, bound: int = 20, precision: Optional[int] = None) -> list[Ch
         *(check(n, bound) for check in (
             check_weyl_vs_gt, check_special_dimension, check_dimension_polynomial,
             check_eigenvalue_reductions, check_norm_route, check_case_v_mixed,
-            check_norm_ratios, check_weight_determined, check_block_multiplicity_one)),
+            check_norm_ratios, check_weight_determined)),
         *(check(n) for check in (
             check_c_coefficients, check_sigma, check_vanishing_correction,
             check_cancellation)),
         check_kernel_uniqueness(n, bound),
         check_zeta_constants(precision),
         check_hurwitz_shift(precision),
-        *(check(n, precision) for check in (
-            check_torsion_values, check_reduced_continuation, check_direct_route)),
+        check_torsion_values(n, precision), check_reduced_continuation(n, precision),
     ]

@@ -40,7 +40,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, isqrt, log2
+from math import comb, factorial, isqrt, log2, prod
 from typing import Optional, Sequence, Union
 
 import mpmath
@@ -439,11 +439,12 @@ def c_coefficients(n: int) -> tuple[int, ...]:
 
 
 def sigma(n: int, k: int) -> int:
-    """sigma(k) = sum_l c_l k^l; must equal (n+1)! k."""
+    """sigma(k) = sum_l c_l k^l = sum_i (-1)^i C(n, i) prod_{t=0}^{n} (k+n-i-t),
+    as e_{n+1} of the shifts n-i-t is 0 (one is 0); must equal (n+1)! k."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    cs = c_coefficients(n)
-    return sum(c * k**l for l, c in enumerate(cs, start=1))
+    return sum((-1) ** i * comb(n, i) * prod(range(k - i, k + n - i + 1))
+               for i in range(n + 1))
 
 
 def vanishing_correction_check(n: int, i: int) -> bool:

@@ -214,7 +214,7 @@ def test_criterion_10_mirror_and_kernel_structure():
 def test_criterion_11_verify_every_label_up_to_the_bound():
     with Timer(5.0) as t:
         results = run_all(6, 10)
-    assert len(results) == 19
+    assert len(results) == 17
     assert [r.name for r in results if not r.passed] == []
     report(11, "every verify check at n = 6, labels up to 10", t)
 

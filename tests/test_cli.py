@@ -16,13 +16,14 @@ from pathlib import Path
 import jsonschema
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rumin_sphere import (
     DivergenceError, KappaEstimate, PoleError, PrecisionError, cli, spectrum_slice,
     torsion,
 )
+from rumin_sphere.zeta import MAX_PRECISION_BITS
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "output_record.schema.json")
@@ -166,6 +167,15 @@ def test_kappa_direct_requires_max(capsys):
     assert code == 2
 
 
+def test_kappa_closed_refuses_max(capsys):
+    # Was exit 0 with the flag dropped: the record's parameters held no max.
+    code, out, err = run_cli(capsys, "kappa", "--n", "1", "--s", "2",
+                             "--mode", "closed", "--max", "10")
+    assert code == 2
+    assert out == ""
+    assert err == "--max does not apply to --mode closed\n"
+
+
 def test_kappa_pole_exits_4(capsys):
     code, _, err = run_cli(capsys, "kappa", "--n", "2", "--s", "0.5",
                            "--mode", "closed")
@@ -195,6 +205,14 @@ def test_torsion_record(capsys):
     assert payload["ratio"] == pytest.approx(24.0, rel=1e-10)
     assert all(c["passed"] for c in record["checks"])
     assert payload["zeta_convention"] == "kernel-included"
+    # The three claims, then one check behind each route residual, named by
+    # its key and holding its value as the residual.
+    assert [c["name"] for c in record["checks"][:3]] == [
+        "kappa_at_0_matches_convention", "torsion_is_4pi_power",
+        "ray_singer_ratio_is_n_factorial"]
+    assert {c["name"]: c["residual"] for c in record["checks"][3:]} == \
+        payload["route_residuals"]
+    assert len(record["checks"]) == 6
 
 
 def test_torsion_kernel_excluded(capsys):
@@ -281,6 +299,30 @@ def test_kappa_beyond_double_range_exits_3(capsys, argv):
     assert "double range" in err
 
 
+@pytest.mark.parametrize("mode", ["direct", "reduced"])
+@pytest.mark.parametrize("s", ["1e308", "9e307"])
+def test_truncated_kappa_at_a_huge_s_exits_3(capsys, mode, s):
+    # The tail bound ran before the range check and ended in a ValueError
+    # traceback (-inf + inf in fsum), with exit 1.
+    code, out, err = run_cli(capsys, "kappa", "--n", "1", "--s", s,
+                             "--mode", mode, "--max", "10")
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "kappa(s) at n=1" in err
+
+
+@pytest.mark.parametrize("mode", ["direct", "reduced"])
+def test_kappa_with_a_tail_bound_beyond_the_double_range_exits_3(capsys, mode):
+    # kappa(300) at n = 400 is about -1.7e183; the tail bound at N = 5 is
+    # not a double, and the exit said only "math range error".
+    code, out, err = run_cli(capsys, "kappa", "--n", "400", "--s", "300",
+                             "--mode", mode, "--max", "5")
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "the tail bound at n=400, s=300.0, N=5 overflows a double" in err
+
+
 @pytest.mark.parametrize("mode_args", [("--mode", "closed"), ("--mode", "reduced")])
 def test_kappa_at_an_integer_beyond_the_guard_bit_budget_is_exact(capsys, mode_args):
     # zeta(-2e6) would need about 4e7 guard bits, but it is a trivial zero,
@@ -309,13 +351,15 @@ def test_kappa_direct_with_an_underflowing_tail_bound(capsys):
 @pytest.mark.parametrize(
     "argv, digest",
     [
+        # The torsion records carry, after their three claims, one route
+        # check per key of ``route_residuals``; the payload is unchanged.
         (("torsion", "--n", "1", "--prec", "2048"),
-         "dd37fa2f4ba754a73b8fe0758f81e39b93d57a4b30f27f5689a2247319debd37"),
+         "d3474b896128ef172ece734a830a1bd699dfe8ebdbdf902862c3b461898e7e66"),
         (("torsion", "--n", "6", "--prec", "256",
           "--zeta-convention", "kernel-excluded"),
-         "699edee5247d9a19a4dd8db662c9f8a1e640fa974e3d6a7d487a86fdc71f8f0e"),
+         "5a7f9573f7cb881bb8e01e666ab3f8eeceb0b352b007436bbeca8446711c46ef"),
         (("torsion", "--n", "4", "--prec", "1024"),
-         "38a312e9fa93062bf4c77e8b33f42f85324efe6dfc37c4e76b850a38214d51cd"),
+         "8f5079a4c55f7282334a011f7b5e35cb625e4108891d57c994ed8d2f74efc325"),
         # The two kappa records carry error_bound rounded up to a double:
         # 6.041084798261761e-158 and 5e-324 (was 0.0).  The first is within
         # 2^-512 of zeta(-2.5) as returned, not of its uncorrected prefix
@@ -439,6 +483,66 @@ def test_kappa_gives_a_valid_record_or_one_line_exit(n, s, mode):
         assert "Traceback" not in err.getvalue()
 
 
+# Every s a double can hold, from the edges of the range inwards.
+_ANY_S = st.one_of(_S_VALUES, st.floats(min_value=-1e308, max_value=1e308,
+                                        allow_nan=False),
+                   st.sampled_from([1e308, 9e307, -1e308]))
+# About one draw in eight spans every precision up to one bit above the
+# ceiling; a zeta pass there takes seconds, so the others stay cheap.
+_ANY_PREC = st.integers(0, 7).flatmap(
+    lambda r: st.integers(8, MAX_PRECISION_BITS + 1) if r == 0 else st.integers(8, 256))
+
+
+@st.composite
+def _any_request(draw):
+    command = draw(st.sampled_from(["kappa", "torsion", "verify"]))
+    if command == "kappa":
+        n = draw(st.integers(1, 6))
+        mode = draw(st.sampled_from(["closed", "direct", "reduced"]))
+        # Truncated routes also draw from where their sums converge, up to
+        # past the double range.
+        s = draw(_ANY_S if mode == "closed" else _ANY_S | st.floats(
+            min_value=(n + 1) / 2, max_value=520, exclude_min=True))
+        argv = ["kappa", "--n", str(n), f"--s={s!r}", "--mode", mode]
+        # --max is required in direct mode and refused in closed mode.
+        truncation = draw(st.integers(1, 60) if mode == "direct"
+                          else st.none() | st.integers(1, 60))
+        if truncation is not None:
+            argv += ["--max", str(truncation)]
+    elif command == "torsion":
+        argv = ["torsion", "--n", str(draw(st.integers(1, 12))),
+                "--zeta-convention",
+                draw(st.sampled_from(["kernel-included", "kernel-excluded"]))]
+    else:
+        argv = ["verify", "--n", str(draw(st.integers(1, 3))),
+                "--max", str(draw(st.integers(1, 4)))]
+    # verify's Hurwitz shift check makes 20 general-a passes, minutes at
+    # thousands of bits, so verify draws stay cheap or above the ceiling.
+    prec = draw(_ANY_PREC if command != "verify" else
+                st.integers(8, 128) | st.just(MAX_PRECISION_BITS + 1))
+    return argv + ["--prec", str(prec)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_any_request())
+@example(argv=["kappa", "--n", "1", "--s", "1e308", "--mode", "direct", "--max", "10"])
+@example(argv=["kappa", "--n", "1", "--s", "9e307", "--mode", "reduced", "--max", "10"])
+def test_every_subcommand_gives_a_valid_record_or_one_line_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    if code == 0:
+        record = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        jsonschema.validate(record, SCHEMA)
+        assert all(c["passed"] for c in record["checks"])
+        assert err.getvalue() == ""
+    else:
+        assert code in (2, 3, 4), (code, err.getvalue())
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1
+        assert "Traceback" not in err.getvalue()
+
+
 def test_error_bounds_are_rounded_up():
     from mpmath import mpf, workprec
 
@@ -541,8 +645,8 @@ def test_no_record_holds_a_non_finite_value(capsys, monkeypatch, value):
     estimates = torsion.torsion_estimates
 
     def infinite_torsion(*args):
-        report, kappa0, kappa_prime0 = estimates(*args)
-        return dataclasses.replace(report, T=value), kappa0, kappa_prime0
+        report, *estimates_behind = estimates(*args)
+        return dataclasses.replace(report, T=value), *estimates_behind
 
     monkeypatch.setattr(torsion, "torsion_estimates", infinite_torsion)
     code, out, err = run_cli(capsys, "torsion", "--n", "2")

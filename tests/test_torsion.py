@@ -117,15 +117,15 @@ def test_kernel_convention_is_one_shift_of_the_report(precision):
     # The routes compute the kernel-included kappa; excluding the kernel
     # moves kappa(0) by exactly n+1 and nothing else in the report.
     for n in range(1, 7):
-        included, kappa0, kappa_prime0 = torsion_estimates(n, precision)
-        excluded, kappa0_x, kappa_prime0_x = torsion_estimates(
+        included, kappa0, kappa_prime0, routes = torsion_estimates(n, precision)
+        excluded, kappa0_x, kappa_prime0_x, routes_x = torsion_estimates(
             n, precision, include_kernel=False)
         assert (included.zeta_convention, excluded.zeta_convention) == (
             "kernel-included", "kernel-excluded")
         assert excluded.route_residuals == included.route_residuals
         assert excluded.kappa_prime_at_0 == included.kappa_prime_at_0
         assert excluded.kappa_at_0 == included.kappa_at_0 + (n + 1)
-        assert (kappa0_x, kappa_prime0_x) == (kappa0, kappa_prime0)
+        assert (kappa0_x, kappa_prime0_x, routes_x) == (kappa0, kappa_prime0, routes)
 
 
 def test_every_kappa_route_returns_an_estimate():
@@ -162,6 +162,50 @@ def test_tail_bound_is_finite_and_positive_past_the_double_range():
     for args in [(60, 400, 10), (1, 510.9, 10)]:
         bound = tail_bound(*args)
         assert isfinite(bound) and bound > 0, args
+
+
+@pytest.mark.parametrize("prec", [8, 12, 20, 30])
+def test_closed_form_bounds_hold_at_low_precision(prec):
+    # The power 2^{2s+k} took s rounded to the working precision, an error
+    # amplified by |2s+k| ln 2: at 8 bits and s = 185 the closed form was
+    # off by 3.5 times its bound, and 473 of 3000 random truncated kappa
+    # records at 8..128 bits failed their check against it.
+    for n, s in [(3, 185.1315143064076), (1, 505.9738048075705),
+                 (2, 16.911161953542198), (5, 37.13477370145483), (2, -15.6)]:
+        with mpmath.workprec(400):
+            ms = mpmath.mpf(s)
+            scale = -(n + 1) * 2 ** (2 * ms + 1)
+            kappa = -(n + 1) + scale * mpmath.zeta(2 * ms)
+            deriv = 2 * scale * (mpmath.log(2) * mpmath.zeta(2 * ms)
+                                 + mpmath.zeta(2 * ms, derivative=1))
+        for est, ref in [(kappa_closed(n, s, prec), kappa),
+                         (kappa_continued(n, s, prec)[0], kappa),
+                         (kappa_closed_deriv(n, s, prec), deriv)]:
+            assert abs(est.value - ref) <= est.bound + est.rounding, (n, s)
+
+
+def test_tail_bound_beyond_the_double_range_is_a_named_overflow():
+    # The monomial bound at n = 400, s = 300, N = 5 is about e^765; its
+    # exp ended in the bare "math range error".
+    with pytest.raises(OverflowError, match="tail bound at n=400, s=300.0, N=5"):
+        tail_bound(400, 300.0, 5)
+    assert isfinite(tail_bound(400, 300.0, 7))
+
+
+@pytest.mark.parametrize("route", [kappa_direct, kappa_reduced])
+def test_truncated_routes_refuse_divergence_then_range_then_tail(route):
+    # At s = 1e308 and 9e307 the tail bound's logarithms are inf and -inf,
+    # so it ended in "ValueError: -inf + inf in fsum"; the range comes first.
+    for s in (1e308, 9e307):
+        with pytest.raises(OverflowError, match=r"kappa\(s\) at n=1"):
+            route(1, s, 10)
+    # A divergent sum is refused before the range (kappa leaves it here).
+    with pytest.raises(DivergenceError):
+        route(1, -1e308, 10)
+    # kappa(300) at n = 400 is about -1.7e183, but the tail bound at N = 5
+    # is not a double.
+    with pytest.raises(OverflowError, match="tail bound"):
+        route(400, 300.0, 5)
 
 
 def test_kappa_reduced_truncated_matches_direct():
@@ -250,7 +294,7 @@ def torsion_bounds(n, kappa0, kappa_prime0):
 
 
 def test_torsion_report_n1():
-    rep, kappa0, kappa_prime0 = torsion_estimates(1)
+    rep, kappa0, kappa_prime0, _ = torsion_estimates(1)
     at_0, t_rel, ratio_rel = torsion_bounds(1, kappa0, kappa_prime0)
     assert abs(rep.kappa_at_0) <= at_0
     T = reference(lambda: 16 * mpmath.pi**2)
@@ -261,7 +305,7 @@ def test_torsion_report_n1():
 
 
 def test_torsion_report_n3():
-    rep, kappa0, kappa_prime0 = torsion_estimates(3)
+    rep, kappa0, kappa_prime0, _ = torsion_estimates(3)
     _, t_rel, ratio_rel = torsion_bounds(3, kappa0, kappa_prime0)
     T = reference(lambda: (4 * mpmath.pi) ** 4)
     assert within(rep.T, T, t_rel * T)
@@ -272,7 +316,7 @@ def test_torsion_report_n3():
 
 
 def test_torsion_report_kernel_excluded():
-    rep, kappa0, kappa_prime0 = torsion_estimates(2, include_kernel=False)
+    rep, kappa0, kappa_prime0, _ = torsion_estimates(2, include_kernel=False)
     at_0, t_rel, _ = torsion_bounds(2, kappa0, kappa_prime0)
     assert rep.zeta_convention == "kernel-excluded"
     # Excluding the kernel shifts kappa by +(n+1) but leaves T unchanged;
@@ -285,7 +329,7 @@ def test_torsion_report_kernel_excluded():
 
 def test_exp_relation_between_t_and_kappa_prime():
     for n in range(1, 7):
-        rep, kappa0, kappa_prime0 = torsion_estimates(n)
+        rep, kappa0, kappa_prime0, _ = torsion_estimates(n)
         assert rep.T == exp(rep.kappa_prime_at_0 / 2)
         _, _, ratio_rel = torsion_bounds(n, kappa0, kappa_prime0)
         assert within(rep.ratio, factorial(n), factorial(n) * ratio_rel)

@@ -49,15 +49,16 @@ def test_weight_check_reaches_the_bound(capsys, monkeypatch):
     assert failing_checks(capsys, 2, 14) == (0, set())
 
 
-def count_slices(monkeypatch):
+def count_calls(monkeypatch, module, name):
+    """The argument tuples of every call to ``module.name`` from now on."""
     calls = []
-    slice_of = spectrum.spectrum_slice
+    original = getattr(module, name)
 
     def counted(*args):
         calls.append(args)
-        return slice_of(*args)
+        return original(*args)
 
-    monkeypatch.setattr(spectrum, "spectrum_slice", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -65,7 +66,7 @@ def count_slices(monkeypatch):
 def test_run_all_builds_no_spectrum_slice(monkeypatch, n):
     # The kernel check reads the multiplicity of 0 off the labels; no check
     # aggregates a whole slice.
-    calls = count_slices(monkeypatch)
+    calls = count_calls(monkeypatch, spectrum, "spectrum_slice")
     assert all(r.passed for r in verify.run_all(n, 3))
     assert calls == []
 
@@ -102,8 +103,50 @@ def test_kernel_check_takes_dimensions_only_at_eigenvalue_zero(monkeypatch):
 
 def test_run_all_has_no_mirror_check():
     names = [r.name for r in verify.run_all(1, 2)]
-    assert len(names) == len(set(names)) == 19
-    assert "mirror_rule_slices" not in names
+    assert len(names) == len(set(names)) == 17
+    # No check that compares one computation with itself, or that cannot
+    # fail (labels of two families never coincide: ``_family_index``
+    # refuses two families under one key), and no second direct route.
+    for gone in ("mirror_rule_slices", "block_multiplicity_one",
+                 "direct_route_within_tail_bound"):
+        assert gone not in names
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_run_all_makes_one_direct_route_and_one_pass_at_the_reference_point(
+        monkeypatch, em_passes, n):
+    # The direct route of the torsion report is the one verify checks: one
+    # kappa_direct call, at N_REF, and one zeta(2 s_ref) pass for the
+    # closed form and the continued route (at n = 1, 2 s_ref = 4 would
+    # also count zeta(4) of the constants check).
+    direct = count_calls(monkeypatch, torsion, "kappa_direct")
+    assert all(r.passed for r in verify.run_all(n, 2))
+    assert direct == [(n, (n + 3) / 2, torsion.N_REF)]
+    assert [s for s, _ in em_passes].count(n + 3) == 1
+
+
+def test_run_all_expands_the_c_coefficients_once(monkeypatch):
+    # check_sigma takes sigma(k) from the product the c_l expand, so only
+    # check_c_coefficients computes them.
+    calls = count_calls(monkeypatch, zeta, "c_coefficients")
+    assert all(r.passed for r in verify.run_all(4, 2))
+    assert calls == [(4,)]
+
+
+def test_route_checks_catch_a_scaled_axis_sum(capsys, monkeypatch):
+    # An axis sum 0.1 % off moves the direct and truncated reduced routes
+    # beyond their bounds (0.199 against about 0.09 at n = 2).  The torsion
+    # record printed these residuals with no bound and exited 0.
+    axis = kernels.axis_family_sum
+    monkeypatch.setattr(kernels, "axis_family_sum",
+                        lambda n, i, N, s: axis(n, i, N, s) * 1.001)
+    code = cli.main(["torsion", "--n", "2"])
+    record = json.loads(capsys.readouterr().out)
+    assert code == 1
+    failed = {c["name"] for c in record["checks"] if not c["passed"]}
+    assert failed == {"direct_vs_closed@(s=2.5, N=80)",
+                      "reduced_truncated_vs_closed@(s=2.5, N=80)"}
+    assert failing_checks(capsys, 2, 3) == (1, {"torsion_closed_values"})
 
 
 # -- one check type, bounds derived from the routes ------------------------

@@ -377,6 +377,15 @@ def test_sigma_examples():
             assert sigma(n, k) == factorial(n + 1) * k
 
 
+def test_sigma_is_the_polynomial_of_the_c_coefficients():
+    # sigma comes from the product the c_l expand, a second route to the
+    # same polynomial sum_l c_l k^l.
+    for n in range(1, 9):
+        cs = c_coefficients(n)
+        for k in range(11):
+            assert sigma(n, k) == sum(c * k**l for l, c in enumerate(cs, start=1))
+
+
 def test_vanishing_correction():
     assert vanishing_correction_check(2, 1)
     assert vanishing_correction_check(3, 2)
