@@ -224,21 +224,6 @@ def degree_labels(
                        weyl_product((q, *middle, -p)), spaces)
 
 
-def decompose(n: int, s: int, t: int) -> tuple[BlockFamily, ...]:
-    """Families whose block list contains bidegree (s, t).
-
-    Only bidegrees with s + t <= n are enumerated directly; higher degrees
-    are reached through the mirror rule on degrees.
-    """
-    if s < 0 or t < 0:
-        raise CaseRangeError(f"bidegree components must be nonnegative: ({s}, {t})")
-    if s + t > n:
-        raise CaseRangeError(
-            f"s + t = {s + t} > n = {n}; use the mirror rule at degree level"
-        )
-    return tuple(f for f in all_families(n) if (s, t) in f.spaces)
-
-
 @dataclass(frozen=True)
 class SpectrumSlice:
     """Multiset {eigenvalue -> multiplicity} of the Laplacian on degree-k forms.
@@ -330,11 +315,6 @@ def case_v_identity_value(label: RuminLabel) -> Fraction:
     _require_case(label, (Case.V,), "case_v_identity_value")
     n, q, j, i, p = label.n, label.q, label.j, label.i, label.p
     return Fraction((q + j - i - p) ** 2, 4) + (p + i) * (q + n - i) * (q + j) * (p + n - j)
-
-
-def lie_derivative_eigenvalue(label: RuminLabel) -> int:
-    """The integer m with 2 L_T psi = sqrt(-1) m psi on the label's blocks."""
-    return label.p + label.i - label.j - label.q
 
 
 @dataclass(frozen=True)

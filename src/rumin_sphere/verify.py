@@ -266,9 +266,9 @@ def check_hurwitz_shift(precision: Optional[int] = None) -> CheckResult:
         s = rng.uniform(-4.0, 6.0)
         if abs(s - 1.0) < 0.05:
             s += 0.2
-        a = rng.uniform(0.1, 8.0)
+        a = rng.randint(1, 8)
         left = zeta.hurwitz_zeta(s, a, prec)
-        right = zeta.hurwitz_zeta(s, Fraction(a) + 1, prec)
+        right = zeta.hurwitz_zeta(s, a + 1, prec)
         with mpmath.workprec(prec + 32):
             power = mpf(a) ** -mpf(s)
             shift = power + right.value

@@ -10,29 +10,31 @@ Brent and Harvey's integer recurrence (arXiv:1108.0286), in O(R^2) integer
 operations, and are kept in one process-wide table that fills on the first
 zeta call and grows by doubling; nothing is computed at import.
 
-Two entry points evaluate zeta: ``hurwitz_zeta`` (``riemann_zeta`` is its
-a = 1 case) gives the value, and ``hurwitz_zeta_and_deriv`` gives the value
-and the s-derivative from one pass, with a bound for each, so a caller needs
-one pass per distinct zeta argument.  A pass adds Bernoulli corrections
-until each remainder bound is at most 2^-(prec+6) (1 + |v|), v the value it
-certifies as returned; one that has not stopped after 700 orders raises
-``PrecisionError``, so no pass stops short of its target.  So does, before
-any work, a precision above ``MAX_PRECISION_BITS``, where some argument the
-CLI can pass would not stop, and an argument whose growing prefix terms
-(s < 0 or a < 1) need more than ``MAX_GUARD_BITS`` guard bits.
+Two entry points evaluate zeta at real s and integer a >= 1:
+``hurwitz_zeta`` (``riemann_zeta`` is its a = 1 case) gives the value, and
+``hurwitz_zeta_and_deriv`` gives the value and the s-derivative from one
+pass, with a bound for each, so a caller needs one pass per distinct zeta
+argument.  Any other a raises ``ValueError``.  A pass adds Bernoulli
+corrections until each remainder bound is at most 2^-(prec+6) (1 + |v|), v
+the value it certifies as returned; one that has not stopped after 700
+orders raises ``PrecisionError``, so no pass stops short of its target.  So
+does, before any work, a precision above ``MAX_PRECISION_BITS``, where some
+argument the CLI can pass would not stop, and an argument whose growing
+prefix terms (s < 0) need more than ``MAX_GUARD_BITS`` guard bits.
 
-At a = 1, the case of every zeta call behind ``kappa`` and ``torsion``, the
-prefix sum is sieved: k^{-s} is completely multiplicative, so only the
-primes up to the cutoff K take a log and an exp (for integer s an integer
-power), every composite is the product of two earlier powers, and the
-derivative's log k is a sum of prime logs.  This is the power sum of Arb's
-``acb_dirichlet_powsum_sieved``; the bounds follow Johansson's rigorous
-Euler-Maclaurin scheme for the Hurwitz zeta function (arXiv:1309.2877).  At
-2048 bits that is 128 primes instead of 724 terms: a cold zeta'(0) takes
-0.21-0.23 s in a fresh process on a 2-core VM (0.38-0.45 s with one power
-and one log per term), most of it mpmath's constants and prime logarithms
-at that precision, and a warm one 0.063 s (0.11-0.15 s).  The Bernoulli
-table's share is about 0.015 s.
+The prefix sum is sieved: k^{-s} is completely multiplicative for every
+integer k, so the powers of a..a+K-1 come from a smallest-prime-factor sieve
+of [1, a+K).  Only the primes take a log and an exp (for integer s an
+integer power), every composite is the product of two earlier powers, and
+the derivative's log k is a sum of prime logs.  This is the power sum of
+Arb's ``acb_dirichlet_powsum_sieved``; the bounds follow Johansson's
+rigorous Euler-Maclaurin scheme for the Hurwitz zeta function
+(arXiv:1309.2877).  Every zeta call behind ``kappa`` and ``torsion`` has
+a = 1.  At 2048 bits that is 128 primes instead of 724 terms: a cold
+zeta'(0) takes 0.21-0.23 s in a fresh process on a 2-core VM (0.38-0.45 s
+with one power and one log per term), most of it mpmath's constants and
+prime logarithms at that precision, and a warm one 0.063 s (0.11-0.15 s).
+The Bernoulli table's share is about 0.015 s.
 """
 
 from __future__ import annotations
@@ -56,9 +58,11 @@ DEFAULT_PRECISION_BITS = 128
 # within an ulp of -163, the lowest point that the kappa range check lets
 # through (sin(pi s) is about 1e-13 there).  Its pass converges at 5227 bits
 # and not at 5228; zeta'(0), for torsion and verify, converges up to 6815.
+# The 20 passes of verify's shift check, at a in 1..9 and s in [-4, 6],
+# converge at 5227 bits.
 MAX_PRECISION_BITS = 5227
-# The most guard bits a pass may add for its growing prefix terms (s < 0 or
-# a < 1); no CLI input comes near it.
+# The most guard bits a pass may add for its growing prefix terms (s < 0);
+# no CLI input comes near it.
 MAX_GUARD_BITS = 1 << 16
 
 
@@ -121,18 +125,6 @@ def _bernoulli_coefficient(r: int) -> Fraction:
     return _BERNOULLI_COEFFS[r]
 
 
-def bernoulli_number(m: int) -> Fraction:
-    """Exact Bernoulli number B_m (convention B_1 = -1/2), from the table of
-    B_{2r}/(2r)!."""
-    if m < 0:
-        raise ValueError("Bernoulli index must be nonnegative")
-    if m == 1:
-        return Fraction(-1, 2)
-    if m % 2:
-        return Fraction(0)
-    return _bernoulli_coefficient(m // 2) * factorial(m)
-
-
 def _to_mpf(x: Real) -> mpmath.mpf:
     if isinstance(x, Fraction):
         return mpf(x.numerator) / x.denominator
@@ -161,21 +153,23 @@ def _smallest_prime_factors(K: int) -> list[int]:
     return spf
 
 
-def _sieved_prefix(s: Real, ms: mpf, K: int, want_derivative: bool):
-    """The prefix terms k^{-s} and, if requested, log(k) k^{-s}, k = 1..K.
+def _sieved_prefix(s: Real, ms: mpf, a: int, K: int, want_derivative: bool):
+    """The prefix terms k^{-s} and, if requested, log(k) k^{-s}, k = a..a+K-1.
 
     k^{-s} is completely multiplicative, so only a prime p needs a
     transcendental: one ``log`` and one ``exp(-s log p)``, or for integer s
     one integer power (and the ``log`` only for the derivative).  A
     composite k = p m, p its smallest prime factor, is pw[p] pw[m], and its
     logarithm log p + log m (the method of Arb's
-    ``acb_dirichlet_powsum_sieved``).
+    ``acb_dirichlet_powsum_sieved``).  The sieve runs over [1, a+K), so a
+    pass costs O(a + K) list entries.
     """
     s_int = int(s) if s == int(s) else None
-    spf = _smallest_prime_factors(K)
-    pw = [mpf(1)] * (K + 1)
-    lg = [mpf(0)] * (K + 1)
-    for k in range(2, K + 1):
+    end = a + K
+    spf = _smallest_prime_factors(end - 1)
+    pw = [mpf(1)] * end
+    lg = [mpf(0)] * end
+    for k in range(2, end):
         p = spf[k]
         if p == k:
             if s_int is None or want_derivative:
@@ -189,12 +183,12 @@ def _sieved_prefix(s: Real, ms: mpf, K: int, want_derivative: bool):
             pw[k] = pw[p] * pw[m]
             if want_derivative:
                 lg[k] = lg[p] + lg[m]
-    terms = pw[1:]
-    dterms = [l * t for l, t in zip(lg[2:], pw[2:])] if want_derivative else None
+    terms = pw[a:]
+    dterms = [l * t for l, t in zip(lg[a:], terms)] if want_derivative else None
     return terms, dterms
 
 
-def _euler_maclaurin(s: Real, a: Real, prec: int, want_derivative: bool):
+def _euler_maclaurin(s: Real, a: int, prec: int, want_derivative: bool):
     """Shared Euler-Maclaurin core.
 
     Returns (value, value_bound, deriv, deriv_bound); the derivative slots
@@ -206,25 +200,24 @@ def _euler_maclaurin(s: Real, a: Real, prec: int, want_derivative: bool):
     and one other exit: ``PrecisionError`` after 700 orders.  A trivial zero
     returns before the guard-bit budget is checked.
 
-    At a = 1 the prefix terms come from ``_sieved_prefix``; for other a each
-    term is a power of its own, and the derivative pass takes one log(k+a)
-    for both the power and its derivative.  Either prefix is summed by
+    The prefix terms come from ``_sieved_prefix`` and are summed by
     ``mpmath.fsum`` with one rounding.
 
     Rounding slack, in units u = 2^-(prec+guard) of the working precision,
-    with L = max(|log a|, log(K+a)) and S the prefix sum (every term is
-    positive, so S also bounds the sum of their magnitudes):
+    with L = log(a+K), which bounds log k for every k of the sieve, and S
+    the prefix sum (every term is positive, so S also bounds the sum of
+    their magnitudes):
     - a prime power exp(-s log p) is within (2|s| log p + 2) u of its size
       (the log, the product and the exp; an integer power within 2 u), and
-      a composite adds one product rounding per prime factor, at most
-      log2 K of them; so every term is within rho = 2|s| L + 3 log2(K+1) + 2
-      u of its size, and so is a general-a term, one power each;
-    - a derivative log is a sum of at most log2 K logs, each within 1 u of
-      its size, and is multiplied once more, so a derivative term, at most
-      L times its power, is within (rho + log2(K+1) + 1) u of its size;
+      a composite k < a+K adds one product rounding per prime factor, at
+      most log2(a+K) of them; so every term is within
+      rho = 2|s| L + 3 log2(a+K) + 2 u of its size;
+    - a derivative log is a sum of at most log2(a+K) logs, each within 1 u
+      of its size, and is multiplied once more, so a derivative term, at
+      most L times its power, is within (rho + log2(a+K) + 1) u of its size;
     - fsum rounds once, and drops only terms 2 (prec+guard) bits below the
       sum, so the prefix sums are within (rho + 2) u S and
-      (rho + log2(K+1) + 3) u L S;
+      (rho + log2(a+K) + 3) u L S;
     - the integral, boundary and Bernoulli terms and their sums carry
       (8r + 64) u (1 + m) between them, m the largest magnitude among them,
       the running sums and the result: each order adds a few roundings, and
@@ -235,16 +228,11 @@ def _euler_maclaurin(s: Real, a: Real, prec: int, want_derivative: bool):
         # A trivial zero, zeta(-2m) = 0 exactly: no terms to sum.
         return mpf(0), mpf(0), None, None
     s_f = float(s)
-    a_f = float(a)
     K = max(int(abs(s_f)) + 12, int(0.35 * prec) + 8, 16)
 
     # Extra mantissa bits so rounding stays far below the truncation target:
-    # large summands appear when s < 0 (growing powers) or a < 1.
-    extra = 0.0
-    if s_f < 0:
-        extra += -s_f * log2(K + a_f)
-    if a_f < 1:
-        extra += abs(s_f) * log2(1.0 / a_f)
+    # large summands appear when s < 0 (growing powers).
+    extra = -s_f * log2(K + a) if s_f < 0 else 0.0
     if extra > MAX_GUARD_BITS:
         raise PrecisionError(
             f"zeta(s, a) at s={s}, a={a} needs {extra:.3g} guard bits, more "
@@ -254,29 +242,15 @@ def _euler_maclaurin(s: Real, a: Real, prec: int, want_derivative: bool):
 
     with workprec(prec + guard):
         ms = _to_mpf(s)
-        ma = _to_mpf(a)
         one = mpf(1)
         eps = mpf(2) ** (-(prec + 6))
 
-        if a == 1:
-            terms, dterms = _sieved_prefix(s, ms, K, want_derivative)
-        else:
-            terms, dterms = [], []
-            for k in range(K):
-                base = k + ma
-                if want_derivative:
-                    lb = mpmath.log(base)
-                    term = mpmath.exp(-ms * lb)
-                    dterms.append(lb * term)
-                else:
-                    term = base ** (-ms)
-                terms.append(term)
+        terms, dterms = _sieved_prefix(s, ms, a, K, want_derivative)
         value = prefix = mpmath.fsum(terms)
         deriv = -mpmath.fsum(dterms) if want_derivative else None
 
-        x = K + ma
-        logx = mpmath.log(x)
-        L = max(abs(mpmath.log(ma)), logx)
+        x = mpf(K + a)
+        L = logx = mpmath.log(x)
         xs = x ** (-ms)
         integral = x * xs / (ms - 1)          # x^{1-s} / (s-1)
         value += integral + xs / 2
@@ -341,26 +315,27 @@ def _euler_maclaurin(s: Real, a: Real, prec: int, want_derivative: bool):
             )
 
         u = mpf(2) ** (-(prec + guard))
-        log2_K = log2(K + 1)
-        rho = 2 * abs(ms) * L + 3 * log2_K + 2
+        log2_x = log2(K + a)
+        rho = 2 * abs(ms) * L + 3 * log2_x + 2
         tail = 8 * r + 64
         value_bound = bound + u * ((rho + 2) * prefix + tail * (1 + magmax))
         deriv_bound = None
         if want_derivative:
-            deriv_bound = dbound + u * ((rho + log2_K + 3) * L * prefix
+            deriv_bound = dbound + u * ((rho + log2_x + 3) * L * prefix
                                         + tail * (1 + dmag))
         return value, value_bound, deriv, deriv_bound
 
 
-def _check_argument(s: Real, a: Real) -> None:
+def _check_argument(s: Real, a: int) -> None:
     if s == 1:
         raise PoleError("zeta(s, a) has a pole at s = 1")
-    if not float(a) > 0:
-        raise ValueError(f"Hurwitz parameter must be positive, got a={a}")
+    if not (isinstance(a, int) and a >= 1):
+        raise ValueError(f"Hurwitz parameter must be an integer a >= 1, got a={a!r}")
 
 
-def hurwitz_zeta(s: Real, a: Real, precision: Optional[int] = None) -> ZetaValue:
-    """Hurwitz zeta(s, a) for real s != 1 and a > 0, analytically continued.
+def hurwitz_zeta(s: Real, a: int, precision: Optional[int] = None) -> ZetaValue:
+    """Hurwitz zeta(s, a) for real s != 1 and integer a >= 1, analytically
+    continued; any other a raises ``ValueError``.
 
     Euler-Maclaurin: prefix sum to a precision-driven cutoff, integral and
     boundary terms, then Bernoulli corrections until the rigorous remainder
@@ -377,7 +352,7 @@ def hurwitz_zeta(s: Real, a: Real, precision: Optional[int] = None) -> ZetaValue
 
 
 def hurwitz_zeta_and_deriv(
-    s: Real, a: Real, precision: Optional[int] = None
+    s: Real, a: int, precision: Optional[int] = None
 ) -> tuple[ZetaValue, ZetaValue]:
     """zeta(s, a) and d/ds zeta(s, a), both from one Euler-Maclaurin pass;
     the derivative is the term-wise differentiated sum (no finite
@@ -396,13 +371,6 @@ def hurwitz_zeta_and_deriv(
 def riemann_zeta(s: Real, precision: Optional[int] = None) -> ZetaValue:
     """Riemann zeta(s) = zeta(s, 1) for real s != 1."""
     return hurwitz_zeta(s, 1, precision)
-
-
-def elementary_symmetric(values: Sequence[Real], l: int) -> Union[int, Fraction]:
-    """Elementary symmetric polynomial e_l of the given values, exactly."""
-    if not 0 <= l <= len(values):
-        raise ValueError(f"need 0 <= l <= {len(values)}, got {l}")
-    return _symmetric_row(values, l)[l]
 
 
 def _symmetric_row(values: Sequence[Real], l: int) -> list:

@@ -187,13 +187,18 @@ def test_criterion_09_special_functions():
             s = rng.uniform(-4.0, 6.0)
             if abs(s - 1.0) < 0.05:
                 s += 0.2
-            a = rng.uniform(0.1, 8.0)
+            a = rng.randint(1, 8)
             left = hurwitz_zeta(s, a, 128)
-            right = hurwitz_zeta(s, Fraction(a) + 1, 128)
+            right = hurwitz_zeta(s, a + 1, 128)
             with mpmath.workprec(256):
-                shift = mpmath.mpf(a) ** -mpmath.mpf(s) + right.value
-                residual = abs(float(left.value - shift))
-            assert residual <= float(left.error_bound + right.error_bound) + 1e-15
+                # The power within 2 roundings, the sum and the difference 1 each.
+                power = mpmath.mpf(a) ** -mpmath.mpf(s)
+                shift = power + right.value
+                residual = abs(left.value - shift)
+                rounding = (2 * abs(power) + abs(shift) + residual) * mpmath.mpf(2) ** -256
+                assert residual <= left.error_bound + right.error_bound + rounding
+                for z, b in ((left, a), (right, a + 1)):
+                    assert abs(z.value - mpmath.zeta(mpmath.mpf(s), b)) <= z.error_bound
             assert residual < 1e-12
     report(9, "zeta special values and shift identity at 128 bits", t)
 

@@ -80,17 +80,20 @@ def test_spectrum_mirror_byte_identical(capsys):
     assert out_low == out_high
 
 
-@pytest.mark.parametrize(
-    "argv, digest",
-    [
-        (("--n", "2", "--degree", "1", "--max", "6"),
-         "0b92371bcf059597849f98df33e989980592d7b2845824a60f63d5d58242433c"),
-        (("--n", "3", "--degree", "4", "--max", "5"),
-         "6519ef1b3c29ebf3da32189e3c9a4346b4b1d1a2b15225f15e5185489d30c1c9"),
-        (("--n", "1", "--degree", "2", "--max", "7", "--format", "csv"),
-         "0e825edcbc226b6a5a6e38821e7987e211ec54393ed87491bde24656fcc12ab4"),
-    ],
-)
+def pinned(*cases):
+    """Golden (argv, digest) cases, each with its argv as the test id, so
+    that re-pinning a record changes a value and not a test name."""
+    return [pytest.param(argv, digest, id="_".join(argv)) for argv, digest in cases]
+
+
+@pytest.mark.parametrize("argv, digest", pinned(
+    (("--n", "2", "--degree", "1", "--max", "6"),
+     "0b92371bcf059597849f98df33e989980592d7b2845824a60f63d5d58242433c"),
+    (("--n", "3", "--degree", "4", "--max", "5"),
+     "6519ef1b3c29ebf3da32189e3c9a4346b4b1d1a2b15225f15e5185489d30c1c9"),
+    (("--n", "1", "--degree", "2", "--max", "7", "--format", "csv"),
+     "0e825edcbc226b6a5a6e38821e7987e211ec54393ed87491bde24656fcc12ab4"),
+))
 def test_spectrum_output_is_pinned(capsys, argv, digest):
     # Golden bytes: any change to rows, order, fields or formatting shows.
     code, out, _ = run_cli(capsys, "spectrum", *argv)
@@ -348,30 +351,27 @@ def test_kappa_direct_with_an_underflowing_tail_bound(capsys):
     assert all(c["passed"] for c in record["checks"])
 
 
-@pytest.mark.parametrize(
-    "argv, digest",
-    [
-        # The torsion records carry, after their three claims, one route
-        # check per key of ``route_residuals``; the payload is unchanged.
-        (("torsion", "--n", "1", "--prec", "2048"),
-         "d3474b896128ef172ece734a830a1bd699dfe8ebdbdf902862c3b461898e7e66"),
-        (("torsion", "--n", "6", "--prec", "256",
-          "--zeta-convention", "kernel-excluded"),
-         "5a7f9573f7cb881bb8e01e666ab3f8eeceb0b352b007436bbeca8446711c46ef"),
-        (("torsion", "--n", "4", "--prec", "1024"),
-         "8f5079a4c55f7282334a011f7b5e35cb625e4108891d57c994ed8d2f74efc325"),
-        # The two kappa records carry error_bound rounded up to a double:
-        # 6.041084798261761e-158 and 5e-324 (was 0.0).  The first is within
-        # 2^-512 of zeta(-2.5) as returned, not of its uncorrected prefix
-        # sum (8.102150711871305e-156 before); its rounding slack is that of
-        # the sieved prefix summed with one rounding (6.0410873867698406e-158
-        # with the slack of the term-by-term prefix).
-        (("kappa", "--n", "3", "--s=-1.25", "--mode", "reduced", "--prec", "512"),
-         "fbcb76fdd6511f35d531addcaa8f6dc51ba45d8786806d59766adac1e6875e1c"),
-        (("kappa", "--n", "2", "--s", "2.35", "--mode", "closed", "--prec", "2048"),
-         "57e260121a1bae9345680c8618dea8284d42da7ddb5b47fc7dc4bef3eb0c423a"),
-    ],
-)
+@pytest.mark.parametrize("argv, digest", pinned(
+    # The torsion records carry, after their three claims, one route
+    # check per key of ``route_residuals``; the payload is unchanged.
+    (("torsion", "--n", "1", "--prec", "2048"),
+     "d3474b896128ef172ece734a830a1bd699dfe8ebdbdf902862c3b461898e7e66"),
+    (("torsion", "--n", "6", "--prec", "256",
+      "--zeta-convention", "kernel-excluded"),
+     "5a7f9573f7cb881bb8e01e666ab3f8eeceb0b352b007436bbeca8446711c46ef"),
+    (("torsion", "--n", "4", "--prec", "1024"),
+     "8f5079a4c55f7282334a011f7b5e35cb625e4108891d57c994ed8d2f74efc325"),
+    # The two kappa records carry error_bound rounded up to a double:
+    # 6.041084798261761e-158 and 5e-324 (was 0.0).  The first is within
+    # 2^-512 of zeta(-2.5) as returned, not of its uncorrected prefix
+    # sum (8.102150711871305e-156 before); its rounding slack is that of
+    # the sieved prefix summed with one rounding (6.0410873867698406e-158
+    # with the slack of the term-by-term prefix).
+    (("kappa", "--n", "3", "--s=-1.25", "--mode", "reduced", "--prec", "512"),
+     "fbcb76fdd6511f35d531addcaa8f6dc51ba45d8786806d59766adac1e6875e1c"),
+    (("kappa", "--n", "2", "--s", "2.35", "--mode", "closed", "--prec", "2048"),
+     "57e260121a1bae9345680c8618dea8284d42da7ddb5b47fc7dc4bef3eb0c423a"),
+))
 def test_zeta_records_are_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
@@ -516,8 +516,9 @@ def _any_request(draw):
     else:
         argv = ["verify", "--n", str(draw(st.integers(1, 3))),
                 "--max", str(draw(st.integers(1, 4)))]
-    # verify's Hurwitz shift check makes 20 general-a passes, minutes at
-    # thousands of bits, so verify draws stay cheap or above the ceiling.
+    # verify's Hurwitz shift check makes 20 passes, about 2 s each at 5227
+    # bits (verify --n 1 --max 1 --prec 5227 takes 45 s as a process), so
+    # verify draws stay cheap or above the ceiling.
     prec = draw(_ANY_PREC if command != "verify" else
                 st.integers(8, 128) | st.just(MAX_PRECISION_BITS + 1))
     return argv + ["--prec", str(prec)]

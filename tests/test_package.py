@@ -17,6 +17,26 @@ def test_every_exported_name_resolves():
     assert set(rumin_sphere.__all__) <= set(namespace)
 
 
+def test_every_exported_name_has_a_caller():
+    # An exported name earns its place by a use: in the package outside its
+    # own definition (the export list in __init__ does not count), in the
+    # benchmark harness, or in the README.
+    root = Path(rumin_sphere.__file__).parents[2]
+    src = [p.read_text() for p in sorted((root / "src" / "rumin_sphere").glob("*.py"))
+           if p.name != "__init__.py"]
+    others = [p.read_text() for p in sorted((root / "clibench").glob("*.py"))]
+    others.append((root / "README.md").read_text())
+    unused = []
+    for name in rumin_sphere.__all__:
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        definition = re.compile(rf"^(?:def|class) {re.escape(name)}\b|^{re.escape(name)}\s*[:=]")
+        in_src = any(word.search(line) and not definition.match(line)
+                     for text in src for line in text.splitlines())
+        if not (in_src or any(word.search(text) for text in others)):
+            unused.append(name)
+    assert unused == []
+
+
 def _run(code: str) -> str:
     result = subprocess.run(
         [sys.executable, "-c", code],

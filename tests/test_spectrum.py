@@ -14,11 +14,9 @@ from rumin_sphere import (
     all_families,
     case_v_identity_value,
     case_v_mixed_eigenvalue,
-    decompose,
     eigenvalue_formula,
     gt_pattern_count,
     label_to_weight,
-    lie_derivative_eigenvalue,
     norm_constants,
     norm_route_eigenvalue,
     operator_norm_squares,
@@ -37,6 +35,11 @@ from rumin_sphere.spectrum import (
 def table_labels(n, bound):
     """Every label of the family table, free parameters running 1..bound."""
     return [lab for fam in all_families(n) for lab in fam.labels(bound, bound)]
+
+
+def decompose(n, s, t):
+    """The families of the table whose block list holds bidegree (s, t)."""
+    return [fam for fam in all_families(n) if (s, t) in fam.spaces]
 
 
 def test_eigenvalue_examples():
@@ -89,10 +92,12 @@ def test_decompose_degree_one_n1():
 
 
 def test_decompose_rejects_above_middle():
-    with pytest.raises(CaseRangeError):
-        decompose(2, 2, 1)
-    with pytest.raises(CaseRangeError):
-        decompose(2, -1, 0)
+    # Degrees above n are reached through the mirror rule, so the table
+    # lists each bidegree (s, t) with s, t >= 0 and s + t <= n, and no other.
+    assert decompose(2, 2, 1) == decompose(2, -1, 0) == []
+    for n in range(1, 7):
+        held = {st for fam in all_families(n) for st in fam.spaces}
+        assert held == {(s, t) for s in range(n + 1) for t in range(n + 1 - s)}
 
 
 def test_block_multiplicity_one():
@@ -195,12 +200,6 @@ def test_case_v_mixed_route():
                 mu = eigenvalue_formula(label)
                 assert case_v_mixed_eigenvalue(label) == mu
                 assert case_v_identity_value(label) == mu
-
-
-def test_lie_derivative_examples():
-    assert lie_derivative_eigenvalue(RuminLabel(1, 1, 0, 0, 1)) == 0
-    assert lie_derivative_eigenvalue(RuminLabel(1, -1, 0, 0, 1)) == 2
-    assert lie_derivative_eigenvalue(RuminLabel(2, 2, 1, 0, 3)) == 0
 
 
 def test_norm_constants_example():

@@ -15,9 +15,7 @@ from rumin_sphere import (
     DimensionPolynomial,
     PoleError,
     PrecisionError,
-    bernoulli_number,
     c_coefficients,
-    elementary_symmetric,
     hurwitz_zeta,
     hurwitz_zeta_and_deriv,
     riemann_zeta,
@@ -32,30 +30,31 @@ def mp_zeta(s, a=1, derivative=0, prec=200):
         return mpmath.zeta(mpmath.mpf(s), a, derivative)
 
 
+def bernoulli(m):
+    # B_m for even m, from the Euler-Maclaurin coefficient B_m / m!.
+    return zeta._bernoulli_coefficient(m // 2) * factorial(m)
+
+
 def test_bernoulli_numbers():
-    assert bernoulli_number(0) == 1
-    assert bernoulli_number(1) == Fraction(-1, 2)
-    assert bernoulli_number(2) == Fraction(1, 6)
-    assert bernoulli_number(12) == Fraction(-691, 2730)
-    assert all(bernoulli_number(2 * r + 1) == 0 for r in range(1, 10))
+    assert bernoulli(0) == 1
+    assert bernoulli(2) == Fraction(1, 6)
+    assert bernoulli(12) == Fraction(-691, 2730)
+    assert zeta._bernoulli_coefficient(1) == Fraction(1, 12)
 
 
 def test_bernoulli_numbers_match_mpmath_up_to_600():
     for m in range(0, 601, 2):
-        assert bernoulli_number(m) == Fraction(*mpmath.bernfrac(m)), m
+        assert bernoulli(m) == Fraction(*mpmath.bernfrac(m)), m
 
 
 def test_bernoulli_numbers_match_the_binomial_recurrence():
     # The textbook recurrence sum_{t<=k} C(k+1, t) B_t = 0, over every
-    # index, odd ones included.
+    # index; the odd ones past B_1 vanish, and the table holds the even ones.
     old = [Fraction(1)]
     for k in range(1, 41):
         old.append(-sum(comb(k + 1, t) * old[t] for t in range(k)) / (k + 1))
-    assert [bernoulli_number(m) for m in range(41)] == old
-    assert bernoulli_number(1) == Fraction(-1, 2)
-    assert bernoulli_number(3) == bernoulli_number(39) == 0
-    with pytest.raises(ValueError):
-        bernoulli_number(-1)
+    assert old[1] == Fraction(-1, 2) and not any(old[3::2])
+    assert [bernoulli(m) for m in range(0, 41, 2)] == old[::2]
 
 
 def test_zeta_two_is_pi_squared_over_six():
@@ -81,9 +80,11 @@ def test_zeta_deriv_at_zero():
 
 
 def test_hurwitz_at_zero_is_half_minus_a():
-    for a in (0.25, 1.0, 3.5, 7.0):
-        z = hurwitz_zeta(0, a)
-        assert abs(float(z.value) - (0.5 - a)) <= float(z.error_bound) + 1e-30
+    for a in (1, 2, 7, 101):
+        for prec in (128, 1024):
+            z = hurwitz_zeta(0, a, prec)
+            with mpmath.workprec(prec + 64):
+                assert abs(z.value - (mpmath.mpf(0.5) - a)) <= z.error_bound, (a, prec)
 
 
 @pytest.mark.parametrize("s", [-3.0, -1.0, 0.5, 2.0, 3.0, 6.0])
@@ -95,12 +96,12 @@ def test_hurwitz_at_one_matches_riemann(s):
 
 @pytest.mark.parametrize(
     "s, a",
-    [(2.0, 0.5), (-1.5, 2.25), (3.0, 10.0), (-4.5, 0.3), (0.5, 1.0), (7.5, 0.1)],
+    [(2.0, 2), (-1.5, 3), (3.0, 10), (-4.5, 7), (0.5, 1), (7.5, 101)],
 )
 def test_error_bound_holds_against_reference(s, a):
     z = hurwitz_zeta(s, a)
-    ref = mp_zeta(s, a)
-    assert abs(float(z.value - ref)) <= float(z.error_bound)
+    with mpmath.workprec(256):
+        assert abs(z.value - mp_zeta(s, a, prec=256)) <= z.error_bound
 
 
 @pytest.mark.parametrize("s", [-2.5, -1.0, 0.0, 0.5, 2.0, 5.0])
@@ -111,14 +112,13 @@ def test_deriv_error_bound_holds_against_reference(s):
 
 
 def _contract_points():
-    # A seeded grid; a is a multiple of 1/20 so that mpmath's reference
-    # takes its fast reflection route at s < 0.  zeta(-20.5) at 128 bits
+    # A seeded grid over integer a in 1..101.  zeta(-20.5) at 128 bits
     # stopped at a relative bound of 2^-28.4 while the target was taken from
     # the uncorrected prefix sum.
     rng = random.Random(20261018)
-    points = [(-20.5, Fraction(1), 128)]
+    points = [(-20.5, 1, 128)]
     for i in range(24):
-        a = Fraction(1) if i % 4 == 0 else Fraction(rng.randint(1, 200), 20)
+        a = 1 if i % 4 == 0 else rng.randint(2, 101)
         points.append((rng.uniform(-120, 40), a, (53, 128, 256)[i % 3]))
     return points
 
@@ -127,18 +127,17 @@ def test_every_pass_reaches_its_precision_and_holds_its_bound():
     # Each bound is at most 2^-prec (1 + |value|) for the value it
     # certifies, and holds.
     for s, a, prec in _contract_points():
-        ma = mpmath.rational.mpq(a.numerator, a.denominator)
         z = hurwitz_zeta(s, a, prec)
         z2, dz = hurwitz_zeta_and_deriv(s, a, prec)
         for got, derivative in ((z, 0), (z2, 0), (dz, 1)):
             with mpmath.workprec(prec + 64):
                 target = mpmath.mpf(2) ** -prec * (1 + abs(got.value))
                 assert got.error_bound <= target, (s, a, prec, derivative)
-                # The bound may be far below the target (a < 1, large s), so
-                # the reference runs 64 bits beyond the accuracy it claims.
+                # The bound may be far below the target (large s), so the
+                # reference runs 64 bits beyond the accuracy it claims.
                 bits = prec + 64 + int(mpmath.log(target / got.error_bound, 2))
             with mpmath.workprec(bits):
-                want = mpmath.zeta(mpmath.mpf(s), ma, derivative)
+                want = mpmath.zeta(mpmath.mpf(s), a, derivative)
                 assert abs(got.value - want) <= got.error_bound, \
                     (s, a, prec, derivative)
 
@@ -172,10 +171,33 @@ def test_sieved_prefix_holds_its_bounds(prec):
         assert _holds_against_mpmath(dz, s, 1, prec, 1), (s, prec)
 
 
+@pytest.mark.parametrize("prec", [1024, 2048])
+def test_integer_a_passes_hold_their_bounds(prec):
+    # Each pass at a > 1 sums the window a..a+K-1 of a sieve over [1, a+K).
+    # mpmath's reference takes most of the time, so 2048 bits takes fewer s.
+    points = (-7.3, -3, -0.5, 0, 2.5, 7) if prec < 2048 else (-3, 2.5, 7)
+    for a in (1, 2, 7, 101):
+        for s in points:
+            z = hurwitz_zeta(s, a, prec)
+            z2, dz = hurwitz_zeta_and_deriv(s, a, prec)
+            if z.error_bound:  # not a trivial zero
+                assert _holds_against_mpmath(z, s, a, prec, 0), (s, a, prec)
+            assert _holds_against_mpmath(z2, s, a, prec, 0), (s, a, prec)
+            assert _holds_against_mpmath(dz, s, a, prec, 1), (s, a, prec)
+
+
+def test_non_integer_or_nonpositive_a_is_refused(em_passes):
+    for a in (0.5, 0, -1, 2.0, Fraction(3, 2)):
+        for call in (hurwitz_zeta, hurwitz_zeta_and_deriv):
+            with pytest.raises(ValueError, match="integer a >= 1"):
+                call(2, a)
+    assert em_passes == []
+
+
 @pytest.mark.parametrize("prec", [64, 256, 1024])
 def test_sieved_prefix_matches_the_general_path(prec):
-    # zeta(s) = 1 + zeta(s, 2) and zeta'(s) = zeta'(s, 2): the sieve on the
-    # left, one power per term on the right.
+    # zeta(s) = 1 + zeta(s, 2) and zeta'(s) = zeta'(s, 2): the windows of
+    # two sieves, one starting at 1 and one at 2.
     for s in (-17.5, -4, -1.25, 0, 0.5, 3, 6.75, 25):
         z, dz = hurwitz_zeta_and_deriv(s, 1, prec)
         h, dh = hurwitz_zeta_and_deriv(s, 2, prec)
@@ -219,8 +241,8 @@ def test_a_sieved_pass_takes_one_log_and_exp_per_prime(monkeypatch, s, want_deri
     primes = len(_primes_up_to(int(0.35 * prec) + 9))
     assert primes == 128
     integer = s == int(s)
-    # The remainder terms take log(K + 1), log(a) and (K + 1)^-s.
-    assert calls["log"] <= (0 if integer and not want_derivative else primes) + 2
+    # The remainder terms take log(K + 1) and (K + 1)^-s.
+    assert calls["log"] <= (0 if integer and not want_derivative else primes) + 1
     assert calls["exp"] <= (0 if integer else primes + 1)
 
 
@@ -247,33 +269,38 @@ def test_a_pass_at_the_precision_ceiling_converges():
 @settings(max_examples=40, deadline=None)
 @given(
     s=st.floats(min_value=-4, max_value=6).filter(lambda x: abs(x - 1) > 0.05),
-    a=st.floats(min_value=0.1, max_value=9.0),
+    a=st.integers(min_value=1, max_value=101),
 )
 def test_hurwitz_shift_identity(s, a):
     left = hurwitz_zeta(s, a)
-    right = hurwitz_zeta(s, Fraction(a) + 1)
+    right = hurwitz_zeta(s, a + 1)
     with mpmath.workprec(200):
-        # The a^{-s} term must be evaluated at working precision too;
-        # a double-precision pow would dominate the residual.
-        residual = abs(left.value - (mpmath.mpf(a) ** -mpmath.mpf(s) + right.value))
-    assert float(residual) <= float(left.error_bound + right.error_bound) + 1e-15
+        # The a^{-s} term is evaluated at working precision too, within 2
+        # roundings; the sum and the difference add one each.
+        power = mpmath.mpf(a) ** -mpmath.mpf(s)
+        shift = power + right.value
+        residual = abs(left.value - shift)
+        rounding = (2 * abs(power) + abs(shift) + residual) * mpmath.mpf(2) ** -200
+        assert residual <= left.error_bound + right.error_bound + rounding
 
 
 def test_doubling_precision_shrinks_difference():
-    for s, a in [(2.0, 1.0), (-1.5, 0.7), (3.25, 4.0)]:
+    for s, a in [(2.0, 1), (-1.5, 2), (3.25, 4), (-6.5, 101)]:
         low = hurwitz_zeta(s, a, precision=64)
         high = hurwitz_zeta(s, a, precision=128)
-        assert abs(float(low.value - high.value)) <= float(low.error_bound)
-        assert float(high.error_bound) < float(low.error_bound)
+        with mpmath.workprec(256):
+            assert abs(low.value - high.value) <= low.error_bound + high.error_bound
+        assert high.error_bound < low.error_bound
 
 
 def test_value_and_derivative_from_one_pass(em_passes):
-    for s, a in [(0, 1), (-1.5, 0.7), (3.25, 4.0)]:
+    for s, a in [(0, 1), (-1.5, 2), (3.25, 4), (-0.5, 101)]:
         em_passes.clear()
         z, dz = hurwitz_zeta_and_deriv(s, a)
         assert em_passes == [(s, True)]
-        assert abs(float(z.value - mp_zeta(s, a))) <= float(z.error_bound)
-        assert abs(float(dz.value - mp_zeta(s, a, 1))) <= float(dz.error_bound)
+        with mpmath.workprec(256):
+            assert abs(z.value - mp_zeta(s, a, prec=256)) <= z.error_bound
+            assert abs(dz.value - mp_zeta(s, a, 1, prec=256)) <= dz.error_bound
 
 
 def test_trivial_zeros_are_exact():
@@ -281,8 +308,10 @@ def test_trivial_zeros_are_exact():
     for s in (-2, -4.0, Fraction(-60), -2000):
         z = riemann_zeta(s)
         assert z.value == 0 and z.error_bound == 0, s
-    # Only at a = 1, and the derivative still sums: zeta'(-2) = -zeta(3)/(4 pi^2).
-    assert hurwitz_zeta(-2, 0.5).error_bound > 0
+    # Only at a = 1: zeta(-2, 2) = zeta(-2) - 1 sums to -1.  The derivative
+    # still sums at a = 1: zeta'(-2) = -zeta(3)/(4 pi^2).
+    z = hurwitz_zeta(-2, 2)
+    assert z.error_bound > 0 and abs(z.value + 1) <= z.error_bound
     dz = hurwitz_zeta_and_deriv(-2, 1)[1]
     assert abs(float(dz.value - mp_zeta(-2, 1, 1))) <= float(dz.error_bound)
     assert dz.value != 0
@@ -294,7 +323,7 @@ def test_guard_bits_beyond_the_working_range_are_refused():
     with pytest.raises(PrecisionError, match="guard bits"):
         riemann_zeta(-2e6 + 0.5)
     with pytest.raises(PrecisionError, match="guard bits"):
-        hurwitz_zeta_and_deriv(-2e6, 0.5)
+        hurwitz_zeta_and_deriv(-2e6, 2)
     # zeta'(-2m) is not zero, so the derivative pass is refused too.
     with pytest.raises(PrecisionError, match="guard bits"):
         hurwitz_zeta_and_deriv(-2e6, 1)
@@ -309,7 +338,7 @@ def test_pole_and_precision_errors():
     with pytest.raises(PoleError):
         riemann_zeta(1)
     with pytest.raises(PoleError):
-        hurwitz_zeta_and_deriv(1, 2.0)
+        hurwitz_zeta_and_deriv(1, 2)
     with pytest.raises(PrecisionError):
         riemann_zeta(2, precision=1 << 20)
     with pytest.raises(ValueError):
@@ -317,18 +346,19 @@ def test_pole_and_precision_errors():
 
 
 def test_elementary_symmetric_basics():
-    assert elementary_symmetric([], 0) == 1
-    assert elementary_symmetric([5, 7, 11], 0) == 1
-    assert elementary_symmetric([1, 0, -1], 2) == -1
-    with pytest.raises(ValueError):
-        elementary_symmetric([1, 2], 3)
+    # zeta._symmetric_row(values, l) is [e_0, ..., e_l]; e_l past the
+    # number of values is 0.
+    assert zeta._symmetric_row([], 0) == [1]
+    assert zeta._symmetric_row([5, 7, 11], 0) == [1]
+    assert zeta._symmetric_row([1, 0, -1], 2) == [1, 0, -1]
+    assert zeta._symmetric_row([1, 2], 3) == [1, 3, 2, 0]
 
 
 def test_elementary_symmetric_arithmetic_series():
     for n in range(1, 8):
         for i in range(n + 1):
             vals = [n - i - m for m in range(n + 1)]
-            assert elementary_symmetric(vals, 1) == sum(vals)
+            assert zeta._symmetric_row(vals, 1)[1] == sum(vals)
             assert 2 * sum(vals) == (n + 1) * (n - 2 * i)
 
 
@@ -343,8 +373,7 @@ def test_elementary_symmetric_against_polynomial_expansion(vals):
             new[d + 1] += c
             new[d] += v * c
         coeffs = new
-    for l in range(len(vals) + 1):
-        assert elementary_symmetric(vals, l) == coeffs[len(vals) - l]
+    assert zeta._symmetric_row(vals, len(vals)) == coeffs[::-1]
 
 
 def test_c_coefficients_small_cases():
