@@ -17,7 +17,8 @@ and grows by 2p'+k per step in q', so a triangle row is one C-level ``map``
 of ``math.pow`` over a ``range``; each family then reads its terms from the
 row with one dot product per half.  D^{2s} is factored out of the whole
 sum, so each power is taken of an exact integer rather than of a rounded
-quotient.
+quotient.  The dimension rows share one product as well: every family's
+row in q is P(q) = q (q+1) ... (q+n) over two of its factors.
 """
 
 from __future__ import annotations
@@ -32,16 +33,22 @@ from operator import mul, truediv
 _EXACT_LOG2_LIMIT = 1000.0
 
 
-def _weyl_row(mid: tuple[int, ...], N: int) -> list[int]:
-    """Numerators prod_b (q - mid[b] + b+1) for q = 1..N.
+def _dimension_rows(n: int, k: int, N: int) -> tuple[list, list]:
+    """The rows F and G of ``pair_sums_of_k``, q = 1..N, of its families
+    i = 0..(n-k)//2: P(q) / ((q+a)(q+a+k)(n-1)!) at a = n-k-i and a = i.
 
-    Divided by (n-1)!, each is the factor of a Weyl dimension that depends on
-    the first weight entry q, given the n-1 middle entries ``mid``.
-    """
-    nums = [1] * N
-    for b, m in enumerate(mid):
-        nums = list(map(mul, nums, range(b + 2 - m, N + b + 2 - m)))
-    return nums
+    P(q) / (n-1)! = n (n+1) C(q+n, n+1) is an integer, built for every
+    family at once by its step (q+n+1) / q."""
+    h = n - k
+    P = [n * (n + 1)]  # P(q) / (n-1)!, P(q) = q (q+1) ... (q+n)
+    for q in range(1, N):
+        P.append(P[-1] * (q + n + 1) // q)
+
+    def row(a: int) -> list[float]:
+        return [Pq / ((q + a) * (q + a + k)) for q, Pq in enumerate(P, 1)]
+
+    F = [row(h - i) for i in range(h // 2 + 1)]
+    return F, [F[i] if 2 * i == h else row(i) for i in range(h // 2 + 1)]
 
 
 def _middle_factor(a: int, b: int, c: int) -> int:
@@ -64,8 +71,12 @@ def pair_sums_of_k(n: int, k: int, N: int, s: float) -> list[float]:
     family {i, j} with i + j = n-k.
 
     The Weyl dimension factors as M * F(q) * G(p) * (p'+q'+k)/n because only
-    the first and last weight entries depend on the free parameters.  F, G
-    and M/n are each one correctly rounded quotient of exact integers.  Row
+    the first and last weight entries depend on the free parameters.  With
+    the middle weight (1^a, 0^(k-1), (-1)^i), a = n-k-i, the row
+    F(q) = (q)_a (q+a+1)_(k-1) (q+a+k+1)_i / (n-1)! runs over q..q+n but for
+    q+a and q+a+k, so F(q) = P(q) / ((q+a)(q+a+k)(n-1)!) with
+    P(q) = q (q+1) ... (q+n), one product for every family; G swaps a and i.
+    F, G and M/n are each one correctly rounded quotient of exact integers.  Row
     r of the shared triangle, W_r[c] = (r+c+k) A(r, c)^(-2s) for c >= r,
     holds the terms with p' = r (the upper half, against F(c-j)) and those
     with q' = r, p' = c > r (the lower half, against G(c-i)).  When i = j
@@ -91,18 +102,8 @@ def pair_sums_of_k(n: int, k: int, N: int, s: float) -> list[float]:
         return [0.0] * len(families)
     D = 2 * k
     t = -2.0 * s
-    den = math.factorial(n - 1)
-
-    m, F, G = [], [], []
-    for i in families:
-        mid = (1,) * (h - i) + (0,) * (k - 1) + (-1,) * i
-        m.append(_middle_factor(h - i, k - 1, i) / n)
-        F.append(list(map(truediv, _weyl_row(mid, N), repeat(den))))
-        if i == h - i:
-            G.append(F[-1])
-        else:
-            dual_mid = tuple(-x for x in reversed(mid))
-            G.append(list(map(truediv, _weyl_row(dual_mid, N), repeat(den))))
+    m = [_middle_factor(h - i, k - 1, i) / n for i in families]
+    F, G = _dimension_rows(n, k, N)
 
     R = N + h  # the largest shifted coordinate of any family
     a_max = 2 * R * (R + k)
@@ -151,9 +152,11 @@ def term_roundings(n: int, N: int, s: float) -> int:
     D^{2s} (2), their product (1) and its product with the sum (1).  The
     divided-bases path adds up to 2s more.  An axis term takes N + 2n + 6
     (the sum, the binomial product, 4 for the dimension, 2 for the power and
-    1 for the product).  The charge keeps the pair budget 2N + 16 of the
-    earlier per-family kernel, so 2N + 2n + ceil(2s) + 16 covers both with
-    room to spare and the bounds in records are unchanged."""
+    1 for the product).  The one charge 2N + 2n + ceil(2s) + 16 is kept
+    because it covers both for every N >= 1: the pair count N + 13, with
+    ceil(2s) more on the divided-bases path, and the axis count N + 2n + 6.
+    No record holds this bound; it decides a check's ``passed`` only through
+    ``verify.route_check``."""
     return 2 * N + 2 * n + math.ceil(2 * s) + 16
 
 

@@ -110,12 +110,6 @@ def eigenvalue_denominator(n: int) -> int:
     return 4 * lcm(*range(1, n + 1)) ** 2
 
 
-def block_bidegrees(label: RuminLabel) -> tuple[tuple[int, int], ...]:
-    """Bidegrees (s, t) at which the label has a nonzero block: the
-    ``spaces`` of its family in ``all_families``."""
-    return label.family.spaces
-
-
 @dataclass(frozen=True)
 class BlockFamily:
     """All labels sharing (case, i, j); free parameters range over p, q >= 1.

@@ -227,19 +227,16 @@ def check_cancellation(n: int) -> CheckResult:
 
 
 def check_kernel_uniqueness(n: int, bound: int) -> CheckResult:
-    # The multiplicity of 0 in each degree k <= n (degree 2n+1-k mirrors k):
-    # only labels of eigenvalue 0 take a Weyl dimension.
+    # The multiplicity of 0 in each degree k <= n: 1 at k = 0, none above.
+    # Degree 2n+1-k mirrors k, so it is not compared again.  Only labels of
+    # eigenvalue 0 take a Weyl dimension.
     zero = [0] * (n + 1)
     for label in _labels(n, bound):
         if spectrum.eigenvalue_numerator(n, label.q, label.j, label.i, label.p) == 0:
             dim = weyl_dimension(label_to_weight(label))
-            for s, t in spectrum.block_bidegrees(label):
+            for s, t in label.family.spaces:
                 zero[s + t] += dim
-    bad = 0
-    for k in range(2 * n + 2):
-        expected = 1 if k in (0, 2 * n + 1) else 0
-        if zero[min(k, 2 * n + 1 - k)] != expected:
-            bad += 1
+    bad = int(zero[0] != 1) + sum(1 for mult in zero[1:] if mult != 0)
     return _exact("zero_eigenvalue_only_in_top_and_bottom", bad)
 
 
@@ -325,11 +322,11 @@ def check_reduced_continuation(n: int, precision: Optional[int] = None) -> Check
 
 
 def run_all(n: int, bound: int = 20, precision: Optional[int] = None) -> list[CheckResult]:
-    """Every verification suite at the given label-parameter bound.  An n
-    whose torsion leaves the double range, or a precision the zeta engine
-    cannot reach, is refused before any check runs."""
-    torsion._check_torsion_range(n)
-    zeta._check_precision(precision)
+    """Every verification suite at the given label-parameter bound.  The
+    torsion check runs first, so an n whose torsion leaves the double range,
+    or a precision the zeta engine cannot reach, is refused before any label
+    check runs."""
+    torsion_values = check_torsion_values(n, precision)
     return [
         *(check(n, bound) for check in (
             check_weyl_vs_gt, check_special_dimension, check_dimension_polynomial,
@@ -341,5 +338,5 @@ def run_all(n: int, bound: int = 20, precision: Optional[int] = None) -> list[Ch
         check_kernel_uniqueness(n, bound),
         check_zeta_constants(precision),
         check_hurwitz_shift(precision),
-        check_torsion_values(n, precision), check_reduced_continuation(n, precision),
+        torsion_values, check_reduced_continuation(n, precision),
     ]

@@ -33,7 +33,7 @@ from rumin_sphere import (
     vanishing_correction_check,
     weyl_dimension,
 )
-from rumin_sphere.spectrum import all_families, block_bidegrees
+from rumin_sphere.spectrum import all_families
 from rumin_sphere.torsion import rounding_gamma
 from rumin_sphere.verify import route_check, run_all
 
@@ -122,7 +122,7 @@ def test_criterion_05_case_ii_v_cancellation():
                 if fam.case not in (Case.II, Case.V):
                     continue
                 for label in fam.labels(20, 20):
-                    assert sum(ws[s + t] for s, t in block_bidegrees(label)) == 0
+                    assert sum(ws[s + t] for s, t in label.family.spaces) == 0
     report(5, "Case II/V cancellation, p,q <= 20, n <= 4", t)
 
 

@@ -37,6 +37,19 @@ def test_every_exported_name_has_a_caller():
     assert unused == []
 
 
+def test_src_reaches_no_private_name_of_another_module():
+    # A module's private names are its own: no other module of the package
+    # reads ``torsion._x`` and the like.  ``zeta._check_precision`` is left
+    # out: it is the one precision refusal that every module shares.
+    package = Path(rumin_sphere.__file__).parent
+    reach = re.compile(r"\b(torsion|spectrum|verify|weights|cli)\._\w*")
+    found = [f"{path.name}:{number}: {match.group()}"
+             for path in sorted(package.glob("*.py"))
+             for number, line in enumerate(path.read_text().splitlines(), 1)
+             for match in reach.finditer(line) if match.group(1) != path.stem]
+    assert found == []
+
+
 def _run(code: str) -> str:
     result = subprocess.run(
         [sys.executable, "-c", code],

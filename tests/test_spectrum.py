@@ -26,7 +26,6 @@ from rumin_sphere import (
 )
 from rumin_sphere import spectrum
 from rumin_sphere.spectrum import (
-    block_bidegrees,
     degree_labels,
     eigenvalue_denominator,
 )
@@ -112,7 +111,7 @@ def test_block_multiplicity_one():
 
 def test_block_validates_bidegree():
     lab = RuminLabel(2, 1, 0, 0, 1)  # Case II at n=2
-    spaces = block_bidegrees(lab)
+    spaces = lab.family.spaces
     assert set(spaces) == {(0, 0), (1, 0), (0, 1), (1, 1)}
     assert (1, 1) in spaces and (2, 0) not in spaces
     # Degree 2 carries the label's block at (1, 1) alone, with the Weyl
@@ -369,12 +368,12 @@ def test_label_index_refuses_two_families_under_one_key(monkeypatch, duplicate):
         spectrum._family_index.__wrapped__(n)
 
 
-def test_block_bidegrees_is_the_family_table():
+def test_label_family_spaces_are_the_family_table():
     for n in range(1, 6):
         for fam in all_families(n):
             for lab in fam.labels(3, 3):
-                assert block_bidegrees(lab) == fam.spaces
-                assert block_bidegrees(lab) == _paper_bidegrees(lab)
+                assert lab.family.spaces == fam.spaces
+                assert lab.family.spaces == _paper_bidegrees(lab)
 
 
 def test_degree_labels_enumerates_each_label_once():
@@ -383,7 +382,7 @@ def test_degree_labels_enumerates_each_label_once():
             got = list(degree_labels(n, k, 4))
             expected = [
                 lab for lab in table_labels(n, 4)
-                if any(s + t == k for s, t in block_bidegrees(lab))
+                if any(s + t == k for s, t in lab.family.spaces)
             ]
             labels = [RuminLabel(n, q, j, i, p) for _, i, j, q, p, *_ in got]
             assert labels == expected
@@ -396,5 +395,5 @@ def test_degree_labels_enumerates_each_label_once():
                 assert Fraction(key, denominator) == eigenvalue_formula(lab)
                 assert dim == weyl_dimension(label_to_weight(lab))
                 assert spaces == tuple(
-                    (s, t) for s, t in block_bidegrees(lab) if s + t == k
+                    (s, t) for s, t in lab.family.spaces if s + t == k
                 )

@@ -80,7 +80,9 @@ def test_kernel_check_slices_reach_the_bound(monkeypatch):
 
     monkeypatch.setattr(spectrum, "eigenvalue_numerator", zero_at_p25)
     assert verify.check_kernel_uniqueness(2, 24).passed
-    assert not verify.check_kernel_uniqueness(2, 25).passed
+    # Degrees 0, 1 and 2 are each wrong, and each counts once: their
+    # mirrors 5, 4 and 3 are not compared again.
+    assert verify.check_kernel_uniqueness(2, 25).residual == 3
 
 
 def test_kernel_check_takes_dimensions_only_at_eigenvalue_zero(monkeypatch):
