@@ -1,8 +1,8 @@
 """Truncated spectral-sum kernels for the direct torsion route.
 
-Standard library only: importing numpy would cost every CLI process more
-set-up time than the sums themselves take.  The speed comes from the closed
-form of the eigenvalues instead.
+Standard library only, plus the U(m) dimensions of ``weights``: importing
+numpy would cost every CLI process more set-up time than the sums themselves
+take.  The speed comes from the closed form of the eigenvalues instead.
 
 For a two-parameter label (q, j, i, p) the eigenvalue is (A / D)^2 with
 
@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 from itertools import repeat
 from operator import mul, truediv
+
+from .weights import special_dimension
 
 # Largest binary exponent the factored form may reach: above it the powers of
 # the integer bases, or D^{2s} times the mid-block factor, could leave the
@@ -92,7 +94,9 @@ def pair_sums_of_k(n: int, k: int, N: int, s: float) -> list[float]:
     For s so large that the factored form would leave the double range, the
     bases are divided by D before the power, which adds up to 2s rounding
     units per term.  That choice is made once for the whole triangle, from
-    its largest base and the largest M/n of its families.
+    its largest base and the largest M/n of its families.  The bound needs
+    every power to be at least 2^-1022: the factored form keeps them above
+    2^-1000 / n, but divided bases can go subnormal.
     """
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
@@ -139,9 +143,9 @@ def pair_sums_of_k(n: int, k: int, N: int, s: float) -> list[float]:
     return [mi * math.pow(D // div, -t) * math.fsum(out) for mi, out in zip(m, halves)]
 
 
-def term_roundings(n: int, N: int, s: float) -> int:
+def term_roundings(N: int, s: float) -> int:
     """Rounding steps m of one term of either family sum, which is thus
-    within gamma_m of its exact value.
+    within gamma_m of its exact value while every power is at least 2^-1022.
 
     A pair term of ``pair_sums_of_k`` takes at most N + 13: the F and G
     quotients (2), the power (2: libm pow is within one ulp, i.e. 2u), its
@@ -150,31 +154,26 @@ def term_roundings(n: int, N: int, s: float) -> int:
     addition (1; the doubling is exact), the row factor (1), ``math.fsum``
     over the halves (1: it is correctly rounded), and the scale: M/n (1),
     D^{2s} (2), their product (1) and its product with the sum (1).  The
-    divided-bases path adds up to 2s more.  An axis term takes N + 2n + 6
-    (the sum, the binomial product, 4 for the dimension, 2 for the power and
-    1 for the product).  The one charge 2N + 2n + ceil(2s) + 16 is kept
-    because it covers both for every N >= 1: the pair count N + 13, with
-    ceil(2s) more on the divided-bases path, and the axis count N + 2n + 6.
-    No record holds this bound; it decides a check's ``passed`` only through
-    ``verify.route_check``."""
-    return 2 * N + 2 * n + math.ceil(2 * s) + 16
+    divided-bases path adds up to 2s more.  An axis term takes N + 3: the
+    dimension's conversion to a double (1; exact below 2^53), the power (2),
+    the product (1) and the sum (N - 1).  No record holds this bound; it
+    decides a check's ``passed`` only through ``verify.route_check``."""
+    return N + math.ceil(2 * s) + 13
 
 
 def axis_family_sum(n: int, i: int, N: int, s: float) -> float:
     """sum_{p=1..N} dim V(0^{n-i}, -1^i, -p) * ((p+i)/2)^(-2s).
 
     Serves the one-parameter families: the holomorphic/antiholomorphic edge
-    cases (i <= n-1) and, at i = n, the two top-degree families.
+    cases (i <= n-1) and, at i = n, the two top-degree families.  Each
+    dimension is the exact integer ``weights.special_dimension``.  The terms
+    are positive, so the sum is within gamma_{N+3} (``term_roundings``)
+    while every power ((p+i)/2)^(-2s) is at least 2^-1022.
     """
     if not 0 <= i <= n:
         raise ValueError(f"i={i} out of range for n={n}")
-    cni = float(math.comb(n, i))
     t = -2.0 * s
     acc = 0.0
     for p in range(1, N + 1):
-        b = 1.0
-        for u in range(1, n + 1):
-            b *= (p + u) / u
-        dim = cni * p / (p + i) * b
-        acc += dim * ((p + i) * 0.5) ** t
+        acc += special_dimension(n, i, p) * ((p + i) * 0.5) ** t
     return acc

@@ -296,7 +296,7 @@ def kappa_direct(n: int, s: float, N: int) -> KappaEstimate:
     # sum_k |w_k| zeta_k (Higham sec. 4.2).  m counts the kernels' roundings
     # per term, one addition per bidegree a family sum populates, the weight
     # products and n+1 additions, and one step for this bound's own rounding.
-    m = (kernels.term_roundings(n, N, s) + n + 2
+    m = (kernels.term_roundings(N, s) + n + 2
          + sum(len(fam.spaces) for fam in all_families(n)))
     abs_sum = sum(abs(w) * z for w, z in zip(ws, zk))
     return KappaEstimate(value=value, bound=bound, rounding=rounding_gamma(m) * abs_sum)
@@ -316,7 +316,7 @@ def kappa_reduced(n: int, s: float, N: int) -> KappaEstimate:
         value += 2.0 * (-1.0) ** (i + 1) * axis
         abs_sum += 2.0 * axis
     # As in ``kappa_direct``, with n+1 additions to combine the sums.
-    m = kernels.term_roundings(n, N, s) + n + 2
+    m = kernels.term_roundings(N, s) + n + 2
     return KappaEstimate(value=value, bound=bound, rounding=rounding_gamma(m) * abs_sum)
 
 
@@ -329,6 +329,9 @@ def kappa_continued(
     kappa_2 is continued through the coefficient identities:
     kappa_2(s) = -(2^{2s}/n!) sum_l c_l zeta(2s-l+1), where every c_l except
     c_1 = (n+1)! vanishes exactly.
+    So this route is the closed form regrouped from the same zeta(2s): its
+    checks against the closed form certify ``_two_power`` and the rounding
+    of the groupings, and ``c_coefficients_identity`` the identity itself.
     """
     _check_kappa_range(n, s)
     prec = _check_precision(precision)
@@ -338,8 +341,6 @@ def kappa_continued(
 
 
 def _continued_from(n: int, s: float, z: ZetaValue, prec: int) -> KappaEstimate:
-    # The continued reduced route from z = zeta(2s): of the c_l, the
-    # identity leaves only c_1 = (n+1)! (``verify`` checks it).
     kappa1 = -(n + 1.0)
     c1 = factorial(n + 1)
     with workprec(prec + 16):

@@ -11,7 +11,6 @@ and its validation live in ``spectrum``, next to the label table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import Iterator, Optional, Sequence, Union
 
@@ -167,8 +166,7 @@ def special_dimension(n: int, i: int, p: int) -> int:
     """
     if n < 1 or not 0 <= i <= n or p < 1:
         raise ValueError(f"need n >= 1, 0 <= i <= n, p >= 1; got ({n}, {i}, {p})")
-    v = Fraction(p, p + i) * comb(n, i) * comb(p + n, n)
-    if v.denominator != 1:
+    dim, rem = divmod(p * comb(n, i) * comb(p + n, n), p + i)
+    if rem:
         raise ArithmeticError(f"non-integral special dimension at ({n}, {i}, {p})")
-    return int(v)
-
+    return dim

@@ -14,14 +14,6 @@ from rumin_sphere.weights import special_dimension, weyl_dimension, weyl_product
 
 UNIT_ROUNDOFF = 2.0**-53
 
-# Rounding steps charged to one pair term beyond its 2N: the budget of the
-# earlier per-family kernel (two recursive summations of N - 1 steps each,
-# plus 14 steps per term, rounded up to 16).  ``pair_sums_of_k`` takes at
-# most N + 13 (``kernels.term_roundings`` counts them), which this covers
-# for every N >= 1; ``term_roundings`` keeps the same budget.
-PER_TERM_ROUNDINGS = 16
-
-
 def gamma(k):
     """Higham's gamma_k = k u / (1 - k u): the relative error bound of k
     rounding steps on positive data (Accuracy and Stability of Numerical
@@ -34,16 +26,12 @@ def pair_sum(n, i, j, N, s):
     return kernels.pair_sums_of_k(n, n - i - j, N, s)[min(i, j)]
 
 
-def pair_sum_error_bound(N, s, divided=False):
-    """Relative error bound gamma_{2N+c} of a pair family sum.
-
-    On the large-s path the bases are rounded quotients A/D, and the power
-    amplifies that one rounding by the exponent 2s.
-    """
-    k = 2 * N + PER_TERM_ROUNDINGS
-    if divided:
-        k += math.ceil(2 * s)
-    return gamma(k)
+def pair_sum_error_bound(N, s):
+    """Relative error bound gamma_m of a pair family sum, m from
+    ``kernels.term_roundings``: N + 13, and ceil(2s) more for the large-s
+    path, whose bases are rounded quotients A/D that the power amplifies by
+    the exponent 2s."""
+    return gamma(kernels.term_roundings(N, s))
 
 
 def oracle_pair_sum(n, i, j, N, s):
@@ -107,7 +95,7 @@ def test_pair_sum_within_rounding_bound_of_oracle(n, i, j, N, s):
 def test_pair_sum_large_s_within_bound_of_oracle(n, i, j, N, s):
     # 2s log2 A exceeds the double range here, so the kernel divides the
     # bases by D before the power instead of factoring D^{2s} out.
-    bound = pair_sum_error_bound(N, s, divided=True)
+    bound = pair_sum_error_bound(N, s)
     assert bound <= 1e-12
     value = pair_sum(n, i, j, N, s)
     assert value > 0.0
@@ -160,13 +148,13 @@ def test_degree_zetas_direct_calls_each_kernel_once(monkeypatch, n):
     assert sorted(axis_calls) == list(range(n + 1))
 
 
-def check_sums_of_k(n, k, N, s, divided=False):
+def check_sums_of_k(n, k, N, s):
     """Every unordered family {i, n-k-i} of ``pair_sums_of_k``, in both
     orientations, against the 200-bit oracle."""
     h = n - k
     sums = kernels.pair_sums_of_k(n, k, N, s)
     assert len(sums) == h // 2 + 1
-    bound = pair_sum_error_bound(N, s, divided)
+    bound = pair_sum_error_bound(N, s)
     assert bound <= 1e-12
     for i, value in enumerate(sums):
         assert value > 0.0
@@ -198,7 +186,7 @@ def test_pair_sums_of_k_large_s_within_bound_of_oracle(n, k, N, s):
     # for the whole k divides every family's bases by D before the power.
     R = N + n - k
     assert 2 * s * math.log2(2 * R * (R + k)) > 1000
-    check_sums_of_k(n, k, N, s, divided=True)
+    check_sums_of_k(n, k, N, s)
 
 
 def test_pair_sums_of_k_memory_stays_bounded():
@@ -215,12 +203,24 @@ def test_pair_sums_of_k_memory_stays_bounded():
 
 
 @pytest.mark.parametrize(
-    "n, i, N, s", [(1, 0, 50, 2.0), (2, 1, 40, 3.0), (3, 3, 30, 4.0), (4, 2, 20, 5.0)]
+    "n, i, N, s",
+    [(1, 0, 50, 2.0), (2, 1, 40, 3.0), (3, 3, 30, 4.0), (4, 2, 20, 5.0),
+     (40, 0, 80, 21.5), (40, 20, 80, 21.5), (40, 40, 80, 21.5)],
 )
 def test_axis_sum_matches_exact_enumeration(n, i, N, s):
+    # n = 40 is torsion --n 40's reference point s = (n+3)/2, N = 80, where
+    # the dimensions exceed 2^53.
     fast = kernels.axis_family_sum(n, i, N, s)
-    bound = gamma(kernels.term_roundings(n, N, s))
+    bound = gamma(kernels.term_roundings(N, s))
     assert relative_error(fast, oracle_axis_sum(n, i, N, s)) <= bound
+
+
+def test_axis_terms_use_the_exact_dimension():
+    # At p = 1 and s = 0 the power is 1, so the sum is the dimension rounded
+    # once: a rebuilt float product of the binomial would round it again.
+    for n in range(1, 171):
+        for i in range(n + 1):
+            assert kernels.axis_family_sum(n, i, 1, 0.0) == float(special_dimension(n, i, 1)), (n, i)
 
 
 def test_pair_sum_rejects_bad_ranges():

@@ -110,6 +110,21 @@ def test_weights_imports_no_other_module_of_the_package():
     assert _run(code) == "rumin_sphere rumin_sphere.weights"
 
 
+def test_kernels_import_only_weights():
+    # The kernels rest on the standard library and the U(m) dimensions of
+    # ``weights``, and on no other module of the package.
+    src = Path(rumin_sphere.__file__).parent
+    code = (
+        "import sys, types\n"
+        "package = types.ModuleType('rumin_sphere')\n"
+        f"package.__path__ = [{str(src)!r}]\n"
+        "sys.modules['rumin_sphere'] = package\n"
+        "import rumin_sphere._kernels_py\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('rumin_sphere'))))"
+    )
+    assert _run(code) == "rumin_sphere rumin_sphere._kernels_py rumin_sphere.weights"
+
+
 def test_cli_import_computes_no_bernoulli_numbers():
     # The Bernoulli table fills on the first zeta call, not at import.
     code = ("import rumin_sphere.cli\n"
