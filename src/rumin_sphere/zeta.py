@@ -10,6 +10,17 @@ Brent and Harvey's integer recurrence (arXiv:1108.0286), in O(R^2) integer
 operations, and are kept in one process-wide table that fills on the first
 zeta call and grows by doubling; nothing is computed at import.
 
+Two more tables are kept per working precision (prec + 48 guard bits, so
+the two passes of a ``torsion`` request share them): the coefficients
+rounded to that precision, at most 700 of them, and log p for the primes
+below the largest a + K the passes there have sieved.  Each entry has the
+bits a pass would compute afresh, so the tables change no result.  They
+hold one list of each per working precision used; passes at s < 0 carry
+their own guard bits, so they get tables of their own.  A 2048-bit
+``torsion`` request leaves 210 coefficients and 128 logs, about 150 kB;
+the largest pair, 700 coefficients and 282 logs at the 8810 bits of
+zeta(-326 + 2^-44) at 5227 bits, takes about 1.3 MB.
+
 Two entry points evaluate zeta at real s and integer a >= 1:
 ``hurwitz_zeta`` (``riemann_zeta`` is its a = 1 case) gives the value, and
 ``hurwitz_zeta_and_deriv`` gives the value and the s-derivative from one
@@ -30,11 +41,10 @@ the derivative's log k is a sum of prime logs.  This is the power sum of
 Arb's ``acb_dirichlet_powsum_sieved``; the bounds follow Johansson's
 rigorous Euler-Maclaurin scheme for the Hurwitz zeta function
 (arXiv:1309.2877).  Every zeta call behind ``kappa`` and ``torsion`` has
-a = 1.  At 2048 bits that is 128 primes instead of 724 terms: a cold
-zeta'(0) takes 0.21-0.23 s in a fresh process on a 2-core VM (0.38-0.45 s
-with one power and one log per term), most of it mpmath's constants and
-prime logarithms at that precision, and a warm one 0.063 s (0.11-0.15 s).
-The Bernoulli table's share is about 0.015 s.
+a = 1.  At 2048 bits that is 128 primes instead of 724 terms.  On
+``clibench``'s ``precise_torsion`` workload (2-core VM, ``--seconds 15``)
+the sieve took the median from 25.3 to 56.9 solves/s, and the two
+per-precision tables with the screened stopping rule from 57.2 to 75.3.
 """
 
 from __future__ import annotations
@@ -94,6 +104,12 @@ class ZetaValue:
 # one process-wide cache; it holds only B_0 until a zeta call needs more.
 _BERNOULLI_COEFFS: list[Fraction] = [Fraction(1)]
 _BERNOULLI_LOCK = threading.Lock()
+# The same coefficients rounded to each working precision a pass has used,
+# orders 1, 2, ... at index 0, 1, ...: one list per precision, as long as the
+# longest pass at it (at most 700 orders).
+_BERNOULLI_MPFS: dict[int, list[mpf]] = {}
+# log p for the primes the sieved prefixes have met, per working precision.
+_PRIME_LOGS: dict[int, dict[int, mpf]] = {}
 
 
 def _tangent_numbers(R: int) -> list[int]:
@@ -123,6 +139,25 @@ def _bernoulli_coefficient(r: int) -> Fraction:
                     for k, t in enumerate(_tangent_numbers(R)[have:], start=have + 1)
                 )
     return _BERNOULLI_COEFFS[r]
+
+
+def _bernoulli_mpf(r: int) -> mpf:
+    """B_{2r}/(2r)! for r >= 1, rounded to the working precision, converted
+    once per precision.  The list grows under the table's lock, so
+    concurrent passes cannot interleave their appends."""
+    row = _BERNOULLI_MPFS.setdefault(mpmath.mp.prec, [])
+    if r > len(row):
+        _bernoulli_coefficient(r)
+        with _BERNOULLI_LOCK:
+            row.extend(mpf(c.numerator) / c.denominator
+                       for c in _BERNOULLI_COEFFS[len(row) + 1:r + 1])
+    return row[r - 1]
+
+
+def _mag(v: mpf) -> int:
+    # exp + bc of a nonzero v, so 2^(mag-1) <= |v| < 2^mag; 0 for v = 0.
+    _, _, exp, bc = v._mpf_
+    return exp + bc
 
 
 def _to_mpf(x: Real) -> mpmath.mpf:
@@ -169,11 +204,16 @@ def _sieved_prefix(s: Real, ms: mpf, a: int, K: int, want_derivative: bool):
     spf = _smallest_prime_factors(end - 1)
     pw = [mpf(1)] * end
     lg = [mpf(0)] * end
+    logs = _PRIME_LOGS.setdefault(mpmath.mp.prec, {})
     for k in range(2, end):
         p = spf[k]
         if p == k:
             if s_int is None or want_derivative:
-                lg[k] = mpmath.log(k)
+                # Passes that miss together store equal values: the log
+                # is deterministic at a fixed precision.
+                lg[k] = logs.get(k)
+                if lg[k] is None:
+                    lg[k] = logs[k] = mpmath.log(k)
             if s_int is None:
                 pw[k] = mpmath.exp(-ms * lg[k])
             else:
@@ -202,6 +242,22 @@ def _euler_maclaurin(s: Real, a: int, prec: int, want_derivative: bool):
 
     The prefix terms come from ``_sieved_prefix`` and are summed by
     ``mpmath.fsum`` with one rounding.
+
+    An order is tested only where its value bound might pass.  With
+    mag(v) = exp + bc of v's mantissa, so 2^(mag-1) <= |v| < 2^mag, the
+    order is skipped when rf_v != 0 and
+    mag(env) + mag(rf_v) + mag(xp) - mag(x) - bitlen(int(s) + 2r + 2) - 4
+    > max(mag(value), 0) - (prec + 6) + 1, xp before its step to the next
+    order.  This screen is sound:
+    - the three lower mags give 2^-3, the four roundings of the bound less
+      than a factor 2, and denom < int(s) + 2r + 2, so the left side is a
+      lower bound on log2 of the computed bound;
+    - 1 + |value| < 2^(max(mag(value), 0) + 1), so the right side is an
+      upper bound on log2 of the computed target eps (1 + |value|);
+    - so a skipped order is one whose exact test fails, and where the value
+      bound fails the derivative pass does not stop either.
+    x^{-s-2r} is taken only at the tested orders; env is chained at every
+    order, so the stopping order's env has all its bits.
 
     Rounding slack, in units u = 2^-(prec+guard) of the working precision,
     with L = log(a+K), which bounds log k for every k of the sieve, and S
@@ -274,9 +330,11 @@ def _euler_maclaurin(s: Real, a: int, prec: int, want_derivative: bool):
         # chain roundings of 2^-(prec+guard) each can take away.
         inv_two_pi_2 = 1 / (2 * mpmath.pi) ** 2
         env = mpf(5) / 2 / (2 * mpmath.pi) ** 3
+        # The screen's parts that do not change with the order.
+        lower_mag = -_mag(x) - 4
+        s_trunc = int(s_f)
         for r in range(1, 701):
-            coef = _bernoulli_coefficient(r)
-            mcoef = mpf(coef.numerator) / coef.denominator
+            mcoef = _bernoulli_mpf(r)
             term = mcoef * rf_v * xp
             value += term
             magmax = max(magmax, abs(term), abs(value))
@@ -289,13 +347,18 @@ def _euler_maclaurin(s: Real, a: int, prec: int, want_derivative: bool):
                 if want_derivative:
                     rf_d = rf_d * f + rf_v
                 rf_v = rf_v * f
-            x_tail = xp / x                          # x^{-s-2r}
-            xp *= inv_x2
 
             # Remainder bound for the truncation order R = r, valid once
             # s + 2R > 0.  The one stopping rule: each bound is at most
-            # eps (1 + |v|), v the value it certifies as returned.
-            if s_f + 2 * r > 0:
+            # eps (1 + |v|), v the value it certifies as returned.  The
+            # screen skips the orders whose value bound must fail.
+            if s_f + 2 * r > 0 and not (
+                rf_v
+                and _mag(env) + _mag(rf_v) + _mag(xp) + lower_mag
+                - (s_trunc + 2 * r + 2).bit_length()
+                > max(_mag(value), 0) - (prec + 5)
+            ):
+                x_tail = xp / x                      # x^{-s-2r}
                 denom = ms + 2 * r
                 bound = env * abs(rf_v) * x_tail / denom
                 done = bound <= eps * (1 + abs(value))
@@ -307,6 +370,7 @@ def _euler_maclaurin(s: Real, a: int, prec: int, want_derivative: bool):
                     done = done and dbound <= eps * (1 + abs(deriv))
                 if done:
                     break
+            xp *= inv_x2
             env *= inv_two_pi_2
         else:
             raise PrecisionError(

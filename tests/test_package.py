@@ -126,11 +126,12 @@ def test_kernels_import_only_weights():
 
 
 def test_cli_import_computes_no_bernoulli_numbers():
-    # The Bernoulli table fills on the first zeta call, not at import.
+    # The Bernoulli table and the per-precision tables fill on the first
+    # zeta call, not at import.
     code = ("import rumin_sphere.cli\n"
             "from rumin_sphere import zeta\n"
-            "print(zeta._BERNOULLI_COEFFS)")
-    assert _run(code) == "[Fraction(1, 1)]"
+            "print(zeta._BERNOULLI_COEFFS, zeta._BERNOULLI_MPFS, zeta._PRIME_LOGS)")
+    assert _run(code) == "[Fraction(1, 1)] {} {}"
 
 
 def test_sources_hold_no_hand_set_slack():

@@ -1,6 +1,9 @@
 """Euler-Maclaurin zeta engine and the symmetric-polynomial identities."""
 
+import hashlib
 import random
+import sys
+import threading
 import time
 from fractions import Fraction
 from math import comb, factorial, log, pi, ulp
@@ -244,6 +247,122 @@ def test_a_sieved_pass_takes_one_log_and_exp_per_prime(monkeypatch, s, want_deri
     # The remainder terms take log(K + 1) and (K + 1)^-s.
     assert calls["log"] <= (0 if integer and not want_derivative else primes) + 1
     assert calls["exp"] <= (0 if integer else primes + 1)
+
+
+# A fixed grid of Euler-Maclaurin passes, (s, a, derivative) per precision:
+# integer and non-integer s of both signs, a trivial zero (-4 and -20 at
+# a = 1), s just above -2r (-19.999, -6 + 2^-40, -9.9999, -7.999), and a in
+# 1, 2, 7, 101.  The digests pin every bit of (value, bound, deriv, dbound).
+# They were taken from the engine that tested the bound at every order and
+# converted every coefficient and prime log afresh in each pass, so the
+# exponent screen and the per-precision tables must leave each bit as it was.
+_PINNED_PASSES = {
+    8: (((2.5, 1, False), (-3, 1, True), (-4, 1, False), (0.3, 7, True),
+         (-19.999, 2, False), (40, 101, True), (-6 + 2**-40, 1, False)),
+        "88fbb78da941b8912f239bbbe59370017fed85e578fdb687ed2ea97bb4465651"),
+    53: (((0, 1, True), (-1, 1, False), (-7.3, 101, True), (3, 2, False),
+          (-5.99999, 1, True), (13.7, 7, False), (Fraction(-7, 3), 1, True)),
+         "ee3bac31dbaf4353ab6e1540cd54a7060e3fc0848da909a63a48d91af0449761"),
+    128: (((0.5, 1, True), (-2, 1, True), (-11.5, 7, False), (6, 101, True),
+           (-0.999, 2, False), (-39.9, 1, True), (2, 1, False)),
+          "8ab0d1f0a833d6190d5e317bb200c68ffb68f6da6419172ff540517c42c741c2"),
+    256: (((-3.25, 2, True), (1.5, 101, False), (0, 7, False), (-20, 1, False),
+           (7, 1, True), (-9.9999, 1, False)),
+          "e408c3d41d88943c014a31f0d06565fd8075ff3944b788f809e456f653a50355"),
+    1024: (((0, 1, True), (-1.7, 1, False), (2.35, 2, True), (-4, 101, False),
+            (13, 7, True), (-7.999, 1, True)),
+           "674fda22f93fbdf8ee655ea227c13ac4b17955706fbcf96569de87adc9b9a111"),
+    2048: (((0, 1, True), (4.7, 1, False), (-0.6, 1, False), (-3, 2, True),
+            (2.5, 7, False), (-2.3, 101, True)),
+           "8842bd0687911703f33390ffc94315c5302bcfa41f04461838ee3a9dcf6bf0b2"),
+}
+
+
+@pytest.mark.parametrize("prec", sorted(_PINNED_PASSES), ids=lambda p: f"prec{p}")
+def test_euler_maclaurin_passes_are_pinned(prec):
+    passes, digest = _PINNED_PASSES[prec]
+    h = hashlib.sha256()
+    for s, a, want_derivative in passes:
+        out = zeta._euler_maclaurin(s, a, prec, want_derivative)
+        h.update(repr([None if v is None else tuple(int(t) for t in v._mpf_)
+                       for v in out]).encode())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("prec", [64, 256, 1024])
+def test_per_precision_tables_hold_the_direct_conversions(monkeypatch, prec):
+    # Each table entry is the value a pass would compute afresh at its
+    # working precision: B_{2r}/(2r)! as mpf(num) / den, and log p for each
+    # prime of the sieve over [1, a+K).
+    monkeypatch.setattr(zeta, "_BERNOULLI_MPFS", {})
+    monkeypatch.setattr(zeta, "_PRIME_LOGS", {})
+    zeta._euler_maclaurin(2.5, 7, prec, True)
+    wp = prec + 48
+    row = zeta._BERNOULLI_MPFS[wp]
+    logs = zeta._PRIME_LOGS[wp]
+    K = int(0.35 * prec) + 8
+    assert 0 < len(row) <= 700
+    assert sorted(logs) == _primes_up_to(K + 6)
+    with mpmath.workprec(wp):
+        for r, got in enumerate(row, start=1):
+            coef = zeta._bernoulli_coefficient(r)
+            assert got == mpmath.mpf(coef.numerator) / coef.denominator, r
+        for p, got in logs.items():
+            assert got == mpmath.log(p), p
+
+
+def test_a_second_pass_at_one_precision_takes_only_the_remainder_log(monkeypatch):
+    zeta._euler_maclaurin(0.3, 1, 2048, True)
+    calls = []
+    log = mpmath.log
+
+    def counted(x, *args, **kwargs):
+        calls.append(x)
+        return log(x, *args, **kwargs)
+
+    monkeypatch.setattr(mpmath, "log", counted)
+    zeta._euler_maclaurin(2.7, 1, 2048, True)
+    K = int(0.35 * 2048) + 8
+    assert calls == [K + 1]
+
+
+def test_concurrent_passes_build_one_ordered_coefficient_list(monkeypatch):
+    # mpmath's precision is process-global: it is set to the working
+    # precision first, so no thread leaving ``workprec`` changes it under
+    # another, and the threaded passes must equal the serial ones.
+    monkeypatch.setattr(zeta, "_BERNOULLI_MPFS", {})
+    prec = 1111
+    wp = prec + 48
+    points = ((0.5, True), (2.25, False), (7, True), (30.5, False))
+    results = [None] * len(points)
+    start = threading.Barrier(len(points))
+
+    def run(i, s, want_derivative):
+        start.wait(timeout=60)
+        results[i] = zeta._euler_maclaurin(s, 1, prec, want_derivative)
+
+    saved = mpmath.mp.prec, sys.getswitchinterval()
+    mpmath.mp.prec = wp
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the appends too
+    try:
+        threads = [threading.Thread(target=run, args=(i, *point))
+                   for i, point in enumerate(points)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        mpmath.mp.prec = saved[0]
+        sys.setswitchinterval(saved[1])
+    assert list(zeta._BERNOULLI_MPFS) == [wp]
+    row = zeta._BERNOULLI_MPFS[wp]
+    with mpmath.workprec(wp):
+        want = [mpmath.mpf(c.numerator) / c.denominator
+                for c in map(zeta._bernoulli_coefficient, range(1, len(row) + 1))]
+    assert row == want
+    for got, (s, want_derivative) in zip(results, points):
+        assert got == zeta._euler_maclaurin(s, 1, prec, want_derivative), s
 
 
 def test_a_pass_at_the_precision_ceiling_converges():
