@@ -11,15 +11,12 @@ from .spectrum import (
     Case,
     CaseRangeError,
     InvalidLabelError,
-    NormConstants,
     RuminLabel,
-    SpectrumSlice,
     all_families,
     case_v_identity_value,
     case_v_mixed_eigenvalue,
     eigenvalue_formula,
     label_to_weight,
-    norm_constants,
     norm_route_eigenvalue,
     operator_norm_squares,
     spectrum_slice,
@@ -74,11 +71,9 @@ __all__ = [
     "HighestWeight",
     "InvalidLabelError",
     "KappaEstimate",
-    "NormConstants",
     "PoleError",
     "PrecisionError",
     "RuminLabel",
-    "SpectrumSlice",
     "TorsionReport",
     "ZetaValue",
     "all_families",
@@ -98,7 +93,6 @@ __all__ = [
     "kappa_direct",
     "kappa_reduced",
     "label_to_weight",
-    "norm_constants",
     "norm_route_eigenvalue",
     "operator_norm_squares",
     "riemann_zeta",

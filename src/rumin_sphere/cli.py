@@ -140,9 +140,9 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     canonical = min(degree, 2 * n + 1 - degree)
 
     if args.format == "csv":
-        # The aggregation of spectrum_slice, whose entries are in increasing
-        # eigenvalue order; no block lists.
-        entries = spectrum.spectrum_slice(n, canonical, max_level).entries
+        # The dict of spectrum_slice, in increasing eigenvalue order, one row
+        # per eigenvalue; no block lists.
+        entries = spectrum.spectrum_slice(n, canonical, max_level)
         sys.stdout.write(
             "eigenvalue_num,eigenvalue_den,eigenvalue_float,multiplicity\n"
             + "".join([f"{mu.numerator},{mu.denominator},{float(mu)!r},{mult}\n"

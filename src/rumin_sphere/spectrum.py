@@ -127,15 +127,16 @@ class BlockFamily:
     p_fixed: Optional[int]
     spaces: tuple[tuple[int, int], ...]
 
-    def parameters(self, max_p: int, max_q: int) -> tuple[Sequence[int], Sequence[int]]:
+    def parameters(self, bound: int) -> tuple[Sequence[int], Sequence[int]]:
         """The values p and q take: a fixed value, or 1..bound if free."""
-        ps = (self.p_fixed,) if self.p_fixed is not None else range(1, max_p + 1)
-        qs = (self.q_fixed,) if self.q_fixed is not None else range(1, max_q + 1)
+        free = range(1, bound + 1)
+        ps = (self.p_fixed,) if self.p_fixed is not None else free
+        qs = (self.q_fixed,) if self.q_fixed is not None else free
         return ps, qs
 
-    def labels(self, max_p: int, max_q: int) -> Iterator[RuminLabel]:
-        """Member labels with free parameters truncated at the given bounds."""
-        ps, qs = self.parameters(max_p, max_q)
+    def labels(self, bound: int) -> Iterator[RuminLabel]:
+        """Member labels with free parameters running 1..bound."""
+        ps, qs = self.parameters(bound)
         for p in ps:
             for q in qs:
                 yield RuminLabel(self.n, q, self.j, self.i, p)
@@ -210,7 +211,7 @@ def degree_labels(
         # The weight of ``label_to_weight`` between q and -p.
         middle = (1,) * j + (0,) * (d - 1) + (-1,) * i
         mult = scale // (d * d)
-        ps, qs = fam.parameters(N, N)
+        ps, qs = fam.parameters(N)
         for p in ps:
             for q in qs:
                 a = eigenvalue_numerator(n, q, j, i, p)
@@ -218,35 +219,15 @@ def degree_labels(
                        weyl_product((q, *middle, -p)), spaces)
 
 
-@dataclass(frozen=True)
-class SpectrumSlice:
-    """Multiset {eigenvalue -> multiplicity} of the Laplacian on degree-k forms.
+def spectrum_slice(n: int, k: int, N: int) -> dict[Fraction, int]:
+    """The truncated spectrum of the Rumin Laplacian on degree k, as a dict
+    {eigenvalue: multiplicity} in increasing eigenvalue order.
 
-    Slices are canonicalized under the mirror rule: ``degree`` is always
-    min(k, 2n+1-k), so mirrored requests compare equal.  ``spectrum_slice``
-    fills ``entries`` in increasing eigenvalue order.
-    """
-
-    n: int
-    degree: int
-    truncation: int
-    entries: dict[Fraction, int]
-
-    def rows(self) -> list[tuple[Fraction, int]]:
-        return sorted(self.entries.items())
-
-    def multiplicity_of(self, eigenvalue: Fraction) -> int:
-        return self.entries.get(Fraction(eigenvalue), 0)
-
-
-def spectrum_slice(n: int, k: int, N: int) -> SpectrumSlice:
-    """Aggregate the truncated spectrum of the Rumin Laplacian on degree k.
-
-    Free label parameters run over 1..N; structural parameters are never
-    truncated.  Aggregation keys are the exact integer keys of
+    Degree k is read as min(k, 2n+1-k), so mirrored degrees give the same
+    dict.  Free label parameters run over 1..N; structural parameters are
+    never truncated.  Aggregation keys are the exact integer keys of
     ``degree_labels``, so labels whose eigenvalues genuinely collide are
-    merged correctly; one ``Fraction`` is made per distinct eigenvalue, and
-    the entries are in increasing eigenvalue order.
+    merged correctly; one ``Fraction`` is made per distinct eigenvalue.
     """
     if not 0 <= k <= 2 * n + 1:
         raise ValueError(f"degree {k} outside 0..{2 * n + 1}")
@@ -257,8 +238,7 @@ def spectrum_slice(n: int, k: int, N: int) -> SpectrumSlice:
     for _, _, _, _, _, key, dim, spaces in degree_labels(n, kk, N):
         counts[key] = counts.get(key, 0) + len(spaces) * dim
     denominator = eigenvalue_denominator(n)
-    entries = {Fraction(key, denominator): counts[key] for key in sorted(counts)}
-    return SpectrumSlice(n=n, degree=kk, truncation=N, entries=entries)
+    return {Fraction(key, denominator): counts[key] for key in sorted(counts)}
 
 
 def _require_case(label: RuminLabel, cases: tuple[Case, ...], what: str) -> None:
@@ -311,39 +291,23 @@ def case_v_identity_value(label: RuminLabel) -> Fraction:
     return Fraction((q + j - i - p) ** 2, 4) + (p + i) * (q + n - i) * (q + j) * (p + n - j)
 
 
-@dataclass(frozen=True)
-class NormConstants:
-    """Rational coefficients of pi^{n+1} in the two base norm constants.
-
-    C = 2^{n+1} (q-1)! (p-1)! / (q+p+n)!  and  D = 2^{n+1} (q-1)! / (q+n)!.
-    """
-
-    C: Fraction
-    D: Fraction
-
-
-def norm_constants(n: int, q: int, p: int) -> NormConstants:
-    if q < 1 or p < 1:
-        raise CaseRangeError(f"norm constants need p, q >= 1; got q={q}, p={p}")
-    two = 2 ** (n + 1)
-    return NormConstants(
-        C=Fraction(two * factorial(q - 1) * factorial(p - 1), factorial(q + p + n)),
-        D=Fraction(two * factorial(q - 1), factorial(q + n)),
-    )
-
-
 def squared_norm(label: RuminLabel, s: int, t: int) -> Fraction:
     """Squared L^2 norm of the highest-weight vector of ``label`` at (s, t),
     as the rational coefficient of pi^{n+1}.
 
-    Implements the tabulated norm formulas; combinations outside their side
-    conditions raise ``CaseRangeError``.
+    Implements the tabulated norm formulas, each a multiple of one base
+    constant, computed exactly and only for the case that needs it:
+    C = 2^{n+1} (q-1)! (p-1)! / (q+p+n)! for Cases II and V, and
+    D = 2^{n+1} (q-1)! / (q+n)! for Case IV, with p in place of q for its
+    conjugate Case III.  Combinations outside their side conditions raise
+    ``CaseRangeError``.
     """
     n, q, j, i, p = label.n, label.q, label.j, label.i, label.p
     case = label.case
+    two = 2 ** (n + 1)
 
     if case in (Case.II, Case.V):
-        c = norm_constants(n, q, p).C
+        c = Fraction(two * factorial(q - 1) * factorial(p - 1), factorial(q + p + n))
         if (s, t) == (i, j):
             return c * (q + j) * (p + i) / 2 ** (i + j)
         if (s, t) == (i + 1, j) and j > 0:
@@ -359,14 +323,14 @@ def squared_norm(label: RuminLabel, s: int, t: int) -> Fraction:
                 / 2 ** (i + j + 2)
             )
     elif case is Case.IV:
-        d = norm_constants(n, q, 1).D
+        d = Fraction(two * factorial(q - 1), factorial(q + n))
         if (s, t) == (0, j):
             return d * (q + j) / 2**j
         if (s, t) == (0, j + 1):
             return d * (n - j) / 2 ** (j + 1)
     elif case is Case.III:
         # Conjugate of Case IV: the roles of (q, j) are played by (p, i).
-        d = norm_constants(n, p, 1).D
+        d = Fraction(two * factorial(p - 1), factorial(p + n))
         if (s, t) == (i, 0):
             return d * (p + i) / 2**i
         if (s, t) == (i + 1, 0):

@@ -99,6 +99,11 @@ def _check_kappa_pole(s: float) -> None:
         raise PoleError("kappa(s) has a pole at s = 1/2 (zeta(2s) pole)")
 
 
+def _check_truncation(N: int) -> None:
+    if N < 1:
+        raise ValueError("truncation must be >= 1")
+
+
 def _check_convergence(n: int, s: float) -> None:
     if 2 * s <= n + 1:
         raise DivergenceError(f"need 2s > n+1 for convergence; got s={s}, n={n}")
@@ -228,6 +233,7 @@ def tail_bound(n: int, s: float, N: int) -> float:
     u = 2^-53.  A bound above the largest double raises ``OverflowError``; one
     below the smallest subnormal double is reported as that double, never 0.
     """
+    _check_truncation(N)
     _check_convergence(n, s)
     terms = (
         (2 * s + 1) * log(2.0),
@@ -256,8 +262,7 @@ def degree_zetas_direct(n: int, s: float, N: int) -> list[float]:
     exist at every s; ``tail_bound`` refuses the s where they do not
     converge.
     """
-    if N < 1:
-        raise ValueError("truncation must be >= 1")
+    _check_truncation(N)
     zk = [1.0] + [0.0] * n  # dim Ker Delta^0 = 1; all other kernels vanish
     pair_sums: dict[tuple[int, int], float] = {}
     for k in range(1, n + 1):
@@ -284,6 +289,7 @@ def kappa_direct(n: int, s: float, N: int) -> KappaEstimate:
     cancelled numerically; the returned bound covers the discarded tail of
     the combination.
     """
+    _check_truncation(N)
     _check_convergence(n, s)
     _check_kappa_range(n, s)
     bound = tail_bound(n, s, N)
@@ -306,6 +312,7 @@ def kappa_reduced(n: int, s: float, N: int) -> KappaEstimate:
     """kappa(s) through the truncated reduced route kappa_1 + 2 kappa_2:
     kappa_1 = -(n+1), and kappa_2 the sum over the one-parameter families,
     truncated at N (needs 2s > n+1)."""
+    _check_truncation(N)
     _check_convergence(n, s)
     _check_kappa_range(n, s)
     bound = tail_bound(n, s, N)

@@ -79,7 +79,7 @@ def _labels(n: int, bound: int, *cases: Case) -> Iterator[RuminLabel]:
     given), free parameters running 1..bound."""
     for fam in spectrum.all_families(n):
         if not cases or fam.case in cases:
-            yield from fam.labels(bound, bound)
+            yield from fam.labels(bound)
 
 
 # Work units one label may take in ``gt_pattern_count`` (one per memo entry

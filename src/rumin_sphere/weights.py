@@ -11,8 +11,9 @@ and its validation live in ``spectrum``, next to the label table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
-from typing import Iterator, Optional, Sequence, Union
+from itertools import product
+from math import comb, prod
+from typing import Optional, Sequence, Union
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -32,12 +33,6 @@ class HighestWeight:
             raise ValueError("a highest weight needs at least one entry")
         if any(a < b for a, b in zip(entries, entries[1:])):
             raise ValueError(f"entries must be nonincreasing: {entries}")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.entries)
 
 
 WeightLike = Union[HighestWeight, Sequence[int]]
@@ -77,21 +72,6 @@ def weyl_dimension(w: WeightLike) -> int:
     return weyl_product(_as_weight(w).entries)
 
 
-def _interlacing_rows(row: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    # All integer rows y of length len(row)-1 with row[t] >= y[t] >= row[t+1].
-    # Interlacing forces y to be nonincreasing, so no extra check is needed.
-    def build(prefix: list[int], t: int) -> Iterator[tuple[int, ...]]:
-        if t == len(row) - 1:
-            yield tuple(prefix)
-            return
-        for v in range(row[t + 1], row[t] + 1):
-            prefix.append(v)
-            yield from build(prefix, t + 1)
-            prefix.pop()
-
-    yield from build([], 0)
-
-
 def gt_pattern_count(
     w: WeightLike, budget: int = 10**8, memo: Optional[dict] = None
 ) -> int:
@@ -99,8 +79,10 @@ def gt_pattern_count(
 
     A pattern is a stack of rows, each one entry shorter than the row above
     and interlacing it, so the count of a row is the sum of the counts of its
-    interlacing child rows, and a row of length 1 counts 1.  Two facts make
-    the sum cheap without changing what is added:
+    interlacing child rows, and a row of length 1 counts 1.  The children of
+    a row r are the tuples y with r[t] >= y[t] >= r[t+1], the
+    ``itertools.product`` of those ranges, in lexicographic order.  Two facts
+    make the sum cheap without changing what is added:
 
     * translating every row of a pattern by one integer gives a pattern, so
       counts are memoised on the row shifted to end in 0;
@@ -140,16 +122,16 @@ def gt_pattern_count(
         stop = max(tail[0], head - (budget - work))
         while x > stop and (x - 1,) + tail not in table:
             x -= 1
-        children = 1
-        for a, b in zip(tail, tail[1:]):
-            children *= a - b + 1
-        work += (head - x + 1) * (children + 1)
+        # The ranges of the child rows of tail.  Interlacing makes every child
+        # row nonincreasing, so none needs a further check.
+        spans = [range(b, a + 1) for a, b in zip(tail, tail[1:])]
+        work += (head - x + 1) * (prod(map(len, spans)) + 1)
         if work > budget:
             raise EnumerationBudgetError(
                 f"more than {budget} work units for top row {top}"
             )
         total = table[(x - 1,) + tail] if x > tail[0] else 0
-        rows = list(_interlacing_rows(tail))
+        rows = list(product(*spans))
         for y in range(x, head + 1):
             for mu in rows:
                 total += count((y,) + mu)

@@ -94,10 +94,6 @@ class ZetaValue:
 
     value: mpmath.mpf
     error_bound: mpmath.mpf
-    precision_bits: int
-
-    def __float__(self) -> float:
-        return float(self.value)
 
 
 # B_{2r}/(2r)! at index r: the Euler-Maclaurin correction coefficients.  The
@@ -412,7 +408,7 @@ def hurwitz_zeta(s: Real, a: int, precision: Optional[int] = None) -> ZetaValue:
     prec = _check_precision(precision)
     _check_argument(s, a)
     value, bound, _, _ = _euler_maclaurin(s, a, prec, want_derivative=False)
-    return ZetaValue(value=value, error_bound=bound, precision_bits=prec)
+    return ZetaValue(value=value, error_bound=bound)
 
 
 def hurwitz_zeta_and_deriv(
@@ -428,8 +424,8 @@ def hurwitz_zeta_and_deriv(
     prec = _check_precision(precision)
     _check_argument(s, a)
     value, bound, deriv, dbound = _euler_maclaurin(s, a, prec, want_derivative=True)
-    return (ZetaValue(value=value, error_bound=bound, precision_bits=prec),
-            ZetaValue(value=deriv, error_bound=dbound, precision_bits=prec))
+    return (ZetaValue(value=value, error_bound=bound),
+            ZetaValue(value=deriv, error_bound=dbound))
 
 
 def riemann_zeta(s: Real, precision: Optional[int] = None) -> ZetaValue:

@@ -121,7 +121,7 @@ def test_criterion_05_case_ii_v_cancellation():
             for fam in all_families(n):
                 if fam.case not in (Case.II, Case.V):
                     continue
-                for label in fam.labels(20, 20):
+                for label in fam.labels(20):
                     assert sum(ws[s + t] for s, t in label.family.spaces) == 0
     report(5, "Case II/V cancellation, p,q <= 20, n <= 4", t)
 
@@ -146,7 +146,7 @@ def test_criterion_07_eigenvalue_route_equivalence():
             for fam in all_families(n):
                 if fam.case not in (Case.II, Case.V):
                     continue
-                for label in fam.labels(50, 50):
+                for label in fam.labels(50):
                     mu = eigenvalue_formula(label)
                     assert norm_route_eigenvalue(label) == mu
                     if label.case is Case.V:
@@ -158,7 +158,7 @@ def test_criterion_08_dimension_oracle():
     with Timer(60.0) as t:
         for n in range(1, 4):
             for fam in all_families(n):
-                for label in fam.labels(4, 4):
+                for label in fam.labels(4):
                     w = label_to_weight(label)
                     assert weyl_dimension(w) == gt_pattern_count(w)
         for n in range(1, 5):
@@ -210,8 +210,8 @@ def test_criterion_10_mirror_and_kernel_structure():
                 for k in range(2 * n + 2):
                     mirror = spectrum_slice(n, 2 * n + 1 - k, N)
                     sl = spectrum_slice(n, k, N)
-                    assert sl == mirror
-                    zero_mult = sl.multiplicity_of(Fraction(0))
+                    assert list(sl.items()) == list(mirror.items())
+                    zero_mult = sl.get(Fraction(0), 0)
                     assert zero_mult == (1 if k in (0, 2 * n + 1) else 0)
     report(10, "mirror rule and kernel uniqueness, n <= 3, N <= 20", t)
 

@@ -1,5 +1,7 @@
 """Package surface: the exported names and the cost of importing the CLI."""
 
+import ast
+import inspect
 import os
 import re
 import subprocess
@@ -17,18 +19,33 @@ def test_every_exported_name_resolves():
     assert set(rumin_sphere.__all__) <= set(namespace)
 
 
+def _public_members(cls):
+    # The public methods and properties a class defines itself; no dunders.
+    kinds = (property, classmethod, staticmethod)
+    return [name for name, value in vars(cls).items()
+            if not name.startswith("_")
+            and (inspect.isfunction(value) or isinstance(value, kinds))]
+
+
 def test_every_exported_name_has_a_caller():
-    # An exported name earns its place by a use: in the package outside its
-    # own definition (the export list in __init__ does not count), in the
-    # benchmark harness, or in the README.
+    # An exported name, and a public method or property of an exported
+    # class, earns its place by a use: in the package outside its own
+    # definition (the export list in __init__ does not count), in the
+    # benchmark harness, or in the README.  A member is used where
+    # ``.member`` is.
     root = Path(rumin_sphere.__file__).parents[2]
     src = [p.read_text() for p in sorted((root / "src" / "rumin_sphere").glob("*.py"))
            if p.name != "__init__.py"]
     others = [p.read_text() for p in sorted((root / "clibench").glob("*.py"))]
     others.append((root / "README.md").read_text())
+    names = [(name, rf"\b{re.escape(name)}\b") for name in rumin_sphere.__all__]
+    for owner in rumin_sphere.__all__:
+        if inspect.isclass(cls := getattr(rumin_sphere, owner)):
+            names += [(f"{owner}.{name}", rf"\.{re.escape(name)}\b")
+                      for name in _public_members(cls)]
     unused = []
-    for name in rumin_sphere.__all__:
-        word = re.compile(rf"\b{re.escape(name)}\b")
+    for name, use in names:
+        word = re.compile(use)
         definition = re.compile(rf"^(?:def|class) {re.escape(name)}\b|^{re.escape(name)}\s*[:=]")
         in_src = any(word.search(line) and not definition.match(line)
                      for text in src for line in text.splitlines())
@@ -69,9 +86,24 @@ def test_cli_import_leaves_numpy_unloaded():
 # The standard-library modules and mpmath that the package imports.
 DEPENDENCIES = (
     "argparse", "dataclasses", "enum", "fractions", "functools", "itertools",
-    "json", "math", "operator", "os", "random", "sys", "threading", "typing",
+    "json", "math", "operator", "random", "sys", "threading", "typing",
     "mpmath",
 )
+
+
+def test_dependencies_are_the_imports_of_the_package():
+    # The list above is what the modules import, no more and no less: the
+    # first name of every absolute import, wherever it stands in a module;
+    # relative imports and ``__future__`` are left out.
+    imported = set()
+    for path in Path(rumin_sphere.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    imported.discard("__future__")
+    assert sorted(imported) == sorted(DEPENDENCIES)
 
 
 def test_cli_import_loads_nothing_beyond_its_dependencies():

@@ -17,7 +17,6 @@ from rumin_sphere import (
     eigenvalue_formula,
     gt_pattern_count,
     label_to_weight,
-    norm_constants,
     norm_route_eigenvalue,
     operator_norm_squares,
     spectrum_slice,
@@ -33,7 +32,7 @@ from rumin_sphere.spectrum import (
 
 def table_labels(n, bound):
     """Every label of the family table, free parameters running 1..bound."""
-    return [lab for fam in all_families(n) for lab in fam.labels(bound, bound)]
+    return [lab for fam in all_families(n) for lab in fam.labels(bound)]
 
 
 def decompose(n, s, t):
@@ -67,7 +66,7 @@ def test_eigenvalue_case_reductions():
 def test_decompose_bottom_bidegree_families():
     # E^{0,0} at n=1 is the union {(q,0,0,p) : p,q >= 0} across cases.
     fams = decompose(1, 0, 0)
-    labels = {lab for fam in fams for lab in fam.labels(2, 2)}
+    labels = {lab for fam in fams for lab in fam.labels(2)}
     expected = {RuminLabel(1, q, 0, 0, p) for q in range(3) for p in range(3)}
     assert labels == expected
 
@@ -84,9 +83,9 @@ def test_decompose_degree_one_n1():
     fams = decompose(1, 1, 0)
     by_case = {f.case: f for f in fams}
     assert set(by_case) == {Case.V, Case.III, Case.VI}
-    vi_labels = list(by_case[Case.VI].labels(3, 3))
+    vi_labels = list(by_case[Case.VI].labels(3))
     assert vi_labels == [RuminLabel(1, -1, 0, 0, p) for p in (1, 2, 3)]
-    iii_labels = list(by_case[Case.III].labels(3, 3))
+    iii_labels = list(by_case[Case.III].labels(3))
     assert iii_labels == [RuminLabel(1, 0, 0, 0, p) for p in (1, 2, 3)]
 
 
@@ -104,7 +103,7 @@ def test_block_multiplicity_one():
         for s in range(n + 1):
             for t in range(n + 1 - s):
                 labels = [
-                    lab for fam in decompose(n, s, t) for lab in fam.labels(6, 6)
+                    lab for fam in decompose(n, s, t) for lab in fam.labels(6)
                 ]
                 assert len(labels) == len(set(labels))
 
@@ -119,45 +118,51 @@ def test_block_validates_bidegree():
     degree2 = {RuminLabel(2, q, j, i, p): (dim, sp)
                for _, i, j, q, p, _, dim, sp in degree_labels(2, 2, 1)}
     assert degree2[lab] == (weyl_dimension(label_to_weight(lab)), ((1, 1),))
-    assert all(lab not in fam.labels(1, 1) for fam in decompose(2, 2, 0))
-    holders = [fam for fam in decompose(2, 1, 1) if lab in fam.labels(1, 1)]
+    assert all(lab not in fam.labels(1) for fam in decompose(2, 2, 0))
+    holders = [fam for fam in decompose(2, 1, 1) if lab in fam.labels(1)]
     assert [(fam.case, fam.i, fam.j) for fam in holders] == [(Case.II, 0, 0)]
 
 
 def test_spectrum_slice_n1_degree0():
     # Derived by enumerating the decomposition and counting GT patterns.
-    sl = spectrum_slice(1, 0, 1)
-    assert sl.entries == {
+    entries = spectrum_slice(1, 0, 1)
+    assert entries == {
         Fraction(0): 1,
         Fraction(1, 4): 4,
         Fraction(4): 3,
     }
-    assert sl.multiplicity_of(Fraction(4)) == gt_pattern_count((1, -1))
+    assert list(entries) == sorted(entries)
+    assert entries[Fraction(4)] == gt_pattern_count((1, -1))
 
 
 def test_spectrum_slice_mirror_is_verbatim():
-    assert spectrum_slice(1, 3, 7) == spectrum_slice(1, 0, 7)
-    assert spectrum_slice(2, 4, 5) == spectrum_slice(2, 1, 5)
+    for n, k, N in ((1, 0, 7), (2, 1, 5)):
+        entries = spectrum_slice(n, k, N)
+        mirror = spectrum_slice(n, 2 * n + 1 - k, N)
+        assert list(mirror.items()) == list(entries.items())
+        assert list(entries) == sorted(entries)
 
 
 def test_spectrum_slice_n2_degree1():
-    sl = spectrum_slice(2, 1, 1)
+    entries = spectrum_slice(2, 1, 1)
     # Case III (i=0, p=1) at bidegree (1,0) and its Case IV conjugate at
     # (0,1) both contribute dim V(0,0,-1) = 3.
-    assert sl.multiplicity_of(Fraction(1, 4)) == 6
-    assert sl.entries == {
+    assert entries[Fraction(1, 4)] == 6
+    assert entries == {
         Fraction(1, 4): 6,
         Fraction(1): 6,
         Fraction(9, 4): 16,
         Fraction(49, 4): 12,
     }
+    assert list(entries) == sorted(entries)
 
 
 def test_spectrum_slice_zero_only_at_ends():
     for n in (1, 2, 3):
         for k in range(2 * n + 2):
-            mult = spectrum_slice(n, k, 6).multiplicity_of(Fraction(0))
-            assert mult == (1 if k in (0, 2 * n + 1) else 0)
+            entries = spectrum_slice(n, k, 6)
+            assert entries.get(Fraction(0), 0) == (1 if k in (0, 2 * n + 1) else 0)
+            assert list(entries) == sorted(entries)
 
 
 def test_spectrum_slice_rejects_bad_degree():
@@ -201,10 +206,13 @@ def test_case_v_mixed_route():
                 assert case_v_identity_value(label) == mu
 
 
-def test_norm_constants_example():
-    nc = norm_constants(1, 1, 1)
-    assert nc.C == Fraction(4, 6)  # coefficient of pi^2: 2^2 0! 0! / 3!
-    assert nc.D == Fraction(2)     # 2^2 0! / 2!
+def test_squared_norm_base_constants():
+    # The coefficients of pi^2 at n = 1, p = q = 1: C = 2^2 0! 0! / 3! = 2/3
+    # (Case V) and D = 2^2 0! / 2! = 2 (Case IV, and Case III with p for
+    # q).  Each bottom-block factor (q+j)(p+i), q+j or p+i is 1 here.
+    assert squared_norm(RuminLabel(1, 1, 0, 0, 1), 0, 0) == Fraction(2, 3)
+    assert squared_norm(RuminLabel(1, 1, 0, 0, 0), 0, 0) == 2
+    assert squared_norm(RuminLabel(1, 0, 0, 0, 1), 0, 0) == 2
 
 
 def test_squared_norm_base_example():
@@ -213,10 +221,13 @@ def test_squared_norm_base_example():
 
 
 def test_squared_norm_d_route():
+    # D = 2^{n+1} (q-1)! / (q+n)! = 2^3 2! / 5! = 2/15 at n = 2, q = 3.
     lab = RuminLabel(2, 3, 1, 0, 0)  # Case IV: j=1, q=3
-    d = norm_constants(2, 3, 1).D
-    assert squared_norm(lab, 0, 1) == d * (3 + 1) / 2
-    assert squared_norm(lab, 0, 2) == d * (2 - 1) / 4
+    assert squared_norm(lab, 0, 1) == Fraction(2, 15) * (3 + 1) / 2
+    assert squared_norm(lab, 0, 2) == Fraction(2, 15) * (2 - 1) / 4
+    conjugate = RuminLabel(2, 0, 0, 1, 3)  # Case III: i=1, p=3
+    assert squared_norm(conjugate, 1, 0) == Fraction(2, 15) * (3 + 1) / 2
+    assert squared_norm(conjugate, 2, 0) == Fraction(2, 15) * (2 - 1) / 4
 
 
 def test_squared_norm_ratio_rule():
@@ -298,7 +309,7 @@ def test_family_labels_are_valid_distinct_and_cover_all_cases():
         for bound in (1, 3):
             labels = []
             for fam in all_families(n):
-                for lab in fam.labels(bound, bound):
+                for lab in fam.labels(bound):
                     # RuminLabel validates on construction; the case it
                     # finds must be the family's.
                     assert lab.case is fam.case, (fam, lab)
@@ -336,7 +347,7 @@ def test_labels_accept_exactly_the_paper_case_ranges():
         # The family that yields each label with p, q <= 3; no label twice.
         owner = {}
         for fam in all_families(n):
-            for lab in fam.labels(3, 3):
+            for lab in fam.labels(3):
                 assert owner.setdefault(lab, fam) is fam, lab
         for q, p, i, j in product(range(-3, 4), range(-3, 4),
                                   range(-2, n + 2), range(-2, n + 2)):
@@ -371,7 +382,7 @@ def test_label_index_refuses_two_families_under_one_key(monkeypatch, duplicate):
 def test_label_family_spaces_are_the_family_table():
     for n in range(1, 6):
         for fam in all_families(n):
-            for lab in fam.labels(3, 3):
+            for lab in fam.labels(3):
                 assert lab.family.spaces == fam.spaces
                 assert lab.family.spaces == _paper_bidegrees(lab)
 

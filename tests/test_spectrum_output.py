@@ -29,7 +29,7 @@ def _reference_rows(n, degree, N):
     blocks = {}
     for fam in all_families(n):
         spaces = [(s, t) for s, t in fam.spaces if s + t == degree]
-        for label in fam.labels(N, N) if spaces else ():
+        for label in fam.labels(N) if spaces else ():
             q, j, i, p = label.q, label.j, label.i, label.p
             num = (p + i) * (q + n - i) + (q + j) * (p + n - j)
             mu = Fraction(num * num, 4 * (n - i - j) ** 2)

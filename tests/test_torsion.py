@@ -104,7 +104,7 @@ def test_kappa_direct_matches_exact_slice_aggregation():
     value = 0.0
     for k, w in enumerate(degree_weights(n)):
         zk = 1.0 if k == 0 else 0.0
-        for mu, mult in spectrum_slice(n, k, N).entries.items():
+        for mu, mult in spectrum_slice(n, k, N).items():
             if mu != 0:
                 zk += mult * float(mu) ** (-s)
         value += w * zk
@@ -206,6 +206,22 @@ def test_truncated_routes_refuse_divergence_then_range_then_tail(route):
     # is not a double.
     with pytest.raises(OverflowError, match="tail bound"):
         route(400, 300.0, 5)
+
+
+@pytest.mark.parametrize("route", [kappa_direct, kappa_reduced, tail_bound])
+def test_truncated_routes_refuse_a_truncation_below_one(route, monkeypatch):
+    # log(N) of the tail bound ended in "math domain error" at N = 0.  The
+    # truncation is refused first: before the convergence check, and before
+    # any kernel sum.
+    def no_sum(*args):
+        raise AssertionError("a kernel sum ran")
+
+    monkeypatch.setattr(torsion.kernels, "axis_family_sum", no_sum)
+    monkeypatch.setattr(torsion.kernels, "pair_sums_of_k", no_sum)
+    for N in (0, -3):
+        for s in (3.0, 0.25):
+            with pytest.raises(ValueError, match="^truncation must be >= 1$"):
+                route(1, s, N)
 
 
 def test_kappa_reduced_truncated_matches_direct():

@@ -159,7 +159,7 @@ def test_gt_budget_guard_charges_the_descent_walk():
 def test_weyl_matches_gt_on_bounded_labels():
     for n in (1, 2, 3):
         for fam in all_families(n):
-            for label in fam.labels(4, 4):
+            for label in fam.labels(4):
                 w = label_to_weight(label)
                 assert weyl_dimension(w) == gt_pattern_count(w), label
 
