@@ -13,10 +13,17 @@ zeta call and grows by doubling; nothing is computed at import.
 Two more tables are kept per working precision (prec + 48 guard bits, so
 the two passes of a ``torsion`` request share them): the coefficients
 rounded to that precision, at most 700 of them, and log p for the primes
-below the largest a + K the passes there have sieved.  Each entry has the
-bits a pass would compute afresh, so the tables change no result.  They
-hold one list of each per working precision used; passes at s < 0 carry
-their own guard bits, so they get tables of their own.  A 2048-bit
+below the largest a + K the passes there have sieved.  A coefficient entry
+has the bits a pass would compute afresh, so that table changes no result.
+The logs a pass lacks come from one integer fixed-point chain, log 2 from
+``mpmath.ln2`` and log p = log(p-1) + 2 atanh(1/(2p-1)) for odd p, at 64
+bits beyond the working precision and rounded once to it: each entry is
+within (1 + 2^-38) u of log p, an excess the slack of the rounding model
+absorbs, and in every tested case it has the bits of ``mpmath.log(p)``.
+A cold process thereby skips mpmath's per-precision log cache, which
+costs 8 square roots per entry.  The
+tables hold one list of each per working precision used; passes at s < 0
+carry their own guard bits, so they get tables of their own.  A 2048-bit
 ``torsion`` request leaves 210 coefficients and 128 logs, about 150 kB;
 the largest pair, 700 coefficients and 282 logs at the 8810 bits of
 zeta(-326 + 2^-44) at 5227 bits, takes about 1.3 MB.
@@ -25,7 +32,8 @@ Two entry points evaluate zeta at real s and integer a >= 1:
 ``hurwitz_zeta`` (``riemann_zeta`` is its a = 1 case) gives the value, and
 ``hurwitz_zeta_and_deriv`` gives the value and the s-derivative from one
 pass, with a bound for each, so a caller needs one pass per distinct zeta
-argument.  Any other a raises ``ValueError``.  A pass adds Bernoulli
+argument.  Any other a, and an a above ``MAX_HURWITZ_A``, raises
+``ValueError`` before any work.  A pass adds Bernoulli
 corrections until each remainder bound is at most 2^-(prec+6) (1 + |v|), v
 the value it certifies as returned; one that has not stopped after 700
 orders raises ``PrecisionError``, so no pass stops short of its target.  So
@@ -35,11 +43,12 @@ prefix terms (s < 0) need more than ``MAX_GUARD_BITS`` guard bits.
 
 The prefix sum is sieved: k^{-s} is completely multiplicative for every
 integer k, so the powers of a..a+K-1 come from a smallest-prime-factor sieve
-of [1, a+K).  Only the primes take a log and an exp (for integer s an
-integer power), every composite is the product of two earlier powers, and
-the derivative's log k is a sum of prime logs.  This is the power sum of
-Arb's ``acb_dirichlet_powsum_sieved``; the bounds follow Johansson's
-rigorous Euler-Maclaurin scheme for the Hurwitz zeta function
+of [1, a+K).  Only the primes take a log, from the table above, and an
+exp (for integer s an integer power), every composite is the product of
+two earlier powers, and the derivative's log k is a sum of prime logs; the
+one ``mpmath.log`` call of a pass is the remainder's log(a+K).  This is the
+power sum of Arb's ``acb_dirichlet_powsum_sieved``; the bounds follow
+Johansson's rigorous Euler-Maclaurin scheme for the Hurwitz zeta function
 (arXiv:1309.2877).  Every zeta call behind ``kappa`` and ``torsion`` has
 a = 1.  At 2048 bits that is 128 primes instead of 724 terms.  On
 ``clibench``'s ``precise_torsion`` workload (2-core VM, ``--seconds 15``)
@@ -74,6 +83,10 @@ MAX_PRECISION_BITS = 5227
 # The most guard bits a pass may add for its growing prefix terms (s < 0);
 # no CLI input comes near it.
 MAX_GUARD_BITS = 1 << 16
+# The largest Hurwitz parameter a pass accepts.  The sieve covers [1, a+K),
+# so a pass's time and memory grow with a; no caller passes more than
+# a = 101.
+MAX_HURWITZ_A = 10**4
 
 
 class PoleError(ValueError):
@@ -106,6 +119,9 @@ _BERNOULLI_LOCK = threading.Lock()
 _BERNOULLI_MPFS: dict[int, list[mpf]] = {}
 # log p for the primes the sieved prefixes have met, per working precision.
 _PRIME_LOGS: dict[int, dict[int, mpf]] = {}
+# Guard bits of the fixed-point chain that fills _PRIME_LOGS; the error
+# budget is derived in _fill_prime_logs.
+_LOG_GUARD_BITS = 64
 
 
 def _tangent_numbers(R: int) -> list[int]:
@@ -184,32 +200,111 @@ def _smallest_prime_factors(K: int) -> list[int]:
     return spf
 
 
+def _atanh_inv(d: int, one: int) -> int:
+    """atanh(1/d) in fixed point with unit ``one``, for an integer d >= 5:
+    the series sum_j d^-(2j+1) / (2j+1) by floor divisions, the power
+    carried from term to term.  Each power is within 25/24 units below its
+    exact value, each term within 2 units, and the terms left out sum to
+    less than one, so the result is 0 to 2T + 1 units below
+    atanh(1/d) one, T the number of terms, T <= log2(one) / (2 log2 d) + 1.
+    """
+    d2 = d * d
+    power = total = one // d
+    k = 3
+    while power:
+        power //= d2
+        total += power // k
+        k += 2
+    return total
+
+
+def _fill_prime_logs(logs: dict[int, mpf], primes: Sequence[int],
+                     spf: list[int]) -> None:
+    """Store log p in ``logs`` for each prime p of ``primes``, rounded once
+    to the working precision wp from one integer fixed-point chain with
+    unit 2^-W, W = wp + G and G = ``_LOG_GUARD_BITS``.
+
+    log 2 is ``mpmath.ln2`` at W bits, within 1 unit.  An odd prime p takes
+    log p = log(p-1) + 2 atanh(1/(2p-1)), log(p-1) the sum of the chain's
+    logs of its prime factors, read off ``spf``; a factor missing from the
+    chain is built the same way first.  Unfolded, log p is a sum of at
+    most log2(p) logs of 2 and at most log2(p) atanh series: p - 1 is even,
+    so the series count S(p) = 1 + sum over the odd prime factors q of
+    p - 1, with multiplicity, of S(q) stays below log2(p) by induction.
+    Each series has d = 2p - 1 >= 5, so T <= W / 4.6 + 1 terms and an error
+    below 2 (2T + 1) <= W units once W >= 54.  So the chain's log p is
+    within W log2(p) + log2(p) units, 2^-W (W + 1) log2(p), of log p.  The
+    rounding to wp bits adds half an ulp, and log p >= log 2 > 1/2 has an
+    ulp of at least 2^-wp; so the entry is within (1/2 + e) ulp of log p,
+    e = (W + 1) log2(p) 2^-G.  An ulp is at most 2 u log p, u = 2^-wp, so
+    the entry is within (1 + 2e) u of its size: 2e u past the 1 u that the
+    rounding model of ``_euler_maclaurin`` charges a log (a correctly
+    rounded log is within 1 u).  That model's slack absorbs the excess:
+    - a derivative log sums m <= log2(a+K-1) prime logs with m - 1
+      roundings, so it is within (m + 2e) u of its size, and the model
+      charges log2(a+K) u, more than m by at least 1/((a+K) ln 2);
+    - a power with m prime factors, at non-integer s, is within
+      (2|s| log k + 3m - 1 + 2e|s| log k) u of its size, and rho charges
+      2|s| L + 3 log2(a+K) + 2, at least 3 more than the first three
+      parts, while |s| < K.
+    With G = 64, every pass has W below 2^17 (prec + guard + G at most
+    5227 + 48 + 2^16 + 64), so e < 2^-39 for every p below 2^20, and both
+    margins hold with room to spare while a + K is below 2^20.  At 2048
+    bits the chain's error is under 2^-40 ulp, so a table entry rounds to
+    the same bits as ``mpmath.log(p)`` unless log p lies that close to a
+    rounding boundary.
+    """
+    W = mpmath.mp.prec + _LOG_GUARD_BITS
+    one = 1 << W
+    # ln2 at W bits without changing mpmath's process-wide precision, which
+    # concurrent passes at the working precision read; the shift is exact.
+    fixed = {2: int(mpmath.ldexp(mpmath.ln2(prec=W), W))}
+
+    def fixed_log(p: int) -> int:
+        if p not in fixed:
+            m, acc = p - 1, 0
+            while m > 1:
+                q = spf[m]
+                acc += fixed_log(q)
+                m //= q
+            fixed[p] = acc + 2 * _atanh_inv(2 * p - 1, one)
+        return fixed[p]
+
+    for p in primes:
+        # Passes that miss together store equal values: the chain is
+        # deterministic at a fixed precision.
+        logs[p] = mpf((fixed_log(p), -W))
+
+
 def _sieved_prefix(s: Real, ms: mpf, a: int, K: int, want_derivative: bool):
     """The prefix terms k^{-s} and, if requested, log(k) k^{-s}, k = a..a+K-1.
 
     k^{-s} is completely multiplicative, so only a prime p needs a
-    transcendental: one ``log`` and one ``exp(-s log p)``, or for integer s
-    one integer power (and the ``log`` only for the derivative).  A
-    composite k = p m, p its smallest prime factor, is pw[p] pw[m], and its
-    logarithm log p + log m (the method of Arb's
-    ``acb_dirichlet_powsum_sieved``).  The sieve runs over [1, a+K), so a
-    pass costs O(a + K) list entries.
+    transcendental: log p and one ``exp(-s log p)``, or for integer s one
+    integer power (and log p only for the derivative).  A composite
+    k = p m, p its smallest prime factor, is pw[p] pw[m], and its logarithm
+    log p + log m (the method of Arb's ``acb_dirichlet_powsum_sieved``).
+    The prime logs come from the per-precision table; the primes it lacks
+    are filled in one batch by ``_fill_prime_logs``, a fixed-point chain
+    with no ``mpmath.log`` call.  The sieve runs over [1, a+K), so a pass
+    costs O(a + K) list entries.
     """
     s_int = int(s) if s == int(s) else None
+    need_logs = s_int is None or want_derivative
     end = a + K
     spf = _smallest_prime_factors(end - 1)
     pw = [mpf(1)] * end
     lg = [mpf(0)] * end
-    logs = _PRIME_LOGS.setdefault(mpmath.mp.prec, {})
+    if need_logs:
+        logs = _PRIME_LOGS.setdefault(mpmath.mp.prec, {})
+        missing = [k for k in range(2, end) if spf[k] == k and k not in logs]
+        if missing:
+            _fill_prime_logs(logs, missing, spf)
     for k in range(2, end):
         p = spf[k]
         if p == k:
-            if s_int is None or want_derivative:
-                # Passes that miss together store equal values: the log
-                # is deterministic at a fixed precision.
-                lg[k] = logs.get(k)
-                if lg[k] is None:
-                    lg[k] = logs[k] = mpmath.log(k)
+            if need_logs:
+                lg[k] = logs[k]
             if s_int is None:
                 pw[k] = mpmath.exp(-ms * lg[k])
             else:
@@ -389,13 +484,15 @@ def _euler_maclaurin(s: Real, a: int, prec: int, want_derivative: bool):
 def _check_argument(s: Real, a: int) -> None:
     if s == 1:
         raise PoleError("zeta(s, a) has a pole at s = 1")
-    if not (isinstance(a, int) and a >= 1):
-        raise ValueError(f"Hurwitz parameter must be an integer a >= 1, got a={a!r}")
+    if not (isinstance(a, int) and 1 <= a <= MAX_HURWITZ_A):
+        raise ValueError(f"Hurwitz parameter must be an integer a >= 1 and at "
+                         f"most {MAX_HURWITZ_A}, got a={a!r}")
 
 
 def hurwitz_zeta(s: Real, a: int, precision: Optional[int] = None) -> ZetaValue:
-    """Hurwitz zeta(s, a) for real s != 1 and integer a >= 1, analytically
-    continued; any other a raises ``ValueError``.
+    """Hurwitz zeta(s, a) for real s != 1 and integer 1 <= a <=
+    ``MAX_HURWITZ_A``, analytically continued; any other a raises
+    ``ValueError``.
 
     Euler-Maclaurin: prefix sum to a precision-driven cutoff, integral and
     boundary terms, then Bernoulli corrections until the rigorous remainder

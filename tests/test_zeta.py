@@ -197,6 +197,17 @@ def test_non_integer_or_nonpositive_a_is_refused(em_passes):
     assert em_passes == []
 
 
+def test_a_beyond_the_sieve_limit_is_refused_before_any_work(em_passes):
+    # The sieve covers [1, a+K), so a large a would cost time and memory.
+    for a in (zeta.MAX_HURWITZ_A + 1, 10**6):
+        for call in (hurwitz_zeta, hurwitz_zeta_and_deriv):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=f"at most {zeta.MAX_HURWITZ_A}"):
+                call(2.5, a)
+            assert time.perf_counter() - start < 0.1, a
+    assert em_passes == []
+
+
 @pytest.mark.parametrize("prec", [64, 256, 1024])
 def test_sieved_prefix_matches_the_general_path(prec):
     # zeta(s) = 1 + zeta(s, 2) and zeta'(s) = zeta'(s, 2): the windows of
@@ -224,7 +235,9 @@ def test_a_sieved_pass_takes_one_log_and_exp_per_prime(monkeypatch, s, want_deri
     # K + 1 take transcendentals (a term-by-term pass took 724 powers, and
     # 724 logs for the derivative), and integer s takes no exp at all.  A
     # power to a non-integer exponent is an exp (and a log) inside mpmath,
-    # so it counts as one.
+    # so it counts as one.  The prime logs come from the fixed-point chain,
+    # even with the table empty, so mpmath's log is called once.
+    monkeypatch.setattr(zeta, "_PRIME_LOGS", {})
     calls = {"log": 0, "exp": 0}
     for name in calls:
         def counted(*args, _f=getattr(mpmath, name), _name=name, **kwargs):
@@ -245,7 +258,7 @@ def test_a_sieved_pass_takes_one_log_and_exp_per_prime(monkeypatch, s, want_deri
     assert primes == 128
     integer = s == int(s)
     # The remainder terms take log(K + 1) and (K + 1)^-s.
-    assert calls["log"] <= (0 if integer and not want_derivative else primes) + 1
+    assert calls["log"] == 1
     assert calls["exp"] <= (0 if integer else primes + 1)
 
 
@@ -311,6 +324,51 @@ def test_per_precision_tables_hold_the_direct_conversions(monkeypatch, prec):
             assert got == mpmath.log(p), p
 
 
+def _pinned_grid_end():
+    # The largest a + K of the pinned passes, K as _euler_maclaurin takes it.
+    return max(a + max(int(abs(s)) + 12, int(0.35 * prec) + 8, 16)
+               for prec, (passes, _) in _PINNED_PASSES.items()
+               for s, a, _ in passes)
+
+
+@pytest.mark.parametrize("prec", sorted(_PINNED_PASSES), ids=lambda p: f"prec{p}")
+def test_the_log_chain_rounds_like_mpmath(prec):
+    # Every prime below the largest a + K of the pinned grid, at the pinned
+    # working precision: the fixed-point chain's entry has the bits of
+    # mpmath.log(p).
+    end = _pinned_grid_end()
+    assert end == 825
+    spf = zeta._smallest_prime_factors(end - 1)
+    primes = _primes_up_to(end - 1)
+    logs = {}
+    with mpmath.workprec(prec + 48):
+        zeta._fill_prime_logs(logs, primes, spf)
+        assert sorted(logs) == primes
+        for p in primes:
+            assert logs[p] == mpmath.log(p), p
+
+
+def test_the_log_chain_holds_one_unit_at_the_ceiling_pass():
+    # zeta(-326 + 2^-44) at 5227 bits sieves [1, 1838) at 8810 bits; the
+    # chain builds each sampled prime's factors of p - 1 on the way.
+    prec = zeta.MAX_PRECISION_BITS
+    s = -326 + 2**-44
+    K = int(0.35 * prec) + 8
+    wp = prec + 48 + int(-s * log(K + 1, 2))
+    assert (K + 1, wp) == (1838, 8810)
+    spf = zeta._smallest_prime_factors(K)
+    sample = [2, 3, 5] + [p for p in range(K, 1, -1) if spf[p] == p][:3]
+    assert sample[3:] == [1831, 1823, 1811]
+    logs = {}
+    with mpmath.workprec(wp):
+        zeta._fill_prime_logs(logs, sample, spf)
+    assert sorted(logs) == sorted(sample)
+    for p in sample:
+        with mpmath.workprec(wp + 64):
+            unit = mpmath.ldexp(1, zeta._mag(logs[p]) - wp)
+            assert abs(logs[p] - mpmath.log(p)) <= unit, p
+
+
 def test_a_second_pass_at_one_precision_takes_only_the_remainder_log(monkeypatch):
     zeta._euler_maclaurin(0.3, 1, 2048, True)
     calls = []
@@ -329,8 +387,11 @@ def test_a_second_pass_at_one_precision_takes_only_the_remainder_log(monkeypatch
 def test_concurrent_passes_build_one_ordered_coefficient_list(monkeypatch):
     # mpmath's precision is process-global: it is set to the working
     # precision first, so no thread leaving ``workprec`` changes it under
-    # another, and the threaded passes must equal the serial ones.
+    # another, and the threaded passes must equal the serial ones.  The
+    # threads also fill the prime-log table, whose chain must not change
+    # that precision either.
     monkeypatch.setattr(zeta, "_BERNOULLI_MPFS", {})
+    monkeypatch.setattr(zeta, "_PRIME_LOGS", {})
     prec = 1111
     wp = prec + 48
     points = ((0.5, True), (2.25, False), (7, True), (30.5, False))

@@ -1,0 +1,147 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of the clibench workloads.
+
+Run from the root of a source checkout:
+
+    python3 tools/bench.py --parent HEAD --pairs 3 --workload precise_torsion
+    python3 tools/bench.py --parent HEAD~1 --pairs 3 --out BENCH.json
+
+The parent revision is checked out in a temporary ``git worktree``; the
+change is this checkout's working tree, committed or not.  For each
+workload and each seed 1..k, ``clibench/run.py --trace 0`` runs once in
+each tree, for BENCHMARK.json's ``run_seconds``, the parent first on odd
+seeds and the change first on even ones, and its last stdout line (one
+JSON object) is kept.  For each workload one
+line is printed, ready to paste into CHANGES.md: per end-to-end metric of
+BENCHMARK.json, the pairs the change wins (ties count for neither), the
+medians parent -> change and the interquartile range of the parent's runs.
+``--out`` stores every run's metrics with the seeds, both git shas, the
+Python and mpmath versions and the CPU count.  A run killed by a signal
+leaves its worktree behind; ``git worktree prune`` forgets it once its
+directory is gone.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import mpmath
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def run_once(tree: Path, workload: str, seed: int) -> dict:
+    """One ``clibench/run.py --trace 0`` run in ``tree``: its JSON object."""
+    proc = subprocess.run(
+        [sys.executable, "clibench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(BENCHMARK["run_seconds"]), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"bench: {workload} seed {seed} in {tree} exited "
+                 f"{proc.returncode}: {proc.stderr.strip()}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _iqr(xs: list[float]) -> float:
+    if len(xs) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q3 - q1
+
+
+def summarise(runs: list[dict]) -> dict:
+    """Per end-to-end metric: wins of the change, medians and the parent's IQR."""
+    out = {}
+    for metric in BENCHMARK["end_to_end"]:
+        name, lower = metric["name"], metric["better"] == "lower"
+        pairs = [(r["parent"]["metrics"][name]["value"],
+                  r["change"]["metrics"][name]["value"]) for r in runs]
+        parent = [p for p, _ in pairs]
+        out[name] = {
+            "unit": metric["unit"],
+            "wins": sum((c < p) if lower else (c > p) for p, c in pairs),
+            "pairs": len(pairs),
+            "parent_median": statistics.median(parent),
+            "change_median": statistics.median(c for _, c in pairs),
+            "parent_iqr": _iqr(parent),
+        }
+    return out
+
+
+def paste_line(workload: str, runs: list[dict], summary: dict) -> str:
+    parts = []
+    for name, m in summary.items():
+        unit = "" if m["unit"] == "1/s" else f" {m['unit']}"
+        parts.append(f"{name} {m['wins']}/{m['pairs']} wins, median "
+                     f"{m['parent_median']:.4g} -> {m['change_median']:.4g}{unit}, "
+                     f"parent IQR {m['parent_iqr']:.2g}")
+    failed = {side: sum(r[side]["failed"] for r in runs) for side in ("parent", "change")}
+    wrong = sum(not r[side]["correct"] for r in runs for side in ("parent", "change"))
+    return (f"{workload} ({len(runs)} pairs, seeds 1-{len(runs)}): " + "; ".join(parts)
+            + f"; failed {failed['parent']} / {failed['change']}, incorrect runs {wrong}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="git revision of the parent")
+    parser.add_argument("--pairs", type=int, default=3, help="seeds 1..k, one pair each")
+    parser.add_argument("--workload", action="append", choices=WORKLOADS,
+                        help="repeatable; default every workload of BENCHMARK.json")
+    parser.add_argument("--out", type=Path, help="write the runs as JSON here")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    parent_sha = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
+    record = {
+        "parent": {"rev": args.parent, "sha": parent_sha},
+        "change": {"sha": _git("rev-parse", "HEAD"),
+                   "dirty": bool(_git("status", "--porcelain", "--untracked-files=no"))},
+        "python": platform.python_version(),
+        "mpmath": mpmath.__version__,
+        "mpmath_backend": mpmath.libmp.BACKEND,
+        "cpu_count": os.cpu_count(),
+        "seconds": BENCHMARK["run_seconds"],
+        "seeds": list(range(1, args.pairs + 1)),
+        "workloads": {},
+    }
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        parent_tree = Path(tmp) / "tree"
+        _git("worktree", "add", "--detach", str(parent_tree), parent_sha)
+        try:
+            for workload in args.workload or WORKLOADS:
+                runs = []
+                for seed in record["seeds"]:
+                    order = ("parent", "change") if seed % 2 else ("change", "parent")
+                    run = {"seed": seed, "first": order[0]}
+                    for side in order:
+                        tree = parent_tree if side == "parent" else ROOT
+                        run[side] = run_once(tree, workload, seed)
+                    runs.append(run)
+                summary = summarise(runs)
+                record["workloads"][workload] = {"runs": runs, "summary": summary}
+                print(paste_line(workload, runs, summary), flush=True)
+        finally:
+            _git("worktree", "remove", "--force", str(parent_tree))
+    if args.out:
+        args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
