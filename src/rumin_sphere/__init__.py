@@ -26,7 +26,6 @@ from .torsion import (
     DivergenceError,
     KappaEstimate,
     TorsionReport,
-    cancellation_check,
     degree_weights,
     degree_zetas_direct,
     kappa_closed,
@@ -46,11 +45,11 @@ from .weights import (
 )
 from .zeta import (
     DEFAULT_PRECISION_BITS,
-    DimensionPolynomial,
     PoleError,
     PrecisionError,
     ZetaValue,
     c_coefficients,
+    dimension_coefficients,
     hurwitz_zeta,
     hurwitz_zeta_and_deriv,
     riemann_zeta,
@@ -65,7 +64,6 @@ __all__ = [
     "Case",
     "CaseRangeError",
     "DEFAULT_PRECISION_BITS",
-    "DimensionPolynomial",
     "DivergenceError",
     "EnumerationBudgetError",
     "HighestWeight",
@@ -78,11 +76,11 @@ __all__ = [
     "ZetaValue",
     "all_families",
     "c_coefficients",
-    "cancellation_check",
     "case_v_identity_value",
     "case_v_mixed_eigenvalue",
     "degree_weights",
     "degree_zetas_direct",
+    "dimension_coefficients",
     "eigenvalue_formula",
     "gt_pattern_count",
     "hurwitz_zeta",

@@ -79,10 +79,13 @@ def label_to_weight(label: RuminLabel) -> HighestWeight:
     -1 repeated i times, -p); degenerate repetition counts give empty
     segments.
     """
-    n, q, j, i, p = label.n, label.q, label.j, label.i, label.p
     return HighestWeight(
-        (q,) + (1,) * j + (0,) * (n - 1 - i - j) + (-1,) * i + (-p,)
-    )
+        (label.q, *_middle_weight(label.n, label.j, label.i), -label.p))
+
+
+def _middle_weight(n: int, j: int, i: int) -> tuple[int, ...]:
+    # The weight between q and -p: (1^j, 0^{n-1-i-j}, (-1)^i).
+    return (1,) * j + (0,) * (n - 1 - i - j) + (-1,) * i
 
 
 def eigenvalue_numerator(n: int, q: int, j: int, i: int, p: int) -> int:
@@ -208,8 +211,7 @@ def degree_labels(
             continue
         case, i, j = fam.case, fam.i, fam.j
         d = n - i - j
-        # The weight of ``label_to_weight`` between q and -p.
-        middle = (1,) * j + (0,) * (d - 1) + (-1,) * i
+        middle = _middle_weight(n, j, i)
         mult = scale // (d * d)
         ps, qs = fam.parameters(N)
         for p in ps:

@@ -38,7 +38,7 @@ from typing import Optional
 import mpmath
 from mpmath import mpf, workprec
 
-from . import kernels
+from . import _kernels_py
 from .spectrum import Case, all_families
 from .zeta import (
     PoleError,
@@ -219,8 +219,8 @@ def tail_bound(n: int, s: float, N: int) -> float:
     """Rigorous bound on the p, q > N truncation error of the kappa sum.
 
     The two-parameter families cancel exactly in the alternating combination
-    (see ``cancellation_check``), so the discarded tail consists of the four
-    one-parameter families.  Their dimensions are bounded by
+    (see ``verify.check_cancellation``), so the discarded tail consists of
+    the four one-parameter families.  Their dimensions are bounded by
     C(n,i) (n+1)^n p^n / n! and the eigenvalue factor by 2^{2s} p^{-2s},
     which integrates to the monomial bound
 
@@ -266,9 +266,9 @@ def degree_zetas_direct(n: int, s: float, N: int) -> list[float]:
     zk = [1.0] + [0.0] * n  # dim Ker Delta^0 = 1; all other kernels vanish
     pair_sums: dict[tuple[int, int], float] = {}
     for k in range(1, n + 1):
-        for i, value in enumerate(kernels.pair_sums_of_k(n, k, N, float(s))):
+        for i, value in enumerate(_kernels_py.pair_sums_of_k(n, k, N, float(s))):
             pair_sums[i, n - k - i] = value
-    axis_sums = [kernels.axis_family_sum(n, i, N, float(s)) for i in range(n + 1)]
+    axis_sums = [_kernels_py.axis_family_sum(n, i, N, float(s)) for i in range(n + 1)]
     for fam in all_families(n):
         if fam.case is Case.I:
             continue
@@ -302,7 +302,7 @@ def kappa_direct(n: int, s: float, N: int) -> KappaEstimate:
     # sum_k |w_k| zeta_k (Higham sec. 4.2).  m counts the kernels' roundings
     # per term, one addition per bidegree a family sum populates, the weight
     # products and n+1 additions, and one step for this bound's own rounding.
-    m = (kernels.term_roundings(N, s) + n + 2
+    m = (_kernels_py.term_roundings(N, s) + n + 2
          + sum(len(fam.spaces) for fam in all_families(n)))
     abs_sum = sum(abs(w) * z for w, z in zip(ws, zk))
     return KappaEstimate(value=value, bound=bound, rounding=rounding_gamma(m) * abs_sum)
@@ -319,11 +319,11 @@ def kappa_reduced(n: int, s: float, N: int) -> KappaEstimate:
     value = -(n + 1.0)
     abs_sum = abs(value)
     for i in range(n + 1):
-        axis = kernels.axis_family_sum(n, i, N, float(s))
+        axis = _kernels_py.axis_family_sum(n, i, N, float(s))
         value += 2.0 * (-1.0) ** (i + 1) * axis
         abs_sum += 2.0 * axis
     # As in ``kappa_direct``, with n+1 additions to combine the sums.
-    m = kernels.term_roundings(N, s) + n + 2
+    m = _kernels_py.term_roundings(N, s) + n + 2
     return KappaEstimate(value=value, bound=bound, rounding=rounding_gamma(m) * abs_sum)
 
 
@@ -358,24 +358,6 @@ def _continued_from(n: int, s: float, z: ZetaValue, prec: int) -> KappaEstimate:
         bound = 2 * scale * err
         size = abs(kappa1) + 2 * scale * abs(total)
     return _estimate(value, bound, size, prec)
-
-
-def cancellation_check(n: int) -> bool:
-    """Verify that every two-parameter label drops out of the kappa sum.
-
-    Every label of a Case II/V family populates the family's bidegrees
-    ``spaces``, and all its blocks share its eigenvalue and dimension, so
-    the label's contribution is that common term times the sum of the
-    degree weights over ``spaces``.  The check is that this sum vanishes as
-    an exact integer for each family (w_k + 2 w_{k+1} + w_{k+2} for Case II,
-    w_{n-1} + 2 w_n for Case V): one sum per family covers all its labels.
-    """
-    ws = degree_weights(n)
-    return all(
-        sum(ws[bs + bt] for bs, bt in fam.spaces) == 0
-        for fam in all_families(n)
-        if fam.case in (Case.II, Case.V)
-    )
 
 
 @dataclass(frozen=True)

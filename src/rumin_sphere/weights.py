@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import comb, prod
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -33,13 +33,6 @@ class HighestWeight:
             raise ValueError("a highest weight needs at least one entry")
         if any(a < b for a, b in zip(entries, entries[1:])):
             raise ValueError(f"entries must be nonincreasing: {entries}")
-
-
-WeightLike = Union[HighestWeight, Sequence[int]]
-
-
-def _as_weight(w: WeightLike) -> HighestWeight:
-    return w if isinstance(w, HighestWeight) else HighestWeight(tuple(w))
 
 
 def weyl_product(entries: Sequence[int]) -> int:
@@ -66,14 +59,14 @@ def weyl_product(entries: Sequence[int]) -> int:
     return dim
 
 
-def weyl_dimension(w: WeightLike) -> int:
+def weyl_dimension(w: HighestWeight) -> int:
     """Dimension of the U(m) irreducible with highest weight ``w``: the
     exact-integer ``weyl_product`` of its entries."""
-    return weyl_product(_as_weight(w).entries)
+    return weyl_product(w.entries)
 
 
 def gt_pattern_count(
-    w: WeightLike, budget: int = 10**8, memo: Optional[dict] = None
+    w: HighestWeight, budget: int = 10**8, memo: Optional[dict] = None
 ) -> int:
     """Count Gelfand-Tsetlin patterns with top row ``w``.
 
@@ -102,7 +95,7 @@ def gt_pattern_count(
     one for each child row it sums; the units are charged before the sums
     are made, and ``EnumerationBudgetError`` is raised once they exceed it.
     """
-    top = _as_weight(w).entries
+    top = w.entries
     table: dict = {} if memo is None else memo
     work = 0
 

@@ -50,10 +50,9 @@ one ``mpmath.log`` call of a pass is the remainder's log(a+K).  This is the
 power sum of Arb's ``acb_dirichlet_powsum_sieved``; the bounds follow
 Johansson's rigorous Euler-Maclaurin scheme for the Hurwitz zeta function
 (arXiv:1309.2877).  Every zeta call behind ``kappa`` and ``torsion`` has
-a = 1.  At 2048 bits that is 128 primes instead of 724 terms.  On
-``clibench``'s ``precise_torsion`` workload (2-core VM, ``--seconds 15``)
-the sieve took the median from 25.3 to 56.9 solves/s, and the two
-per-precision tables with the screened stopping rule from 57.2 to 75.3.
+a = 1.  At 2048 bits that is 128 primes instead of 724 terms.  The
+benchmark runs of the engine are stored in ``BENCH_21.json`` and
+``BENCH_22.json``.
 """
 
 from __future__ import annotations
@@ -70,7 +69,10 @@ from mpmath import mpf, workprec
 Real = Union[int, float, Fraction]
 
 DEFAULT_PRECISION_BITS = 128
-# The highest precision at which the 700 Bernoulli orders reach their target
+# The most Bernoulli orders a pass adds; one that has not stopped by then
+# raises ``PrecisionError``, and the coefficient table never grows past it.
+_MAX_ORDER = 700
+# The highest precision at which the _MAX_ORDER orders reach their target
 # with K = 0.35 prec + 8, for every zeta argument the CLI can pass.  A
 # negative argument -sigma leaves about 2R - sigma useful orders, so the
 # most negative one binds: 2s = -326 +- 2^-44, from a kappa route at s
@@ -115,7 +117,7 @@ _BERNOULLI_COEFFS: list[Fraction] = [Fraction(1)]
 _BERNOULLI_LOCK = threading.Lock()
 # The same coefficients rounded to each working precision a pass has used,
 # orders 1, 2, ... at index 0, 1, ...: one list per precision, as long as the
-# longest pass at it (at most 700 orders).
+# longest pass at it (at most _MAX_ORDER orders).
 _BERNOULLI_MPFS: dict[int, list[mpf]] = {}
 # log p for the primes the sieved prefixes have met, per working precision.
 _PRIME_LOGS: dict[int, dict[int, mpf]] = {}
@@ -138,12 +140,14 @@ def _tangent_numbers(R: int) -> list[int]:
 
 
 def _bernoulli_coefficient(r: int) -> Fraction:
-    """B_{2r}/(2r)!, exactly; the table grows by doubling."""
+    """B_{2r}/(2r)!, exactly.  The table grows to the next power of two
+    above r, at most ``_MAX_ORDER`` orders, so it doubles as a pass's orders
+    rise and stops at the last order a pass can use."""
     if r >= len(_BERNOULLI_COEFFS):
         with _BERNOULLI_LOCK:
             have = len(_BERNOULLI_COEFFS) - 1
             if r > have:
-                R = max(r, 2 * have)
+                R = max(r, min(1 << r.bit_length(), _MAX_ORDER))
                 # B_{2r} = (-1)^{r-1} 2r T_r / (4^r (4^r - 1)).
                 _BERNOULLI_COEFFS.extend(
                     Fraction((-1) ** (k - 1) * 2 * k * t,
@@ -328,8 +332,8 @@ def _euler_maclaurin(s: Real, a: int, prec: int, want_derivative: bool):
     (|periodic Bernoulli| <= 2 zeta(2R+1) (2R+1)! / (2pi)^{2R+1}) and a
     slack term covering accumulated rounding.  The Bernoulli loop has one
     stopping rule, each bound at most eps (1 + |v|) for the v it certifies,
-    and one other exit: ``PrecisionError`` after 700 orders.  A trivial zero
-    returns before the guard-bit budget is checked.
+    and one other exit: ``PrecisionError`` after ``_MAX_ORDER`` orders.  A
+    trivial zero returns before the guard-bit budget is checked.
 
     The prefix terms come from ``_sieved_prefix`` and are summed by
     ``mpmath.fsum`` with one rounding.
@@ -417,14 +421,14 @@ def _euler_maclaurin(s: Real, a: int, prec: int, want_derivative: bool):
         xp = xs / x          # x^{-s-2r+1}, starting at r = 1
         inv_x2 = 1 / (x * x)
         # env = 2.5 / (2pi)^{2r+1}, chained by (2pi)^-2 per order.  2.5 is
-        # 4 % above 2 zeta(3) = 2.404..., far more than the at most 700
-        # chain roundings of 2^-(prec+guard) each can take away.
+        # 4 % above 2 zeta(3) = 2.404..., far more than the at most
+        # _MAX_ORDER chain roundings of 2^-(prec+guard) each can take away.
         inv_two_pi_2 = 1 / (2 * mpmath.pi) ** 2
         env = mpf(5) / 2 / (2 * mpmath.pi) ** 3
         # The screen's parts that do not change with the order.
         lower_mag = -_mag(x) - 4
         s_trunc = int(s_f)
-        for r in range(1, 701):
+        for r in range(1, _MAX_ORDER + 1):
             mcoef = _bernoulli_mpf(r)
             term = mcoef * rf_v * xp
             value += term
@@ -578,6 +582,9 @@ def vanishing_correction_check(n: int, i: int) -> bool:
     A polynomial identity, verified in exact integers.  The correction sums
     of the reduced route weight the same terms by k^{-(2s-l+1)}, that is,
     k^{-1-2s} times this integer sum, so they vanish with it at every s.
+    The check lives here, not in ``verify``, because it reads this module's
+    private symmetric rows; moving it would need a copy of them or a new
+    public name.
     """
     if not 0 <= i <= n:
         raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
@@ -588,29 +595,11 @@ def vanishing_correction_check(n: int, i: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class DimensionPolynomial:
-    """dim V(0,...,0, -1,...,-1, -p) as a polynomial in (p + i).
-
-    coefficients[l-1] multiplies (p+i)^{l-1}; the values are
-    C(n, i)/n! * e_{n+1-l}(n-i, ..., -i).
-    """
-
-    n: int
-    i: int
-    coefficients: tuple[Fraction, ...]
-
-    @classmethod
-    def build(cls, n: int, i: int) -> "DimensionPolynomial":
-        if not 0 <= i <= n:
-            raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
-        pref = Fraction(comb(n, i), factorial(n))
-        coeffs = tuple(pref * e for e in reversed(_shift_symmetric(n, i)))
-        return cls(n=n, i=i, coefficients=coeffs)
-
-    def evaluate(self, p: int) -> int:
-        base = p + self.i
-        v = sum(c * base**l for l, c in enumerate(self.coefficients))
-        if v.denominator != 1:
-            raise ArithmeticError(f"non-integral dimension value at p={p}")
-        return int(v)
+def dimension_coefficients(n: int, i: int) -> tuple[Fraction, ...]:
+    """dim V(0,...,0, -1,...,-1, -p) as a polynomial in (p + i): the
+    coefficient of (p+i)^l at index l, for l = 0..n, the values
+    C(n, i)/n! * e_{n-l}(n-i, ..., -i)."""
+    if not 0 <= i <= n:
+        raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
+    pref = Fraction(comb(n, i), factorial(n))
+    return tuple(pref * e for e in reversed(_shift_symmetric(n, i)))

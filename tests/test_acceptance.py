@@ -13,7 +13,7 @@ import mpmath
 
 from rumin_sphere import (
     Case,
-    cancellation_check,
+    HighestWeight,
     c_coefficients,
     case_v_mixed_eigenvalue,
     degree_weights,
@@ -35,6 +35,7 @@ from rumin_sphere import (
 )
 from rumin_sphere.spectrum import all_families
 from rumin_sphere.torsion import rounding_gamma
+from rumin_sphere import verify
 from rumin_sphere.verify import route_check, run_all
 
 
@@ -115,7 +116,7 @@ def test_criterion_04_direct_sum_matches_closed_form():
 def test_criterion_05_case_ii_v_cancellation():
     with Timer(10.0) as t:
         for n in range(1, 5):
-            assert cancellation_check(n)
+            assert verify.check_cancellation(n).passed
             # The same identity, spelled out on the degree weights.
             ws = degree_weights(n)
             for fam in all_families(n):
@@ -164,7 +165,7 @@ def test_criterion_08_dimension_oracle():
         for n in range(1, 5):
             for i in range(n + 1):
                 for p in range(1, 31):
-                    expanded = (0,) * (n - i) + (-1,) * i + (-p,)
+                    expanded = HighestWeight((0,) * (n - i) + (-1,) * i + (-p,))
                     assert special_dimension(n, i, p) == weyl_dimension(expanded)
     report(8, "Weyl dimension vs GT oracle and closed form", t)
 

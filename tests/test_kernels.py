@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from rumin_sphere import _kernels_py, kernels, torsion
+from rumin_sphere import _kernels_py, torsion
 from rumin_sphere.spectrum import RuminLabel, eigenvalue_formula, label_to_weight
 from rumin_sphere.weights import special_dimension, weyl_dimension, weyl_product
 
@@ -23,15 +23,15 @@ def gamma(k):
 
 def pair_sum(n, i, j, N, s):
     """The family {i, j}'s entry of ``pair_sums_of_k``."""
-    return kernels.pair_sums_of_k(n, n - i - j, N, s)[min(i, j)]
+    return _kernels_py.pair_sums_of_k(n, n - i - j, N, s)[min(i, j)]
 
 
 def pair_sum_error_bound(N, s):
     """Relative error bound gamma_m of a pair family sum, m from
-    ``kernels.term_roundings``: N + 13, and ceil(2s) more for the large-s
+    ``_kernels_py.term_roundings``: N + 13, and ceil(2s) more for the large-s
     path, whose bases are rounded quotients A/D that the power amplifies by
     the exponent 2s."""
-    return gamma(kernels.term_roundings(N, s))
+    return gamma(_kernels_py.term_roundings(N, s))
 
 
 def oracle_pair_sum(n, i, j, N, s):
@@ -131,7 +131,7 @@ def test_degree_zetas_direct_calls_each_kernel_once(monkeypatch, n):
     # pair sum is made per family, and each axis sum is made once.
     k_calls = []
     axis_calls = []
-    per_k, axis = kernels.pair_sums_of_k, kernels.axis_family_sum
+    per_k, axis = _kernels_py.pair_sums_of_k, _kernels_py.axis_family_sum
 
     def count_k(n_, k, N, s):
         k_calls.append(k)
@@ -141,8 +141,8 @@ def test_degree_zetas_direct_calls_each_kernel_once(monkeypatch, n):
         axis_calls.append(i)
         return axis(n_, i, N, s)
 
-    monkeypatch.setattr(kernels, "pair_sums_of_k", count_k)
-    monkeypatch.setattr(kernels, "axis_family_sum", count_axis)
+    monkeypatch.setattr(_kernels_py, "pair_sums_of_k", count_k)
+    monkeypatch.setattr(_kernels_py, "axis_family_sum", count_axis)
     torsion.degree_zetas_direct(n, (n + 2) / 2, 6)
     assert sorted(k_calls) == list(range(1, n + 1))
     assert sorted(axis_calls) == list(range(n + 1))
@@ -152,7 +152,7 @@ def check_sums_of_k(n, k, N, s):
     """Every unordered family {i, n-k-i} of ``pair_sums_of_k``, in both
     orientations, against the 200-bit oracle."""
     h = n - k
-    sums = kernels.pair_sums_of_k(n, k, N, s)
+    sums = _kernels_py.pair_sums_of_k(n, k, N, s)
     assert len(sums) == h // 2 + 1
     bound = pair_sum_error_bound(N, s)
     assert bound <= 1e-12
@@ -192,10 +192,10 @@ def test_pair_sums_of_k_large_s_within_bound_of_oracle(n, k, N, s):
 def test_pair_sums_of_k_memory_stays_bounded():
     # The triangle is built one row at a time: a stored triangle of Python
     # floats at n = 8, N = 400 would take about 2.6 MB.
-    kernels.pair_sums_of_k(8, 1, 2, 5.0)
+    _kernels_py.pair_sums_of_k(8, 1, 2, 5.0)
     tracemalloc.start()
     try:
-        kernels.pair_sums_of_k(8, 1, 400, 5.0)
+        _kernels_py.pair_sums_of_k(8, 1, 400, 5.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -210,8 +210,8 @@ def test_pair_sums_of_k_memory_stays_bounded():
 def test_axis_sum_matches_exact_enumeration(n, i, N, s):
     # n = 40 is torsion --n 40's reference point s = (n+3)/2, N = 80, where
     # the dimensions exceed 2^53.
-    fast = kernels.axis_family_sum(n, i, N, s)
-    bound = gamma(kernels.term_roundings(N, s))
+    fast = _kernels_py.axis_family_sum(n, i, N, s)
+    bound = gamma(_kernels_py.term_roundings(N, s))
     assert relative_error(fast, oracle_axis_sum(n, i, N, s)) <= bound
 
 
@@ -220,7 +220,7 @@ def test_axis_terms_use_the_exact_dimension():
     # once: a rebuilt float product of the binomial would round it again.
     for n in range(1, 171):
         for i in range(n + 1):
-            assert kernels.axis_family_sum(n, i, 1, 0.0) == float(special_dimension(n, i, 1)), (n, i)
+            assert _kernels_py.axis_family_sum(n, i, 1, 0.0) == float(special_dimension(n, i, 1)), (n, i)
 
 
 def test_pair_sum_rejects_bad_ranges():
@@ -229,10 +229,10 @@ def test_pair_sum_rejects_bad_ranges():
             pair_sum(2, i, j, 10, 3.0)
     for i in (-1, 3):
         with pytest.raises(ValueError):
-            kernels.axis_family_sum(2, i, 10, 3.0)
+            _kernels_py.axis_family_sum(2, i, 10, 3.0)
     for k in (0, 3):
         with pytest.raises(ValueError):
-            kernels.pair_sums_of_k(2, k, 10, 3.0)
+            _kernels_py.pair_sums_of_k(2, k, 10, 3.0)
 
 
 def test_pair_sum_small_value_sanity():
@@ -244,7 +244,7 @@ def test_pair_sum_small_value_sanity():
 
 def test_axis_sum_small_value_sanity():
     # n=1, i=0, p=1: dim V(0,-1) = 2, eigenvalue (1/2)^2.
-    val = kernels.axis_family_sum(1, 0, 1, 3.0)
+    val = _kernels_py.axis_family_sum(1, 0, 1, 3.0)
     assert val == pytest.approx(2 * (0.5) ** -6, rel=1e-15)
 
 
@@ -263,7 +263,7 @@ def test_pair_sums_of_k_set_up_is_fast_at_large_n():
     # middle factor took 5.1 s over the 80 calls.
     start = time.perf_counter()
     for k in range(1, 81):
-        kernels.pair_sums_of_k(80, k, 1, 41.5)
+        _kernels_py.pair_sums_of_k(80, k, 1, 41.5)
     assert time.perf_counter() - start < 1.5
 
 

@@ -86,7 +86,7 @@ def test_cli_import_leaves_numpy_unloaded():
 # The standard-library modules and mpmath that the package imports.
 DEPENDENCIES = (
     "argparse", "dataclasses", "enum", "fractions", "functools", "itertools",
-    "json", "math", "operator", "random", "sys", "threading", "typing",
+    "json", "math", "operator", "sys", "threading", "typing",
     "mpmath",
 )
 

@@ -9,6 +9,7 @@ import pytest
 from rumin_sphere import (
     Case,
     CaseRangeError,
+    HighestWeight,
     InvalidLabelError,
     RuminLabel,
     all_families,
@@ -132,7 +133,7 @@ def test_spectrum_slice_n1_degree0():
         Fraction(4): 3,
     }
     assert list(entries) == sorted(entries)
-    assert entries[Fraction(4)] == gt_pattern_count((1, -1))
+    assert entries[Fraction(4)] == gt_pattern_count(HighestWeight((1, -1)))
 
 
 def test_spectrum_slice_mirror_is_verbatim():

@@ -1,0 +1,84 @@
+"""The pure functions of the tools: the record diff and the bench verdict."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+
+import bench  # noqa: E402
+import records  # noqa: E402
+
+
+def test_json_paths_name_a_changed_leaf_an_added_key_and_a_resized_list():
+    parent = {"checks": [{"name": "a", "residual": 0.5}],
+              "payload": {"rows": [1, 2, 3], "route_residuals": {"x/y": 1e-3}},
+              "version": 1}
+    change = {"checks": [{"name": "a", "residual": 0.25}],
+              "payload": {"rows": [1, 2], "route_residuals": {"x/y": 1e-3}, "added": None},
+              "version": 1.0}
+    assert records.json_paths(parent, change) == [
+        "/checks/0/residual", "/payload/added", "/payload/rows", "/version"]
+    assert records.json_paths(parent, parent) == []
+    # A key with a slash is escaped as a JSON pointer.
+    assert records.json_paths({"x/y": 1}, {"x/y": 2}) == ["/x~1y"]
+
+
+def test_differences_report_exit_codes_json_paths_and_csv_lines():
+    record = '{"a": 1, "b": [1, 2]}\n'
+    assert records.differences([record, 0, ""], [record, 0, ""]) == []
+    assert records.differences([record, 0, ""], ['{"a": 1, "b": [1, 3]}\n', 0, ""]) == [
+        "/b/1"]
+    assert records.differences(["", 3, "x: out of range"], ["", 1, "x: failed"]) == [
+        "exit 3 -> 1", "stderr 'x: out of range' -> 'x: failed'"]
+    csv_a, csv_b = "h\n1,2\n3,4\n", "h\n1,2\n3,5\n"
+    assert records.differences([csv_a, 0, ""], [csv_b, 0, ""]) == [
+        "line 3: '3,4' -> '3,5'"]
+
+
+def test_report_counts_identical_records_per_subcommand():
+    reqs = [("kappa", "--n", "1"), ("kappa", "--n", "2"), ("torsion", "--n", "1")]
+    same = ["{}", 0, ""]
+    lines, differ = records.report(reqs, [same] * 3, [same, ['{"a": 1}', 0, ""], same])
+    assert differ
+    assert lines == ["identical records: kappa 1/2, torsion 1/1",
+                     "kappa --n 2: /a"]
+    assert records.report(reqs, [same] * 3, [same] * 3) == (
+        ["identical records: kappa 2/2, torsion 1/1"], False)
+
+
+LOWER = {"name": "solve_p50_s", "unit": "s", "better": "lower", "bound": 0.15}
+HIGHER = {"name": "solves_per_s", "unit": "1/s", "better": "higher", "bound": 0.15}
+
+
+@pytest.mark.parametrize("metric, parent, change, expected", [
+    # Within the bound of a tight parent.
+    (LOWER, [1.0, 1.01, 0.99], [1.1, 1.12, 1.08], "ok"),
+    (HIGHER, [100, 101, 99], [90, 91, 89], "ok"),
+    # Median worse by more than 15 %.
+    (LOWER, [1.0, 1.01, 0.99], [1.2, 1.21, 1.19], "worse"),
+    (HIGHER, [100, 101, 99], [80, 81, 79], "worse"),
+    # The parent spreads by more than 15 % of its median, and the change
+    # does not beat every parent run ...
+    (LOWER, [1.0, 0.6, 1.4], [0.9, 1.0, 1.1], "unresolved"),
+    (HIGHER, [100, 60, 140], [100, 110, 90], "unresolved"),
+    # ... unless it beats them all.
+    (LOWER, [1.0, 0.6, 1.4], [0.5, 0.55, 0.4], "ok"),
+])
+def test_bench_verdict(metric, parent, change, expected):
+    assert bench.verdict(metric, parent, change) == expected
+
+
+def test_bench_summary_carries_the_verdict_of_each_metric():
+    def run(value):
+        metrics = {m["name"]: {"value": value} for m in bench.BENCHMARK["end_to_end"]}
+        return {"metrics": metrics}
+
+    runs = [{"parent": run(1.0), "change": run(1.0)} for _ in range(3)]
+    summary = bench.summarise(runs)
+    assert {m["verdict"] for m in summary.values()} == {"ok"}
+    runs[0]["change"] = runs[1]["change"] = run(2.0)
+    verdicts = {name: m["verdict"] for name, m in bench.summarise(runs).items()}
+    # Twice the parent is worse for a time and better for a rate.
+    assert verdicts == {"setup_s": "worse", "solve_p50_s": "worse", "solves_per_s": "ok"}

@@ -1,18 +1,16 @@
-"""The three kappa routes, the exact cancellation identity, and the torsion report."""
+"""The three kappa routes and the torsion report."""
 
-import dataclasses
 import time
 from math import exp, factorial, isfinite
 
 import mpmath
 import pytest
 
-from rumin_sphere import cli, spectrum, torsion
+from rumin_sphere import cli, torsion
 from rumin_sphere import (
     DivergenceError,
     KappaEstimate,
     PoleError,
-    cancellation_check,
     degree_weights,
     kappa_closed,
     kappa_closed_deriv,
@@ -216,8 +214,8 @@ def test_truncated_routes_refuse_a_truncation_below_one(route, monkeypatch):
     def no_sum(*args):
         raise AssertionError("a kernel sum ran")
 
-    monkeypatch.setattr(torsion.kernels, "axis_family_sum", no_sum)
-    monkeypatch.setattr(torsion.kernels, "pair_sums_of_k", no_sum)
+    monkeypatch.setattr(torsion._kernels_py, "axis_family_sum", no_sum)
+    monkeypatch.setattr(torsion._kernels_py, "pair_sums_of_k", no_sum)
     for N in (0, -3):
         for s in (3.0, 0.25):
             with pytest.raises(ValueError, match="^truncation must be >= 1$"):
@@ -247,28 +245,6 @@ def test_kappa_reduced_kappa1_term():
     for n in range(1, 5):
         est = kappa_continued(n, -1.0)[0]
         assert abs(est.value + (n + 1)) <= est.bound + est.rounding
-
-
-def test_cancellation_check():
-    for n in range(1, 5):
-        assert cancellation_check(n)
-    # n=2 Case II: w_0 + 2 w_1 + w_2 = -3 + 4 - 1 = 0
-    ws = degree_weights(2)
-    assert ws[0] + 2 * ws[1] + ws[2] == 0
-    # n=1 Case V: w_0 + 2 w_1 = -2 + 2 = 0
-    ws = degree_weights(1)
-    assert ws[0] + 2 * ws[1] == 0
-
-
-def test_cancellation_check_fails_on_a_non_cancelling_family(monkeypatch):
-    families = spectrum.all_families(3)
-    broken = tuple(
-        dataclasses.replace(fam, spaces=fam.spaces[:-1])
-        if fam.case is spectrum.Case.II else fam
-        for fam in families
-    )
-    monkeypatch.setattr(torsion, "all_families", lambda n: broken)
-    assert not cancellation_check(3)
 
 
 def test_torsion_report_makes_one_pass_per_zeta_argument(em_passes):

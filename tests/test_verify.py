@@ -8,13 +8,15 @@ import functools
 import io
 import json
 import math
+import random
+from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rumin_sphere import cli, kernels, spectrum, torsion, verify, weights, zeta
+from rumin_sphere import _kernels_py, cli, spectrum, torsion, verify, weights, zeta
 from rumin_sphere.weights import weyl_dimension
 
 
@@ -135,12 +137,64 @@ def test_run_all_expands_the_c_coefficients_once(monkeypatch):
     assert calls == [(4,)]
 
 
+def test_check_cancellation():
+    for n in range(1, 5):
+        check = verify.check_cancellation(n)
+        assert check.passed and check.residual == 0
+    # n=2 Case II: w_0 + 2 w_1 + w_2 = -3 + 4 - 1 = 0
+    ws = torsion.degree_weights(2)
+    assert ws[0] + 2 * ws[1] + ws[2] == 0
+    # n=1 Case V: w_0 + 2 w_1 = -2 + 2 = 0
+    ws = torsion.degree_weights(1)
+    assert ws[0] + 2 * ws[1] == 0
+
+
+def test_check_cancellation_fails_on_a_non_cancelling_family(monkeypatch):
+    # Each of the three Case II families of n = 3 loses a bidegree; the
+    # residual counts the families that no longer cancel.
+    families = spectrum.all_families(3)
+    broken = tuple(
+        dataclasses.replace(fam, spaces=fam.spaces[:-1])
+        if fam.case is spectrum.Case.II else fam
+        for fam in families
+    )
+    monkeypatch.setattr(spectrum, "all_families", lambda n: broken)
+    check = verify.check_cancellation(3)
+    assert not check.passed and check.residual == 3
+
+
+def test_dimension_check_counts_a_non_integral_value(monkeypatch):
+    # Half added to every constant coefficient makes every value of the
+    # polynomial non-integral: each (i, p) counts as one violation, where
+    # the value used to raise ArithmeticError.
+    assert verify.check_dimension_polynomial(3, 5).passed
+    coefficients = zeta.dimension_coefficients
+
+    def broken(n, i):
+        c0, *rest = coefficients(n, i)
+        return (c0 + Fraction(1, 2), *rest)
+
+    monkeypatch.setattr(zeta, "dimension_coefficients", broken)
+    check = verify.check_dimension_polynomial(3, 5)
+    assert not check.passed and check.residual == 4 * 5
+
+
+def test_shift_points_are_the_seeded_draws():
+    # The ten (s, a) points were drawn by random.Random(20240) and copied
+    # with repr, so every bit of the check is unchanged; none lay within
+    # 0.05 of the pole at s = 1.
+    rng = random.Random(20240)
+    draws = tuple((rng.uniform(-4.0, 6.0), rng.randint(1, 8)) for _ in range(10))
+    assert verify._SHIFT_POINTS == draws
+    assert all(abs(s - 1.0) >= 0.05 for s, _ in draws)
+
+
 def test_route_checks_catch_a_scaled_axis_sum(capsys, monkeypatch):
     # An axis sum 0.1 % off moves the direct and truncated reduced routes
     # beyond their bounds (0.199 against about 0.09 at n = 2).  The torsion
     # record printed these residuals with no bound and exited 0.
-    axis = kernels.axis_family_sum
-    monkeypatch.setattr(kernels, "axis_family_sum",
+    axis = _kernels_py.axis_family_sum
+    monkeypatch.setattr(_kernels_py, "axis_family_sum",
                         lambda n, i, N, s: axis(n, i, N, s) * 1.001)
     code = cli.main(["torsion", "--n", "2"])
     record = json.loads(capsys.readouterr().out)
@@ -208,8 +262,8 @@ def test_every_truncated_route_record_passes_its_check(n, N, mode, data):
 
 
 def test_direct_check_catches_a_scaled_axis_sum(capsys, monkeypatch):
-    axis = kernels.axis_family_sum
-    monkeypatch.setattr(kernels, "axis_family_sum",
+    axis = _kernels_py.axis_family_sum
+    monkeypatch.setattr(_kernels_py, "axis_family_sum",
                         lambda n, i, N, s: axis(n, i, N, s) * (1 + 1e-10))
     for n, s, N in [(2, 22.741, 12), (4, 13.012, 51)]:
         code, record = kappa_record(capsys, n, s, N, "direct")

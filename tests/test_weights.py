@@ -81,17 +81,18 @@ def test_invalid_labels_rejected(n, q, j, i, p):
 
 
 def test_weyl_dimension_examples():
-    assert weyl_dimension((0, 0, 0)) == 1
+    assert weyl_dimension(HighestWeight((0, 0, 0))) == 1
     # Frozen from the GT oracle (asserted here against it too).
-    assert weyl_dimension((0, -1, -1)) == gt_pattern_count((0, -1, -1)) == 3
+    w = HighestWeight((0, -1, -1))
+    assert weyl_dimension(w) == gt_pattern_count(w) == 3
     for p in range(1, 12):
-        assert weyl_dimension((0, -p)) == p + 1
+        assert weyl_dimension(HighestWeight((0, -p))) == p + 1
 
 
 def test_gt_pattern_count_examples():
-    assert gt_pattern_count((0, 0)) == 1
-    assert gt_pattern_count((1, 0)) == 2
-    assert gt_pattern_count((1, 0, -1)) == 8
+    assert gt_pattern_count(HighestWeight((0, 0))) == 1
+    assert gt_pattern_count(HighestWeight((1, 0))) == 2
+    assert gt_pattern_count(HighestWeight((1, 0, -1))) == 8
 
 
 def gt_leaf_count(row):
@@ -116,26 +117,26 @@ def test_gt_pattern_count_matches_leaf_count():
     ]
     assert len(rows) == 7 + 28 + 84 + 210 + 462
     for row in rows:
-        assert gt_pattern_count(row) == gt_leaf_count(row), row
+        assert gt_pattern_count(HighestWeight(row)) == gt_leaf_count(row), row
 
 
 def test_gt_pattern_count_shares_a_memo_between_rows():
     # Counts through one shared memo equal fresh counts, whatever the order.
     memo = {}
-    rows = [(q, 1, 0, -1, -p) for q in range(1, 7) for p in range(1, 7)]
+    rows = [HighestWeight((q, 1, 0, -1, -p)) for q in range(1, 7) for p in range(1, 7)]
     for row in rows[::-1] + rows:
         assert gt_pattern_count(row, memo=memo) == gt_pattern_count(row), row
     # The memo is keyed on rows shifted to end in 0; a translated row is a hit.
     # With every count made, a call does no work at all.
     assert (12, 7, 6, 5, 0) in memo
-    assert gt_pattern_count((9, 4, 3, 2, -3), budget=0, memo=memo) == (
-        gt_pattern_count((6, 1, 0, -1, -6))
+    assert gt_pattern_count(HighestWeight((9, 4, 3, 2, -3)), budget=0, memo=memo) == (
+        gt_pattern_count(HighestWeight((6, 1, 0, -1, -6)))
     )
 
 
 def test_gt_budget_guard():
     with pytest.raises(EnumerationBudgetError):
-        gt_pattern_count((5, 2, 0, -2, -5), budget=50)
+        gt_pattern_count(HighestWeight((5, 2, 0, -2, -5)), budget=50)
 
 
 def test_gt_budget_guard_raises_before_a_large_sum():
@@ -143,7 +144,7 @@ def test_gt_budget_guard_raises_before_a_large_sum():
     # they are summed, so the guard trips at once.
     start = time.perf_counter()
     with pytest.raises(EnumerationBudgetError):
-        gt_pattern_count((40, 20, 0, -20, -40), budget=1000)
+        gt_pattern_count(HighestWeight((40, 20, 0, -20, -40)), budget=1000)
     assert time.perf_counter() - start < 0.05
 
 
@@ -152,7 +153,7 @@ def test_gt_budget_guard_charges_the_descent_walk():
     # each step is charged as it is taken, so the guard trips at once.
     start = time.perf_counter()
     with pytest.raises(EnumerationBudgetError):
-        gt_pattern_count((10**9, 0), budget=10)
+        gt_pattern_count(HighestWeight((10**9, 0)), budget=10)
     assert time.perf_counter() - start < 0.1
 
 
@@ -166,20 +167,20 @@ def test_weyl_matches_gt_on_bounded_labels():
 
 small_weights = st.lists(
     st.integers(min_value=-4, max_value=4), min_size=1, max_size=4
-).map(lambda vs: tuple(sorted(vs, reverse=True)))
+).map(lambda vs: HighestWeight(tuple(sorted(vs, reverse=True))))
 
 
 @settings(max_examples=80, deadline=None)
 @given(w=small_weights, c=st.integers(min_value=-3, max_value=3))
 def test_weyl_determinant_twist_invariance(w, c):
-    shifted = tuple(a + c for a in w)
+    shifted = HighestWeight(tuple(a + c for a in w.entries))
     assert weyl_dimension(w) == weyl_dimension(shifted)
 
 
 @settings(max_examples=80, deadline=None)
 @given(w=small_weights)
 def test_weyl_conjugation_symmetry(w):
-    conj = tuple(-a for a in reversed(w))
+    conj = HighestWeight(tuple(-a for a in reversed(w.entries)))
     assert weyl_dimension(w) == weyl_dimension(conj)
 
 
@@ -189,7 +190,7 @@ def test_weyl_conjugation_symmetry(w):
 )
 def test_special_dimension_examples(n, i, p, expected):
     # Expected values frozen from the GT oracle on the expanded weights.
-    w = (0,) * (n - i) + (-1,) * i + (-p,)
+    w = HighestWeight((0,) * (n - i) + (-1,) * i + (-p,))
     assert gt_pattern_count(w) == expected
     assert special_dimension(n, i, p) == expected
 
@@ -198,7 +199,7 @@ def test_special_dimension_matches_weyl():
     for n in range(1, 5):
         for i in range(n + 1):
             for p in range(1, 21):
-                w = (0,) * (n - i) + (-1,) * i + (-p,)
+                w = HighestWeight((0,) * (n - i) + (-1,) * i + (-p,))
                 assert special_dimension(n, i, p) == weyl_dimension(w)
 
 

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 from rumin_sphere import zeta
 from rumin_sphere import (
-    DimensionPolynomial,
     PoleError,
     PrecisionError,
     c_coefficients,
+    dimension_coefficients,
     hurwitz_zeta,
     hurwitz_zeta_and_deriv,
     riemann_zeta,
@@ -58,6 +58,21 @@ def test_bernoulli_numbers_match_the_binomial_recurrence():
         old.append(-sum(comb(k + 1, t) * old[t] for t in range(k)) / (k + 1))
     assert old[1] == Fraction(-1, 2) and not any(old[3::2])
     assert [bernoulli(m) for m in range(0, 41, 2)] == old[::2]
+
+
+def test_bernoulli_table_stops_at_the_last_usable_order(monkeypatch):
+    # A pass reads at most _MAX_ORDER = 700 orders, so the first order past
+    # 512 builds B_0..B_1400, not B_0..B_2048.  From an empty table, and on
+    # a pass's way up through the powers of two.
+    for steps in ((513,), (257, 513, zeta._MAX_ORDER)):
+        monkeypatch.setattr(zeta, "_BERNOULLI_COEFFS", [Fraction(1)])
+        for r in steps:
+            zeta._bernoulli_coefficient(r)
+        assert len(zeta._BERNOULLI_COEFFS) == zeta._MAX_ORDER + 1 == 701
+    assert bernoulli(1400) == Fraction(*mpmath.bernfrac(1400))
+    monkeypatch.setattr(zeta, "_BERNOULLI_COEFFS", [Fraction(1)])
+    zeta._bernoulli_coefficient(257)
+    assert len(zeta._BERNOULLI_COEFFS) == 513
 
 
 def test_zeta_two_is_pi_squared_over_six():
@@ -607,18 +622,19 @@ def test_vanishing_correction():
 def test_dimension_polynomial_matches_special_dimension():
     for n in range(1, 5):
         for i in range(n + 1):
-            poly = DimensionPolynomial.build(n, i)
-            assert len(poly.coefficients) == n + 1
+            cs = dimension_coefficients(n, i)
+            assert len(cs) == n + 1
             for p in range(1, 31):
-                assert poly.evaluate(p) == special_dimension(n, i, p)
+                value = sum(c * (p + i) ** l for l, c in enumerate(cs))
+                assert value == special_dimension(n, i, p)
 
 
 def test_dimension_polynomial_leading_coefficient():
     # Leading term is C(n,i)/n! * (p+i)^n.
     for n in range(1, 5):
         for i in range(n + 1):
-            poly = DimensionPolynomial.build(n, i)
-            assert poly.coefficients[-1] == Fraction(comb(n, i), factorial(n))
+            cs = dimension_coefficients(n, i)
+            assert cs[-1] == Fraction(comb(n, i), factorial(n))
 
 
 def test_vanishing_correction_detects_a_broken_identity(monkeypatch):

@@ -13,8 +13,12 @@ each tree, for BENCHMARK.json's ``run_seconds``, the parent first on odd
 seeds and the change first on even ones, and its last stdout line (one
 JSON object) is kept.  For each workload one
 line is printed, ready to paste into CHANGES.md: per end-to-end metric of
-BENCHMARK.json, the pairs the change wins (ties count for neither), the
-medians parent -> change and the interquartile range of the parent's runs.
+BENCHMARK.json, its verdict, the pairs the change wins (ties count for
+neither), the medians parent -> change and the interquartile range of the
+parent's runs.  The verdict applies the metric's relative ``bound``:
+``worse`` if the change's median is worse than the parent's by more than
+the bound; else ``unresolved`` if the parent's IQR exceeds the bound times
+its median and not every change run beats every parent run; else ``ok``.
 ``--out`` stores every run's metrics with the seeds, both git shas, the
 Python and mpmath versions and the CPU count.  A run killed by a signal
 leaves its worktree behind; ``git worktree prune`` forgets it once its
@@ -24,6 +28,7 @@ directory is gone.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -45,6 +50,20 @@ def _git(*args: str) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
+@contextlib.contextmanager
+def parent_worktree(rev: str):
+    """Yield (sha, path) of ``rev`` checked out in a temporary ``git
+    worktree``, which is removed on exit."""
+    sha = _git("rev-parse", "--verify", f"{rev}^{{commit}}")
+    with tempfile.TemporaryDirectory(prefix="parent-") as tmp:
+        tree = Path(tmp) / "tree"
+        _git("worktree", "add", "--detach", str(tree), sha)
+        try:
+            yield sha, tree
+        finally:
+            _git("worktree", "remove", "--force", str(tree))
+
+
 def run_once(tree: Path, workload: str, seed: int) -> dict:
     """One ``clibench/run.py --trace 0`` run in ``tree``: its JSON object."""
     proc = subprocess.run(
@@ -64,20 +83,35 @@ def _iqr(xs: list[float]) -> float:
     return q3 - q1
 
 
+def verdict(metric: dict, parent: list[float], change: list[float]) -> str:
+    """``worse``, ``unresolved`` or ``ok`` for one end-to-end metric of
+    BENCHMARK.json, from its ``better`` and relative ``bound``."""
+    lower, bound = metric["better"] == "lower", metric["bound"]
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    if (c_med - p_med if lower else p_med - c_med) > bound * p_med:
+        return "worse"
+    beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
+    if _iqr(parent) > bound * p_med and not beats_all:
+        return "unresolved"
+    return "ok"
+
+
 def summarise(runs: list[dict]) -> dict:
-    """Per end-to-end metric: wins of the change, medians and the parent's IQR."""
+    """Per end-to-end metric: the verdict, wins of the change, medians and
+    the parent's IQR."""
     out = {}
     for metric in BENCHMARK["end_to_end"]:
         name, lower = metric["name"], metric["better"] == "lower"
         pairs = [(r["parent"]["metrics"][name]["value"],
                   r["change"]["metrics"][name]["value"]) for r in runs]
-        parent = [p for p, _ in pairs]
+        parent, change = [p for p, _ in pairs], [c for _, c in pairs]
         out[name] = {
             "unit": metric["unit"],
+            "verdict": verdict(metric, parent, change),
             "wins": sum((c < p) if lower else (c > p) for p, c in pairs),
             "pairs": len(pairs),
             "parent_median": statistics.median(parent),
-            "change_median": statistics.median(c for _, c in pairs),
+            "change_median": statistics.median(change),
             "parent_iqr": _iqr(parent),
         }
     return out
@@ -87,7 +121,7 @@ def paste_line(workload: str, runs: list[dict], summary: dict) -> str:
     parts = []
     for name, m in summary.items():
         unit = "" if m["unit"] == "1/s" else f" {m['unit']}"
-        parts.append(f"{name} {m['wins']}/{m['pairs']} wins, median "
+        parts.append(f"{name} {m['verdict']}: {m['wins']}/{m['pairs']} wins, median "
                      f"{m['parent_median']:.4g} -> {m['change_median']:.4g}{unit}, "
                      f"parent IQR {m['parent_iqr']:.2g}")
     failed = {side: sum(r[side]["failed"] for r in runs) for side in ("parent", "change")}
@@ -107,37 +141,32 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
-    parent_sha = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
-    record = {
-        "parent": {"rev": args.parent, "sha": parent_sha},
-        "change": {"sha": _git("rev-parse", "HEAD"),
-                   "dirty": bool(_git("status", "--porcelain", "--untracked-files=no"))},
-        "python": platform.python_version(),
-        "mpmath": mpmath.__version__,
-        "mpmath_backend": mpmath.libmp.BACKEND,
-        "cpu_count": os.cpu_count(),
-        "seconds": BENCHMARK["run_seconds"],
-        "seeds": list(range(1, args.pairs + 1)),
-        "workloads": {},
-    }
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent_tree = Path(tmp) / "tree"
-        _git("worktree", "add", "--detach", str(parent_tree), parent_sha)
-        try:
-            for workload in args.workload or WORKLOADS:
-                runs = []
-                for seed in record["seeds"]:
-                    order = ("parent", "change") if seed % 2 else ("change", "parent")
-                    run = {"seed": seed, "first": order[0]}
-                    for side in order:
-                        tree = parent_tree if side == "parent" else ROOT
-                        run[side] = run_once(tree, workload, seed)
-                    runs.append(run)
-                summary = summarise(runs)
-                record["workloads"][workload] = {"runs": runs, "summary": summary}
-                print(paste_line(workload, runs, summary), flush=True)
-        finally:
-            _git("worktree", "remove", "--force", str(parent_tree))
+    with parent_worktree(args.parent) as (parent_sha, parent_tree):
+        record = {
+            "parent": {"rev": args.parent, "sha": parent_sha},
+            "change": {"sha": _git("rev-parse", "HEAD"),
+                       "dirty": bool(_git("status", "--porcelain",
+                                          "--untracked-files=no"))},
+            "python": platform.python_version(),
+            "mpmath": mpmath.__version__,
+            "mpmath_backend": mpmath.libmp.BACKEND,
+            "cpu_count": os.cpu_count(),
+            "seconds": BENCHMARK["run_seconds"],
+            "seeds": list(range(1, args.pairs + 1)),
+            "workloads": {},
+        }
+        for workload in args.workload or WORKLOADS:
+            runs = []
+            for seed in record["seeds"]:
+                order = ("parent", "change") if seed % 2 else ("change", "parent")
+                run = {"seed": seed, "first": order[0]}
+                for side in order:
+                    tree = parent_tree if side == "parent" else ROOT
+                    run[side] = run_once(tree, workload, seed)
+                runs.append(run)
+            summary = summarise(runs)
+            record["workloads"][workload] = {"runs": runs, "summary": summary}
+            print(paste_line(workload, runs, summary), flush=True)
     if args.out:
         args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
