@@ -73,7 +73,7 @@ def requests(extra: list[str]) -> list[tuple[str, ...]]:
              for argv in workloads.build(name, seed)]
     found += [argv for cold in workloads.COLD.values() for argv in cold]
     found += [tuple(shlex.split(line)) for line in extra]
-    return list(dict.fromkeys(tuple(argv) for argv in found))
+    return list(dict.fromkeys(found))
 
 
 def run_tree(tree: Path, reqs: list[tuple[str, ...]]) -> list[list]:
