@@ -29,7 +29,6 @@ from .torsion import (
     degree_weights,
     degree_zetas_direct,
     kappa_closed,
-    kappa_closed_deriv,
     kappa_continued,
     kappa_direct,
     kappa_reduced,
@@ -86,7 +85,6 @@ __all__ = [
     "hurwitz_zeta",
     "hurwitz_zeta_and_deriv",
     "kappa_closed",
-    "kappa_closed_deriv",
     "kappa_continued",
     "kappa_direct",
     "kappa_reduced",

@@ -10,20 +10,24 @@ compared:
   (``kappa_reduced``) or analytically continued through the coefficient
   identities (``kappa_continued``, which also returns the closed form from
   the same zeta(2s));
-* closed: -(n+1) (1 + 2^{2s+1} zeta(2s)) (``kappa_closed``, and its
-  s-derivative ``kappa_closed_deriv``).
+* closed: -(n+1) (1 + 2^{2s+1} zeta(2s)) (``kappa_closed``).
 
 Every route returns a ``KappaEstimate`` of the kernel-included kappa, the one
 whose degree-0 zeta counts dim Ker Delta^0 = 1.  Only ``torsion_estimates``
 reads the convention: excluding the kernel shifts kappa by n+1 and leaves
-kappa' alone.  kappa'(0) = 2 (n+1) log(4 pi) gives the torsion
+kappa' alone.  kappa'(0) = 2 (n+1) log(4 pi), which ``torsion_estimates``
+takes from its one zeta(0)/zeta'(0) pass, gives the torsion
 T = (4 pi)^{n+1}, which is n! times the Ray-Singer torsion of the round
 sphere with the matching metric.
 
-This module owns the double range: every kappa route raises
-``OverflowError`` before any work at an s whose kappa(s) leaves it (after
-``DivergenceError``, for the truncated ones, and where their tail bound
-leaves it), and so does ``torsion_estimates`` at n above ``MAX_TORSION_N``.
+Each refusal has one place.  ``kappa_closed`` and ``kappa_continued`` open
+with ``_check_kappa_range`` (``OverflowError`` before any work where kappa(s)
+is known to leave the double range) and ``_check_kappa_pole`` (s = 1/2).
+``tail_bound`` is the one guard of the truncated routes, which open with it:
+it refuses a truncation below 1, a divergent sum (``DivergenceError``), the
+kappa range, then a bound that leaves the double range.  ``_estimate``, the
+one conversion of a zeta(2s) route to doubles, refuses a non-finite result.
+``torsion_estimates`` refuses n below 1 and above ``MAX_TORSION_N``.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import exp, factorial, fsum, inf, ldexp, lgamma, log, log2, nextafter, pi, sin, ulp
+from math import (exp, factorial, fsum, inf, isfinite, ldexp, lgamma, log, log2, nextafter, pi,
+                  sin, ulp)
 from typing import Optional
 
 import mpmath
@@ -168,9 +173,13 @@ def _estimate(value: mpf, bound: mpf, size: mpf, prec: int) -> KappaEstimate:
     # The double nearest ``value``.  Its rounding is half an ulp plus the at
     # most 8 roundings at prec + 16 bits of the form that gave ``value``, each
     # at most 2^-(prec+16) of ``size``, the largest magnitude among its terms.
+    # Near s = -159, ``_check_kappa_range`` passes some kappa that overflow.
     v = float(value)
-    return KappaEstimate(value=v, bound=_float_up(bound),
-                         rounding=ulp(v) / 2 + ldexp(float(size), -(prec + 13)))
+    est = KappaEstimate(value=v, bound=_float_up(bound),
+                        rounding=ulp(v) / 2 + ldexp(float(size), -(prec + 13)))
+    if not all(map(isfinite, (est.value, est.bound, est.rounding))):
+        raise OverflowError("the kappa estimate overflows a double")
+    return est
 
 
 def _float_up(x: mpf) -> float:
@@ -204,17 +213,6 @@ def kappa_closed(n: int, s: float, precision: Optional[int] = None) -> KappaEsti
     return _closed_from(n, s, riemann_zeta(2 * s, prec), prec)
 
 
-def kappa_closed_deriv(
-    n: int, s: float, precision: Optional[int] = None
-) -> KappaEstimate:
-    """d/ds of the closed form: -(n+1) 2^{2s+2} (log(2) zeta(2s) + zeta'(2s)),
-    from one zeta pass."""
-    prec = _check_precision(precision)
-    _check_kappa_pole(s)
-    z, dz = hurwitz_zeta_and_deriv(2 * s, 1, prec)
-    return _closed_deriv_from(n, s, z, dz, prec)
-
-
 def tail_bound(n: int, s: float, N: int) -> float:
     """Rigorous bound on the p, q > N truncation error of the kappa sum.
 
@@ -232,9 +230,11 @@ def tail_bound(n: int, s: float, N: int) -> float:
     result is rounded up by the relative margin 16 u (1 + sum |terms|),
     u = 2^-53.  A bound above the largest double raises ``OverflowError``; one
     below the smallest subnormal double is reported as that double, never 0.
+    Before the bound come the other refusals of the truncated routes.
     """
     _check_truncation(N)
     _check_convergence(n, s)
+    _check_kappa_range(n, s)
     terms = (
         (2 * s + 1) * log(2.0),
         n * log(2 * (n + 1)),
@@ -289,9 +289,6 @@ def kappa_direct(n: int, s: float, N: int) -> KappaEstimate:
     cancelled numerically; the returned bound covers the discarded tail of
     the combination.
     """
-    _check_truncation(N)
-    _check_convergence(n, s)
-    _check_kappa_range(n, s)
     bound = tail_bound(n, s, N)
     zk = degree_zetas_direct(n, s, N)
     ws = degree_weights(n)
@@ -312,9 +309,6 @@ def kappa_reduced(n: int, s: float, N: int) -> KappaEstimate:
     """kappa(s) through the truncated reduced route kappa_1 + 2 kappa_2:
     kappa_1 = -(n+1), and kappa_2 the sum over the one-parameter families,
     truncated at N (needs 2s > n+1)."""
-    _check_truncation(N)
-    _check_convergence(n, s)
-    _check_kappa_range(n, s)
     bound = tail_bound(n, s, N)
     value = -(n + 1.0)
     abs_sum = abs(value)
@@ -335,7 +329,7 @@ def kappa_continued(
 
     kappa_2 is continued through the coefficient identities:
     kappa_2(s) = -(2^{2s}/n!) sum_l c_l zeta(2s-l+1), where every c_l except
-    c_1 = (n+1)! vanishes exactly.
+    c_1 = (n+1)! vanishes exactly, so kappa_2(s) = -(n+1) 2^{2s} zeta(2s).
     So this route is the closed form regrouped from the same zeta(2s): its
     checks against the closed form certify ``_two_power`` and the rounding
     of the groupings, and ``c_coefficients_identity`` the identity itself.
@@ -348,12 +342,12 @@ def kappa_continued(
 
 
 def _continued_from(n: int, s: float, z: ZetaValue, prec: int) -> KappaEstimate:
+    # c_1 / n! = n+1 (``verify.check_c_coefficients``).
     kappa1 = -(n + 1.0)
-    c1 = factorial(n + 1)
     with workprec(prec + 16):
-        total = c1 * z.value
-        err = c1 * z.error_bound
-        scale = _two_power(s, 0) / factorial(n)
+        total = (n + 1) * z.value
+        err = (n + 1) * z.error_bound
+        scale = _two_power(s, 0)
         value = kappa1 - 2 * scale * total
         bound = 2 * scale * err
         size = abs(kappa1) + 2 * scale * abs(total)

@@ -22,7 +22,6 @@ from rumin_sphere import (
     hurwitz_zeta,
     hurwitz_zeta_and_deriv,
     kappa_closed,
-    kappa_closed_deriv,
     kappa_direct,
     label_to_weight,
     norm_route_eigenvalue,
@@ -30,6 +29,7 @@ from rumin_sphere import (
     sigma,
     special_dimension,
     spectrum_slice,
+    torsion_estimates,
     vanishing_correction_check,
     weyl_dimension,
 )
@@ -77,7 +77,7 @@ def test_criterion_01_kappa_vanishes_at_origin():
 def test_criterion_02_torsion_is_power_of_4pi():
     with Timer(1.0) as t:
         for n in range(1, 7):
-            torsion, rel = exp_of_half(kappa_closed_deriv(n, 0))
+            torsion, rel = exp_of_half(torsion_estimates(n)[2])
             with mpmath.workprec(160):
                 assert abs(torsion / (4 * mpmath.pi) ** (n + 1) - 1) <= rel
     report(2, "T = (4 pi)^(n+1) for n = 1..6", t)
@@ -86,7 +86,7 @@ def test_criterion_02_torsion_is_power_of_4pi():
 def test_criterion_03_ray_singer_ratio():
     with Timer(1.0) as t:
         for n in range(1, 7):
-            torsion, rel = exp_of_half(kappa_closed_deriv(n, 0))
+            torsion, rel = exp_of_half(torsion_estimates(n)[2])
             t_dr = (4 * pi) ** (n + 1) / factorial(n)
             # t_dr in doubles: pi's rounding amplified n+1 times, the pow
             # (2), n! and the division (1 each); then the ratio (1) and one

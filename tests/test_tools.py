@@ -1,14 +1,38 @@
-"""The pure functions of the tools: the record diff and the bench verdict."""
+"""The pure functions of the tools: the request list, the record diff, and
+the bench verdict and paste line."""
 
+import shlex
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
+sys.path.insert(0, str(ROOT / "clibench"))
 
 import bench  # noqa: E402
 import records  # noqa: E402
+import workloads  # noqa: E402
+
+
+def test_requests_are_the_workloads_then_cold_then_the_extras_each_once():
+    found = [argv for name in workloads.WORKLOADS for seed in records.SEEDS
+             for argv in workloads.build(name, seed)]
+    cold = [argv for kinds in workloads.COLD.values() for argv in kinds]
+    # A repeated extra, and an extra that is already a cold request.
+    extras = ["torsion --n 40", shlex.join(cold[0]), "kappa --n 1 --s=-158.4392",
+              "torsion --n 40"]
+    reqs = records.requests(extras)
+    assert len(set(reqs)) == len(reqs)
+    assert set(reqs) == {*found, *cold, ("torsion", "--n", "40"),
+                         ("kappa", "--n", "1", "--s=-158.4392")}
+    first = {}
+    for i, argv in enumerate(found + cold + [tuple(shlex.split(e)) for e in extras]):
+        first.setdefault(argv, i)
+    assert reqs == sorted(reqs, key=first.__getitem__)
+    assert reqs[:len(set(found))] == list(dict.fromkeys(found))
+    assert reqs[-2:] == [("torsion", "--n", "40"), ("kappa", "--n", "1", "--s=-158.4392")]
 
 
 def test_json_paths_name_a_changed_leaf_an_added_key_and_a_resized_list():
@@ -82,3 +106,22 @@ def test_bench_summary_carries_the_verdict_of_each_metric():
     verdicts = {name: m["verdict"] for name, m in bench.summarise(runs).items()}
     # Twice the parent is worse for a time and better for a rate.
     assert verdicts == {"setup_s": "worse", "solve_p50_s": "worse", "solves_per_s": "ok"}
+
+
+def test_bench_paste_line_gives_each_metric_and_the_failures():
+    values = {"setup_s": ([0.2, 0.4, 0.3], [0.21, 0.28, 0.32]),
+              "solve_p50_s": ([0.01] * 3, [0.02] * 3),
+              "solves_per_s": ([100] * 3, [110, 120, 90])}
+    failed = {"parent": [0, 1, 0], "change": [2, 0, 0]}
+    correct = {"parent": [True] * 3, "change": [True, False, True]}
+    runs = [{side: {"metrics": {name: {"value": v[side == "change"][i]}
+                                for name, v in values.items()},
+                    "failed": failed[side][i], "correct": correct[side][i]}
+             for side in ("parent", "change")} for i in range(3)]
+    line = bench.paste_line("direct_sums", runs, bench.summarise(runs))
+    assert line == (
+        "direct_sums (3 pairs, seeds 1-3): "
+        "setup_s unresolved: 1/3 wins, median 0.3 -> 0.28 s, parent IQR 0.1; "
+        "solve_p50_s worse: 0/3 wins, median 0.01 -> 0.02 s, parent IQR 0; "
+        "solves_per_s ok: 2/3 wins, median 100 -> 110, parent IQR 0; "
+        "failed 1 / 2, incorrect runs 1")

@@ -12,8 +12,8 @@ from rumin_sphere import (
     KappaEstimate,
     PoleError,
     degree_weights,
+    hurwitz_zeta_and_deriv,
     kappa_closed,
-    kappa_closed_deriv,
     kappa_continued,
     kappa_direct,
     kappa_reduced,
@@ -22,6 +22,7 @@ from rumin_sphere import (
     torsion_estimates,
 )
 from rumin_sphere.torsion import rounding_gamma
+from rumin_sphere.zeta import DEFAULT_PRECISION_BITS
 from rumin_sphere.verify import route_check
 
 
@@ -35,6 +36,12 @@ def within(value, ref, bound):
     """|value - ref| <= bound, decided at 160 bits."""
     with mpmath.workprec(160):
         return abs(mpmath.mpf(value) - ref) <= bound
+
+
+def kappa_prime(n, s, prec=DEFAULT_PRECISION_BITS):
+    """kappa'(s) of the closed form over one zeta(2s)/zeta'(2s) pass, the
+    function ``torsion_estimates`` applies at s = 0."""
+    return torsion._closed_deriv_from(n, s, *hurwitz_zeta_and_deriv(2 * s, 1, prec), prec)
 
 
 def test_degree_weights_alternate_and_are_linear():
@@ -61,14 +68,14 @@ def test_kappa_closed_pole():
     with pytest.raises(PoleError):
         kappa_closed(2, 0.5)
     with pytest.raises(PoleError):
-        kappa_closed_deriv(2, 0.5)
+        kappa_prime(2, 0.5)
     with pytest.raises(PoleError):
         kappa_continued(2, 0.5)
 
 
 def test_kappa_prime_at_zero():
     for n in range(1, 7):
-        est = kappa_closed_deriv(n, 0)
+        est = torsion_estimates(n)[2]
         expected = reference(lambda: 2 * (n + 1) * mpmath.log(4 * mpmath.pi))
         assert within(est.value, expected, est.bound + est.rounding)
 
@@ -130,8 +137,8 @@ def test_every_kappa_route_returns_an_estimate():
     n, s = 2, 2.25
     continued = kappa_continued(n, s)
     assert len(continued) == 2
-    for est in (kappa_closed(n, s), kappa_closed_deriv(n, s), kappa_direct(n, s, 10),
-                kappa_reduced(n, s, 10), *continued):
+    for est in (kappa_closed(n, s), kappa_direct(n, s, 10), kappa_reduced(n, s, 10),
+                *continued):
         assert type(est) is KappaEstimate
         assert all(type(x) is float for x in (est.value, est.bound, est.rounding))
     assert continued[1] == kappa_closed(n, s)
@@ -178,7 +185,7 @@ def test_closed_form_bounds_hold_at_low_precision(prec):
                                  + mpmath.zeta(2 * ms, derivative=1))
         for est, ref in [(kappa_closed(n, s, prec), kappa),
                          (kappa_continued(n, s, prec)[0], kappa),
-                         (kappa_closed_deriv(n, s, prec), deriv)]:
+                         (kappa_prime(n, s, prec), deriv)]:
             assert abs(est.value - ref) <= est.bound + est.rounding, (n, s)
 
 
@@ -256,11 +263,6 @@ def test_torsion_report_makes_one_pass_per_zeta_argument(em_passes):
         assert sorted(em_passes) == [(0, True), (n + 3, False)]
 
 
-def test_kappa_closed_deriv_makes_one_pass(em_passes):
-    kappa_closed_deriv(2, 0.75, 128)
-    assert len(em_passes) == 1
-
-
 def test_closed_and_continued_kappa_make_one_pass_each(em_passes):
     kappa_closed(2, 0.75, 128)
     assert em_passes == [(1.5, False)]
@@ -327,19 +329,43 @@ def test_exp_relation_between_t_and_kappa_prime():
         assert within(rep.ratio, factorial(n), factorial(n) * ratio_rel)
 
 
-def test_kappa_routes_refuse_an_s_outside_the_double_range_at_once():
-    # zeta(-1000.6) would take seconds to evaluate, only to overflow.
+def test_kappa_routes_refuse_an_s_outside_the_double_range_at_once(em_passes):
+    # zeta(-1000.6) would take seconds to evaluate, only to overflow; the
+    # refusal comes before any Euler-Maclaurin pass.
     for route in (kappa_closed, kappa_continued):
-        start = time.perf_counter()
-        with pytest.raises(OverflowError, match="overflows a double"):
-            route(1, -500.3)
-        assert time.perf_counter() - start < 0.1
+        for s in (-500.3, -170.3, 600):
+            start = time.perf_counter()
+            with pytest.raises(OverflowError, match=r"kappa\(s\) at n=1, .* overflows a double"):
+                route(1, s)
+            assert time.perf_counter() - start < 0.1
+    assert em_passes == []
     for route in (kappa_direct, kappa_reduced):
         with pytest.raises(OverflowError, match="overflows a double"):
             route(1, 600, 10)
         # A divergent truncated sum is refused first.
         with pytest.raises(DivergenceError):
             route(1, -500.3, 10)
+
+
+def test_kappa_routes_refuse_an_overflowing_value_the_range_check_lets_through():
+    # The lower bound on log|kappa| passes s = -158.4392 at n = 1, where
+    # kappa_closed returned value=inf; 13 of 2000 points in [-177.4, -150]
+    # did.  The conversion to doubles refuses it.
+    for route in (kappa_closed, kappa_continued):
+        with pytest.raises(OverflowError, match="estimate overflows a double"):
+            route(1, -158.4392)
+
+
+def test_continued_route_at_large_n_builds_no_factorial():
+    # c_1 / n! = n+1: building (n+1)! and n! only to divide them took 75 s
+    # at n = 10^6.
+    n, s = 10**6, 3.0
+    start = time.perf_counter()
+    continued, closed = kappa_continued(n, s)
+    assert time.perf_counter() - start < 1.0
+    assert route_check("", continued, closed).passed
+    kappa = reference(lambda: -(n + 1) * (1 + 2**7 * mpmath.zeta(6)))
+    assert within(continued.value, kappa, continued.bound + continued.rounding)
 
 
 def test_torsion_report_refuses_n_beyond_the_double_range():
