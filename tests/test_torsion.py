@@ -8,6 +8,7 @@ import pytest
 
 from rumin_sphere import cli, torsion
 from rumin_sphere import (
+    DEFAULT_PRECISION_BITS,
     DivergenceError,
     KappaEstimate,
     PoleError,
@@ -22,7 +23,6 @@ from rumin_sphere import (
     torsion_estimates,
 )
 from rumin_sphere.torsion import rounding_gamma
-from rumin_sphere.zeta import DEFAULT_PRECISION_BITS
 from rumin_sphere.verify import route_check
 
 
