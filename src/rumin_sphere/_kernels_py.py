@@ -15,24 +15,67 @@ triangle of weights (p'+q'+k) A^(-2s), q' >= p', serves every family with
 i + j = n-k, and ``pair_sums_of_k`` builds it once per k.  A is an integer
 and grows by 2p'+k per step in q', so a triangle row is one C-level ``map``
 of ``math.pow`` over a ``range``; each family then reads its terms from the
-row with one dot product per half.  D^{2s} is factored out of the whole
-sum, so each power is taken of an exact integer rather than of a rounded
-quotient.  The dimension rows share one product as well: every family's
-row in q is P(q) = q (q+1) ... (q+n) over two of its factors.
+row with one dot product per half.  The dimension rows share one product
+as well: every family's row in q is P(q) = q (q+1) ... (q+n) over two of its
+factors.
+
+Both kernels take each power of an exact value: the pair kernel of A 2^-e,
+the axis kernel of (p+i)/2 2^-e, and one power of the exact D 2^-e or 2^e
+undoes the scale at the end.  The exponent e (``_scale_exponent``) is 0
+wherever every power is a normal double unscaled, which holds at every s
+the workloads ask for; above that it moves the powers back into the normal
+range.  So both kernels have one power path and one
+rounding bound, ``term_roundings``.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import repeat
-from operator import mul, truediv
+from operator import mul
 
 from .weights import special_dimension
 
-# Largest binary exponent the factored form may reach: above it the powers of
-# the integer bases, or D^{2s} times the mid-block factor, could leave the
-# normal double range.
-_EXACT_LOG2_LIMIT = 1000.0
+# The binary exponents that the scale keeps every power above and every
+# partial sum below, a few binades inside the normal range for the rounding
+# of the logarithms that choose it and of libm's pow.
+_BOTTOM = -1020.0
+_TOP = 1021.0
+
+# The absolute part of the kernels' rounding bound (``term_roundings``).
+UNDERFLOW_ERROR = 2.0**-1074
+
+
+def _scale_exponent(t: float, lo: float, hi: float, d: float, m_min: float,
+                    carried) -> int:
+    """The exponent e of the exact scale 2^-e on a kernel's bases, from the
+    power t = -2s, the log2 lo and hi of the smallest and largest base, the
+    log2 d of the value whose power 2^{a(d-e)}, a = 2s, undoes the scale,
+    the least factor m_min that multiplies that power, and carried(), the
+    log2 of a bound on the factors and the count of terms that a power is
+    summed into.
+
+    A power of a scaled base b is 2^{-a(log2 b - e)}, so e moves every power
+    up by 2^{ae} and the final scale down by as much.  e is 0 where no power
+    can fall below 2^_BOTTOM unscaled: t >= 0 (s <= 0) or a hi <= -_BOTTOM.
+    That is the range where every power was a normal double before any
+    scale, and it holds every s the workloads ask for.  Elsewhere e is the
+    least that keeps the smallest power, at hi, above 2^_BOTTOM:
+    e >= hi + _BOTTOM/a.  Two caps bound it:
+    - the largest power, at lo, times its factors and count stays below
+      2^_TOP: e <= lo + (_TOP - carried()) / a;
+    - the final scale, and its product with every factor of at least
+      m_min, stays above 2^_BOTTOM: e <= d + (min(0, log2 m_min) - _BOTTOM) / a.
+    carried() is evaluated only there, so the range where e = 0 pays no
+    pass over the bases or the rows.  e is never below 0.
+    """
+    if t >= 0 or hi * t >= _BOTTOM:
+        return 0
+    a = -t
+    need = math.ceil(hi + _BOTTOM / a)
+    cap = min(lo + (_TOP - carried()) / a,
+              d + (min(0.0, math.log2(m_min)) - _BOTTOM) / a)
+    return max(0, min(need, math.floor(cap)))
 
 
 def _dimension_rows(n: int, k: int, N: int) -> tuple[list, list]:
@@ -87,16 +130,14 @@ def pair_sums_of_k(n: int, k: int, N: int, s: float) -> list[float]:
     (i, j): its labels share dimension and eigenvalue, so its sum is the
     same.
 
-    All terms are positive, so the relative rounding error is at most
-    gamma_m with m = N + 13: a recursive summation within each half, and
-    ``math.fsum`` over the halves (Higham, Accuracy and Stability of
-    Numerical Algorithms, sec. 4.2; ``term_roundings`` counts the steps).
-    For s so large that the factored form would leave the double range, the
-    bases are divided by D before the power, which adds up to 2s rounding
-    units per term.  That choice is made once for the whole triangle, from
-    its largest base and the largest M/n of its families.  The bound needs
-    every power to be at least 2^-1022: the factored form keeps them above
-    2^-1000 / n, but divided bases can go subnormal.
+    Each power is of the exact double A 2^-e, and the scale
+    (D 2^-e)^{2s} of the whole sum undoes both D and 2^-e.  e is chosen
+    once for the triangle (``_scale_exponent``): from its smallest base
+    2(1+k), its largest 2R(R+k), the least M/n, and a bound on the
+    dimension, F and G factors and the N^2 terms of a family.  All terms are
+    positive, so the sum is within ``term_roundings``' bound: a recursive
+    summation within each half, and ``math.fsum`` over the halves (Higham,
+    Accuracy and Stability of Numerical Algorithms, sec. 4.2).
     """
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
@@ -110,19 +151,20 @@ def pair_sums_of_k(n: int, k: int, N: int, s: float) -> list[float]:
     F, G = _dimension_rows(n, k, N)
 
     R = N + h  # the largest shifted coordinate of any family
-    a_max = 2 * R * (R + k)
-    exact = math.log2(max(m)) - t * math.log2(a_max) < _EXACT_LOG2_LIMIT
-    div = 1 if exact else D
     dims = list(map(float, range(2 * R + k + 1)))
+    e = _scale_exponent(
+        t, math.log2(2 * (1 + k)), math.log2(2 * R * (R + k)), math.log2(D), min(m),
+        lambda: math.log2(N * N * dims[-1]) + math.log2(max(r[-1] for r in F))
+        + math.log2(max(r[-1] for r in G)))
 
     halves: list[list[float]] = [[] for _ in families]
     for r in range(1, R + 1):
         step = 2 * r + k
         a_lo = 2 * r * (r + k)
         bases = range(a_lo, a_lo + (R + 1 - r) * step, step)
-        if div != 1:
-            bases = map(truediv, bases, repeat(div))
-        # W[c - r] = (r+c+k) A(r, c)^(-2s) for c = r..R.
+        if e:
+            bases = map(mul, bases, repeat(math.ldexp(1.0, -e)))
+        # W[c - r] = (r+c+k) (A(r, c) 2^-e)^(-2s) for c = r..R.
         W = list(map(mul, dims[step:r + R + k + 1], map(math.pow, bases, repeat(t))))
         for i in families:
             j = h - i
@@ -140,12 +182,13 @@ def pair_sums_of_k(n: int, k: int, N: int, s: float) -> list[float]:
             if j < r < i + N:
                 # q' = r, p' = c over r+1..i+N.
                 out.append(Fi[r - j - 1] * sum(map(mul, Gi[r - i:], W[1:])))
-    return [mi * math.pow(D // div, -t) * math.fsum(out) for mi, out in zip(m, halves)]
+    scale = math.pow(math.ldexp(D, -e), -t)
+    return [mi * scale * math.fsum(out) for mi, out in zip(m, halves)]
 
 
-def term_roundings(N: int, s: float) -> int:
-    """Rounding steps m of one term of either family sum, which is thus
-    within gamma_m of its exact value while every power is at least 2^-1022.
+def term_roundings(N: int) -> int:
+    """Rounding steps m of one term of either kernel: each kernel sum is
+    within gamma_m S + ``UNDERFLOW_ERROR`` of its exact value S.
 
     A pair term of ``pair_sums_of_k`` takes at most N + 13: the F and G
     quotients (2), the power (2: libm pow is within one ulp, i.e. 2u), its
@@ -153,12 +196,35 @@ def term_roundings(N: int, s: float) -> int:
     the recursive summation of a half row (N - 1), the self-dual diagonal
     addition (1; the doubling is exact), the row factor (1), ``math.fsum``
     over the halves (1: it is correctly rounded), and the scale: M/n (1),
-    D^{2s} (2), their product (1) and its product with the sum (1).  The
-    divided-bases path adds up to 2s more.  An axis term takes N + 3: the
-    dimension's conversion to a double (1; exact below 2^53), the power (2),
-    the product (1) and the sum (N - 1).  No record holds this bound; it
-    decides a check's ``passed`` only through ``verify.route_check``."""
-    return N + math.ceil(2 * s) + 13
+    (D 2^-e)^{2s} (2), their product (1) and its product with the sum (1).
+    An axis term takes N + 6: the dimension's conversion to a double (1;
+    exact below 2^53), the power (2), the product (1), the sum (N - 1), and
+    the scale (2^e)^{-2s} (2) and its product with the sum (1).  The bases
+    and their scale 2^-e are exact, so no step depends on s.
+
+    Those counts hold for normal doubles.  With gradual underflow every
+    operation obeys fl(x op y) = (x op y)(1 + d) + h, |d| <= u and
+    |h| <= 2^-1075 (Higham sec. 2.1).  Where the scale keeps every power at
+    least 2^-1020 (``_scale_exponent``), every later value of the sum is a
+    product by a factor of at least 1 (p'+q'+k, F, G or the dimension) or a
+    sum of positive values, so it is normal too, and below 2^1021 by the
+    first cap; M/n times the scale is normal by the second.  Only the last
+    product can fall below 2^-1022, and it adds at most 2^-1075, within
+    ``UNDERFLOW_ERROR``.  Where a cap binds instead, no e keeps every power
+    normal.  A power below 2^-1020 is then off by at most 2^-1074 and each
+    product after it by 2^-1075, and the factors that carry it total at most
+    2^carried, so these terms add at most 2^(carried - 1072) times the
+    sum's final factor (M/n times the scale, or the scale).  That is below
+    2^-1075 where the factor is at most 2^(-carried - 3).  It is also below
+    the second-order slack m(m+1) u^2 / 2 >= 2^-100 of gamma_m, relative to
+    a sum whose largest power is at least 2^(carried - 972).  Every axis
+    sum of the tests, and every pair sum up to n = 40, meets one of the two.
+    At n = 170 some pair families meet neither (at ``torsion --n 170`` the
+    worst falls 386 binades short): those rest on the 300-bit oracle grid
+    of the tests alone.
+    No record holds this bound; it decides a check's ``passed`` only
+    through ``verify.route_check``."""
+    return N + 13
 
 
 def axis_family_sum(n: int, i: int, N: int, s: float) -> float:
@@ -166,14 +232,21 @@ def axis_family_sum(n: int, i: int, N: int, s: float) -> float:
 
     Serves the one-parameter families: the holomorphic/antiholomorphic edge
     cases (i <= n-1) and, at i = n, the two top-degree families.  Each
-    dimension is the exact integer ``weights.special_dimension``.  The terms
-    are positive, so the sum is within gamma_{N+3} (``term_roundings``)
-    while every power ((p+i)/2)^(-2s) is at least 2^-1022.
+    dimension is the exact integer ``weights.special_dimension``.  Each
+    power is of the exact double (p+i)/2 2^-e, and (2^e)^(-2s) undoes the
+    scale once at the end (``_scale_exponent``: the bases run from (1+i)/2
+    to (N+i)/2, and the N terms carry at most the dimension at p = N).  The
+    terms are positive, so the sum is within ``term_roundings``' bound.
     """
     if not 0 <= i <= n:
         raise ValueError(f"i={i} out of range for n={n}")
+    if N < 1:
+        return 0.0
     t = -2.0 * s
+    e = _scale_exponent(t, math.log2((1 + i) / 2), math.log2((N + i) / 2), 0.0, 1.0,
+                        lambda: math.log2(N * special_dimension(n, i, N)))
+    half = math.ldexp(0.5, -e)
     acc = 0.0
     for p in range(1, N + 1):
-        acc += special_dimension(n, i, p) * ((p + i) * 0.5) ** t
-    return acc
+        acc += special_dimension(n, i, p) * ((p + i) * half) ** t
+    return acc * math.pow(math.ldexp(1.0, e), t)

@@ -25,8 +25,10 @@ with ``_check_kappa_range`` (``OverflowError`` before any work where kappa(s)
 is known to leave the double range) and ``_check_kappa_pole`` (s = 1/2).
 ``tail_bound`` is the one guard of the truncated routes, which open with it:
 it refuses a truncation below 1, a divergent sum (``DivergenceError``), the
-kappa range, then a bound that leaves the double range.  ``_estimate``, the
-one conversion of a zeta(2s) route to doubles, refuses a non-finite result.
+kappa range, then a bound that leaves the double range.  ``_finite`` refuses
+a non-finite value, bound or rounding, both for ``_estimate``, the one
+conversion of a zeta(2s) route to doubles, and for the truncated routes'
+sums of doubles.
 ``torsion_estimates`` refuses n below 1 and above ``MAX_TORSION_N``.
 """
 
@@ -62,7 +64,6 @@ MAX_TORSION_N = min(
     next(n for n in count(1) if factorial(n + 1) > sys.float_info.max),
 )
 
-_LOG2_DOUBLE_MAX = log2(sys.float_info.max)
 _LN_DOUBLE_MAX = log(sys.float_info.max)
 
 # The truncation of the direct and truncated reduced routes in the torsion
@@ -135,10 +136,12 @@ def _log_kappa_lower_bound(n: int, s: float) -> float:
 
 def _check_kappa_range(n: int, s: float) -> None:
     # Refuse an s whose kappa(s) leaves the double range, before any work:
-    # for s > 1/2, zeta(2s) > 1, so |kappa(s)| > (n+1) 2^{2s+1}; for s < 0,
-    # the bound above, with a margin of 1 for its rounding.  Evaluating
-    # zeta(2s) at such an s would cost guard bits and prefix terms in |s|.
-    if (s > 0.5 and log2(n + 1) + 2 * s + 1 > _LOG2_DOUBLE_MAX) or (
+    # for s > 1/2, zeta(2s) > 1, so |kappa(s)| > (n+1) 2^{2s+1}, which
+    # overflows once it reaches 2^max_exp = 2^1024 (2s+1 is exact, and so is
+    # log2(n+1) where n+1 is a power of two); for s < 0, the bound above,
+    # with a margin of 1 for its rounding.  Evaluating zeta(2s) at such an s
+    # would cost guard bits and prefix terms in |s|.
+    if (s > 0.5 and 2 * s + 1 >= sys.float_info.max_exp - log2(n + 1)) or (
             _log_kappa_lower_bound(n, s) > _LN_DOUBLE_MAX + 1):
         raise OverflowError(f"kappa(s) at n={n}, s={s} overflows a double")
 
@@ -175,8 +178,14 @@ def _estimate(value: mpf, bound: mpf, size: mpf, prec: int) -> KappaEstimate:
     # at most 2^-(prec+16) of ``size``, the largest magnitude among its terms.
     # Near s = -159, ``_check_kappa_range`` passes some kappa that overflow.
     v = float(value)
-    est = KappaEstimate(value=v, bound=_float_up(bound),
-                        rounding=ulp(v) / 2 + ldexp(float(size), -(prec + 13)))
+    return _finite(KappaEstimate(value=v, bound=_float_up(bound),
+                                 rounding=ulp(v) / 2 + ldexp(float(size), -(prec + 13))))
+
+
+def _finite(est: KappaEstimate) -> KappaEstimate:
+    # Every route's estimate passes here: inside the range that
+    # ``_check_kappa_range`` lets through, a value, a product or a rounding
+    # bound can still overflow.
     if not all(map(isfinite, (est.value, est.bound, est.rounding))):
         raise OverflowError("the kappa estimate overflows a double")
     return est
@@ -299,10 +308,17 @@ def kappa_direct(n: int, s: float, N: int) -> KappaEstimate:
     # sum_k |w_k| zeta_k (Higham sec. 4.2).  m counts the kernels' roundings
     # per term, one addition per bidegree a family sum populates, the weight
     # products and n+1 additions, and one step for this bound's own rounding.
-    m = (_kernels_py.term_roundings(N, s) + n + 2
-         + sum(len(fam.spaces) for fam in all_families(n)))
+    # Each family sum adds its absolute error to every bidegree it
+    # populates, where |w_k| weighs it, and each weight product at most
+    # half of it.
+    families = all_families(n)
+    m = (_kernels_py.term_roundings(N) + n + 2
+         + sum(len(fam.spaces) for fam in families))
     abs_sum = sum(abs(w) * z for w, z in zip(ws, zk))
-    return KappaEstimate(value=value, bound=bound, rounding=rounding_gamma(m) * abs_sum)
+    weight = sum(abs(ws[bs + bt]) for fam in families for bs, bt in fam.spaces) + n + 1
+    return _finite(KappaEstimate(
+        value=value, bound=bound,
+        rounding=rounding_gamma(m) * abs_sum + weight * _kernels_py.UNDERFLOW_ERROR))
 
 
 def kappa_reduced(n: int, s: float, N: int) -> KappaEstimate:
@@ -316,9 +332,12 @@ def kappa_reduced(n: int, s: float, N: int) -> KappaEstimate:
         axis = _kernels_py.axis_family_sum(n, i, N, float(s))
         value += 2.0 * (-1.0) ** (i + 1) * axis
         abs_sum += 2.0 * axis
-    # As in ``kappa_direct``, with n+1 additions to combine the sums.
-    m = _kernels_py.term_roundings(N, s) + n + 2
-    return KappaEstimate(value=value, bound=bound, rounding=rounding_gamma(m) * abs_sum)
+    # As in ``kappa_direct``, with n+1 additions to combine the sums, each
+    # sum's absolute error doubled by its weight 2.
+    m = _kernels_py.term_roundings(N) + n + 2
+    return _finite(KappaEstimate(
+        value=value, bound=bound,
+        rounding=rounding_gamma(m) * abs_sum + 2 * (n + 1) * _kernels_py.UNDERFLOW_ERROR))
 
 
 def kappa_continued(

@@ -528,6 +528,10 @@ def _any_request(draw):
 @given(argv=_any_request())
 @example(argv=["kappa", "--n", "1", "--s", "1e308", "--mode", "direct", "--max", "10"])
 @example(argv=["kappa", "--n", "1", "--s", "9e307", "--mode", "reduced", "--max", "10"])
+# The kernels' powers need a scale 2^-e, e > 0, here, and the checks pass.
+@example(argv=["kappa", "--n", "5", "--s", "150.75", "--mode", "direct", "--max", "20"])
+# kappa is finite, but the direct route's weighted sum overflows: exit 3.
+@example(argv=["kappa", "--n", "1", "--s", "510.9", "--mode", "direct", "--max", "3"])
 def test_every_subcommand_gives_a_valid_record_or_one_line_exit(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -356,6 +356,35 @@ def test_kappa_routes_refuse_an_overflowing_value_the_range_check_lets_through()
             route(1, -158.4392)
 
 
+def test_range_check_refuses_where_the_lower_bound_reaches_2_to_the_1024(em_passes):
+    # At n = 1, s = 511, |kappa| > (n+1) 2^{2s+1} = 2^1024 exactly.  A
+    # threshold of log2(float max), which rounds to 1024.0, let it through:
+    # the closed form ran its zeta(1022) pass before refusing, the direct
+    # route returned nan and the reduced route -inf.
+    for route in (kappa_closed, kappa_continued):
+        with pytest.raises(OverflowError, match=r"kappa\(s\) at n=1, s=511 overflows a double"):
+            route(1, 511)
+    assert em_passes == []
+    with pytest.raises(OverflowError, match=r"kappa\(s\) at n=1, s=511 overflows a double"):
+        tail_bound(1, 511, 1)
+    # Just inside the bound, the closed form is finite.
+    assert isfinite(kappa_closed(1, 510.99).value)
+
+
+def test_truncated_routes_refuse_a_non_finite_estimate():
+    # Inside the range, kappa(1, 510.9) = -1.565e308 is finite, but the
+    # direct route's w_0 zeta_0 overflows on the way: it returned -inf with
+    # rounding inf.  It is refused like a zeta route's overflow; the reduced
+    # route sums no such product and returns the finite value.
+    with pytest.raises(OverflowError, match="the kappa estimate overflows a double"):
+        kappa_direct(1, 510.9, 3)
+    reduced = kappa_reduced(1, 510.9, 3)
+    closed = kappa_closed(1, 510.9)
+    assert all(map(isfinite, (reduced.value, reduced.bound, reduced.rounding)))
+    assert abs(reduced.value - closed.value) <= (
+        reduced.bound + reduced.rounding + closed.bound + closed.rounding)
+
+
 def test_continued_route_at_large_n_builds_no_factorial():
     # c_1 / n! = n+1: building (n+1)! and n! only to divide them took 75 s
     # at n = 10^6.
