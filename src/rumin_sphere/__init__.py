@@ -35,9 +35,11 @@ from .torsion import (
     tail_bound,
     torsion_estimates,
 )
+from .verify import c_coefficients, sigma
 from .weights import (
     EnumerationBudgetError,
     HighestWeight,
+    dimension_coefficients,
     gt_pattern_count,
     special_dimension,
     weyl_dimension,
@@ -47,13 +49,9 @@ from .zeta import (
     PoleError,
     PrecisionError,
     ZetaValue,
-    c_coefficients,
-    dimension_coefficients,
     hurwitz_zeta,
     hurwitz_zeta_and_deriv,
     riemann_zeta,
-    sigma,
-    vanishing_correction_check,
 )
 
 __version__ = "0.1.0"
@@ -98,6 +96,5 @@ __all__ = [
     "squared_norm",
     "tail_bound",
     "torsion_estimates",
-    "vanishing_correction_check",
     "weyl_dimension",
 ]

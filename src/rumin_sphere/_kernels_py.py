@@ -47,11 +47,11 @@ UNDERFLOW_ERROR = 2.0**-1074
 
 
 def _scale_exponent(t: float, lo: float, hi: float, d: float, m_min: float,
-                    carried) -> int:
+                    carried: float) -> int:
     """The exponent e of the exact scale 2^-e on a kernel's bases, from the
     power t = -2s, the log2 lo and hi of the smallest and largest base, the
     log2 d of the value whose power 2^{a(d-e)}, a = 2s, undoes the scale,
-    the least factor m_min that multiplies that power, and carried(), the
+    the least factor m_min that multiplies that power, and carried, the
     log2 of a bound on the factors and the count of terms that a power is
     summed into.
 
@@ -63,17 +63,16 @@ def _scale_exponent(t: float, lo: float, hi: float, d: float, m_min: float,
     least that keeps the smallest power, at hi, above 2^_BOTTOM:
     e >= hi + _BOTTOM/a.  Two caps bound it:
     - the largest power, at lo, times its factors and count stays below
-      2^_TOP: e <= lo + (_TOP - carried()) / a;
+      2^_TOP: e <= lo + (_TOP - carried) / a;
     - the final scale, and its product with every factor of at least
       m_min, stays above 2^_BOTTOM: e <= d + (min(0, log2 m_min) - _BOTTOM) / a.
-    carried() is evaluated only there, so the range where e = 0 pays no
-    pass over the bases or the rows.  e is never below 0.
+    e is never below 0.
     """
     if t >= 0 or hi * t >= _BOTTOM:
         return 0
     a = -t
     need = math.ceil(hi + _BOTTOM / a)
-    cap = min(lo + (_TOP - carried()) / a,
+    cap = min(lo + (_TOP - carried) / a,
               d + (min(0.0, math.log2(m_min)) - _BOTTOM) / a)
     return max(0, min(need, math.floor(cap)))
 
@@ -154,7 +153,7 @@ def pair_sums_of_k(n: int, k: int, N: int, s: float) -> list[float]:
     dims = list(map(float, range(2 * R + k + 1)))
     e = _scale_exponent(
         t, math.log2(2 * (1 + k)), math.log2(2 * R * (R + k)), math.log2(D), min(m),
-        lambda: math.log2(N * N * dims[-1]) + math.log2(max(r[-1] for r in F))
+        math.log2(N * N * dims[-1]) + math.log2(max(r[-1] for r in F))
         + math.log2(max(r[-1] for r in G)))
 
     halves: list[list[float]] = [[] for _ in families]
@@ -244,7 +243,7 @@ def axis_family_sum(n: int, i: int, N: int, s: float) -> float:
         return 0.0
     t = -2.0 * s
     e = _scale_exponent(t, math.log2((1 + i) / 2), math.log2((N + i) / 2), 0.0, 1.0,
-                        lambda: math.log2(N * special_dimension(n, i, N)))
+                        math.log2(N * special_dimension(n, i, N)))
     half = math.ldexp(0.5, -e)
     acc = 0.0
     for p in range(1, N + 1):

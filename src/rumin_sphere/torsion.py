@@ -51,7 +51,6 @@ from .zeta import (
     PoleError,
     ZetaValue,
     _check_precision,
-    _to_mpf,
     hurwitz_zeta_and_deriv,
     riemann_zeta,
 )
@@ -159,7 +158,7 @@ def _two_power(s: float, k: int) -> mpf:
     # itself would be amplified by |2s+k| ln 2 (at 8 bits and s = 185, to 28
     # roundings, where ``_estimate`` allows 8).
     whole, fraction = divmod(2 * Fraction(s) + k, 1)
-    return mpmath.ldexp(mpf(2) ** _to_mpf(fraction), whole)
+    return mpmath.ldexp(mpf(2) ** (mpf(fraction.numerator) / fraction.denominator), whole)
 
 
 def _closed_from(n: int, s: float, z: ZetaValue, prec: int) -> KappaEstimate:

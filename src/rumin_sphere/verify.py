@@ -10,7 +10,10 @@ kappa'(0) and pi (``torsion_checks``); the zeta identities compare in mpmath.
 A check at several points reports its largest residual against the bound
 that gives the largest residual/bound ratio, so it passes iff every point
 does.  ``verify``, ``kappa`` and ``torsion`` build their checks here, and
-exit 1 if one fails.
+exit 1 if one fails.  The coefficient identities read the one dimension
+polynomial, ``weights.dimension_coefficients``; ``sigma``'s product form is
+their independent second route, as ``_eigenvalue_from_weight`` is for the
+eigenvalues.
 
 Every check that loops over labels runs their free parameters over
 1..bound, the ``--max`` of the record; no check lowers it.  There is no
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, inf, pi, ulp
+from math import comb, factorial, inf, pi, prod, ulp
 from typing import Iterator, Optional
 
 import mpmath
@@ -32,7 +35,8 @@ from mpmath import mpf
 from . import spectrum, torsion, zeta
 from .torsion import KappaEstimate, TorsionReport, rounding_gamma
 from .spectrum import Case, RuminLabel, label_to_weight
-from .weights import HighestWeight, gt_pattern_count, special_dimension, weyl_dimension
+from .weights import (HighestWeight, dimension_coefficients, gt_pattern_count,
+                      special_dimension, weyl_dimension)
 
 
 @dataclass(frozen=True)
@@ -112,7 +116,7 @@ def check_special_dimension(n: int, bound: int) -> CheckResult:
 def check_dimension_polynomial(n: int, bound: int) -> CheckResult:
     bad = 0
     for i in range(n + 1):
-        coefficients = zeta.dimension_coefficients(n, i)
+        coefficients = dimension_coefficients(n, i)
         for p in range(1, bound + 1):
             value = sum(c * (p + i) ** l for l, c in enumerate(coefficients))
             if value != special_dimension(n, i, p):
@@ -204,20 +208,60 @@ def check_weight_determined(n: int, bound: int) -> CheckResult:
     return _exact("eigenvalue_determined_by_weight", bad)
 
 
+def c_coefficients(n: int) -> tuple[int, ...]:
+    """The coefficients (c_1, ..., c_{n+1}) of the reduced torsion sum.
+
+    c_l = sum_i (-1)^i C(n, i) e_{n+1-l}(n-i, ..., -i): n! times the
+    alternating sum over i of coefficient l-1 of ``dimension_coefficients(n, i)``
+    (the even rows less the odd).  Analytically c_1 = (n+1)! and every other
+    c_l vanishes; the double sum is computed literally so that ``verify``
+    checks the identity instead of assuming it.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    columns = zip(*(dimension_coefficients(n, i) for i in range(n + 1)))
+    return tuple(int(factorial(n) * (sum(c[::2]) - sum(c[1::2]))) for c in columns)
+
+
+def sigma(n: int, k: int) -> int:
+    """sigma(k) = sum_l c_l k^l = sum_i (-1)^i C(n, i) prod_{t=0}^{n} (k+n-i-t),
+    as e_{n+1} of the shifts n-i-t is 0 (one is 0); must equal (n+1)! k."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    return sum((-1) ** i * comb(n, i) * prod(range(k - i, k + n - i + 1))
+               for i in range(n + 1))
+
+
 def check_c_coefficients(n: int) -> CheckResult:
-    cs = zeta.c_coefficients(n)
+    cs = c_coefficients(n)
     bad = int(cs[0] != factorial(n + 1))
     bad += sum(1 for c in cs[1:] if c != 0)
     return _exact("c_coefficients_identity", bad)
 
 
 def check_sigma(n: int) -> CheckResult:
-    bad = sum(1 for k in range(11) if zeta.sigma(n, k) != factorial(n + 1) * k)
+    bad = sum(1 for k in range(11) if sigma(n, k) != factorial(n + 1) * k)
     return _exact("sigma_linearity", bad)
 
 
+def _horner(coefficients: list[int], x: int) -> int:
+    value = 0  # sum_l coefficients[l] x^l
+    for c in reversed(coefficients):
+        value = value * x + c
+    return value
+
+
 def check_vanishing_correction(n: int) -> CheckResult:
-    bad = sum(1 for i in range(n + 1) if not zeta.vanishing_correction_check(n, i))
+    """The reduced route's correction sums are powers of k = 1..i times the
+    value at x = k of the integer row n! ``dimension_coefficients(n, i)``;
+    the residual counts the i whose row is not integral or does not vanish."""
+    scale = factorial(n)
+    bad = 0
+    for i in range(n + 1):
+        row = [scale * c for c in dimension_coefficients(n, i)]
+        ints = [c.numerator for c in row if c.denominator == 1]
+        if len(ints) < len(row) or any(_horner(ints, x) for x in range(1, i + 1)):
+            bad += 1
     return _exact("vanishing_correction_identity", bad)
 
 

@@ -2,17 +2,19 @@
 
 The sphere S^{2n+1} carries a U(n+1) action, and every object this package
 computes is indexed by a highest weight.  This module holds U(m) data only:
-the weight type, the Weyl dimension formula in exact arithmetic, and a
+the weight type, the Weyl dimension formula in exact arithmetic, a
 Gelfand-Tsetlin pattern counter, a memoised sum over interlacing rows, that
-serves as an independent oracle for the dimension formula.  The label type
-and its validation live in ``spectrum``, next to the label table.
+serves as an independent oracle for the dimension formula, and the special
+dimensions, as integers and as the dimension polynomial whose identities
+``verify`` checks.  The label type lives in ``spectrum``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
-from math import comb, prod
+from math import comb, factorial, prod
 from typing import Optional, Sequence
 
 
@@ -145,3 +147,23 @@ def special_dimension(n: int, i: int, p: int) -> int:
     if rem:
         raise ArithmeticError(f"non-integral special dimension at ({n}, {i}, {p})")
     return dim
+
+
+def _symmetric_row(values: Sequence[int], l: int) -> list[int]:
+    # [e_0, ..., e_l] of the values, from one pass.
+    e = [1] + [0] * l
+    for v in values:
+        for t in range(l, 0, -1):
+            e[t] = e[t] + v * e[t - 1]
+    return e
+
+
+def dimension_coefficients(n: int, i: int) -> tuple[Fraction, ...]:
+    """dim V(0,...,0, -1,...,-1, -p) as a polynomial in x = p + i: the
+    coefficient C(n, i)/n! * e_{n-l}(n-i, ..., -i) of x^l at index l, for
+    l = 0..n.  It is C(n, i)/n! prod (x + v) over the nonzero shifts v, so
+    it vanishes at x = 1..i."""
+    if not 0 <= i <= n:
+        raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
+    pref = Fraction(comb(n, i), factorial(n))
+    return tuple(pref * e for e in reversed(_symmetric_row(range(n - i, -i - 1, -1), n)))

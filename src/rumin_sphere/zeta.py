@@ -1,6 +1,6 @@
 """Riemann and Hurwitz zeta via Euler-Maclaurin summation, with rigorous
-remainder bounds and analytic s-derivatives, plus the elementary-symmetric
-polynomial machinery behind the torsion coefficient identities.
+remainder bounds and analytic s-derivatives: the zeta engine and nothing
+else (the dimension polynomial lives in ``weights``).
 
 The arbitrary-precision arithmetic is mpmath's; the summation scheme, the
 error bounds and the term-wise differentiation are implemented here.
@@ -60,7 +60,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, isqrt, log2, prod
+from math import factorial, isqrt, log2
 from typing import Optional, Sequence, Union
 
 import mpmath
@@ -174,12 +174,6 @@ def _mag(v: mpf) -> int:
     # exp + bc of a nonzero v, so 2^(mag-1) <= |v| < 2^mag; 0 for v = 0.
     _, _, exp, bc = v._mpf_
     return exp + bc
-
-
-def _to_mpf(x: Real) -> mpmath.mpf:
-    if isinstance(x, Fraction):
-        return mpf(x.numerator) / x.denominator
-    return mpf(x)
 
 
 def _check_precision(precision: Optional[int]) -> int:
@@ -392,7 +386,7 @@ def _euler_maclaurin(s: Real, a: int, prec: int, want_derivative: bool):
     guard = 48 + int(extra)
 
     with workprec(prec + guard):
-        ms = _to_mpf(s)
+        ms = mpf(s.numerator) / s.denominator if isinstance(s, Fraction) else mpf(s)
         one = mpf(1)
         eps = mpf(2) ** (-(prec + 6))
 
@@ -533,73 +527,3 @@ def riemann_zeta(s: Real, precision: Optional[int] = None) -> ZetaValue:
     """Riemann zeta(s) = zeta(s, 1) for real s != 1."""
     return hurwitz_zeta(s, 1, precision)
 
-
-def _symmetric_row(values: Sequence[Real], l: int) -> list:
-    # [e_0, ..., e_l] of the values, from one pass.
-    e: list = [1] + [0] * l
-    for v in values:
-        for t in range(l, 0, -1):
-            e[t] = e[t] + v * e[t - 1]
-    return e
-
-
-def _shift_values(n: int, i: int) -> list[int]:
-    # The n+1 integers (n-i, n-1-i, ..., -i).
-    return [n - i - m for m in range(n + 1)]
-
-
-def _shift_symmetric(n: int, i: int) -> list[int]:
-    # [e_0, ..., e_n] of the shift values of (n, i), from one pass.
-    return _symmetric_row(_shift_values(n, i), n)
-
-
-def c_coefficients(n: int) -> tuple[int, ...]:
-    """The coefficients (c_1, ..., c_{n+1}) of the reduced torsion sum.
-
-    c_l = sum_i (-1)^i C(n, i) e_{n+1-l}(n-i, ..., -i).  Analytically
-    c_1 = (n+1)! and every other c_l vanishes; this function computes the
-    double sum literally so the identity can be checked, not assumed.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    es = [_shift_symmetric(n, i) for i in range(n + 1)]
-    return tuple(sum((-1) ** i * comb(n, i) * es[i][n + 1 - l] for i in range(n + 1))
-                 for l in range(1, n + 2))
-
-
-def sigma(n: int, k: int) -> int:
-    """sigma(k) = sum_l c_l k^l = sum_i (-1)^i C(n, i) prod_{t=0}^{n} (k+n-i-t),
-    as e_{n+1} of the shifts n-i-t is 0 (one is 0); must equal (n+1)! k."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return sum((-1) ** i * comb(n, i) * prod(range(k - i, k + n - i + 1))
-               for i in range(n + 1))
-
-
-def vanishing_correction_check(n: int, i: int) -> bool:
-    """Check sum_{l=1}^{n+1} e_{n+1-l}(n-i, ..., -i) k^l = 0 for k = 1..i.
-
-    A polynomial identity, verified in exact integers.  The correction sums
-    of the reduced route weight the same terms by k^{-(2s-l+1)}, that is,
-    k^{-1-2s} times this integer sum, so they vanish with it at every s.
-    The check lives here, not in ``verify``, because it reads this module's
-    private symmetric rows; moving it would need a copy of them or a new
-    public name.
-    """
-    if not 0 <= i <= n:
-        raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
-    es = _shift_symmetric(n, i)[::-1]  # e_{n+1-l} at index l-1
-    for k in range(1, i + 1):
-        if sum(e * k**l for l, e in enumerate(es, start=1)) != 0:
-            return False
-    return True
-
-
-def dimension_coefficients(n: int, i: int) -> tuple[Fraction, ...]:
-    """dim V(0,...,0, -1,...,-1, -p) as a polynomial in (p + i): the
-    coefficient of (p+i)^l at index l, for l = 0..n, the values
-    C(n, i)/n! * e_{n-l}(n-i, ..., -i)."""
-    if not 0 <= i <= n:
-        raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
-    pref = Fraction(comb(n, i), factorial(n))
-    return tuple(pref * e for e in reversed(_shift_symmetric(n, i)))

@@ -55,15 +55,27 @@ def test_every_exported_name_has_a_caller():
 
 
 def test_src_reaches_no_private_name_of_another_module():
-    # A module's private names are its own: no other module of the package
-    # reads ``torsion._x`` and the like.  ``zeta._check_precision`` is left
-    # out: it is the one precision refusal that every module shares.
+    # A module's private names are its own: no module of the package reads
+    # ``m._x`` of another module m, or imports ``from .m import _x``.  Two
+    # reaches are allowed: ``zeta._check_precision``, the one precision
+    # refusal that every module shares, and the import of the
+    # ``_kernels_py`` module itself.
     package = Path(rumin_sphere.__file__).parent
-    reach = re.compile(r"\b(torsion|spectrum|verify|weights|cli)\._\w*")
-    found = [f"{path.name}:{number}: {match.group()}"
-             for path in sorted(package.glob("*.py"))
-             for number, line in enumerate(path.read_text().splitlines(), 1)
-             for match in reach.finditer(line) if match.group(1) != path.stem]
+    modules = {path.stem for path in package.glob("*.py")}
+    allowed = {("zeta", "_check_precision"), ("", "_kernels_py")}
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                reaches = [(node.module or "", alias.name) for alias in node.names]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules - {path.stem}):
+                reaches = [(node.value.id, node.attr)]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {module}.{name}"
+                      for module, name in reaches
+                      if name.startswith("_") and (module, name) not in allowed]
     assert found == []
 
 

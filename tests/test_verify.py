@@ -132,9 +132,24 @@ def test_run_all_makes_one_direct_route_and_one_pass_at_the_reference_point(
 def test_run_all_expands_the_c_coefficients_once(monkeypatch):
     # check_sigma takes sigma(k) from the product the c_l expand, so only
     # check_c_coefficients computes them.
-    calls = count_calls(monkeypatch, zeta, "c_coefficients")
+    calls = count_calls(monkeypatch, verify, "c_coefficients")
     assert all(r.passed for r in verify.run_all(4, 2))
     assert calls == [(4,)]
+
+
+def test_vanishing_correction_counts_a_non_integral_row(monkeypatch):
+    # As in check_dimension_polynomial, a non-integral entry is a violation:
+    # 1/(2 n!) added to every constant coefficient leaves a half in each
+    # integer row, so every i counts, i = 0 with no x to check among them.
+    coefficients = weights.dimension_coefficients
+
+    def broken(n, i):
+        c0, *rest = coefficients(n, i)
+        return (c0 + Fraction(1, 2 * math.factorial(n)), *rest)
+
+    monkeypatch.setattr(verify, "dimension_coefficients", broken)
+    check = verify.check_vanishing_correction(3)
+    assert not check.passed and check.residual == 4
 
 
 def test_check_cancellation():
@@ -168,13 +183,13 @@ def test_dimension_check_counts_a_non_integral_value(monkeypatch):
     # polynomial non-integral: each (i, p) counts as one violation, where
     # the value used to raise ArithmeticError.
     assert verify.check_dimension_polynomial(3, 5).passed
-    coefficients = zeta.dimension_coefficients
+    coefficients = weights.dimension_coefficients
 
     def broken(n, i):
         c0, *rest = coefficients(n, i)
         return (c0 + Fraction(1, 2), *rest)
 
-    monkeypatch.setattr(zeta, "dimension_coefficients", broken)
+    monkeypatch.setattr(verify, "dimension_coefficients", broken)
     check = verify.check_dimension_polynomial(3, 5)
     assert not check.passed and check.residual == 4 * 5
 

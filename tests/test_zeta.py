@@ -1,4 +1,6 @@
-"""Euler-Maclaurin zeta engine and the symmetric-polynomial identities."""
+"""Euler-Maclaurin zeta engine, and the identities of the dimension
+polynomial: the polynomial lives in ``weights`` and its checks in
+``verify``, and their tests keep their ids in this file."""
 
 import hashlib
 import random
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rumin_sphere import zeta
+from rumin_sphere import verify, weights, zeta
 from rumin_sphere import (
     PoleError,
     PrecisionError,
@@ -24,7 +26,6 @@ from rumin_sphere import (
     riemann_zeta,
     sigma,
     special_dimension,
-    vanishing_correction_check,
 )
 
 
@@ -541,19 +542,19 @@ def test_pole_and_precision_errors():
 
 
 def test_elementary_symmetric_basics():
-    # zeta._symmetric_row(values, l) is [e_0, ..., e_l]; e_l past the
+    # weights._symmetric_row(values, l) is [e_0, ..., e_l]; e_l past the
     # number of values is 0.
-    assert zeta._symmetric_row([], 0) == [1]
-    assert zeta._symmetric_row([5, 7, 11], 0) == [1]
-    assert zeta._symmetric_row([1, 0, -1], 2) == [1, 0, -1]
-    assert zeta._symmetric_row([1, 2], 3) == [1, 3, 2, 0]
+    assert weights._symmetric_row([], 0) == [1]
+    assert weights._symmetric_row([5, 7, 11], 0) == [1]
+    assert weights._symmetric_row([1, 0, -1], 2) == [1, 0, -1]
+    assert weights._symmetric_row([1, 2], 3) == [1, 3, 2, 0]
 
 
 def test_elementary_symmetric_arithmetic_series():
     for n in range(1, 8):
         for i in range(n + 1):
             vals = [n - i - m for m in range(n + 1)]
-            assert zeta._symmetric_row(vals, 1)[1] == sum(vals)
+            assert weights._symmetric_row(vals, 1)[1] == sum(vals)
             assert 2 * sum(vals) == (n + 1) * (n - 2 * i)
 
 
@@ -568,7 +569,7 @@ def test_elementary_symmetric_against_polynomial_expansion(vals):
             new[d + 1] += c
             new[d] += v * c
         coeffs = new
-    assert zeta._symmetric_row(vals, len(vals)) == coeffs[::-1]
+    assert weights._symmetric_row(vals, len(vals)) == coeffs[::-1]
 
 
 def test_c_coefficients_small_cases():
@@ -611,12 +612,9 @@ def test_sigma_is_the_polynomial_of_the_c_coefficients():
 
 
 def test_vanishing_correction():
-    assert vanishing_correction_check(2, 1)
-    assert vanishing_correction_check(3, 2)
-    assert vanishing_correction_check(1, 0)  # vacuous
+    # Every row n! dimension_coefficients(n, i) vanishes at x = 1..i.
     for n in range(1, 7):
-        for i in range(n + 1):
-            assert vanishing_correction_check(n, i)
+        assert verify.check_vanishing_correction(n).residual == 0
 
 
 def test_dimension_polynomial_matches_special_dimension():
@@ -639,10 +637,10 @@ def test_dimension_polynomial_leading_coefficient():
 
 def test_vanishing_correction_detects_a_broken_identity(monkeypatch):
     # The exact check is the whole check: with the shift values moved by
-    # one, (n-i+1, ..., 1-i), the identity fails.
-    from rumin_sphere import zeta
-
-    monkeypatch.setattr(zeta, "_shift_values",
-                        lambda n, i: [n - i - m + 1 for m in range(n + 1)])
-    assert not vanishing_correction_check(3, 2)
-    assert vanishing_correction_check(3, 0)  # vacuous: no k to check
+    # one, (n-i+1, ..., 1-i), the rows of i = 1, 2 and 3 no longer vanish
+    # at x = 1..i; i = 0 has no x to check.
+    row = weights._symmetric_row
+    monkeypatch.setattr(weights, "_symmetric_row",
+                        lambda values, l: row([v + 1 for v in values], l))
+    check = verify.check_vanishing_correction(3)
+    assert not check.passed and check.residual == 3
