@@ -249,6 +249,12 @@ def _require_case(label: RuminLabel, cases: tuple[Case, ...], what: str) -> None
         raise CaseRangeError(f"{what} needs a Case {names} label, got {label}")
 
 
+def _norm_numerators(label: RuminLabel) -> tuple[int, int]:
+    # (p+i)(q+n-i) and (q+j)(p+n-j): 2(n-i-j) times A^2 and B^2.
+    n, q, j, i, p = label.n, label.q, label.j, label.i, label.p
+    return (p + i) * (q + n - i), (q + j) * (p + n - j)
+
+
 def operator_norm_squares(label: RuminLabel) -> tuple[Fraction, Fraction]:
     """Squared operator norms of the two rescaled half-differentials on the
     bottom block of a Case II/V label.
@@ -256,18 +262,19 @@ def operator_norm_squares(label: RuminLabel) -> tuple[Fraction, Fraction]:
     Returns (A^2, B^2) = ((p+i)(q+n-i), (q+j)(p+n-j)) / (2(n-i-j)).
     """
     _require_case(label, (Case.II, Case.V), "operator_norm_squares")
-    n, q, j, i, p = label.n, label.q, label.j, label.i, label.p
-    d = 2 * (n - i - j)
-    return (
-        Fraction((p + i) * (q + n - i), d),
-        Fraction((q + j) * (p + n - j), d),
-    )
+    a, b = _norm_numerators(label)
+    d = 2 * (label.n - label.i - label.j)
+    return Fraction(a, d), Fraction(b, d)
 
 
 def norm_route_eigenvalue(label: RuminLabel) -> Fraction:
-    """Eigenvalue recomputed as (A^2 + B^2)^2 from the operator norms."""
-    a2, b2 = operator_norm_squares(label)
-    return (a2 + b2) ** 2
+    """Eigenvalue recomputed as (A^2 + B^2)^2 from the operator norms: with
+    A^2 = a/d and B^2 = b/d as in ``operator_norm_squares``, it is
+    (a + b)^2 / d^2, one ``Fraction`` from integers."""
+    _require_case(label, (Case.II, Case.V), "norm_route_eigenvalue")
+    a, b = _norm_numerators(label)
+    d = 2 * (label.n - label.i - label.j)
+    return Fraction((a + b) ** 2, d * d)
 
 
 def case_v_mixed_eigenvalue(label: RuminLabel) -> Fraction:
@@ -275,22 +282,25 @@ def case_v_mixed_eigenvalue(label: RuminLabel) -> Fraction:
 
     With C = (p+i-j-q)/2, A' = C - 2A^2, B' = C + 2B^2, the value is
     ((A'B)^2 + (B'A)^2) / (A^2 + B^2); it must agree with the universal
-    formula whenever i + j = n - 1.
+    formula whenever i + j = n - 1.  With A^2 = a/d, B^2 = b/d and
+    C = e/2 this is ((ed - 4a)^2 b + (ed + 4b)^2 a) / (4 d^2 (a + b)),
+    one ``Fraction`` from integers.
     """
     _require_case(label, (Case.V,), "case_v_mixed_eigenvalue")
-    a2, b2 = operator_norm_squares(label)
-    c = Fraction(label.p + label.i - label.j - label.q, 2)
-    ap = c - 2 * a2
-    bp = c + 2 * b2
-    return (ap * ap * b2 + bp * bp * a2) / (a2 + b2)
+    a, b = _norm_numerators(label)
+    d = 2 * (label.n - label.i - label.j)
+    ed = (label.p + label.i - label.j - label.q) * d
+    return Fraction((ed - 4 * a) ** 2 * b + (ed + 4 * b) ** 2 * a,
+                    4 * d * d * (a + b))
 
 
 def case_v_identity_value(label: RuminLabel) -> Fraction:
     """The closed form (q+j-i-p)^2/4 + (p+i)(q+n-i)(q+j)(p+n-j) of the
     mixed-route eigenvalue."""
     _require_case(label, (Case.V,), "case_v_identity_value")
-    n, q, j, i, p = label.n, label.q, label.j, label.i, label.p
-    return Fraction((q + j - i - p) ** 2, 4) + (p + i) * (q + n - i) * (q + j) * (p + n - j)
+    a, b = _norm_numerators(label)
+    e = label.q + label.j - label.i - label.p
+    return Fraction(e * e + 4 * a * b, 4)
 
 
 def squared_norm(label: RuminLabel, s: int, t: int) -> Fraction:
@@ -298,45 +308,44 @@ def squared_norm(label: RuminLabel, s: int, t: int) -> Fraction:
     as the rational coefficient of pi^{n+1}.
 
     Implements the tabulated norm formulas, each a multiple of one base
-    constant, computed exactly and only for the case that needs it:
+    constant, only for the case that needs it:
     C = 2^{n+1} (q-1)! (p-1)! / (q+p+n)! for Cases II and V, and
     D = 2^{n+1} (q-1)! / (q+n)! for Case IV, with p in place of q for its
-    conjugate Case III.  Combinations outside their side conditions raise
-    ``CaseRangeError``.
+    conjugate Case III.  The numerator and the denominator of a value are
+    built as integers and make one ``Fraction``.  Combinations outside
+    their side conditions raise ``CaseRangeError``.
     """
     n, q, j, i, p = label.n, label.q, label.j, label.i, label.p
     case = label.case
     two = 2 ** (n + 1)
 
     if case in (Case.II, Case.V):
-        c = Fraction(two * factorial(q - 1) * factorial(p - 1), factorial(q + p + n))
+        c = two * factorial(q - 1) * factorial(p - 1)
+        f = factorial(q + p + n)
         if (s, t) == (i, j):
-            return c * (q + j) * (p + i) / 2 ** (i + j)
+            return Fraction(c * (q + j) * (p + i), f << (i + j))
         if (s, t) == (i + 1, j) and j > 0:
-            return c * (q + j) * (q + n - i) / 2 ** (i + j + 1)
+            return Fraction(c * (q + j) * (q + n - i), f << (i + j + 1))
         if (s, t) == (i, j + 1) and i > 0:
-            return c * (p + i) * (p + n - j) / 2 ** (i + j + 1)
+            return Fraction(c * (p + i) * (p + n - j), f << (i + j + 1))
         if (s, t) == (i + 1, j + 1) and i > 0 and j > 0 and i + j <= n - 2:
-            return (
-                c
-                * (q + n - i)
-                * (p + n - j)
-                * Fraction(n - 1 - i - j, n - i - j)
-                / 2 ** (i + j + 2)
-            )
+            return Fraction(c * (q + n - i) * (p + n - j) * (n - 1 - i - j),
+                            (f * (n - i - j)) << (i + j + 2))
     elif case is Case.IV:
-        d = Fraction(two * factorial(q - 1), factorial(q + n))
+        d = two * factorial(q - 1)
+        f = factorial(q + n)
         if (s, t) == (0, j):
-            return d * (q + j) / 2**j
+            return Fraction(d * (q + j), f << j)
         if (s, t) == (0, j + 1):
-            return d * (n - j) / 2 ** (j + 1)
+            return Fraction(d * (n - j), f << (j + 1))
     elif case is Case.III:
         # Conjugate of Case IV: the roles of (q, j) are played by (p, i).
-        d = Fraction(two * factorial(p - 1), factorial(p + n))
+        d = two * factorial(p - 1)
+        f = factorial(p + n)
         if (s, t) == (i, 0):
-            return d * (p + i) / 2**i
+            return Fraction(d * (p + i), f << i)
         if (s, t) == (i + 1, 0):
-            return d * (n - i) / 2 ** (i + 1)
+            return Fraction(d * (n - i), f << (i + 1))
     raise CaseRangeError(
         f"no tabulated norm for {label} at bidegree ({s}, {t})"
     )

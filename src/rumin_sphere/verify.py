@@ -16,10 +16,12 @@ their independent second route, as ``_eigenvalue_from_weight`` is for the
 eigenvalues.
 
 Every check that loops over labels runs their free parameters over
-1..bound, the ``--max`` of the record; no check lowers it.  There is no
-mirror check: the package defines degrees above the middle by the mirror
-rule (``spectrum_slice`` folds k to min(k, 2n+1-k)), so a comparison of
-degree k with degree 2n+1-k would compare one computation with itself.
+1..bound, the ``--max`` of the record; no check lowers it.  The label checks
+compare exact values by cross products of integers, with no arithmetic on
+``Fraction``s.  There is no mirror check: the package defines degrees above
+the middle by the mirror rule (``spectrum_slice`` folds k to
+min(k, 2n+1-k)), so a comparison of degree k with degree 2n+1-k would
+compare one computation with itself.
 """
 
 from __future__ import annotations
@@ -86,10 +88,10 @@ def _labels(n: int, bound: int, *cases: Case) -> Iterator[RuminLabel]:
 
 
 # Work units one label may take in ``gt_pattern_count`` (one per memo entry
-# made and per child row summed).  With the memo shared across the check, the
-# costliest label took 304, 466, 628 and 790 units at n = 6, 8, 10 and 12
-# with bound 20, and 422 at n = 4 with bound 60, so the budget only stops a
-# runaway count.
+# made and per child row summed, child rows of length 1 and 2 included).
+# With the memo shared across the check, the costliest label took 304, 466,
+# 628 and 790 units at n = 6, 8, 10 and 12 with bound 20, and 422 at n = 4
+# with bound 60, so the budget only stops a runaway count.
 GT_BUDGET = 10**6
 
 
@@ -124,18 +126,24 @@ def check_dimension_polynomial(n: int, bound: int) -> CheckResult:
     return _exact("dimension_polynomial_vs_special", bad)
 
 
+def _equals(x: Fraction, num: int, den: int) -> bool:
+    # x == num / den, decided by one cross product of integers; a zero
+    # denominator is a violation, as a division by it would be.
+    return den != 0 and x.numerator * den == num * x.denominator
+
+
 def check_eigenvalue_reductions(n: int, bound: int) -> CheckResult:
     bad = 0
     for label in _labels(n, bound, Case.I, Case.III, Case.IV, Case.VI, Case.VII):
         mu = spectrum.eigenvalue_formula(label)
         q, j, i, p = label.q, label.j, label.i, label.p
-        if label.case is Case.III and mu != Fraction((p + i) ** 2, 4):
+        if label.case is Case.III and not _equals(mu, (p + i) ** 2, 4):
             bad += 1
-        elif label.case is Case.IV and mu != Fraction((q + j) ** 2, 4):
+        elif label.case is Case.IV and not _equals(mu, (q + j) ** 2, 4):
             bad += 1
-        elif label.case is Case.VI and mu != Fraction((p + n) ** 2, 4):
+        elif label.case is Case.VI and not _equals(mu, (p + n) ** 2, 4):
             bad += 1
-        elif label.case is Case.VII and mu != Fraction((q + n) ** 2, 4):
+        elif label.case is Case.VII and not _equals(mu, (q + n) ** 2, 4):
             bad += 1
         elif label.case is Case.I and mu != 0:
             bad += 1
@@ -161,49 +169,70 @@ def check_case_v_mixed(n: int, bound: int) -> CheckResult:
     return _exact("case_v_mixed_route_equivalence", bad)
 
 
+def _ratio_route(c: int, d: int, up: Fraction, down: Fraction) -> tuple[int, int]:
+    # c/d * up/down as an integer pair (numerator, denominator).
+    return c * up.numerator * down.denominator, d * up.denominator * down.numerator
+
+
 def check_norm_ratios(n: int, bound: int) -> CheckResult:
     # A^2 from the operator-norm table must equal the L^2-norm ratio route
     # (p+i)^2/(n-i-j) * |psi^{(i+1,j)}|^2 / |psi^{(i,j)}|^2 wherever the
-    # tabulated norms apply (j > 0); same for B^2 with i > 0.
+    # tabulated norms apply (j > 0); same for B^2 with i > 0.  On a Case IV
+    # label the route (q+j)^2/(n-j) * |psi^{(0,j+1)}|^2 / |psi^{(0,j)}|^2
+    # must give (q+j)/2, whose square is the eigenvalue; Case III is the same
+    # with (p, i) in place of (q, j).  Each comparison is one cross product.
     bad = 0
     for label in _labels(n, bound, Case.II, Case.V):
         i, j, p, q = label.i, label.j, label.p, label.q
-        d = label.n - i - j
+        d = n - i - j
         a2, b2 = spectrum.operator_norm_squares(label)
         base = spectrum.squared_norm(label, i, j)
         if j > 0:
             up = spectrum.squared_norm(label, i + 1, j)
-            if a2 != Fraction((p + i) ** 2, d) * up / base:
+            if not _equals(a2, *_ratio_route((p + i) ** 2, d, up, base)):
                 bad += 1
         if i > 0:
-            up = spectrum.squared_norm(label, i, j + 1)
-            if b2 != Fraction((q + j) ** 2, d) * up / base:
-                bad += 1
-        if i > 0 and j > 0 and i + j <= label.n - 2:
-            corner = spectrum.squared_norm(label, i + 1, j + 1)
             side = spectrum.squared_norm(label, i, j + 1)
-            if a2 != Fraction((p + i) ** 2, d - 1) * corner / side:
+            if not _equals(b2, *_ratio_route((q + j) ** 2, d, side, base)):
                 bad += 1
+            if j > 0 and d >= 2:
+                corner = spectrum.squared_norm(label, i + 1, j + 1)
+                route = _ratio_route((p + i) ** 2, d - 1, corner, side)
+                if not _equals(a2, *route):
+                    bad += 1
+    for label in _labels(n, bound, Case.III, Case.IV):
+        i, j = label.i, label.j
+        if label.case is Case.IV:
+            x, k, low, high = label.q + j, n - j, (0, j), (0, j + 1)
+        else:
+            x, k, low, high = label.p + i, n - i, (i, 0), (i + 1, 0)
+        num, den = _ratio_route(x * x, k, spectrum.squared_norm(label, *high),
+                                spectrum.squared_norm(label, *low))
+        if not _equals(Fraction(x, 2), num, den):
+            bad += 1
+        if not _equals(spectrum.eigenvalue_formula(label), num * num, den * den):
+            bad += 1
     return _exact("operator_norms_vs_l2_ratios", bad)
 
 
-def _eigenvalue_from_weight(entries: tuple[int, ...]) -> Fraction:
-    # The eigenvalue read off the highest weight lam of length m = n+1 alone:
-    # (C2 - (lam_1 + lam_m) |lam|)^2 / (4 d^2), with the Casimir value
-    # C2 = sum_a lam_a (lam_a + n + 2 - 2a), |lam| = sum_a lam_a and d one more
-    # than the number of zeros among lam_2..lam_n (d = n - i - j).
+def _eigenvalue_from_weight(entries: tuple[int, ...]) -> tuple[int, int]:
+    # The eigenvalue read off the highest weight lam of length m = n+1 alone,
+    # as an integer pair: (C2 - (lam_1 + lam_m) |lam|)^2 over 4 d^2, with the
+    # Casimir value C2 = sum_a lam_a (lam_a + n + 2 - 2a), |lam| = sum_a lam_a
+    # and d one more than the number of zeros among lam_2..lam_n
+    # (d = n - i - j).
     n = len(entries) - 1
     c2 = sum(a * (a + n + 2 - 2 * k) for k, a in enumerate(entries, 1))
     num = c2 - (entries[0] + entries[-1]) * sum(entries)
     d = 1 + entries[1:-1].count(0)
-    return Fraction(num * num, 4 * d * d)
+    return num * num, 4 * d * d
 
 
 def check_weight_determined(n: int, bound: int) -> CheckResult:
     bad = 0
     for label in _labels(n, bound):
         w = label_to_weight(label).entries
-        if _eigenvalue_from_weight(w) != spectrum.eigenvalue_formula(label):
+        if not _equals(spectrum.eigenvalue_formula(label), *_eigenvalue_from_weight(w)):
             bad += 1
     return _exact("eigenvalue_determined_by_weight", bad)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product, repeat, starmap
 from math import comb, factorial, prod
 from typing import Optional, Sequence
 
@@ -76,8 +76,8 @@ def gt_pattern_count(
     and interlacing it, so the count of a row is the sum of the counts of its
     interlacing child rows, and a row of length 1 counts 1.  The children of
     a row r are the tuples y with r[t] >= y[t] >= r[t+1], the
-    ``itertools.product`` of those ranges, in lexicographic order.  Two facts
-    make the sum cheap without changing what is added:
+    ``itertools.product`` of those ranges.  These facts make the sum cheap
+    without changing what is added:
 
     * translating every row of a pattern by one integer gives a pattern, so
       counts are memoised on the row shifted to end in 0;
@@ -85,7 +85,12 @@ def gt_pattern_count(
       the children of (y, tail) with first entry y, so with T(y, tail) the
       sum of the counts of those, count(x, tail) = count(x-1, tail) +
       T(x, tail) for x > tail[0], and T(tail[0], tail) for x = tail[0].
-      Rows that differ only in their first entry share every earlier sum.
+      Rows that differ only in their first entry share every earlier sum;
+    * a child row of length 1 adds 1, and a child row (y, m) of length 2
+      adds its y - m + 1 children of length 1, with no call and no memo
+      entry; a longer child row is looked up in the memo, and only a miss
+      is counted by a call.  The top row itself always takes the memoised
+      path.
 
     The method only adds counts of interlacing rows; it deliberately shares
     no algebra with ``weyl_dimension`` and is the oracle the formula is
@@ -102,9 +107,8 @@ def gt_pattern_count(
     work = 0
 
     def count(row: tuple[int, ...]) -> int:
+        # The count of a row of length >= 2.
         nonlocal work
-        if len(row) == 1:
-            return 1
         key = tuple(a - row[-1] for a in row) if row[-1] else row
         got = table.get(key)
         if got is not None:
@@ -126,14 +130,33 @@ def gt_pattern_count(
                 f"more than {budget} work units for top row {top}"
             )
         total = table[(x - 1,) + tail] if x > tail[0] else 0
-        rows = list(product(*spans))
         for y in range(x, head + 1):
-            for mu in rows:
-                total += count((y,) + mu)
+            if not spans:  # the one child (y,)
+                total += 1
+            elif len(spans) == 1:  # the children (y, m)
+                total += sum(y - m + 1 for m in spans[0])
+            else:
+                total += sum(child_counts(y, spans))
             table[(y,) + tail] = total
         return total
 
-    return count(top)
+    def child_counts(y: int, spans: list[range]) -> list[int]:
+        # The counts of the children (y, *mu) of a row of length >= 4.  Each
+        # is looked up shifted to end in 0 and counted by a call only on a
+        # miss.  The last entry m of mu runs over 0..last-1 (the row ends in
+        # 0), and the children ending in m, shifted by m, are the product of
+        # (y - m,), the other spans shifted by m, and (0,).
+        last = len(spans[-1])
+        moved = [map(range, range(r.start, r.start - last, -1),
+                      range(r.stop, r.stop - last, -1)) for r in spans[:-1]]
+        children = list(chain.from_iterable(starmap(product, zip(
+            zip(range(y, y - last, -1)), *moved, repeat((0,))))))
+        got = list(map(table.get, children))
+        if None in got:
+            got = [count(c) if g is None else g for c, g in zip(children, got)]
+        return got
+
+    return 1 if len(top) == 1 else count(top)
 
 
 def special_dimension(n: int, i: int, p: int) -> int:

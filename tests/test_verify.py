@@ -51,6 +51,46 @@ def test_weight_check_reaches_the_bound(capsys, monkeypatch):
     assert failing_checks(capsys, 2, 14) == (0, set())
 
 
+@pytest.mark.parametrize("name, check", [
+    ("norm_route_eigenvalue", "norm_route_eigenvalue_equivalence"),
+    ("case_v_mixed_eigenvalue", "case_v_mixed_route_equivalence"),
+    ("case_v_identity_value", "case_v_mixed_route_equivalence"),
+    ("squared_norm", "operator_norms_vs_l2_ratios"),
+])
+def test_route_checks_are_exact_to_the_bound(capsys, monkeypatch, name, check):
+    # 10^-40 added to a route's value at the one Case V label (q, j, i, p) =
+    # (1, 1, 0, 15) of n = 2, relative 10^-26 or less, is caught at --max 20
+    # and not at 14: the cross products compare exact integers.
+    route = getattr(spectrum, name)
+    target = spectrum.RuminLabel(2, 1, 1, 0, 15)
+
+    def off_at_target(label, *bidegree):
+        value = route(label, *bidegree)
+        return value + Fraction(1, 10**40) if label == target else value
+
+    monkeypatch.setattr(spectrum, name, off_at_target)
+    assert failing_checks(capsys, 2, 20) == (1, {check})
+    assert failing_checks(capsys, 2, 14) == (0, set())
+
+
+@pytest.mark.parametrize("case", [spectrum.Case.IV, spectrum.Case.III])
+def test_norm_ratio_check_reaches_the_one_parameter_norms(capsys, monkeypatch, case):
+    # A factor n-j+1 for n-j in the Case IV norm at (0, j+1), or n-i+1 for
+    # n-i in the Case III norm at (i+1, 0), fails the ratio check.
+    norm = spectrum.squared_norm
+
+    def wrong_factor(label, s, t):
+        value = norm(label, s, t)
+        if label.case is case and s + t == label.i + label.j + 1:
+            k = label.n - label.i - label.j
+            return value * (k + 1) / k
+        return value
+
+    assert failing_checks(capsys, 3, 10) == (0, set())
+    monkeypatch.setattr(spectrum, "squared_norm", wrong_factor)
+    assert failing_checks(capsys, 3, 10) == (1, {"operator_norms_vs_l2_ratios"})
+
+
 def count_calls(monkeypatch, module, name):
     """The argument tuples of every call to ``module.name`` from now on."""
     calls = []

@@ -1,4 +1,5 @@
-"""Weight bookkeeping: tuple expansion, Weyl dimension, GT oracle."""
+"""Weight bookkeeping: tuple expansion, Weyl dimension, GT oracle, and the
+elementary symmetric rows behind the dimension polynomial."""
 
 import itertools
 import time
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rumin_sphere import weights
 from rumin_sphere import (
     Case,
     EnumerationBudgetError,
@@ -209,3 +211,33 @@ def test_special_dimension_rejects_bad_input():
     with pytest.raises(ValueError):
         special_dimension(2, 0, 0)
 
+
+def test_elementary_symmetric_basics():
+    # weights._symmetric_row(values, l) is [e_0, ..., e_l]; e_l past the
+    # number of values is 0.
+    assert weights._symmetric_row([], 0) == [1]
+    assert weights._symmetric_row([5, 7, 11], 0) == [1]
+    assert weights._symmetric_row([1, 0, -1], 2) == [1, 0, -1]
+    assert weights._symmetric_row([1, 2], 3) == [1, 3, 2, 0]
+
+
+def test_elementary_symmetric_arithmetic_series():
+    for n in range(1, 8):
+        for i in range(n + 1):
+            vals = [n - i - m for m in range(n + 1)]
+            assert weights._symmetric_row(vals, 1)[1] == sum(vals)
+            assert 2 * sum(vals) == (n + 1) * (n - 2 * i)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=6))
+def test_elementary_symmetric_against_polynomial_expansion(vals):
+    # prod (x + v) has coefficient e_l on x^{len-l}: expand brute force.
+    coeffs = [1]  # coeffs[d] multiplies x^d
+    for v in vals:
+        new = [0] * (len(coeffs) + 1)
+        for d, c in enumerate(coeffs):
+            new[d + 1] += c
+            new[d] += v * c
+        coeffs = new
+    assert weights._symmetric_row(vals, len(vals)) == coeffs[::-1]
