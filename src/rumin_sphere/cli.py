@@ -7,7 +7,9 @@ CSV for spectrum tables.
 
 A command parses and checks its arguments and builds its record.  The
 library raises where it cannot compute, and ``main`` alone maps the
-exception to an exit code and one stderr line.  Exit codes (the README
+exception to an exit code and one stderr line.  One parser, built on the
+first call, serves every ``main`` call of a process, and ``main`` picks the
+command function by ``args.command`` when it runs it.  Exit codes (the README
 lists the cases): 0 ok; 1 a check of the record failed (the record is
 written first); 2 usage error, or ``PrecisionError``; 3 a ``spectrum``
 degree outside 0..2n+1, or ``OverflowError`` (a result outside the double
@@ -20,8 +22,8 @@ import argparse
 import dataclasses
 import json
 import sys
-from fractions import Fraction
-from math import isfinite
+from functools import lru_cache
+from math import gcd, isfinite
 from typing import Optional
 
 from . import spectrum, torsion, verify
@@ -83,7 +85,9 @@ def _write_spectrum_json(n: int, degree: int, max_level: int, stream) -> None:
     order, strings without escapes, ints and float ``repr``s as json writes
     them.  Rows are sorted by eigenvalue, and the blocks of a row by (case,
     i, j, q, p, s, t), which names one block, so the dimension never takes
-    part in the order.
+    part in the order.  A row's eigenvalue key / L is reduced by one
+    ``gcd``, and its float is the int division key / L, which is correctly
+    rounded, as ``float(Fraction(key, L))`` is.
     """
     blocks: dict[int, list] = {}
     for case, i, j, q, p, key, dim, spaces in spectrum.degree_labels(
@@ -96,7 +100,7 @@ def _write_spectrum_json(n: int, degree: int, max_level: int, stream) -> None:
     denominator = spectrum.eigenvalue_denominator(n)
     rows = []
     for key in sorted(blocks):
-        mu = Fraction(key, denominator)
+        g = gcd(key, denominator)
         row = sorted(blocks[key])
         text = ",\n".join([_BLOCK_JSON % (case, dim, i, j, p, q, s, t)
                             for case, i, j, q, p, s, t, dim in row])
@@ -105,8 +109,8 @@ def _write_spectrum_json(n: int, degree: int, max_level: int, stream) -> None:
             '        "blocks": [\n'
             f'{text}\n'
             '        ],\n'
-            f'        "eigenvalue": "{mu.numerator}/{mu.denominator}",\n'
-            f'        "eigenvalue_float": {float(mu)!r},\n'
+            f'        "eigenvalue": "{key // g}/{denominator // g}",\n'
+            f'        "eigenvalue_float": {key / denominator!r},\n'
             f'        "multiplicity": {sum(b[-1] for b in row)}\n'
             '      }'
         )
@@ -228,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--max", type=int, required=True,
                         help="truncation level for the free parameters p, q")
     p_spec.add_argument("--format", choices=("json", "csv"), default="json")
-    p_spec.set_defaults(func=cmd_spectrum)
 
     p_kappa = sub.add_parser("kappa", help="evaluate the torsion function")
     p_kappa.add_argument("--n", type=int, required=True)
@@ -238,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_kappa.add_argument("--max", type=int, default=None,
                          help="truncation level (direct mode; optional for reduced)")
     p_kappa.add_argument("--prec", **_PREC)
-    p_kappa.set_defaults(func=cmd_kappa)
 
     p_tor = sub.add_parser("torsion", help="full torsion report")
     p_tor.add_argument("--n", type=int, required=True)
@@ -246,20 +248,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_tor.add_argument("--zeta-convention",
                        choices=("kernel-included", "kernel-excluded"),
                        default="kernel-included")
-    p_tor.set_defaults(func=cmd_torsion)
 
     p_ver = sub.add_parser("verify", help="run the exact-identity suites")
     p_ver.add_argument("--n", type=int, required=True)
     p_ver.add_argument("--max", type=int, default=20)
     p_ver.add_argument("--prec", **_PREC)
-    p_ver.set_defaults(func=cmd_verify)
 
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # One parser serves every request of the process: parsing reads it and
+    # writes each request's values into a fresh namespace.
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     for flag in ("n", "max"):
         value = getattr(args, flag, None)
         if value is not None and value < 1:
@@ -268,7 +274,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if getattr(args, "prec", None) is not None:
             _check_precision(args.prec)  # before any work
-        return args.func(args)
+        # Looked up at call time, so a rebound ``cmd_*`` name takes effect
+        # although the parser is shared.
+        command = {"spectrum": cmd_spectrum, "kappa": cmd_kappa,
+                   "torsion": cmd_torsion, "verify": cmd_verify}[args.command]
+        return command(args)
     except (PoleError, torsion.DivergenceError) as exc:
         code, reason = EXIT_POLE, exc
     except OverflowError as exc:

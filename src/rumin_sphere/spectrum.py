@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from typing import Iterator, Optional, Sequence
 
-from .weights import HighestWeight, weyl_product
+from .weights import HighestWeight
 
 
 class InvalidLabelError(ValueError):
@@ -200,11 +200,21 @@ def degree_labels(
     of the label's blocks with s + t = k), in canonical family order and,
     within a family, p-major.  The eigenvalue is key / L with L =
     ``eigenvalue_denominator(n)``, an exact integer key shared by every
-    block of the label, as is the Weyl dimension, which ``weyl_product``
-    checks to be a positive integer.  Only degrees k <= n carry blocks;
-    higher degrees are reached through the mirror rule.
+    block of the label, as is the Weyl dimension.  Only degrees k <= n carry
+    blocks; higher degrees are reached through the mirror rule.
+
+    The dimension is ``weights.weyl_product`` of the weight (q, m, -p) with
+    m = m_1..m_{n-1} the family's middle weight, regrouped: only q and p
+    vary within a family, so the numerator prod_{a<b} (w_a - w_b + b - a)
+    is a constant from the pairs inside m, times the q-row
+    prod_b (q - m_b + b), the p-row prod_a (m_a + p + n - a) and the one
+    factor (q + p + n).  The constant and the q-rows are built once per
+    family and the p-row once per p, so a label costs two products and one
+    ``divmod`` by the fixed prod_{a<b} (b - a); a remainder or a result
+    below 1 raises ``ArithmeticError`` as in ``weyl_product``.
     """
     scale = eigenvalue_denominator(n) // 4
+    divisor = prod(b - a for a in range(n + 1) for b in range(a + 1, n + 1))
     for fam in all_families(n):
         spaces = tuple((s, t) for s, t in fam.spaces if s + t == k)
         if not spaces:
@@ -213,12 +223,28 @@ def degree_labels(
         d = n - i - j
         middle = _middle_weight(n, j, i)
         mult = scale // (d * d)
+        # The factors of the pairs inside the middle weight.
+        const = prod(middle[a] - middle[b] + b - a
+                     for a in range(n - 1) for b in range(a + 1, n - 1))
+        q_shifts = [b - m for b, m in enumerate(middle, 1)]
+        p_shifts = [m + n - a for a, m in enumerate(middle, 1)]
         ps, qs = fam.parameters(N)
+        q_rows = [(q, const * _shifted_product(q, q_shifts)) for q in qs]
         for p in ps:
-            for q in qs:
+            p_row = _shifted_product(p, p_shifts)
+            for q, q_row in q_rows:
+                dim, rem = divmod(q_row * p_row * (q + p + n), divisor)
+                if rem or dim <= 0:
+                    raise ArithmeticError(
+                        "Weyl product is not a positive integer: "
+                        f"{(q, *middle, -p)}")
                 a = eigenvalue_numerator(n, q, j, i, p)
-                yield (case, i, j, q, p, a * a * mult,
-                       weyl_product((q, *middle, -p)), spaces)
+                yield case, i, j, q, p, a * a * mult, dim, spaces
+
+
+def _shifted_product(x: int, shifts: Sequence[int]) -> int:
+    # prod (x + c) over the shifts c: one q-row or p-row of the Weyl product.
+    return prod([x + c for c in shifts])
 
 
 def spectrum_slice(n: int, k: int, N: int) -> dict[Fraction, int]:

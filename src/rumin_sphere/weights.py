@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product, repeat, starmap
 from math import comb, factorial, prod
+from operator import lt
 from typing import Optional, Sequence
 
 
@@ -29,11 +30,11 @@ class HighestWeight:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        entries = tuple(int(a) for a in self.entries)
+        entries = tuple(map(int, self.entries))
         object.__setattr__(self, "entries", entries)
         if len(entries) < 1:
             raise ValueError("a highest weight needs at least one entry")
-        if any(a < b for a, b in zip(entries, entries[1:])):
+        if any(map(lt, entries, entries[1:])):
             raise ValueError(f"entries must be nonincreasing: {entries}")
 
 
@@ -41,8 +42,10 @@ def weyl_product(entries: Sequence[int]) -> int:
     """prod_{a<b} (w_a - w_b + b - a)/(b - a) for the integer tuple
     ``entries``, in exact integer arithmetic.
 
-    The one Weyl product of the package: ``weyl_dimension`` and the label
-    enumeration of ``spectrum.degree_labels`` both call it.  The
+    ``weyl_dimension`` calls it.  The label enumeration
+    ``spectrum.degree_labels`` computes the same integer product regrouped
+    by family: a constant from the middle entries, a row in the first entry,
+    a row in the last entry and the factor that pairs the two.  The
     numerator is divided by prod_{a<b} (b - a) with ``divmod``, and a
     remainder or a result below 1 raises ``ArithmeticError``.
     """

@@ -1,5 +1,6 @@
 """CLI contract: determinism, schema validity, exit codes, formats."""
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -636,6 +637,43 @@ def test_each_refusal_maps_to_one_exit_code(capsys, monkeypatch, exc, code):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert err.startswith("kappa: ") and str(exc) in err
     assert ("double range" in err) == (code == 3)
+
+
+def test_one_parser_serves_every_request(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._parser.cache_clear()
+    argv = ("spectrum", "--n", "1", "--degree", "0", "--max", "2")
+    first = run_cli(capsys, *argv)
+    assert len(built) == 5  # the parser and its four subcommands
+    assert run_cli(capsys, *argv) == first
+    assert len(built) == 5
+
+
+def test_no_state_carries_between_requests(capsys):
+    # A refused request and one that sets --max leave nothing behind: the
+    # default --max of the last request is 20, and its record is the one a
+    # fresh process writes.
+    with pytest.raises(SystemExit) as refused:
+        cli.main(["verify", "--n", "1", "--max"])
+    assert refused.value.code == 2
+    assert run_json(capsys, "verify", "--n", "1", "--max", "3")[1][
+        "parameters"]["max"] == 3
+    code, record, out = run_json(capsys, "verify", "--n", "1")
+    assert code == 0 and record["parameters"]["max"] == 20
+    fresh = subprocess.run(
+        [sys.executable, "-m", "rumin_sphere", "verify", "--n", "1"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert fresh.returncode == 0
+    assert out == fresh.stdout
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])

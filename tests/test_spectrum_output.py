@@ -2,13 +2,14 @@
 replaced, kept here as the oracle, with ``json.dumps`` as its writer."""
 
 import io
+import itertools
 import json
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
-from rumin_sphere import cli, label_to_weight, spectrum
+from rumin_sphere import cli, label_to_weight, spectrum, weights
 from rumin_sphere.spectrum import all_families, degree_labels
 
 
@@ -96,17 +97,30 @@ def test_spectrum_writer_handles_an_empty_row_list(monkeypatch):
     assert stream.getvalue() == json.dumps(record, indent=2, sort_keys=True) + "\n"
 
 
-def test_every_dimension_is_checked(monkeypatch):
-    # The label table fixes case and ordering; the Weyl product of every
-    # label is still required to be a positive integer.
-    calls = []
-    product = spectrum.weyl_product
+@pytest.mark.parametrize("n, N", [*((n, 12) for n in range(1, 7)), (10, 3)])
+def test_every_dimension_is_the_weyl_product(n, N):
+    # The factored product of ``degree_labels`` against the plain O(n^2)
+    # loop of ``weyl_product``, label by label.
+    for k in range(n + 1):
+        got = list(degree_labels(n, k, N))
+        assert got
+        for _, i, j, q, p, _, dim, _ in got:
+            weight = (q, *spectrum._middle_weight(n, j, i), -p)
+            assert dim == weights.weyl_product(weight), (n, k, weight)
 
-    def counting(entries):
-        calls.append(entries)
-        return product(entries)
 
-    monkeypatch.setattr(spectrum, "weyl_product", counting)
-    got = list(degree_labels(2, 1, 5))
-    assert len(calls) == len(got)
-    assert [(q, p) for q, *_, p in calls] == [(q, -p) for _, _, _, q, p, *_ in got]
+@pytest.mark.parametrize("call", [0, 5], ids=["q_row", "p_row"])
+def test_a_factor_row_off_by_one_is_refused(monkeypatch, call):
+    # Every label's dimension is still required to be a positive integer.
+    # The first family of degree 1 (Case II, i = j = 0) builds its q-rows
+    # for q = 1..5 before the p-row of p = 1; either row moved by one makes
+    # the label (1, 0, 0, 1) give 7 * 6 * 5 = 210 over 12, not an integer.
+    calls = itertools.count()
+    shifted = spectrum._shifted_product
+
+    def off_by_one(x, shifts):
+        return shifted(x, shifts) + (next(calls) == call)
+
+    monkeypatch.setattr(spectrum, "_shifted_product", off_by_one)
+    with pytest.raises(ArithmeticError, match=r"\(1, 0, 0, -1\)"):
+        list(degree_labels(3, 1, 5))

@@ -138,7 +138,6 @@ def test_kernel_check_takes_dimensions_only_at_eigenvalue_zero(monkeypatch):
         return product(entries)
 
     monkeypatch.setattr(weights, "weyl_product", counting)
-    monkeypatch.setattr(spectrum, "weyl_product", counting)
     for bound in (1, 5, 20):
         calls.clear()
         assert verify.check_kernel_uniqueness(3, bound).passed

@@ -1,8 +1,11 @@
-"""Weight bookkeeping: tuple expansion, Weyl dimension, GT oracle, and the
-elementary symmetric rows behind the dimension polynomial."""
+"""Weight bookkeeping: tuple expansion, Weyl dimension, GT oracle, the
+elementary symmetric rows behind the dimension polynomial, and the
+polynomial against the special dimensions."""
 
 import itertools
 import time
+from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from rumin_sphere import (
     HighestWeight,
     InvalidLabelError,
     RuminLabel,
+    dimension_coefficients,
     gt_pattern_count,
     label_to_weight,
     special_dimension,
@@ -241,3 +245,21 @@ def test_elementary_symmetric_against_polynomial_expansion(vals):
             new[d] += v * c
         coeffs = new
     assert weights._symmetric_row(vals, len(vals)) == coeffs[::-1]
+
+
+def test_dimension_polynomial_matches_special_dimension():
+    for n in range(1, 5):
+        for i in range(n + 1):
+            cs = dimension_coefficients(n, i)
+            assert len(cs) == n + 1
+            for p in range(1, 31):
+                value = sum(c * (p + i) ** l for l, c in enumerate(cs))
+                assert value == special_dimension(n, i, p)
+
+
+def test_dimension_polynomial_leading_coefficient():
+    # Leading term is C(n,i)/n! * (p+i)^n.
+    for n in range(1, 5):
+        for i in range(n + 1):
+            cs = dimension_coefficients(n, i)
+            assert cs[-1] == Fraction(comb(n, i), factorial(n))

@@ -1,7 +1,7 @@
 """Euler-Maclaurin zeta engine, and the identities of the dimension
 polynomial: the polynomial lives in ``weights`` and its checks in
-``verify``; apart from the symmetric rows, whose tests are in
-``test_weights``, their tests keep their ids in this file."""
+``verify``; apart from the symmetric rows and the polynomial itself, whose
+tests are in ``test_weights``, their tests keep their ids in this file."""
 
 import hashlib
 import random
@@ -21,12 +21,10 @@ from rumin_sphere import (
     PoleError,
     PrecisionError,
     c_coefficients,
-    dimension_coefficients,
     hurwitz_zeta,
     hurwitz_zeta_and_deriv,
     riemann_zeta,
     sigma,
-    special_dimension,
 )
 
 
@@ -585,24 +583,6 @@ def test_vanishing_correction():
     # Every row n! dimension_coefficients(n, i) vanishes at x = 1..i.
     for n in range(1, 7):
         assert verify.check_vanishing_correction(n).residual == 0
-
-
-def test_dimension_polynomial_matches_special_dimension():
-    for n in range(1, 5):
-        for i in range(n + 1):
-            cs = dimension_coefficients(n, i)
-            assert len(cs) == n + 1
-            for p in range(1, 31):
-                value = sum(c * (p + i) ** l for l, c in enumerate(cs))
-                assert value == special_dimension(n, i, p)
-
-
-def test_dimension_polynomial_leading_coefficient():
-    # Leading term is C(n,i)/n! * (p+i)^n.
-    for n in range(1, 5):
-        for i in range(n + 1):
-            cs = dimension_coefficients(n, i)
-            assert cs[-1] == Fraction(comb(n, i), factorial(n))
 
 
 def test_vanishing_correction_detects_a_broken_identity(monkeypatch):
