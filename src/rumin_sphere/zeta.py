@@ -50,9 +50,17 @@ one ``mpmath.log`` call of a pass is the remainder's log(a+K).  This is the
 power sum of Arb's ``acb_dirichlet_powsum_sieved``; the bounds follow
 Johansson's rigorous Euler-Maclaurin scheme for the Hurwitz zeta function
 (arXiv:1309.2877).  Every zeta call behind ``kappa`` and ``torsion`` has
-a = 1.  At 2048 bits that is 128 primes instead of 724 terms.  The
-benchmark runs of the engine are stored in ``BENCH_21.json`` and
-``BENCH_22.json``.
+a = 1.  At 2048 bits that is 128 primes instead of 724 terms.
+
+The Bernoulli loop computes its remainder bounds only at the orders where
+the exponents of their factors leave both the value's and the
+derivative's bound a chance to meet the target; at every other order the
+exact test would fail, so this screen changes no bit.  The rising
+factorial of the value's bound is 0 at s = 0, so the zeta(0)/zeta'(0)
+pass behind every ``torsion`` record is screened by the derivative's
+bound alone, and computes it at 1 or 2 of its 13 (128 bits) to 210 (2048
+bits) orders.  The benchmark runs of the engine are stored in
+``BENCH_21.json``, ``BENCH_22.json`` and ``BENCH_28.json``.
 """
 
 from __future__ import annotations
@@ -174,6 +182,14 @@ def _mag(v: mpf) -> int:
     # exp + bc of a nonzero v, so 2^(mag-1) <= |v| < 2^mag; 0 for v = 0.
     _, _, exp, bc = v._mpf_
     return exp + bc
+
+
+def _cannot_stop(rf: mpf, v: mpf, head: int, prec: int) -> bool:
+    """True if a remainder bound with the term env |rf| x^{-s-2r} / denom
+    must exceed its target eps (1 + |v|), from the exponents alone: head is
+    the order's mag(env) + mag(xp) - mag(x) - 4 - bitlen(int(s) + 2r + 2).
+    A zero rf never rules an order out, since its term is then 0."""
+    return bool(rf) and head + _mag(rf) > max(_mag(v), 0) - (prec + 5)
 
 
 def _check_precision(precision: Optional[int]) -> int:
@@ -332,21 +348,30 @@ def _euler_maclaurin(s: Real, a: int, prec: int, want_derivative: bool):
     The prefix terms come from ``_sieved_prefix`` and are summed by
     ``mpmath.fsum`` with one rounding.
 
-    An order is tested only where its value bound might pass.  With
-    mag(v) = exp + bc of v's mantissa, so 2^(mag-1) <= |v| < 2^mag, the
-    order is skipped when rf_v != 0 and
-    mag(env) + mag(rf_v) + mag(xp) - mag(x) - bitlen(int(s) + 2r + 2) - 4
-    > max(mag(value), 0) - (prec + 6) + 1, xp before its step to the next
-    order.  This screen is sound:
-    - the three lower mags give 2^-3, the four roundings of the bound less
-      than a factor 2, and denom < int(s) + 2r + 2, so the left side is a
-      lower bound on log2 of the computed bound;
-    - 1 + |value| < 2^(max(mag(value), 0) + 1), so the right side is an
-      upper bound on log2 of the computed target eps (1 + |value|);
-    - so a skipped order is one whose exact test fails, and where the value
-      bound fails the derivative pass does not stop either.
-    x^{-s-2r} is taken only at the tested orders; env is chained at every
-    order, so the stopping order's env has all its bits.
+    An order is tested only where both bounds might pass.  With
+    mag(v) = exp + bc of v's mantissa, so 2^(mag-1) <= |v| < 2^mag, and
+    head = mag(env) + mag(xp) - mag(x) - 4 - bitlen(int(s) + 2r + 2), xp
+    before its step to the next order, ``_cannot_stop`` skips the order
+    when rf_v != 0 and head + mag(rf_v) > max(mag(value), 0) - (prec + 5),
+    or, in a derivative pass, when rf_d != 0 and
+    head + mag(rf_d) > max(mag(deriv), 0) - (prec + 5).  This screen is
+    sound:
+    - bound = env |rf_v| x^{-s-2r} / denom, and dbound >= env |rf_d|
+      x^{-s-2r} / denom, the part of dbound without |rf_v|;
+    - the three lower mags give 2^-3, x^{-s-2r} = xp / x and 1/x >
+      2^-mag(x), the roundings of either bound take less than a factor 2,
+      and 0 < denom < int(s) + 2r + 2, so head + mag(rf) is a lower bound
+      on log2 of the computed bound;
+    - 1 + |v| < 2^(max(mag(v), 0) + 1), so max(mag(v), 0) - (prec + 5)
+      is an upper bound on log2 of the computed target eps (1 + |v|);
+    - so a skipped order is one whose exact test fails, and the stopping
+      order and every returned bit are those of a test at every order.
+    A zero rf never screens: its bound term is then exactly 0.  At s = 0,
+    -1 and -3 the rising factorial rf_v is 0 at every order with s + 2r > 0,
+    so a derivative pass there, the zeta'(0) pass of every ``torsion``
+    record among them, is screened by rf_d alone.  x^{-s-2r} is taken only
+    at the tested orders; env is chained at every order, so the stopping
+    order's env has all its bits.
 
     Rounding slack, in units u = 2^-(prec+guard) of the working precision,
     with L = log(a+K), which bounds log k for every k of the sieve, and S
@@ -440,12 +465,12 @@ def _euler_maclaurin(s: Real, a: int, prec: int, want_derivative: bool):
             # Remainder bound for the truncation order R = r, valid once
             # s + 2R > 0.  The one stopping rule: each bound is at most
             # eps (1 + |v|), v the value it certifies as returned.  The
-            # screen skips the orders whose value bound must fail.
+            # screen skips the orders where either bound must fail.
+            head = (_mag(env) + _mag(xp) + lower_mag
+                    - (s_trunc + 2 * r + 2).bit_length())
             if s_f + 2 * r > 0 and not (
-                rf_v
-                and _mag(env) + _mag(rf_v) + _mag(xp) + lower_mag
-                - (s_trunc + 2 * r + 2).bit_length()
-                > max(_mag(value), 0) - (prec + 5)
+                _cannot_stop(rf_v, value, head, prec)
+                or want_derivative and _cannot_stop(rf_d, deriv, head, prec)
             ):
                 x_tail = xp / x                      # x^{-s-2r}
                 denom = ms + 2 * r

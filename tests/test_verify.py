@@ -1,6 +1,7 @@
 """The verify suites: every check reaches the record's bound, the spectrum
 slices are built once per canonical degree, and every numeric check holds
-against a bound derived from its routes and fails on errors below it."""
+against a bound derived from its routes and fails on errors below it.
+``sigma``'s two tests moved here from ``test_zeta`` unchanged."""
 
 import contextlib
 import dataclasses
@@ -10,6 +11,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from math import factorial
 
 import mpmath
 import pytest
@@ -17,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rumin_sphere import _kernels_py, cli, spectrum, torsion, verify, weights, zeta
+from rumin_sphere import c_coefficients, sigma
 from rumin_sphere.weights import weyl_dimension
 
 
@@ -189,6 +192,22 @@ def test_vanishing_correction_counts_a_non_integral_row(monkeypatch):
     monkeypatch.setattr(verify, "dimension_coefficients", broken)
     check = verify.check_vanishing_correction(3)
     assert not check.passed and check.residual == 4
+
+
+def test_sigma_examples():
+    assert sigma(3, 5) == 120
+    for n in range(1, 6):
+        for k in range(11):
+            assert sigma(n, k) == factorial(n + 1) * k
+
+
+def test_sigma_is_the_polynomial_of_the_c_coefficients():
+    # sigma comes from the product the c_l expand, a second route to the
+    # same polynomial sum_l c_l k^l.
+    for n in range(1, 9):
+        cs = c_coefficients(n)
+        for k in range(11):
+            assert sigma(n, k) == sum(c * k**l for l, c in enumerate(cs, start=1))
 
 
 def test_check_cancellation():

@@ -1,7 +1,8 @@
 """Euler-Maclaurin zeta engine, and the identities of the dimension
 polynomial: the polynomial lives in ``weights`` and its checks in
 ``verify``; apart from the symmetric rows and the polynomial itself, whose
-tests are in ``test_weights``, their tests keep their ids in this file."""
+tests are in ``test_weights``, and ``sigma``, whose tests are in
+``test_verify``, their tests keep their ids in this file."""
 
 import hashlib
 import random
@@ -24,7 +25,6 @@ from rumin_sphere import (
     hurwitz_zeta,
     hurwitz_zeta_and_deriv,
     riemann_zeta,
-    sigma,
 )
 
 
@@ -317,6 +317,46 @@ def test_euler_maclaurin_passes_are_pinned(prec):
     assert h.hexdigest() == digest
 
 
+_SCREEN_POINTS = (0, -1, -3, Fraction(-7, 3), 0.5, 13.7)
+
+
+@pytest.mark.parametrize("prec", [8, 53, 128, 1024])
+def test_the_exponent_screen_changes_no_bit(monkeypatch, prec):
+    # A screened order is one whose exact test fails, so with the screen
+    # ruling out no order every pass returns the same bits.
+    grid = [(s, a, want_derivative) for s in _SCREEN_POINTS
+            for a in (1, 2, 7, 101) for want_derivative in (False, True)]
+
+    def mpf_tuples():
+        return [tuple(None if v is None else v._mpf_
+                      for v in zeta._euler_maclaurin(s, a, prec, d))
+                for s, a, d in grid]
+
+    screened = mpf_tuples()
+    monkeypatch.setattr(zeta, "_cannot_stop", lambda rf, v, head, prec: False)
+    assert mpf_tuples() == screened
+
+
+@pytest.mark.parametrize("s, prec", [(0, 128), (0, 2048), (-3, 1024)])
+def test_the_zeta_prime_pass_tests_its_bound_at_few_orders(monkeypatch, s, prec):
+    # At s = 0, and at every order of s = -3 where the bound is valid, the
+    # value's rising factorial rf_v is 0, so only rf_d can screen an order.  The screen's head falls with
+    # every order, so it names the order of each call; an order is tested
+    # where no call rules it out.  Unscreened, the passes test their bound
+    # at 13, 210 and 105 orders.
+    ruled_out = {}
+    real = zeta._cannot_stop
+
+    def counted(rf, v, head, prec):
+        out = real(rf, v, head, prec)
+        ruled_out[head] = ruled_out.get(head, False) or out
+        return out
+
+    monkeypatch.setattr(zeta, "_cannot_stop", counted)
+    hurwitz_zeta_and_deriv(s, 1, prec)
+    assert len(ruled_out) >= 13
+    assert sum(not out for out in ruled_out.values()) <= 2
+
 @pytest.mark.parametrize("prec", [64, 256, 1024])
 def test_per_precision_tables_hold_the_direct_conversions(monkeypatch, prec):
     # Each table entry is the value a pass would compute afresh at its
@@ -561,22 +601,6 @@ def test_c_coefficients_at_n80_from_one_pass_per_shift():
     assert time.perf_counter() - start < 0.5
     assert cs[0] == factorial(81)
     assert all(c == 0 for c in cs[1:])
-
-
-def test_sigma_examples():
-    assert sigma(3, 5) == 120
-    for n in range(1, 6):
-        for k in range(11):
-            assert sigma(n, k) == factorial(n + 1) * k
-
-
-def test_sigma_is_the_polynomial_of_the_c_coefficients():
-    # sigma comes from the product the c_l expand, a second route to the
-    # same polynomial sum_l c_l k^l.
-    for n in range(1, 9):
-        cs = c_coefficients(n)
-        for k in range(11):
-            assert sigma(n, k) == sum(c * k**l for l, c in enumerate(cs, start=1))
 
 
 def test_vanishing_correction():
