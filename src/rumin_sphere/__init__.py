@@ -4,97 +4,43 @@ Enumerates the full eigenvalue/multiplicity spectrum from highest-weight
 data, evaluates the contact analytic torsion function by regularized
 summation and by its closed form, and verifies the algebraic identities the
 closed form rests on.
-"""
 
-from .spectrum import (
-    BlockFamily,
-    Case,
-    CaseRangeError,
-    InvalidLabelError,
-    RuminLabel,
-    all_families,
-    case_v_identity_value,
-    case_v_mixed_eigenvalue,
-    eigenvalue_formula,
-    label_to_weight,
-    norm_route_eigenvalue,
-    operator_norm_squares,
-    spectrum_slice,
-    squared_norm,
-)
-from .torsion import (
-    DivergenceError,
-    KappaEstimate,
-    TorsionReport,
-    degree_weights,
-    degree_zetas_direct,
-    kappa_closed,
-    kappa_continued,
-    kappa_direct,
-    kappa_reduced,
-    tail_bound,
-    torsion_estimates,
-)
-from .verify import c_coefficients, sigma
-from .weights import (
-    EnumerationBudgetError,
-    HighestWeight,
-    dimension_coefficients,
-    gt_pattern_count,
-    special_dimension,
-    weyl_dimension,
-)
-from .zeta import (
-    DEFAULT_PRECISION_BITS,
-    PoleError,
-    PrecisionError,
-    ZetaValue,
-    hurwitz_zeta,
-    hurwitz_zeta_and_deriv,
-    riemann_zeta,
-)
+The exports are lazy.  ``_EXPORTS`` maps each exported name to its home
+module, and ``__all__`` is built from it; importing the package loads none
+of its modules.  The first read of a name imports its home module (PEP 562
+``__getattr__``), so ``spectrum_slice`` loads ``spectrum`` and ``weights``
+only, and ``kappa_closed`` loads ``torsion``, ``zeta``, the kernels and
+mpmath.  The precision range and the refusal types live in ``limits``,
+which is standard library only.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlockFamily",
-    "Case",
-    "CaseRangeError",
-    "DEFAULT_PRECISION_BITS",
-    "DivergenceError",
-    "EnumerationBudgetError",
-    "HighestWeight",
-    "InvalidLabelError",
-    "KappaEstimate",
-    "PoleError",
-    "PrecisionError",
-    "RuminLabel",
-    "TorsionReport",
-    "ZetaValue",
-    "all_families",
-    "c_coefficients",
-    "case_v_identity_value",
-    "case_v_mixed_eigenvalue",
-    "degree_weights",
-    "degree_zetas_direct",
-    "dimension_coefficients",
-    "eigenvalue_formula",
-    "gt_pattern_count",
-    "hurwitz_zeta",
-    "hurwitz_zeta_and_deriv",
-    "kappa_closed",
-    "kappa_continued",
-    "kappa_direct",
-    "kappa_reduced",
-    "label_to_weight",
-    "norm_route_eigenvalue",
-    "operator_norm_squares",
-    "riemann_zeta",
-    "sigma",
-    "special_dimension",
-    "spectrum_slice",
-    "squared_norm",
-    "tail_bound",
-    "torsion_estimates",
-    "weyl_dimension",
-]
+_EXPORTS = {name: module for module, names in {
+    "limits": "DEFAULT_PRECISION_BITS DivergenceError PoleError PrecisionError",
+    "spectrum": "BlockFamily Case CaseRangeError InvalidLabelError RuminLabel "
+                "all_families case_v_identity_value case_v_mixed_eigenvalue "
+                "eigenvalue_formula label_to_weight norm_route_eigenvalue "
+                "operator_norm_squares spectrum_slice squared_norm",
+    "torsion": "KappaEstimate TorsionReport degree_weights degree_zetas_direct "
+               "kappa_closed kappa_continued kappa_direct kappa_reduced "
+               "tail_bound torsion_estimates",
+    "verify": "c_coefficients sigma",
+    "weights": "EnumerationBudgetError HighestWeight dimension_coefficients "
+               "gt_pattern_count special_dimension weyl_dimension",
+    "zeta": "ZetaValue hurwitz_zeta hurwitz_zeta_and_deriv riemann_zeta",
+}.items() for name in names.split()}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(__import__(_EXPORTS[name], globals(), None, (name,), 1), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -14,6 +14,13 @@ lists the cases): 0 ok; 1 a check of the record failed (the record is
 written first); 2 usage error, or ``PrecisionError``; 3 a ``spectrum``
 degree outside 0..2n+1, or ``OverflowError`` (a result outside the double
 range); 4 ``PoleError`` or ``DivergenceError``.
+
+At import this module loads only ``spectrum``, ``weights`` and ``limits``,
+which import nothing beyond the standard library: the parser's ``--prec``
+range and the exception types of the exit table come from ``limits``, so a
+``spectrum`` process never loads mpmath.  ``cmd_kappa`` imports ``torsion``
+and ``verify``, and ``cmd_torsion`` and ``cmd_verify`` import ``verify``,
+on their first call; those bring in ``zeta``, the kernels and mpmath.
 """
 
 from __future__ import annotations
@@ -26,9 +33,9 @@ from functools import lru_cache
 from math import gcd, isfinite
 from typing import Optional
 
-from . import spectrum, torsion, verify
-from .zeta import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, PoleError,
-                   PrecisionError, _check_precision)
+from . import spectrum
+from .limits import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, DivergenceError,
+                     PoleError, PrecisionError, _check_precision)
 
 SCHEMA_VERSION = "1"
 
@@ -39,11 +46,10 @@ EXIT_RANGE = 3
 EXIT_POLE = 4
 
 
-def _emit(command: str, parameters: dict, payload,
-          checks: list[verify.CheckResult]) -> int:
-    """Write the record to stdout; exit 1 if any of its checks fails.  A
-    record holding a NaN or an infinity raises ``OverflowError`` before any
-    byte is written."""
+def _emit(command: str, parameters: dict, payload, checks: list) -> int:
+    """Write the record to stdout; exit 1 if any of its ``verify.CheckResult``
+    checks fails.  A record holding a NaN or an infinity raises
+    ``OverflowError`` before any byte is written."""
     record = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -144,14 +150,17 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     canonical = min(degree, 2 * n + 1 - degree)
 
     if args.format == "csv":
-        # The dict of spectrum_slice, in increasing eigenvalue order, one row
-        # per eigenvalue; no block lists.
-        entries = spectrum.spectrum_slice(n, canonical, max_level)
+        # One row per eigenvalue key / L, in increasing order, reduced and
+        # rounded as in _write_spectrum_json; no block lists.
+        denominator = spectrum.eigenvalue_denominator(n)
+        counts = spectrum.degree_multiplicities(n, canonical, max_level)
+        rows = []
+        for key, mult in counts.items():
+            g = gcd(key, denominator)
+            rows.append(f"{key // g},{denominator // g},{key / denominator!r},{mult}\n")
         sys.stdout.write(
             "eigenvalue_num,eigenvalue_den,eigenvalue_float,multiplicity\n"
-            + "".join([f"{mu.numerator},{mu.denominator},{float(mu)!r},{mult}\n"
-                       for mu, mult in entries.items()])
-        )
+            + "".join(rows))
         return EXIT_OK
 
     _write_spectrum_json(n, canonical, max_level, sys.stdout)
@@ -159,6 +168,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_kappa(args: argparse.Namespace) -> int:
+    from . import torsion, verify
+
     n, s, mode, prec = args.n, args.s, args.mode, args.prec
     if not isfinite(s):
         print(f"--s must be finite, got {s}", file=sys.stderr)
@@ -194,6 +205,8 @@ def cmd_kappa(args: argparse.Namespace) -> int:
 
 
 def cmd_torsion(args: argparse.Namespace) -> int:
+    from . import verify
+
     n, prec = args.n, args.prec
     include_kernel = args.zeta_convention == "kernel-included"
     report, checks = verify.torsion_checks(n, prec, include_kernel)
@@ -203,6 +216,8 @@ def cmd_torsion(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
+
     n, bound, prec = args.n, args.max, args.prec
     results = verify.run_all(n, bound, prec)
     failed = sum(1 for r in results if not r.passed)
@@ -279,7 +294,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         command = {"spectrum": cmd_spectrum, "kappa": cmd_kappa,
                    "torsion": cmd_torsion, "verify": cmd_verify}[args.command]
         return command(args)
-    except (PoleError, torsion.DivergenceError) as exc:
+    except (PoleError, DivergenceError) as exc:
         code, reason = EXIT_POLE, exc
     except OverflowError as exc:
         code, reason = EXIT_RANGE, f"outside the double range: {exc}"

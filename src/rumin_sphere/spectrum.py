@@ -247,26 +247,37 @@ def _shifted_product(x: int, shifts: Sequence[int]) -> int:
     return prod([x + c for c in shifts])
 
 
+def degree_multiplicities(n: int, k: int, N: int) -> dict[int, int]:
+    """The truncated spectrum on degree k <= n as {key: multiplicity}, in
+    increasing key order; the eigenvalue is key / ``eigenvalue_denominator(n)``.
+
+    The one aggregation of ``degree_labels``: it sums the blocks under their
+    exact integer keys, so labels whose eigenvalues genuinely collide are
+    merged correctly.  ``spectrum_slice`` and the CSV table read it.
+    """
+    counts: dict[int, int] = {}
+    for _, _, _, _, _, key, dim, spaces in degree_labels(n, k, N):
+        counts[key] = counts.get(key, 0) + len(spaces) * dim
+    return {key: counts[key] for key in sorted(counts)}
+
+
 def spectrum_slice(n: int, k: int, N: int) -> dict[Fraction, int]:
     """The truncated spectrum of the Rumin Laplacian on degree k, as a dict
     {eigenvalue: multiplicity} in increasing eigenvalue order.
 
     Degree k is read as min(k, 2n+1-k), so mirrored degrees give the same
     dict.  Free label parameters run over 1..N; structural parameters are
-    never truncated.  Aggregation keys are the exact integer keys of
-    ``degree_labels``, so labels whose eigenvalues genuinely collide are
-    merged correctly; one ``Fraction`` is made per distinct eigenvalue.
+    never truncated.  The multiplicities are those of
+    ``degree_multiplicities``; one ``Fraction`` is made per distinct
+    eigenvalue.
     """
     if not 0 <= k <= 2 * n + 1:
         raise ValueError(f"degree {k} outside 0..{2 * n + 1}")
     if N < 1:
         raise ValueError("truncation must be >= 1")
-    kk = min(k, 2 * n + 1 - k)
-    counts: dict[int, int] = {}
-    for _, _, _, _, _, key, dim, spaces in degree_labels(n, kk, N):
-        counts[key] = counts.get(key, 0) + len(spaces) * dim
     denominator = eigenvalue_denominator(n)
-    return {Fraction(key, denominator): counts[key] for key in sorted(counts)}
+    return {Fraction(key, denominator): mult for key, mult
+            in degree_multiplicities(n, min(k, 2 * n + 1 - k), N).items()}
 
 
 def _require_case(label: RuminLabel, cases: tuple[Case, ...], what: str) -> None:

@@ -47,13 +47,8 @@ from mpmath import mpf, workprec
 
 from . import _kernels_py
 from .spectrum import Case, all_families
-from .zeta import (
-    PoleError,
-    ZetaValue,
-    _check_precision,
-    hurwitz_zeta_and_deriv,
-    riemann_zeta,
-)
+from .limits import DivergenceError, PoleError, _check_precision
+from .zeta import ZetaValue, hurwitz_zeta_and_deriv, riemann_zeta
 
 # Largest n whose report is made of finite doubles: the torsion
 # T = (4 pi)^{n+1} (up to n = 279) and the ratio T / T_RS = n! (up to
@@ -69,10 +64,6 @@ _LN_DOUBLE_MAX = log(sys.float_info.max)
 # report's ``route_residuals``; the reference point is s = (n+3)/2, where
 # the defining sum converges.
 N_REF = 80
-
-
-class DivergenceError(ValueError):
-    """Direct summation requested where the defining series diverges."""
 
 
 def degree_weights(n: int) -> tuple[int, ...]:

@@ -34,7 +34,7 @@ from typing import Iterator, Optional
 import mpmath
 from mpmath import mpf
 
-from . import spectrum, torsion, zeta
+from . import limits, spectrum, torsion, zeta
 from .torsion import KappaEstimate, TorsionReport, rounding_gamma
 from .spectrum import Case, RuminLabel, label_to_weight
 from .weights import (HighestWeight, dimension_coefficients, gt_pattern_count,
@@ -327,7 +327,7 @@ def check_kernel_uniqueness(n: int, bound: int) -> CheckResult:
 
 
 def check_zeta_constants(precision: Optional[int] = None) -> CheckResult:
-    prec = zeta._check_precision(precision)
+    prec = limits._check_precision(precision)
     z0, dz0 = zeta.hurwitz_zeta_and_deriv(0, 1, prec)
     values = (z0, dz0, zeta.riemann_zeta(2, prec), zeta.riemann_zeta(4, prec))
     with mpmath.workprec(prec + 32):
@@ -352,7 +352,7 @@ _SHIFT_POINTS = (
 
 
 def check_hurwitz_shift(precision: Optional[int] = None) -> CheckResult:
-    prec = zeta._check_precision(precision)
+    prec = limits._check_precision(precision)
     parts = []
     for s, a in _SHIFT_POINTS:
         left = zeta.hurwitz_zeta(s, a, prec)

@@ -37,8 +37,8 @@ argument.  Any other a, and an a above ``MAX_HURWITZ_A``, raises
 corrections until each remainder bound is at most 2^-(prec+6) (1 + |v|), v
 the value it certifies as returned; one that has not stopped after 700
 orders raises ``PrecisionError``, so no pass stops short of its target.  So
-does, before any work, a precision above ``MAX_PRECISION_BITS``, where some
-argument the CLI can pass would not stop, and an argument whose growing
+does, before any work, a precision above ``limits.MAX_PRECISION_BITS``,
+where some argument the CLI can pass would not stop, and an argument whose growing
 prefix terms (s < 0) need more than ``MAX_GUARD_BITS`` guard bits.
 
 The prefix sum is sieved: k^{-s} is completely multiplicative for every
@@ -74,22 +74,13 @@ from typing import Optional, Sequence, Union
 import mpmath
 from mpmath import mpf, workprec
 
+from .limits import PoleError, PrecisionError, _check_precision
+
 Real = Union[int, float, Fraction]
 
-DEFAULT_PRECISION_BITS = 128
 # The most Bernoulli orders a pass adds; one that has not stopped by then
 # raises ``PrecisionError``, and the coefficient table never grows past it.
 _MAX_ORDER = 700
-# The highest precision at which the _MAX_ORDER orders reach their target
-# with K = 0.35 prec + 8, for every zeta argument the CLI can pass.  A
-# negative argument -sigma leaves about 2R - sigma useful orders, so the
-# most negative one binds: 2s = -326 +- 2^-44, from a kappa route at s
-# within an ulp of -163, the lowest point that the kappa range check lets
-# through (sin(pi s) is about 1e-13 there).  Its pass converges at 5227 bits
-# and not at 5228; zeta'(0), for torsion and verify, converges up to 6815.
-# The 20 passes of verify's shift check, at a in 1..9 and s in [-4, 6],
-# converge at 5227 bits.
-MAX_PRECISION_BITS = 5227
 # The most guard bits a pass may add for its growing prefix terms (s < 0);
 # no CLI input comes near it.
 MAX_GUARD_BITS = 1 << 16
@@ -97,14 +88,6 @@ MAX_GUARD_BITS = 1 << 16
 # so a pass's time and memory grow with a; no caller passes more than
 # a = 101.
 MAX_HURWITZ_A = 10**4
-
-
-class PoleError(ValueError):
-    """Evaluation requested at a pole of the zeta function."""
-
-
-class PrecisionError(ValueError):
-    """Requested precision outside the configured working range."""
 
 
 @dataclass(frozen=True)
@@ -190,16 +173,6 @@ def _cannot_stop(rf: mpf, v: mpf, head: int, prec: int) -> bool:
     the order's mag(env) + mag(xp) - mag(x) - 4 - bitlen(int(s) + 2r + 2).
     A zero rf never rules an order out, since its term is then 0."""
     return bool(rf) and head + _mag(rf) > max(_mag(v), 0) - (prec + 5)
-
-
-def _check_precision(precision: Optional[int]) -> int:
-    prec = DEFAULT_PRECISION_BITS if precision is None else int(precision)
-    if prec < 8 or prec > MAX_PRECISION_BITS:
-        raise PrecisionError(
-            f"requested precision {prec} outside the working range "
-            f"8..{MAX_PRECISION_BITS} bits"
-        )
-    return prec
 
 
 def _smallest_prime_factors(K: int) -> list[int]:

@@ -24,7 +24,7 @@ from rumin_sphere import (
     DivergenceError, KappaEstimate, PoleError, PrecisionError, cli, spectrum_slice,
     torsion,
 )
-from rumin_sphere.zeta import MAX_PRECISION_BITS
+from rumin_sphere.limits import MAX_PRECISION_BITS
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "output_record.schema.json")
@@ -606,7 +606,7 @@ def test_a_precision_above_the_ceiling_exits_2_at_once(capsys, argv):
     # One bit above the ceiling is refused before any work: verify used to
     # run its label checks for 20 s at 7000 bits before the first zeta pass
     # failed to converge, and kappa at 8192 bits took 3.7 s to exit 2.
-    from rumin_sphere.zeta import MAX_PRECISION_BITS
+    from rumin_sphere.limits import MAX_PRECISION_BITS
 
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv, "--prec", str(MAX_PRECISION_BITS + 1))

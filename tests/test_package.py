@@ -1,12 +1,15 @@
 """Package surface: the exported names and the cost of importing the CLI."""
 
 import ast
+import importlib
 import inspect
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import rumin_sphere
 
@@ -57,12 +60,12 @@ def test_every_exported_name_has_a_caller():
 def test_src_reaches_no_private_name_of_another_module():
     # A module's private names are its own: no module of the package reads
     # ``m._x`` of another module m, or imports ``from .m import _x``.  Two
-    # reaches are allowed: ``zeta._check_precision``, the one precision
+    # reaches are allowed: ``limits._check_precision``, the one precision
     # refusal that every module shares, and the import of the
     # ``_kernels_py`` module itself.
     package = Path(rumin_sphere.__file__).parent
     modules = {path.stem for path in package.glob("*.py")}
-    allowed = {("zeta", "_check_precision"), ("", "_kernels_py")}
+    allowed = {("limits", "_check_precision"), ("", "_kernels_py")}
     found = []
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -140,14 +143,9 @@ def test_cli_import_loads_nothing_beyond_its_dependencies():
 
 def test_weights_imports_no_other_module_of_the_package():
     # ``weights`` holds U(m) data only; the label table and the label type
-    # live in ``spectrum``.  The package is stubbed so that its __init__,
-    # which imports every module, does not run.
-    src = Path(rumin_sphere.__file__).parent
+    # live in ``spectrum``.  The package's __init__ imports no module.
     code = (
-        "import sys, types\n"
-        "package = types.ModuleType('rumin_sphere')\n"
-        f"package.__path__ = [{str(src)!r}]\n"
-        "sys.modules['rumin_sphere'] = package\n"
+        "import sys\n"
         "import rumin_sphere.weights\n"
         "print(' '.join(sorted(m for m in sys.modules if m.startswith('rumin_sphere'))))"
     )
@@ -157,12 +155,8 @@ def test_weights_imports_no_other_module_of_the_package():
 def test_kernels_import_only_weights():
     # The kernels rest on the standard library and the U(m) dimensions of
     # ``weights``, and on no other module of the package.
-    src = Path(rumin_sphere.__file__).parent
     code = (
-        "import sys, types\n"
-        "package = types.ModuleType('rumin_sphere')\n"
-        f"package.__path__ = [{str(src)!r}]\n"
-        "sys.modules['rumin_sphere'] = package\n"
+        "import sys\n"
         "import rumin_sphere._kernels_py\n"
         "print(' '.join(sorted(m for m in sys.modules if m.startswith('rumin_sphere'))))"
     )
@@ -186,3 +180,59 @@ def test_sources_hold_no_hand_set_slack():
     for path in sorted(src.glob("*.py")):
         for number, line in enumerate(path.read_text().splitlines(), 1):
             assert not slack.search(line), f"{path.name}:{number}: {line.strip()}"
+
+
+# The numeric layer: mpmath and the modules that evaluate zeta or the kernels.
+NUMERIC = ("mpmath", "rumin_sphere.zeta", "rumin_sphere.torsion",
+           "rumin_sphere.verify", "rumin_sphere._kernels_py")
+
+
+def test_a_spectrum_process_loads_no_numeric_layer():
+    # The package exports lazily and the CLI imports the numeric modules in
+    # the commands that use them, so neither the imports nor a spectrum
+    # request in JSON and in CSV load them; the first read of a name that
+    # lives there does.
+    code = (
+        "import contextlib, io, sys\n"
+        "import rumin_sphere\n"
+        f"numeric = {NUMERIC!r}\n"
+        "print(' '.join(m for m in numeric if m in sys.modules) or '-')\n"
+        "from rumin_sphere import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for form in ('json', 'csv'):\n"
+        "        assert cli.main(['spectrum', '--n', '2', '--degree', '1',\n"
+        "                         '--max', '4', '--format', form]) == 0\n"
+        "print(' '.join(m for m in numeric if m in sys.modules) or '-')\n"
+        "rumin_sphere.kappa_closed\n"
+        "print(' '.join(m for m in numeric if m in sys.modules) or '-')"
+    )
+    assert _run(code).splitlines() == [
+        "-", "-", "mpmath rumin_sphere.zeta rumin_sphere.torsion rumin_sphere._kernels_py"]
+
+
+def test_every_exported_name_is_the_object_of_its_home_module():
+    assert rumin_sphere.__all__ == sorted(rumin_sphere._EXPORTS)
+    assert set(rumin_sphere.__all__) <= set(dir(rumin_sphere))
+    for name, home in rumin_sphere._EXPORTS.items():
+        module = importlib.import_module(f"rumin_sphere.{home}")
+        value = getattr(rumin_sphere, name)
+        assert value is vars(module)[name], name
+        assert getattr(value, "__module__", module.__name__) == module.__name__, name
+    with pytest.raises(AttributeError):
+        rumin_sphere.no_such_name
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    ("verify --n 2 --prec 7000", 2,
+     "verify: requested precision 7000 outside the working range 8..5227 bits"),
+    ("kappa --n 1 --s 0.5", 4, "kappa: kappa(s) has a pole at s = 1/2 (zeta(2s) pole)"),
+], ids=("precision", "pole"))
+def test_a_refusal_as_the_first_request_of_a_process(argv, code, line):
+    # The exit table names the refusal types without the numeric layer
+    # loaded; a refusal raised from inside it still maps to its code.
+    result = subprocess.run(
+        [sys.executable, "-m", "rumin_sphere", *argv.split()],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (code, "", line + "\n")

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from rumin_sphere import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 sys.path.insert(0, str(ROOT / "clibench"))
@@ -25,14 +27,25 @@ def test_requests_are_the_workloads_then_cold_then_the_extras_each_once():
               "torsion --n 40"]
     reqs = records.requests(extras)
     assert len(set(reqs)) == len(reqs)
-    assert set(reqs) == {*found, *cold, ("torsion", "--n", "40"),
+    assert set(reqs) == {*found, *cold, *records.REFUSALS, ("torsion", "--n", "40"),
                          ("kappa", "--n", "1", "--s=-158.4392")}
     first = {}
-    for i, argv in enumerate(found + cold + [tuple(shlex.split(e)) for e in extras]):
+    later = [*cold, *records.REFUSALS, *(tuple(shlex.split(e)) for e in extras)]
+    for i, argv in enumerate(found + later):
         first.setdefault(argv, i)
     assert reqs == sorted(reqs, key=first.__getitem__)
     assert reqs[:len(set(found))] == list(dict.fromkeys(found))
     assert reqs[-2:] == [("torsion", "--n", "40"), ("kappa", "--n", "1", "--s=-158.4392")]
+
+
+def test_every_refusal_exits_with_its_code_and_one_stderr_line(capsys):
+    # Two to four requests per exit code of cli.main's exit table.
+    codes = []
+    for argv in records.REFUSALS:
+        codes.append(cli.main(list(argv)))
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1, argv
+    assert codes == [2, 2, 2, 2, 3, 3, 3, 4, 4]
 
 
 def test_json_paths_name_a_changed_leaf_an_added_key_and_a_resized_list():

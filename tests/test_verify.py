@@ -1,7 +1,8 @@
 """The verify suites: every check reaches the record's bound, the spectrum
 slices are built once per canonical degree, and every numeric check holds
 against a bound derived from its routes and fails on errors below it.
-``sigma``'s two tests moved here from ``test_zeta`` unchanged."""
+The identity tests of ``sigma`` (two), ``c_coefficients`` (three) and the
+vanishing correction (two) moved here from ``test_zeta`` unchanged."""
 
 import contextlib
 import dataclasses
@@ -10,6 +11,7 @@ import io
 import json
 import math
 import random
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rumin_sphere import _kernels_py, cli, spectrum, torsion, verify, weights, zeta
+from rumin_sphere import _kernels_py, cli, limits, spectrum, torsion, verify, weights, zeta
 from rumin_sphere import c_coefficients, sigma
 from rumin_sphere.weights import weyl_dimension
 
@@ -208,6 +210,46 @@ def test_sigma_is_the_polynomial_of_the_c_coefficients():
         cs = c_coefficients(n)
         for k in range(11):
             assert sigma(n, k) == sum(c * k**l for l, c in enumerate(cs, start=1))
+
+
+def test_c_coefficients_small_cases():
+    assert c_coefficients(1) == (2, 0)
+    assert c_coefficients(2) == (6, 0, 0)
+
+
+def test_c_coefficients_identity_up_to_eight():
+    for n in range(1, 9):
+        cs = c_coefficients(n)
+        assert cs[0] == factorial(n + 1)
+        assert all(c == 0 for c in cs[1:])
+
+
+def test_c_coefficients_at_n80_from_one_pass_per_shift():
+    # Each shift's symmetric polynomials come from one pass.  Recomputed
+    # for every l they took 3.1 s on a 2-core VM, most of the time of
+    # ``torsion --n 80``.
+    start = time.perf_counter()
+    cs = c_coefficients(80)
+    assert time.perf_counter() - start < 0.5
+    assert cs[0] == factorial(81)
+    assert all(c == 0 for c in cs[1:])
+
+
+def test_vanishing_correction():
+    # Every row n! dimension_coefficients(n, i) vanishes at x = 1..i.
+    for n in range(1, 7):
+        assert verify.check_vanishing_correction(n).residual == 0
+
+
+def test_vanishing_correction_detects_a_broken_identity(monkeypatch):
+    # The exact check is the whole check: with the shift values moved by
+    # one, (n-i+1, ..., 1-i), the rows of i = 1, 2 and 3 no longer vanish
+    # at x = 1..i; i = 0 has no x to check.
+    row = weights._symmetric_row
+    monkeypatch.setattr(weights, "_symmetric_row",
+                        lambda values, l: row([v + 1 for v in values], l))
+    check = verify.check_vanishing_correction(3)
+    assert not check.passed and check.residual == 3
 
 
 def test_check_cancellation():
@@ -448,5 +490,5 @@ def test_run_all_refuses_an_unreachable_precision_before_any_check(monkeypatch):
     # At 7000 bits the label checks ran for 20 s before the first zeta pass
     # failed to converge.
     monkeypatch.setattr(verify, "check_weyl_vs_gt", None)
-    with pytest.raises(zeta.PrecisionError, match="outside the working range"):
-        verify.run_all(2, 1, zeta.MAX_PRECISION_BITS + 1)
+    with pytest.raises(limits.PrecisionError, match="outside the working range"):
+        verify.run_all(2, 1, limits.MAX_PRECISION_BITS + 1)

@@ -1,8 +1,7 @@
-"""Euler-Maclaurin zeta engine, and the identities of the dimension
-polynomial: the polynomial lives in ``weights`` and its checks in
-``verify``; apart from the symmetric rows and the polynomial itself, whose
-tests are in ``test_weights``, and ``sigma``, whose tests are in
-``test_verify``, their tests keep their ids in this file."""
+"""Euler-Maclaurin zeta engine.  The tests of the dimension polynomial's
+identities have moved to the modules that hold them: the symmetric rows and
+the polynomial itself to ``test_weights``, and ``sigma``, ``c_coefficients``
+and the vanishing correction to ``test_verify``."""
 
 import hashlib
 import random
@@ -17,11 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rumin_sphere import verify, weights, zeta
+from rumin_sphere import limits, zeta
 from rumin_sphere import (
     PoleError,
     PrecisionError,
-    c_coefficients,
     hurwitz_zeta,
     hurwitz_zeta_and_deriv,
     riemann_zeta,
@@ -406,7 +404,7 @@ def test_the_log_chain_rounds_like_mpmath(prec):
 def test_the_log_chain_holds_one_unit_at_the_ceiling_pass():
     # zeta(-326 + 2^-44) at 5227 bits sieves [1, 1838) at 8810 bits; the
     # chain builds each sampled prime's factors of p - 1 on the way.
-    prec = zeta.MAX_PRECISION_BITS
+    prec = limits.MAX_PRECISION_BITS
     s = -326 + 2**-44
     K = int(0.35 * prec) + 8
     wp = prec + 48 + int(-s * log(K + 1, 2))
@@ -493,7 +491,7 @@ def test_a_pass_at_the_precision_ceiling_converges():
         for t in (-k + ulp(float(k)), -k - ulp(float(k))):
             with pytest.raises(OverflowError):
                 torsion._check_kappa_range(1, t)
-    prec = zeta.MAX_PRECISION_BITS
+    prec = limits.MAX_PRECISION_BITS
     z = riemann_zeta(2 * s, prec)
     with mpmath.workprec(prec):
         assert 0 < z.error_bound <= mpmath.mpf(2) ** -prec * (1 + abs(z.value))
@@ -578,43 +576,3 @@ def test_pole_and_precision_errors():
         riemann_zeta(2, precision=1 << 20)
     with pytest.raises(ValueError):
         hurwitz_zeta(2, -1.0)
-
-
-def test_c_coefficients_small_cases():
-    assert c_coefficients(1) == (2, 0)
-    assert c_coefficients(2) == (6, 0, 0)
-
-
-def test_c_coefficients_identity_up_to_eight():
-    for n in range(1, 9):
-        cs = c_coefficients(n)
-        assert cs[0] == factorial(n + 1)
-        assert all(c == 0 for c in cs[1:])
-
-
-def test_c_coefficients_at_n80_from_one_pass_per_shift():
-    # Each shift's symmetric polynomials come from one pass.  Recomputed
-    # for every l they took 3.1 s on a 2-core VM, most of the time of
-    # ``torsion --n 80``.
-    start = time.perf_counter()
-    cs = c_coefficients(80)
-    assert time.perf_counter() - start < 0.5
-    assert cs[0] == factorial(81)
-    assert all(c == 0 for c in cs[1:])
-
-
-def test_vanishing_correction():
-    # Every row n! dimension_coefficients(n, i) vanishes at x = 1..i.
-    for n in range(1, 7):
-        assert verify.check_vanishing_correction(n).residual == 0
-
-
-def test_vanishing_correction_detects_a_broken_identity(monkeypatch):
-    # The exact check is the whole check: with the shift values moved by
-    # one, (n-i+1, ..., 1-i), the rows of i = 1, 2 and 3 no longer vanish
-    # at x = 1..i; i = 0 has no x to check.
-    row = weights._symmetric_row
-    monkeypatch.setattr(weights, "_symmetric_row",
-                        lambda values, l: row([v + 1 for v in values], l))
-    check = verify.check_vanishing_correction(3)
-    assert not check.passed and check.residual == 3

@@ -7,8 +7,11 @@ Run from the root of a source checkout:
     python3 tools/records.py --parent HEAD --extra 'torsion --n 40'
 
 The requests are every request of ``clibench/workloads.build`` for each
-workload at seeds 1-3, every ``COLD`` request and each ``--extra`` (split
-like a shell line), each distinct request once.  The parent revision is
+workload at seeds 1-3, every ``COLD`` request, the fixed ``REFUSALS`` and
+each ``--extra`` (split like a shell line), each distinct request once.
+Every run includes the refusals: one or more requests per exit code of
+``cli.main``'s exit table, so that every diff compares their exit codes and
+stderr lines too.  The parent revision is
 checked out in a temporary ``git worktree`` (``bench.parent_worktree``); the
 change is this checkout's working tree, committed or not.  One subprocess
 per tree runs every request through that tree's ``rumin_sphere.cli.main``
@@ -37,6 +40,17 @@ from bench import ROOT, parent_worktree
 
 SEEDS = (1, 2, 3)
 
+# Requests that ``cli.main`` refuses, by exit code.
+REFUSALS = tuple(tuple(line.split()) for line in (
+    # 2: a usage error or a precision outside the working range.
+    "verify --n 0", "verify --n 2 --prec 7000",
+    "kappa --n 1 --s 2 --mode direct", "kappa --n 1 --s nan",
+    # 3: a spectrum degree outside 0..2n+1, or a result outside the double range.
+    "spectrum --n 1 --degree 9 --max 3", "torsion --n 300", "kappa --n 1 --s 600",
+    # 4: a pole, or a divergent direct sum.
+    "kappa --n 1 --s 0.5", "kappa --n 1 --s 0.9 --mode direct --max 5",
+))
+
 # Runs in each tree: reads the requests as JSON on stdin and writes one
 # [stdout, exit code, last stderr line] per request as JSON on stdout.  An
 # exception that escapes cli.main counts as a process would show it: exit 1
@@ -64,14 +78,16 @@ json.dump(results, sys.stdout)
 
 
 def requests(extra: list[str]) -> list[tuple[str, ...]]:
-    """The workload requests at ``SEEDS``, the ``COLD`` ones, then ``extra``,
-    each distinct request once, in that order."""
+    """The workload requests at ``SEEDS``, the ``COLD`` ones, the
+    ``REFUSALS``, then ``extra``, each distinct request once, in that
+    order."""
     sys.path.insert(0, str(ROOT / "clibench"))
     import workloads
 
     found = [argv for name in workloads.WORKLOADS for seed in SEEDS
              for argv in workloads.build(name, seed)]
     found += [argv for cold in workloads.COLD.values() for argv in cold]
+    found += REFUSALS
     found += [tuple(shlex.split(line)) for line in extra]
     return list(dict.fromkeys(found))
 
