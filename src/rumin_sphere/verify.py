@@ -16,12 +16,18 @@ their independent second route, as ``_eigenvalue_from_weight`` is for the
 eigenvalues.
 
 Every check that loops over labels runs their free parameters over
-1..bound, the ``--max`` of the record; no check lowers it.  The label checks
-compare exact values by cross products of integers, with no arithmetic on
-``Fraction``s.  There is no mirror check: the package defines degrees above
-the middle by the mirror rule (``spectrum_slice`` folds k to
-min(k, 2n+1-k)), so a comparison of degree k with degree 2n+1-k would
-compare one computation with itself.
+1..bound, the ``--max`` of the record; no check lowers it.  ``run_all``
+walks ``spectrum.all_families`` once: for each family it builds the rows
+(label, ``label_to_weight``, ``eigenvalue_formula``) once and hands them to
+every label check, and each check adds up its violations over the families.
+Only one family's rows are held at a time, the kernel check's rows of
+eigenvalue 0 apart, and the GT memo is shared by every label of the request.
+The ``identity_suite`` pairs of ``BENCH_30.json`` time it against a walk
+per check.  The label checks compare exact values by cross products of
+integers, with no arithmetic on ``Fraction``s.  There is no mirror check:
+the package defines degrees above the middle by the mirror rule
+(``spectrum_slice`` folds k to min(k, 2n+1-k)), so a comparison of degree
+k with degree 2n+1-k would compare one computation with itself.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from mpmath import mpf
 
 from . import limits, spectrum, torsion, zeta
 from .torsion import KappaEstimate, TorsionReport, rounding_gamma
-from .spectrum import Case, RuminLabel, label_to_weight
+from .spectrum import BlockFamily, Case, RuminLabel, label_to_weight
 from .weights import (HighestWeight, dimension_coefficients, gt_pattern_count,
                       special_dimension, weyl_dimension)
 
@@ -79,27 +85,39 @@ def _worst(name: str, parts: list[CheckResult]) -> CheckResult:
                        residual / ratio if ratio else min(c.bound for c in parts))
 
 
-def _labels(n: int, bound: int, *cases: Case) -> Iterator[RuminLabel]:
-    """Labels of the families of ``cases`` (of every family if none are
-    given), free parameters running 1..bound."""
-    for fam in spectrum.all_families(n):
-        if not cases or fam.case in cases:
-            yield from fam.labels(bound)
+# One row per label: the label, its highest weight and its eigenvalue.
+_Row = tuple[RuminLabel, HighestWeight, Fraction]
+
+
+def _rows(family: BlockFamily, bound: int) -> list[_Row]:
+    """The labels of ``family``, free parameters running 1..bound, each with
+    its weight (``label_to_weight``) and its ``eigenvalue_formula``."""
+    return [(label, label_to_weight(label), spectrum.eigenvalue_formula(label))
+            for label in family.labels(bound)]
+
+
+def _of(rows: list[_Row], *cases: Case) -> Iterator[_Row]:
+    # The rows whose label lies in a family of ``cases``.
+    return (row for row in rows if row[0].case in cases)
+
+
+def _total(parts: tuple[CheckResult, ...]) -> CheckResult:
+    # One exact check summed over the families: its violations add up.
+    return _exact(parts[0].name, sum(int(c.residual) for c in parts))
 
 
 # Work units one label may take in ``gt_pattern_count`` (one per memo entry
 # made and per child row summed, child rows of length 1 and 2 included).
-# With the memo shared across the check, the costliest label took 304, 466,
-# 628 and 790 units at n = 6, 8, 10 and 12 with bound 20, and 422 at n = 4
-# with bound 60, so the budget only stops a runaway count.
+# With the memo shared across the request, the costliest label took 304,
+# 466, 628 and 790 units at n = 6, 8, 10 and 12 with bound 20, and 422 at
+# n = 4 with bound 60, so the budget only stops a runaway count.
 GT_BUDGET = 10**6
 
 
-def check_weyl_vs_gt(n: int, bound: int) -> CheckResult:
-    memo: dict = {}
+def check_weyl_vs_gt(n: int, rows: list[_Row], memo: dict) -> CheckResult:
+    # ``memo`` is the GT memo, one dict for every call of a request.
     bad = 0
-    for label in _labels(n, bound):
-        w = label_to_weight(label)
+    for _, w, _ in rows:
         if weyl_dimension(w) != gt_pattern_count(w, budget=GT_BUDGET, memo=memo):
             bad += 1
     return _exact("weyl_dimension_vs_gt_patterns", bad)
@@ -132,10 +150,9 @@ def _equals(x: Fraction, num: int, den: int) -> bool:
     return den != 0 and x.numerator * den == num * x.denominator
 
 
-def check_eigenvalue_reductions(n: int, bound: int) -> CheckResult:
+def check_eigenvalue_reductions(n: int, rows: list[_Row]) -> CheckResult:
     bad = 0
-    for label in _labels(n, bound, Case.I, Case.III, Case.IV, Case.VI, Case.VII):
-        mu = spectrum.eigenvalue_formula(label)
+    for label, _, mu in _of(rows, Case.I, Case.III, Case.IV, Case.VI, Case.VII):
         q, j, i, p = label.q, label.j, label.i, label.p
         if label.case is Case.III and not _equals(mu, (p + i) ** 2, 4):
             bad += 1
@@ -150,18 +167,17 @@ def check_eigenvalue_reductions(n: int, bound: int) -> CheckResult:
     return _exact("universal_eigenvalue_reductions", bad)
 
 
-def check_norm_route(n: int, bound: int) -> CheckResult:
+def check_norm_route(n: int, rows: list[_Row]) -> CheckResult:
     bad = 0
-    for label in _labels(n, bound, Case.II, Case.V):
-        if spectrum.norm_route_eigenvalue(label) != spectrum.eigenvalue_formula(label):
+    for label, _, mu in _of(rows, Case.II, Case.V):
+        if spectrum.norm_route_eigenvalue(label) != mu:
             bad += 1
     return _exact("norm_route_eigenvalue_equivalence", bad)
 
 
-def check_case_v_mixed(n: int, bound: int) -> CheckResult:
+def check_case_v_mixed(n: int, rows: list[_Row]) -> CheckResult:
     bad = 0
-    for label in _labels(n, bound, Case.V):
-        mu = spectrum.eigenvalue_formula(label)
+    for label, _, mu in _of(rows, Case.V):
         if spectrum.case_v_mixed_eigenvalue(label) != mu:
             bad += 1
         if spectrum.case_v_identity_value(label) != mu:
@@ -174,7 +190,7 @@ def _ratio_route(c: int, d: int, up: Fraction, down: Fraction) -> tuple[int, int
     return c * up.numerator * down.denominator, d * up.denominator * down.numerator
 
 
-def check_norm_ratios(n: int, bound: int) -> CheckResult:
+def check_norm_ratios(n: int, rows: list[_Row]) -> CheckResult:
     # A^2 from the operator-norm table must equal the L^2-norm ratio route
     # (p+i)^2/(n-i-j) * |psi^{(i+1,j)}|^2 / |psi^{(i,j)}|^2 wherever the
     # tabulated norms apply (j > 0); same for B^2 with i > 0.  On a Case IV
@@ -182,7 +198,7 @@ def check_norm_ratios(n: int, bound: int) -> CheckResult:
     # must give (q+j)/2, whose square is the eigenvalue; Case III is the same
     # with (p, i) in place of (q, j).  Each comparison is one cross product.
     bad = 0
-    for label in _labels(n, bound, Case.II, Case.V):
+    for label, _, _ in _of(rows, Case.II, Case.V):
         i, j, p, q = label.i, label.j, label.p, label.q
         d = n - i - j
         a2, b2 = spectrum.operator_norm_squares(label)
@@ -200,7 +216,7 @@ def check_norm_ratios(n: int, bound: int) -> CheckResult:
                 route = _ratio_route((p + i) ** 2, d - 1, corner, side)
                 if not _equals(a2, *route):
                     bad += 1
-    for label in _labels(n, bound, Case.III, Case.IV):
+    for label, _, mu in _of(rows, Case.III, Case.IV):
         i, j = label.i, label.j
         if label.case is Case.IV:
             x, k, low, high = label.q + j, n - j, (0, j), (0, j + 1)
@@ -210,7 +226,7 @@ def check_norm_ratios(n: int, bound: int) -> CheckResult:
                                 spectrum.squared_norm(label, *low))
         if not _equals(Fraction(x, 2), num, den):
             bad += 1
-        if not _equals(spectrum.eigenvalue_formula(label), num * num, den * den):
+        if not _equals(mu, num * num, den * den):
             bad += 1
     return _exact("operator_norms_vs_l2_ratios", bad)
 
@@ -228,11 +244,10 @@ def _eigenvalue_from_weight(entries: tuple[int, ...]) -> tuple[int, int]:
     return num * num, 4 * d * d
 
 
-def check_weight_determined(n: int, bound: int) -> CheckResult:
+def check_weight_determined(n: int, rows: list[_Row]) -> CheckResult:
     bad = 0
-    for label in _labels(n, bound):
-        w = label_to_weight(label).entries
-        if not _equals(spectrum.eigenvalue_formula(label), *_eigenvalue_from_weight(w)):
+    for _, w, mu in rows:
+        if not _equals(mu, *_eigenvalue_from_weight(w.entries)):
             bad += 1
     return _exact("eigenvalue_determined_by_weight", bad)
 
@@ -312,14 +327,15 @@ def check_cancellation(n: int) -> CheckResult:
     return _exact("case_ii_v_cancellation", bad)
 
 
-def check_kernel_uniqueness(n: int, bound: int) -> CheckResult:
+def check_kernel_uniqueness(n: int, rows: list[_Row]) -> CheckResult:
     # The multiplicity of 0 in each degree k <= n: 1 at k = 0, none above.
-    # Degree 2n+1-k mirrors k, so it is not compared again.  Only labels of
-    # eigenvalue 0 take a Weyl dimension.
+    # Degree 2n+1-k mirrors k, so it is not compared again.  Only rows of
+    # eigenvalue 0 take a Weyl dimension, so ``rows`` must hold every row of
+    # the label set with eigenvalue 0 and may leave out any other.
     zero = [0] * (n + 1)
-    for label in _labels(n, bound):
-        if spectrum.eigenvalue_numerator(n, label.q, label.j, label.i, label.p) == 0:
-            dim = weyl_dimension(label_to_weight(label))
+    for label, w, mu in rows:
+        if not mu:
+            dim = weyl_dimension(w)
             for s, t in label.family.spaces:
                 zero[s + t] += dim
     bad = int(zero[0] != 1) + sum(1 for mult in zero[1:] if mult != 0)
@@ -416,17 +432,29 @@ def run_all(n: int, bound: int = 20, precision: Optional[int] = None) -> list[Ch
     """Every verification suite at the given label-parameter bound.  The
     torsion check runs first, so an n whose torsion leaves the double range,
     or a precision the zeta engine cannot reach, is refused before any label
-    check runs."""
+    check runs.  The label checks then run family by family on rows built
+    once (see the module docstring); the kernel check, which needs every
+    family, reads the rows of eigenvalue 0 kept from that walk."""
     torsion_values = check_torsion_values(n, precision)
+    memo: dict = {}
+    per_family = []
+    kernel_rows: list[_Row] = []
+    for family in spectrum.all_families(n):
+        rows = _rows(family, bound)
+        per_family.append([
+            check_weyl_vs_gt(n, rows, memo),
+            *(check(n, rows) for check in (
+                check_eigenvalue_reductions, check_norm_route, check_case_v_mixed,
+                check_norm_ratios, check_weight_determined))])
+        kernel_rows += [row for row in rows if not row[2]]
+    weyl, reductions, norm_route, case_v, ratios, weight = map(_total, zip(*per_family))
     return [
-        *(check(n, bound) for check in (
-            check_weyl_vs_gt, check_special_dimension, check_dimension_polynomial,
-            check_eigenvalue_reductions, check_norm_route, check_case_v_mixed,
-            check_norm_ratios, check_weight_determined)),
+        weyl, check_special_dimension(n, bound), check_dimension_polynomial(n, bound),
+        reductions, norm_route, case_v, ratios, weight,
         *(check(n) for check in (
             check_c_coefficients, check_sigma, check_vanishing_correction,
             check_cancellation)),
-        check_kernel_uniqueness(n, bound),
+        check_kernel_uniqueness(n, kernel_rows),
         check_zeta_constants(precision),
         check_hurwitz_shift(precision),
         torsion_values, check_reduced_continuation(n, precision),

@@ -1,6 +1,6 @@
-"""The verify suites: every check reaches the record's bound, the spectrum
-slices are built once per canonical degree, and every numeric check holds
-against a bound derived from its routes and fails on errors below it.
+"""The verify suites: every check reaches the record's bound, one request
+builds the label set once, and every numeric check holds against a bound
+derived from its routes and fails on errors below it.
 The identity tests of ``sigma`` (two), ``c_coefficients`` (three) and the
 vanishing correction (two) moved here from ``test_zeta`` unchanged."""
 
@@ -23,6 +23,12 @@ from hypothesis import strategies as st
 from rumin_sphere import _kernels_py, cli, limits, spectrum, torsion, verify, weights, zeta
 from rumin_sphere import c_coefficients, sigma
 from rumin_sphere.weights import weyl_dimension
+
+
+def label_rows(n, bound):
+    """Every row of the label set, as ``run_all`` builds them family by
+    family: (label, weight, eigenvalue)."""
+    return [row for fam in spectrum.all_families(n) for row in verify._rows(fam, bound)]
 
 
 def failing_checks(capsys, n, bound):
@@ -53,6 +59,25 @@ def test_weight_check_reaches_the_bound(capsys, monkeypatch):
     code, failed = failing_checks(capsys, 2, 20)
     assert code == 1
     assert "eigenvalue_determined_by_weight" in failed
+    assert failing_checks(capsys, 2, 14) == (0, set())
+
+
+def test_weight_check_reads_the_shared_weight(capsys, monkeypatch):
+    # A valid but wrong weight, first entry q+1, at the one label (q, j, i,
+    # p) = (1, 1, 0, 15) of n = 2 reaches every label check, and only the
+    # weight-determined eigenvalue sees it: the Weyl and GT counts of the
+    # wrong weight agree, and the kernel check skips a nonzero eigenvalue.
+    to_weight = verify.label_to_weight
+    target = spectrum.RuminLabel(2, 1, 1, 0, 15)
+
+    def wrong_at_target(label):
+        w = to_weight(label)
+        if label != target:
+            return w
+        return weights.HighestWeight((label.q + 1, *w.entries[1:]))
+
+    monkeypatch.setattr(verify, "label_to_weight", wrong_at_target)
+    assert failing_checks(capsys, 2, 20) == (1, {"eigenvalue_determined_by_weight"})
     assert failing_checks(capsys, 2, 14) == (0, set())
 
 
@@ -109,6 +134,23 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def test_one_request_builds_the_label_set_once(monkeypatch):
+    # run_all walks the families once: each family's labels are built once,
+    # and each label's weight and eigenvalue once, for every label check.
+    # The only other weights are the (n+1) bound of the special-dimension
+    # check.
+    n, bound = 3, 5
+    families = spectrum.all_families(n)
+    labels = sum(len(list(fam.labels(bound))) for fam in families)
+    walked = count_calls(monkeypatch, spectrum.BlockFamily, "labels")
+    made = count_calls(monkeypatch, weights.HighestWeight, "__post_init__")
+    formulas = count_calls(monkeypatch, spectrum, "eigenvalue_formula")
+    assert all(r.passed for r in verify.run_all(n, bound))
+    assert walked == [(fam, bound) for fam in families]
+    assert len(made) == labels + (n + 1) * bound
+    assert len(formulas) == labels
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_run_all_builds_no_spectrum_slice(monkeypatch, n):
     # The kernel check reads the multiplicity of 0 off the labels; no check
@@ -126,10 +168,10 @@ def test_kernel_check_slices_reach_the_bound(monkeypatch):
         return 0 if p == 25 else numerator(n, q, j, i, p)
 
     monkeypatch.setattr(spectrum, "eigenvalue_numerator", zero_at_p25)
-    assert verify.check_kernel_uniqueness(2, 24).passed
+    assert verify.check_kernel_uniqueness(2, label_rows(2, 24)).passed
     # Degrees 0, 1 and 2 are each wrong, and each counts once: their
     # mirrors 5, 4 and 3 are not compared again.
-    assert verify.check_kernel_uniqueness(2, 25).residual == 3
+    assert verify.check_kernel_uniqueness(2, label_rows(2, 25)).residual == 3
 
 
 def test_kernel_check_takes_dimensions_only_at_eigenvalue_zero(monkeypatch):
@@ -144,8 +186,9 @@ def test_kernel_check_takes_dimensions_only_at_eigenvalue_zero(monkeypatch):
 
     monkeypatch.setattr(weights, "weyl_product", counting)
     for bound in (1, 5, 20):
+        rows = label_rows(3, bound)
         calls.clear()
-        assert verify.check_kernel_uniqueness(3, bound).passed
+        assert verify.check_kernel_uniqueness(3, rows).passed
         assert calls == [(0, 0, 0, 0)]
 
 
