@@ -3,7 +3,8 @@ exact eigenvalues of the rescaled Rumin Laplacian on them.
 
 The label table ``all_families`` is the one encoding of the seven case
 ranges; ``RuminLabel`` validates itself by one lookup in it and keeps the
-family it finds, which gives its case and its bidegrees.
+family it finds, which gives its case and its bidegrees.  The keys and
+dimensions that ``spectrum`` and ``verify`` read come from ``BlockFamily.rows``.
 
 Everything is exact: eigenvalues are ``Fraction``s, dimensions integers, and
 squared norms carry the rational coefficient of the symbolic unit pi^{n+1}.
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import factorial, lcm, prod
 from typing import Iterator, Optional, Sequence
 
@@ -109,7 +111,7 @@ def eigenvalue_formula(label: RuminLabel) -> Fraction:
 
 def eigenvalue_denominator(n: int) -> int:
     """L = 4 lcm(1^2, ..., n^2): every eigenvalue on S^{2n+1} is an
-    integer over L, the key A^2 L / (4 (n-i-j)^2) of ``degree_labels``."""
+    integer over L, the key A^2 L / (4 (n-i-j)^2) of ``BlockFamily.rows``."""
     return 4 * lcm(*range(1, n + 1)) ** 2
 
 
@@ -143,6 +145,45 @@ class BlockFamily:
         for p in ps:
             for q in qs:
                 yield RuminLabel(self.n, q, self.j, self.i, p)
+
+    def rows(self, bound: int, spaces: tuple[tuple[int, int], ...]) -> Iterator[
+            tuple[Case, int, int, int, int, int, int, tuple[tuple[int, int], ...]]]:
+        """The row (case, i, j, q, p, key, dimension, spaces) of each member
+        label, free parameters running 1..bound, p-major: the one row
+        generator of the label set, read by ``degree_labels`` and
+        ``verify.run_all``.  ``spaces`` is passed through.
+
+        The eigenvalue is key / ``eigenvalue_denominator(n)``.  The dimension
+        is ``weights.weyl_product`` of the weight (q, m, -p), m the family's
+        middle weight, regrouped: its numerator is a constant from the pairs
+        inside m, times the q-row prod_b (q - m_b + b), the p-row
+        prod_a (m_a + p + n - a) and the factor (q + p + n).  The constant,
+        the q-rows, the key's multiplier and the divisor prod_{a<b} (b - a)
+        are built once per family and the p-row once per p; a remainder or
+        a result below 1 raises ``ArithmeticError`` as in ``weyl_product``.
+        """
+        n, case, i, j = self.n, self.case, self.i, self.j
+        d = n - i - j
+        mult = eigenvalue_denominator(n) // (4 * d * d)
+        divisor = prod(map(factorial, range(n + 1)))  # prod_{a<b} (b - a) = prod_b b!
+        middle = _middle_weight(n, j, i)
+        # The factors of the pairs inside the middle weight.
+        const = prod(middle[a] - middle[b] + b - a
+                     for a in range(n - 1) for b in range(a + 1, n - 1))
+        q_shifts = [b - m for b, m in enumerate(middle, 1)]
+        p_shifts = [m + n - a for a, m in enumerate(middle, 1)]
+        ps, qs = self.parameters(bound)
+        q_rows = [(q, const * _shifted_product(q, q_shifts)) for q in qs]
+        for p in ps:
+            p_row = _shifted_product(p, p_shifts)
+            for q, q_row in q_rows:
+                dim, rem = divmod(q_row * p_row * (q + p + n), divisor)
+                if rem or dim <= 0:
+                    raise ArithmeticError(
+                        "Weyl product is not a positive integer: "
+                        f"{(q, *middle, -p)}")
+                a = eigenvalue_numerator(n, q, j, i, p)
+                yield case, i, j, q, p, a * a * mult, dim, spaces
 
 
 @lru_cache(maxsize=None)
@@ -196,50 +237,15 @@ def degree_labels(
 ) -> Iterator[tuple[Case, int, int, int, int, int, int, tuple[tuple[int, int], ...]]]:
     """Every label with a block in degree k, free parameters running 1..N.
 
-    Yields plain tuples (case, i, j, q, p, key, dimension, bidegrees (s, t)
-    of the label's blocks with s + t = k), in canonical family order and,
-    within a family, p-major.  The eigenvalue is key / L with L =
-    ``eigenvalue_denominator(n)``, an exact integer key shared by every
-    block of the label, as is the Weyl dimension.  Only degrees k <= n carry
-    blocks; higher degrees are reached through the mirror rule.
-
-    The dimension is ``weights.weyl_product`` of the weight (q, m, -p) with
-    m = m_1..m_{n-1} the family's middle weight, regrouped: only q and p
-    vary within a family, so the numerator prod_{a<b} (w_a - w_b + b - a)
-    is a constant from the pairs inside m, times the q-row
-    prod_b (q - m_b + b), the p-row prod_a (m_a + p + n - a) and the one
-    factor (q + p + n).  The constant and the q-rows are built once per
-    family and the p-row once per p, so a label costs two products and one
-    ``divmod`` by the fixed prod_{a<b} (b - a); a remainder or a result
-    below 1 raises ``ArithmeticError`` as in ``weyl_product``.
+    The rows of ``BlockFamily.rows`` of each family with a bidegree (s, t),
+    s + t = k, in canonical family order, each row's ``spaces`` holding
+    those bidegrees only, chained with no Python frame between the
+    generator and the reader.  Only degrees k <= n carry blocks; higher
+    degrees are reached through the mirror rule.
     """
-    scale = eigenvalue_denominator(n) // 4
-    divisor = prod(b - a for a in range(n + 1) for b in range(a + 1, n + 1))
-    for fam in all_families(n):
-        spaces = tuple((s, t) for s, t in fam.spaces if s + t == k)
-        if not spaces:
-            continue
-        case, i, j = fam.case, fam.i, fam.j
-        d = n - i - j
-        middle = _middle_weight(n, j, i)
-        mult = scale // (d * d)
-        # The factors of the pairs inside the middle weight.
-        const = prod(middle[a] - middle[b] + b - a
-                     for a in range(n - 1) for b in range(a + 1, n - 1))
-        q_shifts = [b - m for b, m in enumerate(middle, 1)]
-        p_shifts = [m + n - a for a, m in enumerate(middle, 1)]
-        ps, qs = fam.parameters(N)
-        q_rows = [(q, const * _shifted_product(q, q_shifts)) for q in qs]
-        for p in ps:
-            p_row = _shifted_product(p, p_shifts)
-            for q, q_row in q_rows:
-                dim, rem = divmod(q_row * p_row * (q + p + n), divisor)
-                if rem or dim <= 0:
-                    raise ArithmeticError(
-                        "Weyl product is not a positive integer: "
-                        f"{(q, *middle, -p)}")
-                a = eigenvalue_numerator(n, q, j, i, p)
-                yield case, i, j, q, p, a * a * mult, dim, spaces
+    return chain.from_iterable(
+        fam.rows(N, spaces) for fam in all_families(n)
+        if (spaces := tuple((s, t) for s, t in fam.spaces if s + t == k)))
 
 
 def _shifted_product(x: int, shifts: Sequence[int]) -> int:
@@ -341,16 +347,25 @@ def case_v_identity_value(label: RuminLabel) -> Fraction:
 
 
 def squared_norm(label: RuminLabel, s: int, t: int) -> Fraction:
-    """Squared L^2 norm of the highest-weight vector of ``label`` at (s, t),
-    as the rational coefficient of pi^{n+1}.
+    """The entry (s, t) of ``squared_norms(label)``; a bidegree with no
+    tabulated norm raises ``CaseRangeError``."""
+    norm = squared_norms(label).get((s, t))
+    if norm is None:
+        raise CaseRangeError(f"no tabulated norm for {label} at bidegree ({s}, {t})")
+    return norm
+
+
+def squared_norms(label: RuminLabel) -> dict[tuple[int, int], Fraction]:
+    """Squared L^2 norms of the highest-weight vector of ``label`` by
+    bidegree (s, t), as rational coefficients of pi^{n+1}.
 
     Implements the tabulated norm formulas, each a multiple of one base
-    constant, only for the case that needs it:
+    constant built once per label, only for the case that needs it:
     C = 2^{n+1} (q-1)! (p-1)! / (q+p+n)! for Cases II and V, and
     D = 2^{n+1} (q-1)! / (q+n)! for Case IV, with p in place of q for its
     conjugate Case III.  The numerator and the denominator of a value are
-    built as integers and make one ``Fraction``.  Combinations outside
-    their side conditions raise ``CaseRangeError``.
+    built as integers and make one ``Fraction``.  Bidegrees outside their
+    side conditions, and the Case I, VI and VII labels, have no entry.
     """
     n, q, j, i, p = label.n, label.q, label.j, label.i, label.p
     case = label.case
@@ -359,30 +374,19 @@ def squared_norm(label: RuminLabel, s: int, t: int) -> Fraction:
     if case in (Case.II, Case.V):
         c = two * factorial(q - 1) * factorial(p - 1)
         f = factorial(q + p + n)
-        if (s, t) == (i, j):
-            return Fraction(c * (q + j) * (p + i), f << (i + j))
-        if (s, t) == (i + 1, j) and j > 0:
-            return Fraction(c * (q + j) * (q + n - i), f << (i + j + 1))
-        if (s, t) == (i, j + 1) and i > 0:
-            return Fraction(c * (p + i) * (p + n - j), f << (i + j + 1))
-        if (s, t) == (i + 1, j + 1) and i > 0 and j > 0 and i + j <= n - 2:
-            return Fraction(c * (q + n - i) * (p + n - j) * (n - 1 - i - j),
-                            (f * (n - i - j)) << (i + j + 2))
-    elif case is Case.IV:
-        d = two * factorial(q - 1)
-        f = factorial(q + n)
-        if (s, t) == (0, j):
-            return Fraction(d * (q + j), f << j)
-        if (s, t) == (0, j + 1):
-            return Fraction(d * (n - j), f << (j + 1))
-    elif case is Case.III:
-        # Conjugate of Case IV: the roles of (q, j) are played by (p, i).
-        d = two * factorial(p - 1)
-        f = factorial(p + n)
-        if (s, t) == (i, 0):
-            return Fraction(d * (p + i), f << i)
-        if (s, t) == (i + 1, 0):
-            return Fraction(d * (n - i), f << (i + 1))
-    raise CaseRangeError(
-        f"no tabulated norm for {label} at bidegree ({s}, {t})"
-    )
+        norms = {(i, j): Fraction(c * (q + j) * (p + i), f << (i + j))}
+        if j > 0:
+            norms[i + 1, j] = Fraction(c * (q + j) * (q + n - i), f << (i + j + 1))
+        if i > 0:
+            norms[i, j + 1] = Fraction(c * (p + i) * (p + n - j), f << (i + j + 1))
+        if i > 0 and j > 0 and i + j <= n - 2:
+            norms[i + 1, j + 1] = Fraction(c * (q + n - i) * (p + n - j) * (n - 1 - i - j),
+                                           (f * (n - i - j)) << (i + j + 2))
+        return norms
+    if case in (Case.III, Case.IV):
+        # Case III is the conjugate of Case IV: (p, i) plays the role of (q, j).
+        x, y, high = (q, j, (0, j + 1)) if case is Case.IV else (p, i, (i + 1, 0))
+        d, f = two * factorial(x - 1), factorial(x + n)
+        return {(i, j): Fraction(d * (x + y), f << y),
+                high: Fraction(d * (n - y), f << (y + 1))}
+    return {}

@@ -17,17 +17,18 @@ eigenvalues.
 
 Every check that loops over labels runs their free parameters over
 1..bound, the ``--max`` of the record; no check lowers it.  ``run_all``
-walks ``spectrum.all_families`` once: for each family it builds the rows
-(label, ``label_to_weight``, ``eigenvalue_formula``) once and hands them to
-every label check, and each check adds up its violations over the families.
-Only one family's rows are held at a time, the kernel check's rows of
-eigenvalue 0 apart, and the GT memo is shared by every label of the request.
-The ``identity_suite`` pairs of ``BENCH_30.json`` time it against a walk
-per check.  The label checks compare exact values by cross products of
-integers, with no arithmetic on ``Fraction``s.  There is no mirror check:
-the package defines degrees above the middle by the mirror rule
-(``spectrum_slice`` folds k to min(k, 2n+1-k)), so a comparison of degree
-k with degree 2n+1-k would compare one computation with itself.
+walks ``spectrum.all_families`` once and reads each family's rows from
+``BlockFamily.rows``, the generator of every ``spectrum`` record, so the
+label checks certify the keys and dimensions that ``spectrum`` prints,
+each against a second route: the Gelfand-Tsetlin count of the weight, the
+reductions, the norm routes and the weight.  Each row gets its label and
+weight once; each label check adds up its violations over the families.
+Only one family's rows are held at a time, the kernel check's rows of key 0
+apart, and the GT memo is shared by every label of the request.  Exact
+values are compared by cross products of integers.  There is no mirror
+check: the package defines degrees above the middle by the mirror rule
+(``spectrum_slice`` folds k to min(k, 2n+1-k)), so a comparison of degree k
+with degree 2n+1-k would compare one computation with itself.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, inf, pi, prod, ulp
-from typing import Iterator, Optional
+from typing import Optional
 
 import mpmath
 from mpmath import mpf
@@ -85,20 +86,13 @@ def _worst(name: str, parts: list[CheckResult]) -> CheckResult:
                        residual / ratio if ratio else min(c.bound for c in parts))
 
 
-# One row per label: the label, its highest weight and its eigenvalue.
-_Row = tuple[RuminLabel, HighestWeight, Fraction]
+# One row per label: the label, its weight and, from ``BlockFamily.rows``,
+# its eigenvalue as the pair (key, L) and its dimension.
+_Row = tuple[RuminLabel, HighestWeight, tuple[int, int], int]
 
 
-def _rows(family: BlockFamily, bound: int) -> list[_Row]:
-    """The labels of ``family``, free parameters running 1..bound, each with
-    its weight (``label_to_weight``) and its ``eigenvalue_formula``."""
-    return [(label, label_to_weight(label), spectrum.eigenvalue_formula(label))
-            for label in family.labels(bound)]
-
-
-def _of(rows: list[_Row], *cases: Case) -> Iterator[_Row]:
-    # The rows whose label lies in a family of ``cases``.
-    return (row for row in rows if row[0].case in cases)
+def _of(family: BlockFamily, rows: list[_Row], *cases: Case) -> list[_Row]:
+    return rows if family.case in cases else []
 
 
 def _total(parts: tuple[CheckResult, ...]) -> CheckResult:
@@ -114,11 +108,11 @@ def _total(parts: tuple[CheckResult, ...]) -> CheckResult:
 GT_BUDGET = 10**6
 
 
-def check_weyl_vs_gt(n: int, rows: list[_Row], memo: dict) -> CheckResult:
+def check_weyl_vs_gt(rows: list[_Row], memo: dict) -> CheckResult:
     # ``memo`` is the GT memo, one dict for every call of a request.
     bad = 0
-    for _, w, _ in rows:
-        if weyl_dimension(w) != gt_pattern_count(w, budget=GT_BUDGET, memo=memo):
+    for _, w, _, dim in rows:
+        if dim != gt_pattern_count(w, budget=GT_BUDGET, memo=memo):
             bad += 1
     return _exact("weyl_dimension_vs_gt_patterns", bad)
 
@@ -144,43 +138,40 @@ def check_dimension_polynomial(n: int, bound: int) -> CheckResult:
     return _exact("dimension_polynomial_vs_special", bad)
 
 
-def _equals(x: Fraction, num: int, den: int) -> bool:
-    # x == num / den, decided by one cross product of integers; a zero
-    # denominator is a violation, as a division by it would be.
-    return den != 0 and x.numerator * den == num * x.denominator
+def _equals(x: tuple[int, int], num: int, den: int) -> bool:
+    # x == num / den for x a pair (numerator, positive denominator), decided
+    # by one cross product of integers; a zero denominator is a violation,
+    # as a division by it would be.
+    return den != 0 and x[0] * den == num * x[1]
 
 
-def check_eigenvalue_reductions(n: int, rows: list[_Row]) -> CheckResult:
+def check_eigenvalue_reductions(family: BlockFamily, rows: list[_Row]) -> CheckResult:
+    # On the one-parameter families the eigenvalue reduces to x^2 / 4, with
+    # x = 0 on Case I and p+i, q+j, p+n, q+n on Cases III, IV, VI, VII.
+    n, case = family.n, family.case
     bad = 0
-    for label, _, mu in _of(rows, Case.I, Case.III, Case.IV, Case.VI, Case.VII):
+    for label, _, mu, _ in _of(family, rows, Case.I, Case.III, Case.IV, Case.VI, Case.VII):
         q, j, i, p = label.q, label.j, label.i, label.p
-        if label.case is Case.III and not _equals(mu, (p + i) ** 2, 4):
-            bad += 1
-        elif label.case is Case.IV and not _equals(mu, (q + j) ** 2, 4):
-            bad += 1
-        elif label.case is Case.VI and not _equals(mu, (p + n) ** 2, 4):
-            bad += 1
-        elif label.case is Case.VII and not _equals(mu, (q + n) ** 2, 4):
-            bad += 1
-        elif label.case is Case.I and mu != 0:
+        x = {Case.I: 0, Case.III: p + i, Case.IV: q + j, Case.VI: p + n, Case.VII: q + n}[case]
+        if not _equals(mu, x * x, 4):
             bad += 1
     return _exact("universal_eigenvalue_reductions", bad)
 
 
-def check_norm_route(n: int, rows: list[_Row]) -> CheckResult:
+def check_norm_route(family: BlockFamily, rows: list[_Row]) -> CheckResult:
     bad = 0
-    for label, _, mu in _of(rows, Case.II, Case.V):
-        if spectrum.norm_route_eigenvalue(label) != mu:
+    for label, _, mu, _ in _of(family, rows, Case.II, Case.V):
+        if not _equals(spectrum.norm_route_eigenvalue(label).as_integer_ratio(), *mu):
             bad += 1
     return _exact("norm_route_eigenvalue_equivalence", bad)
 
 
-def check_case_v_mixed(n: int, rows: list[_Row]) -> CheckResult:
+def check_case_v_mixed(family: BlockFamily, rows: list[_Row]) -> CheckResult:
     bad = 0
-    for label, _, mu in _of(rows, Case.V):
-        if spectrum.case_v_mixed_eigenvalue(label) != mu:
+    for label, _, mu, _ in _of(family, rows, Case.V):
+        if not _equals(spectrum.case_v_mixed_eigenvalue(label).as_integer_ratio(), *mu):
             bad += 1
-        if spectrum.case_v_identity_value(label) != mu:
+        if not _equals(spectrum.case_v_identity_value(label).as_integer_ratio(), *mu):
             bad += 1
     return _exact("case_v_mixed_route_equivalence", bad)
 
@@ -190,41 +181,44 @@ def _ratio_route(c: int, d: int, up: Fraction, down: Fraction) -> tuple[int, int
     return c * up.numerator * down.denominator, d * up.denominator * down.numerator
 
 
-def check_norm_ratios(n: int, rows: list[_Row]) -> CheckResult:
+def check_norm_ratios(family: BlockFamily, rows: list[_Row]) -> CheckResult:
     # A^2 from the operator-norm table must equal the L^2-norm ratio route
     # (p+i)^2/(n-i-j) * |psi^{(i+1,j)}|^2 / |psi^{(i,j)}|^2 wherever the
     # tabulated norms apply (j > 0); same for B^2 with i > 0.  On a Case IV
     # label the route (q+j)^2/(n-j) * |psi^{(0,j+1)}|^2 / |psi^{(0,j)}|^2
     # must give (q+j)/2, whose square is the eigenvalue; Case III is the same
-    # with (p, i) in place of (q, j).  Each comparison is one cross product.
+    # with (p, i) in place of (q, j).  Each comparison is one cross product,
+    # and each label's norms come from one ``squared_norms`` table.
+    n, case = family.n, family.case
     bad = 0
-    for label, _, _ in _of(rows, Case.II, Case.V):
+    for label, _, _, _ in _of(family, rows, Case.II, Case.V):
         i, j, p, q = label.i, label.j, label.p, label.q
         d = n - i - j
-        a2, b2 = spectrum.operator_norm_squares(label)
-        base = spectrum.squared_norm(label, i, j)
+        a2, b2 = (x.as_integer_ratio() for x in spectrum.operator_norm_squares(label))
+        norms = spectrum.squared_norms(label)
+        base = norms[i, j]
         if j > 0:
-            up = spectrum.squared_norm(label, i + 1, j)
+            up = norms[i + 1, j]
             if not _equals(a2, *_ratio_route((p + i) ** 2, d, up, base)):
                 bad += 1
         if i > 0:
-            side = spectrum.squared_norm(label, i, j + 1)
+            side = norms[i, j + 1]
             if not _equals(b2, *_ratio_route((q + j) ** 2, d, side, base)):
                 bad += 1
             if j > 0 and d >= 2:
-                corner = spectrum.squared_norm(label, i + 1, j + 1)
+                corner = norms[i + 1, j + 1]
                 route = _ratio_route((p + i) ** 2, d - 1, corner, side)
                 if not _equals(a2, *route):
                     bad += 1
-    for label, _, mu in _of(rows, Case.III, Case.IV):
+    for label, _, mu, _ in _of(family, rows, Case.III, Case.IV):
         i, j = label.i, label.j
-        if label.case is Case.IV:
+        if case is Case.IV:
             x, k, low, high = label.q + j, n - j, (0, j), (0, j + 1)
         else:
             x, k, low, high = label.p + i, n - i, (i, 0), (i + 1, 0)
-        num, den = _ratio_route(x * x, k, spectrum.squared_norm(label, *high),
-                                spectrum.squared_norm(label, *low))
-        if not _equals(Fraction(x, 2), num, den):
+        norms = spectrum.squared_norms(label)
+        num, den = _ratio_route(x * x, k, norms[high], norms[low])
+        if not _equals((x, 2), num, den):
             bad += 1
         if not _equals(mu, num * num, den * den):
             bad += 1
@@ -244,9 +238,9 @@ def _eigenvalue_from_weight(entries: tuple[int, ...]) -> tuple[int, int]:
     return num * num, 4 * d * d
 
 
-def check_weight_determined(n: int, rows: list[_Row]) -> CheckResult:
+def check_weight_determined(family: BlockFamily, rows: list[_Row]) -> CheckResult:
     bad = 0
-    for _, w, mu in rows:
+    for _, w, mu, _ in rows:
         if not _equals(mu, *_eigenvalue_from_weight(w.entries)):
             bad += 1
     return _exact("eigenvalue_determined_by_weight", bad)
@@ -327,16 +321,15 @@ def check_cancellation(n: int) -> CheckResult:
     return _exact("case_ii_v_cancellation", bad)
 
 
-def check_kernel_uniqueness(n: int, rows: list[_Row]) -> CheckResult:
-    # The multiplicity of 0 in each degree k <= n: 1 at k = 0, none above.
-    # Degree 2n+1-k mirrors k, so it is not compared again.  Only rows of
-    # eigenvalue 0 take a Weyl dimension, so ``rows`` must hold every row of
-    # the label set with eigenvalue 0 and may leave out any other.
+def check_kernel_uniqueness(n: int, rows: list[tuple]) -> CheckResult:
+    # The multiplicity of 0 in each degree k <= n: 1 at k = 0, none above;
+    # degree 2n+1-k mirrors k, so it is not compared again.  ``rows`` are
+    # rows of ``BlockFamily.rows`` with all their family's bidegrees; they
+    # must hold every one of key 0 and may leave out any other.
     zero = [0] * (n + 1)
-    for label, w, mu in rows:
-        if not mu:
-            dim = weyl_dimension(w)
-            for s, t in label.family.spaces:
+    for *_, key, dim, spaces in rows:
+        if not key:
+            for s, t in spaces:
                 zero[s + t] += dim
     bad = int(zero[0] != 1) + sum(1 for mult in zero[1:] if mult != 0)
     return _exact("zero_eigenvalue_only_in_top_and_bottom", bad)
@@ -432,21 +425,25 @@ def run_all(n: int, bound: int = 20, precision: Optional[int] = None) -> list[Ch
     """Every verification suite at the given label-parameter bound.  The
     torsion check runs first, so an n whose torsion leaves the double range,
     or a precision the zeta engine cannot reach, is refused before any label
-    check runs.  The label checks then run family by family on rows built
-    once (see the module docstring); the kernel check, which needs every
-    family, reads the rows of eigenvalue 0 kept from that walk."""
+    check runs.  The label checks then run family by family on the rows of
+    ``BlockFamily.rows``, one call per family (see the module docstring);
+    the kernel check, which needs every family, reads the generator's rows
+    of key 0 kept from that walk."""
     torsion_values = check_torsion_values(n, precision)
+    den = spectrum.eigenvalue_denominator(n)
     memo: dict = {}
     per_family = []
-    kernel_rows: list[_Row] = []
+    kernel_rows = []
     for family in spectrum.all_families(n):
-        rows = _rows(family, bound)
+        generated = list(family.rows(bound, family.spaces))
+        rows = [(label := RuminLabel(n, q, j, i, p), label_to_weight(label), (key, den), dim)
+                for _, i, j, q, p, key, dim, _ in generated]
         per_family.append([
-            check_weyl_vs_gt(n, rows, memo),
-            *(check(n, rows) for check in (
+            check_weyl_vs_gt(rows, memo),
+            *(check(family, rows) for check in (
                 check_eigenvalue_reductions, check_norm_route, check_case_v_mixed,
                 check_norm_ratios, check_weight_determined))])
-        kernel_rows += [row for row in rows if not row[2]]
+        kernel_rows += [row for row in generated if not row[5]]
     weyl, reductions, norm_route, case_v, ratios, weight = map(_total, zip(*per_family))
     return [
         weyl, check_special_dimension(n, bound), check_dimension_polynomial(n, bound),

@@ -42,11 +42,11 @@ def weyl_product(entries: Sequence[int]) -> int:
     """prod_{a<b} (w_a - w_b + b - a)/(b - a) for the integer tuple
     ``entries``, in exact integer arithmetic.
 
-    ``weyl_dimension`` calls it.  The label enumeration
-    ``spectrum.degree_labels`` computes the same integer product regrouped
-    by family: a constant from the middle entries, a row in the first entry,
-    a row in the last entry and the factor that pairs the two.  The
-    numerator is divided by prod_{a<b} (b - a) with ``divmod``, and a
+    ``weyl_dimension`` calls it.  The row generator of the label set,
+    ``spectrum.BlockFamily.rows``, computes the same integer product
+    regrouped by family: a constant from the middle entries, a row in the
+    first entry, a row in the last entry and the factor that pairs the two.
+    The numerator is divided by prod_{a<b} (b - a) with ``divmod``, and a
     remainder or a result below 1 raises ``ArithmeticError``.
     """
     m = len(entries)

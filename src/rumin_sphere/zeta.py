@@ -59,8 +59,7 @@ exact test would fail, so this screen changes no bit.  The rising
 factorial of the value's bound is 0 at s = 0, so the zeta(0)/zeta'(0)
 pass behind every ``torsion`` record is screened by the derivative's
 bound alone, and computes it at 1 or 2 of its 13 (128 bits) to 210 (2048
-bits) orders.  The benchmark runs of the engine are stored in
-``BENCH_21.json``, ``BENCH_22.json`` and ``BENCH_28.json``.
+bits) orders.
 """
 
 from __future__ import annotations

@@ -21,8 +21,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rumin_sphere import (
-    DivergenceError, KappaEstimate, PoleError, PrecisionError, cli, spectrum_slice,
-    torsion,
+    DivergenceError, KappaEstimate, PoleError, PrecisionError, cli, spectrum,
+    spectrum_slice, torsion,
 )
 from rumin_sphere.limits import MAX_PRECISION_BITS
 
@@ -114,6 +114,34 @@ def test_spectrum_rows_match_spectrum_slice(capsys):
                 )
             got = {Fraction(r["eigenvalue"]): r["multiplicity"] for r in rows}
             assert list(got.items()) == list(spectrum_slice(n, k, 5).items()), (n, k)
+
+
+@pytest.mark.parametrize("argv, k", [
+    (("spectrum", "--n", "3", "--degree", "2", "--max", "4"), 2),
+    (("spectrum", "--n", "3", "--degree", "5", "--max", "4", "--format", "csv"), 2),
+    (("verify", "--n", "3", "--max", "4"), None),
+])
+def test_one_request_calls_the_row_generator_once_per_family(
+        capsys, monkeypatch, argv, k):
+    # One walk of the families per request: ``BlockFamily.rows`` is called
+    # once per family with a bidegree in the (mirrored) degree k, with those
+    # bidegrees, for ``spectrum`` in JSON or CSV, and once per family, with
+    # all its bidegrees, for ``verify``.
+    calls = []
+    generate = spectrum.BlockFamily.rows
+
+    def counted(family, bound, spaces):
+        calls.append((family, bound, spaces))
+        return generate(family, bound, spaces)
+
+    monkeypatch.setattr(spectrum.BlockFamily, "rows", counted)
+    assert run_cli(capsys, *argv)[0] == 0
+    expected = []
+    for family in spectrum.all_families(3):
+        spaces = tuple(st for st in family.spaces if k is None or sum(st) == k)
+        if spaces:
+            expected.append((family, 4, spaces))
+    assert calls == expected
 
 
 def test_spectrum_csv_header_and_rows(capsys):

@@ -1,6 +1,7 @@
 """The verify suites: every check reaches the record's bound, one request
-builds the label set once, and every numeric check holds against a bound
-derived from its routes and fails on errors below it.
+builds the label set once from the row generator ``spectrum`` prints, and
+every numeric check holds against a bound derived from its routes and fails
+on errors below it.
 The identity tests of ``sigma`` (two), ``c_coefficients`` (three) and the
 vanishing correction (two) moved here from ``test_zeta`` unchanged."""
 
@@ -22,13 +23,25 @@ from hypothesis import strategies as st
 
 from rumin_sphere import _kernels_py, cli, limits, spectrum, torsion, verify, weights, zeta
 from rumin_sphere import c_coefficients, sigma
-from rumin_sphere.weights import weyl_dimension
 
 
 def label_rows(n, bound):
-    """Every row of the label set, as ``run_all`` builds them family by
-    family: (label, weight, eigenvalue)."""
-    return [row for fam in spectrum.all_families(n) for row in verify._rows(fam, bound)]
+    """Every row of ``BlockFamily.rows`` with all its family's bidegrees, as
+    ``run_all`` reads them family by family."""
+    return [row for fam in spectrum.all_families(n) for row in fam.rows(bound, fam.spaces)]
+
+
+def patch_rows(monkeypatch, change):
+    """Make ``BlockFamily.rows`` yield every row with its (key, dimension)
+    replaced by ``change(family, row)``; ``spectrum`` and ``verify`` both
+    read the changed rows."""
+    generate = spectrum.BlockFamily.rows
+
+    def changed(family, bound, spaces):
+        for row in generate(family, bound, spaces):
+            yield (*row[:5], *change(family, row), row[7])
+
+    monkeypatch.setattr(spectrum.BlockFamily, "rows", changed)
 
 
 def failing_checks(capsys, n, bound):
@@ -38,24 +51,22 @@ def failing_checks(capsys, n, bound):
 
 
 def test_weyl_check_reaches_the_bound(capsys, monkeypatch):
-    # A Weyl dimension off by one only at q = 17 is caught at --max 20.
-    def wrong_at_q17(w):
-        return weyl_dimension(w) + (w.entries[0] == 17)
+    # A generated dimension off by one only at q = 17 is caught at --max 20.
+    def wrong_at_q17(family, row):
+        return row[5], row[6] + (row[3] == 17)
 
     assert failing_checks(capsys, 2, 20) == (0, set())
-    monkeypatch.setattr(verify, "weyl_dimension", wrong_at_q17)
+    patch_rows(monkeypatch, wrong_at_q17)
     assert failing_checks(capsys, 2, 16) == (0, set())
     assert failing_checks(capsys, 2, 20) == (1, {"weyl_dimension_vs_gt_patterns"})
 
 
 def test_weight_check_reaches_the_bound(capsys, monkeypatch):
-    # An eigenvalue off by one only at p = 15 is caught at --max 20.
-    formula = spectrum.eigenvalue_formula
+    # A generated eigenvalue off by one only at p = 15 is caught at --max 20.
+    def wrong_at_p15(family, row):
+        return row[5] + (row[4] == 15) * spectrum.eigenvalue_denominator(family.n), row[6]
 
-    def wrong_at_p15(label):
-        return formula(label) + (label.p == 15)
-
-    monkeypatch.setattr(spectrum, "eigenvalue_formula", wrong_at_p15)
+    patch_rows(monkeypatch, wrong_at_p15)
     code, failed = failing_checks(capsys, 2, 20)
     assert code == 1
     assert "eigenvalue_determined_by_weight" in failed
@@ -64,9 +75,9 @@ def test_weight_check_reaches_the_bound(capsys, monkeypatch):
 
 def test_weight_check_reads_the_shared_weight(capsys, monkeypatch):
     # A valid but wrong weight, first entry q+1, at the one label (q, j, i,
-    # p) = (1, 1, 0, 15) of n = 2 reaches every label check, and only the
-    # weight-determined eigenvalue sees it: the Weyl and GT counts of the
-    # wrong weight agree, and the kernel check skips a nonzero eigenvalue.
+    # p) = (1, 1, 0, 15) of n = 2 reaches both checks that read the weight:
+    # the weight-determined eigenvalue, and the GT count, which no longer
+    # matches the generated dimension.  The other checks do not read it.
     to_weight = verify.label_to_weight
     target = spectrum.RuminLabel(2, 1, 1, 0, 15)
 
@@ -77,26 +88,67 @@ def test_weight_check_reads_the_shared_weight(capsys, monkeypatch):
         return weights.HighestWeight((label.q + 1, *w.entries[1:]))
 
     monkeypatch.setattr(verify, "label_to_weight", wrong_at_target)
-    assert failing_checks(capsys, 2, 20) == (1, {"eigenvalue_determined_by_weight"})
+    assert failing_checks(capsys, 2, 20) == (
+        1, {"eigenvalue_determined_by_weight", "weyl_dimension_vs_gt_patterns"})
     assert failing_checks(capsys, 2, 14) == (0, set())
+
+
+def test_verify_sees_a_wrong_key_multiplier_of_the_generator(capsys, monkeypatch):
+    # The multiplier L / (4 d^2) of the key taken as L / (4 d) for d > 2:
+    # the key times d, exactly, as 4 d^2 divides L.  It changes the spectrum
+    # that ``spectrum`` prints, and four checks see it.
+    n = 4
+    before = [spectrum.spectrum_slice(n, k, 10) for k in range(n + 1)]
+    patch_rows(monkeypatch, lambda family, row: (
+        row[5] * (n - row[1] - row[2]) if n - row[1] - row[2] > 2 else row[5], row[6]))
+    assert [spectrum.spectrum_slice(n, k, 10) for k in range(n + 1)] != before
+    assert failing_checks(capsys, n, 10) == (1, {
+        "universal_eigenvalue_reductions", "norm_route_eigenvalue_equivalence",
+        "operator_norms_vs_l2_ratios", "eigenvalue_determined_by_weight"})
+
+
+def test_verify_sees_a_doubled_family_constant_of_the_generator(capsys, monkeypatch):
+    # The middle-weight constant of the Case II family (i, j) = (0, 1)
+    # doubled: every dimension of that family doubles, exactly, as the
+    # undoubled product is a multiple of the divisor.  The spectrum changes,
+    # and the GT check sees it.
+    n = 4
+
+    def doubled(family, row):
+        hit = family.case is spectrum.Case.II and (family.i, family.j) == (0, 1)
+        return row[5], row[6] * (1 + hit)
+
+    before = [spectrum.spectrum_slice(n, k, 10) for k in range(n + 1)]
+    patch_rows(monkeypatch, doubled)
+    assert [spectrum.spectrum_slice(n, k, 10) for k in range(n + 1)] != before
+    assert failing_checks(capsys, n, 10) == (1, {"weyl_dimension_vs_gt_patterns"})
 
 
 @pytest.mark.parametrize("name, check", [
     ("norm_route_eigenvalue", "norm_route_eigenvalue_equivalence"),
     ("case_v_mixed_eigenvalue", "case_v_mixed_route_equivalence"),
     ("case_v_identity_value", "case_v_mixed_route_equivalence"),
-    ("squared_norm", "operator_norms_vs_l2_ratios"),
+    # The check reads each label's norms from one table; the id is the one
+    # this case had when it patched ``squared_norm``.
+    pytest.param("squared_norms", "operator_norms_vs_l2_ratios",
+                 id="squared_norm-operator_norms_vs_l2_ratios"),
 ])
 def test_route_checks_are_exact_to_the_bound(capsys, monkeypatch, name, check):
-    # 10^-40 added to a route's value at the one Case V label (q, j, i, p) =
-    # (1, 1, 0, 15) of n = 2, relative 10^-26 or less, is caught at --max 20
-    # and not at 14: the cross products compare exact integers.
+    # 10^-40 added to a route's value (to every norm of the table) at the
+    # one Case V label (q, j, i, p) = (1, 1, 0, 15) of n = 2, relative
+    # 10^-26 or less, is caught at --max 20 and not at 14: the cross
+    # products compare exact integers.
     route = getattr(spectrum, name)
     target = spectrum.RuminLabel(2, 1, 1, 0, 15)
+    tiny = Fraction(1, 10**40)
 
-    def off_at_target(label, *bidegree):
-        value = route(label, *bidegree)
-        return value + Fraction(1, 10**40) if label == target else value
+    def off_at_target(label):
+        value = route(label)
+        if label != target:
+            return value
+        if isinstance(value, dict):
+            return {bidegree: norm + tiny for bidegree, norm in value.items()}
+        return value + tiny
 
     monkeypatch.setattr(spectrum, name, off_at_target)
     assert failing_checks(capsys, 2, 20) == (1, {check})
@@ -107,17 +159,16 @@ def test_route_checks_are_exact_to_the_bound(capsys, monkeypatch, name, check):
 def test_norm_ratio_check_reaches_the_one_parameter_norms(capsys, monkeypatch, case):
     # A factor n-j+1 for n-j in the Case IV norm at (0, j+1), or n-i+1 for
     # n-i in the Case III norm at (i+1, 0), fails the ratio check.
-    norm = spectrum.squared_norm
+    norms = spectrum.squared_norms
 
-    def wrong_factor(label, s, t):
-        value = norm(label, s, t)
-        if label.case is case and s + t == label.i + label.j + 1:
-            k = label.n - label.i - label.j
-            return value * (k + 1) / k
-        return value
+    def wrong_factor(label):
+        k = label.n - label.i - label.j
+        return {(s, t): value * (k + 1) / k
+                if label.case is case and s + t == label.i + label.j + 1 else value
+                for (s, t), value in norms(label).items()}
 
     assert failing_checks(capsys, 3, 10) == (0, set())
-    monkeypatch.setattr(spectrum, "squared_norm", wrong_factor)
+    monkeypatch.setattr(spectrum, "squared_norms", wrong_factor)
     assert failing_checks(capsys, 3, 10) == (1, {"operator_norms_vs_l2_ratios"})
 
 
@@ -135,20 +186,27 @@ def count_calls(monkeypatch, module, name):
 
 
 def test_one_request_builds_the_label_set_once(monkeypatch):
-    # run_all walks the families once: each family's labels are built once,
-    # and each label's weight and eigenvalue once, for every label check.
-    # The only other weights are the (n+1) bound of the special-dimension
-    # check.
+    # run_all walks the families once, reading each family's rows from one
+    # ``BlockFamily.rows`` call, and builds each label and its weight once
+    # for every label check.  The only other weights are the (n+1) bound of
+    # the special-dimension check; no eigenvalue comes from
+    # ``eigenvalue_formula`` and no dimension from a Weyl product of a label.
     n, bound = 3, 5
     families = spectrum.all_families(n)
     labels = sum(len(list(fam.labels(bound))) for fam in families)
+    generated = count_calls(monkeypatch, spectrum.BlockFamily, "rows")
     walked = count_calls(monkeypatch, spectrum.BlockFamily, "labels")
     made = count_calls(monkeypatch, weights.HighestWeight, "__post_init__")
+    built = count_calls(monkeypatch, spectrum.RuminLabel, "__post_init__")
     formulas = count_calls(monkeypatch, spectrum, "eigenvalue_formula")
+    products = count_calls(monkeypatch, weights, "weyl_product")
     assert all(r.passed for r in verify.run_all(n, bound))
-    assert walked == [(fam, bound) for fam in families]
+    assert generated == [(fam, bound, fam.spaces) for fam in families]
+    assert walked == []
     assert len(made) == labels + (n + 1) * bound
-    assert len(formulas) == labels
+    assert len(built) == labels
+    assert formulas == []
+    assert len(products) == (n + 1) * bound
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -174,22 +232,21 @@ def test_kernel_check_slices_reach_the_bound(monkeypatch):
     assert verify.check_kernel_uniqueness(2, label_rows(2, 25)).residual == 3
 
 
-def test_kernel_check_takes_dimensions_only_at_eigenvalue_zero(monkeypatch):
-    # Only the Case I label has eigenvalue 0, so the check takes one Weyl
-    # dimension whatever the bound.
-    calls = []
-    product = weights.weyl_product
-
-    def counting(entries):
-        calls.append(tuple(entries))
-        return product(entries)
-
-    monkeypatch.setattr(weights, "weyl_product", counting)
+def test_kernel_check_takes_dimensions_only_at_eigenvalue_zero(capsys, monkeypatch):
+    # The check reads the generated dimension of the rows of key 0 and of
+    # no other row, and takes no Weyl product of its own.
+    products = count_calls(monkeypatch, weights, "weyl_product")
     for bound in (1, 5, 20):
         rows = label_rows(3, bound)
-        calls.clear()
+        products.clear()
         assert verify.check_kernel_uniqueness(3, rows).passed
-        assert calls == [(0, 0, 0, 0)]
+        assert products == []
+        scrambled = [(*row[:6], 0 if row[5] else row[6], row[7]) for row in rows]
+        assert verify.check_kernel_uniqueness(3, scrambled).passed
+    # A doubled dimension of the Case I row fails it, and the GT check.
+    patch_rows(monkeypatch, lambda family, row: (row[5], row[6] * (1 + (row[5] == 0))))
+    assert failing_checks(capsys, 3, 5) == (
+        1, {"weyl_dimension_vs_gt_patterns", "zero_eigenvalue_only_in_top_and_bottom"})
 
 
 def test_run_all_has_no_mirror_check():
