@@ -100,11 +100,11 @@ def _total(parts: tuple[CheckResult, ...]) -> CheckResult:
     return _exact(parts[0].name, sum(int(c.residual) for c in parts))
 
 
-# Work units one label may take in ``gt_pattern_count`` (one per memo entry
-# made and per child row summed, child rows of length 1 and 2 included).
-# With the memo shared across the request, the costliest label took 304,
-# 466, 628 and 790 units at n = 6, 8, 10 and 12 with bound 20, and 422 at
-# n = 4 with bound 60, so the budget only stops a runaway count.
+# Work units one label may take in ``gt_pattern_count`` (one per row count
+# or running sum stored and one per running sum a row count reads).  With
+# the memo shared across the request, the costliest label took 190, 282,
+# 374 and 466 units at n = 6, 8, 10 and 12 with bound 20, and 258 at n = 4
+# with bound 60, so the budget only stops a runaway count.
 GT_BUDGET = 10**6
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product, repeat, starmap
+from itertools import accumulate, islice, product, repeat
 from math import comb, factorial, prod
 from operator import lt
 from typing import Optional, Sequence
@@ -78,9 +78,8 @@ def gt_pattern_count(
     A pattern is a stack of rows, each one entry shorter than the row above
     and interlacing it, so the count of a row is the sum of the counts of its
     interlacing child rows, and a row of length 1 counts 1.  The children of
-    a row r are the tuples y with r[t] >= y[t] >= r[t+1], the
-    ``itertools.product`` of those ranges.  These facts make the sum cheap
-    without changing what is added:
+    a row r are the tuples y with r[t] >= y[t] >= r[t+1].  These facts make
+    the sum cheap without changing what is added:
 
     * translating every row of a pattern by one integer gives a pattern, so
       counts are memoised on the row shifted to end in 0;
@@ -89,8 +88,15 @@ def gt_pattern_count(
       sum of the counts of those, count(x, tail) = count(x-1, tail) +
       T(x, tail) for x > tail[0], and T(tail[0], tail) for x = tail[0].
       Rows that differ only in their first entry share every earlier sum;
+    * the last entry of a child of a row ending in 0 runs over 0..z, with z
+      the row's last entry but one, so with the running sum P(c, z) = the
+      sum of count(c + (v,)) over v = 0..z, T(y, tail) is the sum of
+      P((y,) + mid, z) over the middle entries mid of the children, and
+      P(c, z) = P(c, z-1) + count(c + (z,)).  The running sums of c are
+      memoised unshifted, as one list P(c, 0), P(c, 1), ... that grows as
+      rows need a larger z, so one list serves every row that reaches c;
     * a child row of length 1 adds 1, and a child row (y, m) of length 2
-      adds its y - m + 1 children of length 1, with no call and no memo
+      adds its y - m + 1 children of length 1, with no call and no row
       entry; a longer child row is looked up in the memo, and only a miss
       is counted by a call.  The top row itself always takes the memoised
       path.
@@ -99,23 +105,41 @@ def gt_pattern_count(
     no algebra with ``weyl_dimension`` and is the oracle the formula is
     tested against.
 
-    ``memo`` maps shifted rows to counts.  Pass one dict to several calls to
-    share their work; a fresh one is used otherwise.  ``budget`` bounds the
-    work of this call, counted as one unit for each memo entry it makes plus
-    one for each child row it sums; the units are charged before the sums
-    are made, and ``EnumerationBudgetError`` is raised once they exceed it.
+    ``memo`` maps shifted rows, which are tuples of integers, to counts, and
+    the 1-tuples (c,), whose item is a tuple, to the lists of running sums,
+    so no key of one kind equals a key of the other.  Pass one dict to
+    several calls to share their work; a fresh one is used otherwise.
+    ``budget`` bounds the work of this call, counted as one unit for each
+    row count or running sum it stores plus one for each running sum that a
+    row count reads; the units are charged before the sums are made, and
+    ``EnumerationBudgetError`` is raised once they exceed it.
     """
-    top = w.entries
-    table: dict = {} if memo is None else memo
+    return _gt_count(w.entries, budget, {} if memo is None else memo)[0]
+
+
+def _gt_count(top: tuple[int, ...], budget: int, table: dict) -> tuple[int, int]:
+    # ``gt_pattern_count`` of the row ``top`` through the memo ``table``,
+    # with the work units it spent.
+    if len(top) == 1:
+        return 1, 0
+    last = top[-1]
+    key = tuple([a - last for a in top]) if last else top
+    got = table.get(key)
+    if got is not None:
+        return got, 0
     work = 0
 
-    def count(row: tuple[int, ...]) -> int:
-        # The count of a row of length >= 2.
+    def charge(units: int) -> None:
         nonlocal work
-        key = tuple(a - row[-1] for a in row) if row[-1] else row
-        got = table.get(key)
-        if got is not None:
-            return got
+        work += units
+        if work > budget:
+            raise EnumerationBudgetError(
+                f"more than {budget} work units for top row {top}"
+            )
+
+    def count(key: tuple[int, ...]) -> int:
+        # The count of a row of length >= 2 that ends in 0 and is missing
+        # from the memo.
         head, tail = key[0], key[1:]
         # The first entry from which prefix counts are still missing.  Each
         # step down to it is a memo entry charged below, so the walk stops
@@ -124,42 +148,51 @@ def gt_pattern_count(
         stop = max(tail[0], head - (budget - work))
         while x > stop and (x - 1,) + tail not in table:
             x -= 1
-        # The ranges of the child rows of tail.  Interlacing makes every child
-        # row nonincreasing, so none needs a further check.
-        spans = [range(b, a + 1) for a, b in zip(tail, tail[1:])]
-        work += (head - x + 1) * (prod(map(len, spans)) + 1)
-        if work > budget:
-            raise EnumerationBudgetError(
-                f"more than {budget} work units for top row {top}"
-            )
-        total = table[(x - 1,) + tail] if x > tail[0] else 0
-        for y in range(x, head + 1):
-            if not spans:  # the one child (y,)
+        # The middle entries of the child rows, whose running sums are read
+        # once per first entry; a row of length 2 has the children (y,),
+        # which count 1 and need no read.  Interlacing makes every child row
+        # nonincreasing, so none needs a further check.
+        spans = [range(b, a + 1) for a, b in zip(tail, tail[1:-1])]
+        reads = prod(map(len, spans)) if len(tail) > 1 else 0
+        charge((head - x + 1) * (1 + reads))
+        # No row is (tail[0] - 1,) + tail, so the sum starts at 0 there.
+        total = table.get((x - 1,) + tail, 0)
+        if not reads:
+            for y in range(x, head + 1):
                 total += 1
-            elif len(spans) == 1:  # the children (y, m)
-                total += sum(y - m + 1 for m in spans[0])
-            else:
-                total += sum(child_counts(y, spans))
+                table[(y,) + tail] = total
+            return total
+        mids = list(product(*spans))
+        z = tail[-2]
+        for y in range(x, head + 1):
+            for mid in mids:
+                c = (y,) + mid
+                sums = table.get((c,))
+                if sums is None or len(sums) <= z:
+                    sums = running(c, z)
+                total += sums[z]
             table[(y,) + tail] = total
         return total
 
-    def child_counts(y: int, spans: list[range]) -> list[int]:
-        # The counts of the children (y, *mu) of a row of length >= 4.  Each
-        # is looked up shifted to end in 0 and counted by a call only on a
-        # miss.  The last entry m of mu runs over 0..last-1 (the row ends in
-        # 0), and the children ending in m, shifted by m, are the product of
-        # (y - m,), the other spans shifted by m, and (0,).
-        last = len(spans[-1])
-        moved = [map(range, range(r.start, r.start - last, -1),
-                      range(r.stop, r.stop - last, -1)) for r in spans[:-1]]
-        children = list(chain.from_iterable(starmap(product, zip(
-            zip(range(y, y - last, -1)), *moved, repeat((0,))))))
-        got = list(map(table.get, children))
-        if None in got:
-            got = [count(c) if g is None else g for c, g in zip(children, got)]
-        return got
+    def running(c: tuple[int, ...], z: int) -> list[int]:
+        # The running sums P(c, 0), P(c, 1), ... of c, made up to P(c, z).
+        # They are made in order, so the first missing one is at the length
+        # of the list, and the charge for the rest comes before any sum.
+        sums = table.setdefault((c,), [])
+        v = len(sums)
+        charge(z - v + 1)
+        if len(c) == 1:  # the children (y, m), which count y - m + 1
+            got = range(c[0] - v + 1, c[0] - z, -1)
+        else:
+            # The children c + (m,), shifted to end in 0.
+            keys = list(zip(*[range(a - v, a - z - 1, -1) for a in c], repeat(0)))
+            got = list(map(table.get, keys))
+            if None in got:
+                got = [count(k) if g is None else g for k, g in zip(keys, got)]
+        sums += islice(accumulate(got, initial=sums[-1] if sums else 0), 1, None)
+        return sums
 
-    return 1 if len(top) == 1 else count(top)
+    return count(key), work
 
 
 def special_dimension(n: int, i: int, p: int) -> int:

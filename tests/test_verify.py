@@ -8,11 +8,14 @@ vanishing correction (two) moved here from ``test_zeta`` unchanged."""
 import contextlib
 import dataclasses
 import functools
+import inspect
 import io
 import json
 import math
 import random
+import sys
 import time
+import types
 from fractions import Fraction
 from math import factorial
 
@@ -122,6 +125,23 @@ def test_verify_sees_a_doubled_family_constant_of_the_generator(capsys, monkeypa
     patch_rows(monkeypatch, doubled)
     assert [spectrum.spectrum_slice(n, k, 10) for k in range(n + 1)] != before
     assert failing_checks(capsys, n, 10) == (1, {"weyl_dimension_vs_gt_patterns"})
+
+
+def test_verify_sees_running_sums_that_skip_the_child_ending_in_0(capsys, monkeypatch):
+    # A copy of ``weights`` whose running sums start at the child ending in
+    # 1, not 0: each new list of running sums holds the empty sum P(c, 0) =
+    # 0 before the first child is added.  Only the GT check sees it, so the
+    # GT count is still a route of its own.
+    source = inspect.getsource(weights)
+    fresh = "table.setdefault((c,), [])"
+    assert source.count(fresh) == 1
+    mutant = types.ModuleType("weights_mutant")
+    monkeypatch.setitem(sys.modules, mutant.__name__, mutant)
+    exec(compile(source.replace(fresh, "table.setdefault((c,), [0])"),
+                 weights.__file__, "exec"), mutant.__dict__)
+    assert failing_checks(capsys, 3, 5) == (0, set())
+    monkeypatch.setattr(verify, "gt_pattern_count", mutant.gt_pattern_count)
+    assert failing_checks(capsys, 3, 5) == (1, {"weyl_dimension_vs_gt_patterns"})
 
 
 @pytest.mark.parametrize("name, check", [

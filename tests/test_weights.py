@@ -140,6 +140,62 @@ def test_gt_pattern_count_shares_a_memo_between_rows():
     )
 
 
+rows_up_to_6 = st.lists(
+    st.integers(min_value=-3, max_value=3), min_size=1, max_size=6
+).map(lambda vs: tuple(sorted(vs, reverse=True)))
+
+# Rows whose last two entries are equal: their running sums P(c, 0) sit
+# beside the row c + (0,), so a running-sum list stored under the key c
+# itself would overwrite a row count whenever c ends in 0 too.
+EQUAL_TAILS = [(2, 1, 0, 0), (3, 2, 0, 0, 0), (3, 3, 1, 1, 1), (1, 0, 0, 0, 0, 0),
+               (2, 2, 2, 2, 2, 2), (3, 1, 0, 0, 0, -2, -2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(rows_up_to_6, min_size=1, max_size=10))
+def test_gt_pattern_count_through_one_memo_in_any_order(rows):
+    # Counts through one memo, in the drawn order after rows that fill it
+    # with running sums of both kinds of key, equal fresh counts and the
+    # leaf count.
+    memo = {}
+    for row in EQUAL_TAILS + rows:
+        got = gt_pattern_count(HighestWeight(row), memo=memo)
+        assert got == gt_pattern_count(HighestWeight(row)), row
+        if len(row) <= 5:
+            assert got == gt_leaf_count(row), row
+
+
+def test_gt_memo_keeps_running_sums_apart_from_rows():
+    memo = {}
+    for row in EQUAL_TAILS:
+        gt_pattern_count(HighestWeight(row), memo=memo)
+    rows = {k for k in memo if all(isinstance(a, int) for a in k)}
+    running = {k[0]: v for k, v in memo.items() if k not in rows}
+    assert all(r[-1] == 0 for r in rows)
+    assert all(len(k) == 1 for k in memo if k not in rows)
+    # Some prefix c is also a counted row: the two share no key, and the
+    # running sums of c start at the count of c + (0,).
+    shared = [c for c in running if c in rows]
+    assert shared
+    for c in shared:
+        assert running[c][0] == memo[c + (0,)] and memo[c] == gt_leaf_count(c)
+
+
+def test_gt_work_for_a_request_stays_pinned():
+    # The rows of ``verify --n 4 --max 20`` through one memo take 34,349
+    # work units: per stored row count or running sum and per running sum
+    # read.
+    memo = {}
+    work = 0
+    for fam in all_families(4):
+        for _, i, j, q, p, _, dim, _ in fam.rows(20, fam.spaces):
+            w = label_to_weight(RuminLabel(4, q, j, i, p))
+            count, units = weights._gt_count(w.entries, 10**6, memo)
+            assert count == dim
+            work += units
+    assert work < 36_000
+
+
 def test_gt_budget_guard():
     with pytest.raises(EnumerationBudgetError):
         gt_pattern_count(HighestWeight((5, 2, 0, -2, -5)), budget=50)
@@ -161,6 +217,15 @@ def test_gt_budget_guard_charges_the_descent_walk():
     with pytest.raises(EnumerationBudgetError):
         gt_pattern_count(HighestWeight((10**9, 0)), budget=10)
     assert time.perf_counter() - start < 0.1
+
+
+def test_gt_budget_guard_charges_the_running_sums():
+    # The row (10^6, 10^6, 0) makes one row count, then 10^6 + 1 running
+    # sums of (10^6,); they are charged before any is made.
+    start = time.perf_counter()
+    with pytest.raises(EnumerationBudgetError):
+        gt_pattern_count(HighestWeight((10**6, 10**6, 0)), budget=10)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_weyl_matches_gt_on_bounded_labels():
