@@ -3,7 +3,13 @@ remainder bounds and analytic s-derivatives: the zeta engine and nothing
 else (the dimension polynomial lives in ``weights``).
 
 The arbitrary-precision arithmetic is mpmath's; the summation scheme, the
-error bounds and the term-wise differentiation are implemented here.
+error bounds and the term-wise differentiation are implemented here.  The
+hot loops, the sieved prefix and the Bernoulli loop, call mpmath.libmp's
+functions on raw (sign, man, exp, bc) tuples: the same functions, working
+precision and rounding that the ``mpf`` operators call, without their
+wrappers, so every bit is that of the ``mpf`` arithmetic.  ``mpf`` objects
+remain at a pass's edges: its set-up, the remainder bounds at the orders
+the screen below lets through, and the returned ``ZetaValue``s.
 
 The correction coefficients B_{2r}/(2r)! come from the tangent numbers by
 Brent and Harvey's integer recurrence (arXiv:1108.0286), in O(R^2) integer
@@ -72,6 +78,9 @@ from typing import Optional, Sequence, Union
 
 import mpmath
 from mpmath import mpf, workprec
+from mpmath.libmp import (fone, from_int, fzero, mpf_abs, mpf_add, mpf_exp,
+                          mpf_gt, mpf_mul, mpf_neg, mpf_pow_int, mpf_sub,
+                          mpf_sum, round_nearest)
 
 from .limits import PoleError, PrecisionError, _check_precision
 
@@ -160,18 +169,14 @@ def _bernoulli_mpf(r: int) -> mpf:
     return row[r - 1]
 
 
-def _mag(v: mpf) -> int:
-    # exp + bc of a nonzero v, so 2^(mag-1) <= |v| < 2^mag; 0 for v = 0.
-    _, _, exp, bc = v._mpf_
-    return exp + bc
-
-
-def _cannot_stop(rf: mpf, v: mpf, head: int, prec: int) -> bool:
+def _cannot_stop(rf: tuple, v: tuple, head: int, prec: int) -> bool:
     """True if a remainder bound with the term env |rf| x^{-s-2r} / denom
     must exceed its target eps (1 + |v|), from the exponents alone: head is
     the order's mag(env) + mag(xp) - mag(x) - 4 - bitlen(int(s) + 2r + 2).
-    A zero rf never rules an order out, since its term is then 0."""
-    return bool(rf) and head + _mag(rf) > max(_mag(v), 0) - (prec + 5)
+    rf and v are raw libmp values (sign, man, exp, bc), and mag is read off
+    them as exp + bc, so 2^(mag-1) <= |v| < 2^mag (0 for v = 0).  A zero rf
+    never rules an order out, since its term is then 0."""
+    return rf != fzero and head + rf[2] + rf[3] > max(v[2] + v[3], 0) - (prec + 5)
 
 
 def _smallest_prime_factors(K: int) -> list[int]:
@@ -262,46 +267,56 @@ def _fill_prime_logs(logs: dict[int, mpf], primes: Sequence[int],
         logs[p] = mpf((fixed_log(p), -W))
 
 
-def _sieved_prefix(s: Real, ms: mpf, a: int, K: int, want_derivative: bool):
-    """The prefix terms k^{-s} and, if requested, log(k) k^{-s}, k = a..a+K-1.
+def _sieved_prefix(s: Real, ms: tuple, a: int, K: int, want_derivative: bool,
+                   wp: int):
+    """The prefix terms k^{-s} and, if requested, log(k) k^{-s}, k = a..a+K-1,
+    as raw libmp values at the working precision wp; ms is s there, raw.
 
     k^{-s} is completely multiplicative, so only a prime p needs a
-    transcendental: log p and one ``exp(-s log p)``, or for integer s one
-    integer power (and log p only for the derivative).  A composite
+    transcendental: log p and one ``mpf_exp(-s log p)``, or for integer s one
+    ``mpf_pow_int`` (and log p only for the derivative).  A composite
     k = p m, p its smallest prime factor, is pw[p] pw[m], and its logarithm
     log p + log m (the method of Arb's ``acb_dirichlet_powsum_sieved``).
     The prime logs come from the per-precision table; the primes it lacks
     are filled in one batch by ``_fill_prime_logs``, a fixed-point chain
     with no ``mpmath.log`` call.  The sieve runs over [1, a+K), so a pass
     costs O(a + K) list entries.
+
+    Every product, sum, exp and power is the libmp call that the ``mpf``
+    operator (or ``mpmath.exp``) makes under ``workprec(wp)``, with the same
+    precision and rounding, on the raw (sign, man, exp, bc) tuples; so each
+    term has the bits of the ``mpf`` arithmetic, without its wrappers.
     """
     s_int = int(s) if s == int(s) else None
     need_logs = s_int is None or want_derivative
     end = a + K
     spf = _smallest_prime_factors(end - 1)
-    pw = [mpf(1)] * end
-    lg = [mpf(0)] * end
+    pw = [fone] * end
+    lg = [fzero] * end
     if need_logs:
-        logs = _PRIME_LOGS.setdefault(mpmath.mp.prec, {})
+        logs = _PRIME_LOGS.setdefault(wp, {})
         missing = [k for k in range(2, end) if spf[k] == k and k not in logs]
         if missing:
             _fill_prime_logs(logs, missing, spf)
+    mul, rnd = mpf_mul, round_nearest
+    neg_ms = mpf_neg(ms, wp, rnd)
     for k in range(2, end):
         p = spf[k]
         if p == k:
             if need_logs:
-                lg[k] = logs[k]
+                lg[k] = logs[k]._mpf_
             if s_int is None:
-                pw[k] = mpmath.exp(-ms * lg[k])
+                pw[k] = mpf_exp(mul(neg_ms, lg[k], wp, rnd), wp, rnd)
             else:
-                pw[k] = mpf(k) ** -s_int
+                pw[k] = mpf_pow_int(from_int(k), -s_int, wp, rnd)
         else:
             m = k // p
-            pw[k] = pw[p] * pw[m]
+            pw[k] = mul(pw[p], pw[m], wp, rnd)
             if want_derivative:
-                lg[k] = lg[p] + lg[m]
+                lg[k] = mpf_add(lg[p], lg[m], wp, rnd)
     terms = pw[a:]
-    dterms = [l * t for l, t in zip(lg[a:], terms)] if want_derivative else None
+    dterms = ([mul(l, t, wp, rnd) for l, t in zip(lg[a:], terms)]
+              if want_derivative else None)
     return terms, dterms
 
 
@@ -318,7 +333,13 @@ def _euler_maclaurin(s: Real, a: int, prec: int, want_derivative: bool):
     trivial zero returns before the guard-bit budget is checked.
 
     The prefix terms come from ``_sieved_prefix`` and are summed by
-    ``mpmath.fsum`` with one rounding.
+    ``mpf_sum`` with one rounding, as ``mpmath.fsum`` sums them.  The
+    Bernoulli loop's body runs on raw libmp tuples: each product, sum,
+    absolute value and comparison is the ``mpf_mul``, ``mpf_add``,
+    ``mpf_sub``, ``mpf_abs`` or ``mpf_gt`` that the ``mpf`` operator calls,
+    at the working precision prec + guard and rounding to nearest, so it
+    has the ``mpf`` arithmetic's bits.  An order's bounds are computed on
+    ``mpf`` objects, at the orders the screen lets through.
 
     An order is tested only where both bounds might pass.  With
     mag(v) = exp + bc of v's mantissa, so 2^(mag-1) <= |v| < 2^mag, and
@@ -357,7 +378,7 @@ def _euler_maclaurin(s: Real, a: int, prec: int, want_derivative: bool):
     - a derivative log is a sum of at most log2(a+K) logs, each within 1 u
       of its size, and is multiplied once more, so a derivative term, at
       most L times its power, is within (rho + log2(a+K) + 1) u of its size;
-    - fsum rounds once, and drops only terms 2 (prec+guard) bits below the
+    - mpf_sum rounds once, and drops only terms 2 (prec+guard) bits below the
       sum, so the prefix sums are within (rho + 2) u S and
       (rho + log2(a+K) + 3) u L S;
     - the integral, boundary and Bernoulli terms and their sums carry
@@ -382,14 +403,16 @@ def _euler_maclaurin(s: Real, a: int, prec: int, want_derivative: bool):
         )
     guard = 48 + int(extra)
 
-    with workprec(prec + guard):
+    wp = prec + guard
+    mul, add, rnd = mpf_mul, mpf_add, round_nearest
+    with workprec(wp):
+        make = mpmath.mp.make_mpf
         ms = mpf(s.numerator) / s.denominator if isinstance(s, Fraction) else mpf(s)
-        one = mpf(1)
         eps = mpf(2) ** (-(prec + 6))
 
-        terms, dterms = _sieved_prefix(s, ms, a, K, want_derivative)
-        value = prefix = mpmath.fsum(terms)
-        deriv = -mpmath.fsum(dterms) if want_derivative else None
+        terms, dterms = _sieved_prefix(s, ms._mpf_, a, K, want_derivative, wp)
+        value = prefix = make(mpf_sum(terms, wp, rnd))
+        deriv = make(mpf_neg(mpf_sum(dterms, wp, rnd), wp, rnd)) if want_derivative else None
 
         x = mpf(K + a)
         L = logx = mpmath.log(x)
@@ -406,64 +429,77 @@ def _euler_maclaurin(s: Real, a: int, prec: int, want_derivative: bool):
 
         # Bernoulli correction terms: B_{2r}/(2r)! (s)_{2r-1} x^{-s-2r+1}.
         # Order r's remainder bound needs (s)_{2r+1} and x^{-s-2r}, the
-        # factors of term r+1, so one chain serves both.
-        rf_v = ms            # rising factorial (s)_{2r-1}
-        rf_d = one           # its derivative in s
-        xp = xs / x          # x^{-s-2r+1}, starting at r = 1
-        inv_x2 = 1 / (x * x)
+        # factors of term r+1, so one chain serves both.  The loop runs on
+        # raw libmp values; mpf objects appear only at the tested orders.
         # env = 2.5 / (2pi)^{2r+1}, chained by (2pi)^-2 per order.  2.5 is
         # 4 % above 2 zeta(3) = 2.404..., far more than the at most
         # _MAX_ORDER chain roundings of 2^-(prec+guard) each can take away.
-        inv_two_pi_2 = 1 / (2 * mpmath.pi) ** 2
-        env = mpf(5) / 2 / (2 * mpmath.pi) ** 3
+        env = (mpf(5) / 2 / (2 * mpmath.pi) ** 3)._mpf_
+        inv_two_pi_2 = (1 / (2 * mpmath.pi) ** 2)._mpf_
+        xp = (xs / x)._mpf_      # x^{-s-2r+1}, starting at r = 1
+        inv_x2 = (1 / (x * x))._mpf_
+        ms_r, logx_r = ms._mpf_, logx._mpf_
+        rf_v = ms_r              # rising factorial (s)_{2r-1}
+        rf_d = fone              # its derivative in s
+        value, magmax = value._mpf_, magmax._mpf_
+        if want_derivative:
+            deriv, dmag = deriv._mpf_, dmag._mpf_
         # The screen's parts that do not change with the order.
-        lower_mag = -_mag(x) - 4
+        lower_mag = -(x._mpf_[2] + x._mpf_[3]) - 4
         s_trunc = int(s_f)
         for r in range(1, _MAX_ORDER + 1):
-            mcoef = _bernoulli_mpf(r)
-            term = mcoef * rf_v * xp
-            value += term
-            magmax = max(magmax, abs(term), abs(value))
+            mcoef = _bernoulli_mpf(r)._mpf_
+            term = mul(mul(mcoef, rf_v, wp, rnd), xp, wp, rnd)
+            value = add(value, term, wp, rnd)
+            # magmax = max(magmax, |term|, |value|), as Python's max picks.
+            for m in (mpf_abs(term, wp, rnd), mpf_abs(value, wp, rnd)):
+                if mpf_gt(m, magmax):
+                    magmax = m
             if want_derivative:
-                dterm = mcoef * (rf_d - rf_v * logx) * xp
-                deriv += dterm
-                dmag = max(dmag, abs(dterm), abs(deriv))
+                dterm = mul(mul(mcoef, mpf_sub(rf_d, mul(rf_v, logx_r, wp, rnd),
+                                               wp, rnd), wp, rnd), xp, wp, rnd)
+                deriv = add(deriv, dterm, wp, rnd)
+                for m in (mpf_abs(dterm, wp, rnd), mpf_abs(deriv, wp, rnd)):
+                    if mpf_gt(m, dmag):
+                        dmag = m
             for t in (2 * r - 1, 2 * r):
-                f = ms + t
+                f = add(ms_r, from_int(t), wp, rnd)
                 if want_derivative:
-                    rf_d = rf_d * f + rf_v
-                rf_v = rf_v * f
+                    rf_d = add(mul(rf_d, f, wp, rnd), rf_v, wp, rnd)
+                rf_v = mul(rf_v, f, wp, rnd)
 
             # Remainder bound for the truncation order R = r, valid once
             # s + 2R > 0.  The one stopping rule: each bound is at most
             # eps (1 + |v|), v the value it certifies as returned.  The
             # screen skips the orders where either bound must fail.
-            head = (_mag(env) + _mag(xp) + lower_mag
+            head = (env[2] + env[3] + xp[2] + xp[3] + lower_mag
                     - (s_trunc + 2 * r + 2).bit_length())
             if s_f + 2 * r > 0 and not (
                 _cannot_stop(rf_v, value, head, prec)
                 or want_derivative and _cannot_stop(rf_d, deriv, head, prec)
             ):
-                x_tail = xp / x                      # x^{-s-2r}
+                x_tail = make(xp) / x                # x^{-s-2r}
                 denom = ms + 2 * r
-                bound = env * abs(rf_v) * x_tail / denom
-                done = bound <= eps * (1 + abs(value))
+                abs_rf_v = abs(make(rf_v))
+                bound = make(env) * abs_rf_v * x_tail / denom
+                done = bound <= eps * (1 + abs(make(value)))
                 if want_derivative:
-                    dbound = env * (
-                        abs(rf_d) * x_tail / denom
-                        + abs(rf_v) * (logx / denom + 1 / denom**2) * x_tail
+                    dbound = make(env) * (
+                        abs(make(rf_d)) * x_tail / denom
+                        + abs_rf_v * (logx / denom + 1 / denom**2) * x_tail
                     )
-                    done = done and dbound <= eps * (1 + abs(deriv))
+                    done = done and dbound <= eps * (1 + abs(make(deriv)))
                 if done:
                     break
-            xp *= inv_x2
-            env *= inv_two_pi_2
+            xp = mul(xp, inv_x2, wp, rnd)
+            env = mul(env, inv_two_pi_2, wp, rnd)
         else:
             raise PrecisionError(
                 f"Euler-Maclaurin failed to converge for s={s}, a={a} "
                 f"at {prec} bits"
             )
 
+        value, magmax = make(value), make(magmax)
         u = mpf(2) ** (-(prec + guard))
         log2_x = log2(K + a)
         rho = 2 * abs(ms) * L + 3 * log2_x + 2
@@ -471,6 +507,7 @@ def _euler_maclaurin(s: Real, a: int, prec: int, want_derivative: bool):
         value_bound = bound + u * ((rho + 2) * prefix + tail * (1 + magmax))
         deriv_bound = None
         if want_derivative:
+            deriv, dmag = make(deriv), make(dmag)
             deriv_bound = dbound + u * ((rho + log2_x + 3) * L * prefix
                                         + tail * (1 + dmag))
         return value, value_bound, deriv, deriv_bound

@@ -27,15 +27,18 @@ def test_requests_are_the_workloads_then_cold_then_the_extras_each_once():
               "torsion --n 40"]
     reqs = records.requests(extras)
     assert len(set(reqs)) == len(reqs)
-    assert set(reqs) == {*found, *cold, *records.REFUSALS, ("torsion", "--n", "40"),
-                         ("kappa", "--n", "1", "--s=-158.4392")}
+    assert set(reqs) == {*found, *cold, *records.REFUSALS, *records.ENGINE,
+                         ("torsion", "--n", "40"), ("kappa", "--n", "1", "--s=-158.4392")}
     first = {}
-    later = [*cold, *records.REFUSALS, *(tuple(shlex.split(e)) for e in extras)]
+    later = [*cold, *records.REFUSALS, *records.ENGINE,
+             *(tuple(shlex.split(e)) for e in extras)]
     for i, argv in enumerate(found + later):
         first.setdefault(argv, i)
     assert reqs == sorted(reqs, key=first.__getitem__)
     assert reqs[:len(set(found))] == list(dict.fromkeys(found))
     assert reqs[-2:] == [("torsion", "--n", "40"), ("kappa", "--n", "1", "--s=-158.4392")]
+    # The engine requests reach what no workload request does.
+    assert not set(records.ENGINE) & {*found, *cold}
 
 
 def test_every_refusal_exits_with_its_code_and_one_stderr_line(capsys):

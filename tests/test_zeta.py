@@ -246,17 +246,26 @@ def _primes_up_to(m):
 def test_a_sieved_pass_takes_one_log_and_exp_per_prime(monkeypatch, s, want_derivative):
     # A 2048-bit pass sums K = 724 prefix terms; only the 128 primes up to
     # K + 1 take transcendentals (a term-by-term pass took 724 powers, and
-    # 724 logs for the derivative), and integer s takes no exp at all.  A
-    # power to a non-integer exponent is an exp (and a log) inside mpmath,
-    # so it counts as one.  The prime logs come from the fixed-point chain,
-    # even with the table empty, so mpmath's log is called once.
+    # 724 logs for the derivative), and integer s takes no exp at all.  The
+    # sieve calls the libmp functions that ``zeta`` binds, so those are
+    # counted: ``mpf_exp`` for a non-integer s, ``mpf_pow_int`` for an
+    # integer s.  A power to a non-integer exponent is an exp (and a log)
+    # inside mpmath, so it counts as one.  The prime logs come from the
+    # fixed-point chain, even with the table empty, so mpmath's log is
+    # called once.
     monkeypatch.setattr(zeta, "_PRIME_LOGS", {})
-    calls = {"log": 0, "exp": 0}
-    for name in calls:
-        def counted(*args, _f=getattr(mpmath, name), _name=name, **kwargs):
-            calls[_name] += 1
+    calls = {"log": 0, "exp": 0, "pow_int": 0}
+
+    def count(owner, name, kind):
+        def counted(*args, _f=getattr(owner, name), **kwargs):
+            calls[kind] += 1
             return _f(*args, **kwargs)
-        monkeypatch.setattr(mpmath, name, counted)
+        monkeypatch.setattr(owner, name, counted)
+
+    count(mpmath, "log", "log")
+    count(mpmath, "exp", "exp")
+    count(zeta, "mpf_exp", "exp")
+    count(zeta, "mpf_pow_int", "pow_int")
     mpf_type = type(mpmath.mpf(1))
     power = mpf_type.__pow__
 
@@ -273,6 +282,9 @@ def test_a_sieved_pass_takes_one_log_and_exp_per_prime(monkeypatch, s, want_deri
     # The remainder terms take log(K + 1) and (K + 1)^-s.
     assert calls["log"] == 1
     assert calls["exp"] <= (0 if integer else primes + 1)
+    assert calls["pow_int"] <= (primes if integer else 0)
+    # The counters see the sieve: one transcendental per prime.
+    assert calls["pow_int" if integer else "exp"] >= primes
 
 
 # A fixed grid of Euler-Maclaurin passes, (s, a, derivative) per precision:
@@ -313,6 +325,44 @@ def test_euler_maclaurin_passes_are_pinned(prec):
         h.update(repr([None if v is None else tuple(int(t) for t in v._mpf_)
                        for v in out]).encode())
     assert h.hexdigest() == digest
+
+
+def _workload_passes(monkeypatch, run):
+    # The (s, a, prec, derivative) and the output bits of every pass that
+    # ``run`` makes through the engine, in order.
+    passes = []
+    original = zeta._euler_maclaurin
+
+    def recorded(s, a, prec, want_derivative):
+        out = original(s, a, prec, want_derivative)
+        passes.append((s, a, prec, want_derivative,
+                       [None if v is None else tuple(int(t) for t in v._mpf_)
+                        for v in out]))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(zeta, "_euler_maclaurin", recorded)
+        run()
+    return passes
+
+
+def test_the_workloads_own_passes_are_pinned(monkeypatch):
+    # The 20 value passes of the Hurwitz shift check at 128 bits (each shift
+    # point at a and a + 1) and the zeta(2s) passes of ``kappa --mode
+    # closed`` at 2048 bits, one s of each sign.  Taken from the engine that
+    # ran its loops on mpf objects, so the raw libmp loops leave every bit.
+    from rumin_sphere import torsion, verify
+
+    shift = _workload_passes(monkeypatch, lambda: verify.check_hurwitz_shift(128))
+    closed = _workload_passes(monkeypatch, lambda: (
+        torsion.kappa_closed(1, 2.3, 2048), torsion.kappa_closed(1, -1.3, 2048)))
+    assert [p[:4] for p in shift] == [
+        (s, b, 128, False) for s, a in verify._SHIFT_POINTS for b in (a, a + 1)]
+    assert [p[:4] for p in closed] == [(4.6, 1, 2048, False), (-2.6, 1, 2048, False)]
+    for passes, digest in (
+            (shift, "a379721ca340dcf4ead3c91bddad3f70ae07bc3e26c83ced98c8d3abe49b88ca"),
+            (closed, "19480ee4a274e1544296c3adac1082dcd60506f1514b46270cb42385e19e4f5e")):
+        assert hashlib.sha256(b"".join(repr(p).encode() for p in passes)).hexdigest() == digest
 
 
 _SCREEN_POINTS = (0, -1, -3, Fraction(-7, 3), 0.5, 13.7)
@@ -418,7 +468,7 @@ def test_the_log_chain_holds_one_unit_at_the_ceiling_pass():
     assert sorted(logs) == sorted(sample)
     for p in sample:
         with mpmath.workprec(wp + 64):
-            unit = mpmath.ldexp(1, zeta._mag(logs[p]) - wp)
+            unit = mpmath.ldexp(1, mpmath.mag(logs[p]) - wp)
             assert abs(logs[p] - mpmath.log(p)) <= unit, p
 
 

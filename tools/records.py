@@ -8,10 +8,12 @@ Run from the root of a source checkout:
 
 The requests are every request of ``clibench/workloads.build`` for each
 workload at seeds 1-3, every ``COLD`` request, the fixed ``REFUSALS`` and
-each ``--extra`` (split like a shell line), each distinct request once.
-Every run includes the refusals: one or more requests per exit code of
-``cli.main``'s exit table, so that every diff compares their exit codes and
-stderr lines too.  The parent revision is
+``ENGINE`` requests and each ``--extra`` (split like a shell line), each
+distinct request once.  Every run includes the refusals: one or more
+requests per exit code of ``cli.main``'s exit table, so that every diff
+compares their exit codes and stderr lines too.  It also includes the
+engine's extremes, which no workload reaches: passes at the precision
+ceiling, and Hurwitz passes at a > 1 above 128 bits.  The parent revision is
 checked out in a temporary ``git worktree`` (``bench.parent_worktree``); the
 change is this checkout's working tree, committed or not.  One subprocess
 per tree runs every request through that tree's ``rumin_sphere.cli.main``
@@ -51,6 +53,14 @@ REFUSALS = tuple(tuple(line.split()) for line in (
     "kappa --n 1 --s 0.5", "kappa --n 1 --s 0.9 --mode direct --max 5",
 ))
 
+# Requests that replay the zeta engine at its extremes, about a second each.
+ENGINE = tuple(tuple(line.split()) for line in (
+    # zeta(4.6) and the zeta(0)/zeta'(0) pass at the precision ceiling.
+    "kappa --n 1 --s 2.3 --mode closed --prec 5227", "torsion --n 2 --prec 5227",
+    # The Hurwitz shift check's passes at a in 1..9, at 1024 bits.
+    "verify --n 1 --max 1 --prec 1024",
+))
+
 # Runs in each tree: reads the requests as JSON on stdin and writes one
 # [stdout, exit code, last stderr line] per request as JSON on stdout.  An
 # exception that escapes cli.main counts as a process would show it: exit 1
@@ -79,8 +89,8 @@ json.dump(results, sys.stdout)
 
 def requests(extra: list[str]) -> list[tuple[str, ...]]:
     """The workload requests at ``SEEDS``, the ``COLD`` ones, the
-    ``REFUSALS``, then ``extra``, each distinct request once, in that
-    order."""
+    ``REFUSALS``, the ``ENGINE`` ones, then ``extra``, each distinct request
+    once, in that order."""
     sys.path.insert(0, str(ROOT / "clibench"))
     import workloads
 
@@ -88,6 +98,7 @@ def requests(extra: list[str]) -> list[tuple[str, ...]]:
              for argv in workloads.build(name, seed)]
     found += [argv for cold in workloads.COLD.values() for argv in cold]
     found += REFUSALS
+    found += ENGINE
     found += [tuple(shlex.split(line)) for line in extra]
     return list(dict.fromkeys(found))
 
