@@ -15,9 +15,10 @@ triangle of weights (p'+q'+k) A^(-2s), q' >= p', serves every family with
 i + j = n-k, and ``pair_sums_of_k`` builds it once per k.  A is an integer
 and grows by 2p'+k per step in q', so a triangle row is one C-level ``map``
 of ``math.pow`` over a ``range``; each family then reads its terms from the
-row with one dot product per half.  The dimension rows share one product
-as well: every family's row in q is P(q) = q (q+1) ... (q+n) over two of its
-factors.
+row with one dot product per half.  A family's dimension is
+``weights.middle_dimension``, the factor that ``verify`` certifies in every
+dimension of ``spectrum.BlockFamily.rows``, times rows in q and p that share
+one product: P(q) = q (q+1) ... (q+n) over two of its factors.
 
 Both kernels take each power of an exact value: the pair kernel of A 2^-e,
 the axis kernel of (p+i)/2 2^-e, and one power of the exact D 2^-e or 2^e
@@ -34,7 +35,7 @@ import math
 from itertools import repeat
 from operator import mul
 
-from .weights import special_dimension
+from .weights import middle_dimension, special_dimension
 
 # The binary exponents that the scale keeps every power above and every
 # partial sum below, a few binades inside the normal range for the rounding
@@ -95,20 +96,6 @@ def _dimension_rows(n: int, k: int, N: int) -> tuple[list, list]:
     return F, [F[i] if 2 * i == h else row(i) for i in range(h // 2 + 1)]
 
 
-def _middle_factor(a: int, b: int, c: int) -> int:
-    """The Weyl product of the middle weight (1^a, 0^b, (-1)^c), m = a+b+c
-    entries: C(b+c, c) C(m, a) C(m+1, a) / C(a+b+1, a), an exact integer.
-
-    Within a block of equal entries every factor is 1, and each pair of
-    blocks telescopes: the 1s against the 0s give C(a+b, a), the 0s against
-    the -1s C(b+c, c), and the 1s against the -1s (difference 2)
-    (m+1)! m! b! (b+1)! / ((m+1-a)! (m-a)! (a+b)! (a+b+1)!).  The product is
-    ``weights.weyl_product`` of the tuple, in O(m) steps instead of O(m^2)."""
-    m = a + b + c
-    return (math.comb(b + c, c) * math.comb(m, a) * math.comb(m + 1, a)
-            // math.comb(a + b + 1, a))
-
-
 def pair_sums_of_k(n: int, k: int, N: int, s: float) -> list[float]:
     """Entry i is sum_{p,q=1..N} dim(q,j,i,p) * eigenvalue(q,j,i,p)^(-s)
     for the family (i, j = n-k-i), i = 0..(n-k)//2: one sum per unordered
@@ -116,9 +103,10 @@ def pair_sums_of_k(n: int, k: int, N: int, s: float) -> list[float]:
 
     The Weyl dimension factors as M * F(q) * G(p) * (p'+q'+k)/n because only
     the first and last weight entries depend on the free parameters.  With
-    the middle weight (1^a, 0^(k-1), (-1)^i), a = n-k-i, the row
-    F(q) = (q)_a (q+a+1)_(k-1) (q+a+k+1)_i / (n-1)! runs over q..q+n but for
-    q+a and q+a+k, so F(q) = P(q) / ((q+a)(q+a+k)(n-1)!) with
+    the middle weight (1^a, 0^(k-1), (-1)^i), a = n-k-i, M is its dimension
+    ``weights.middle_dimension(a, k-1, i)``, as in ``BlockFamily.rows``,
+    and the row F(q) = (q)_a (q+a+1)_(k-1) (q+a+k+1)_i / (n-1)! runs over
+    q..q+n but for q+a and q+a+k, so F(q) = P(q) / ((q+a)(q+a+k)(n-1)!) with
     P(q) = q (q+1) ... (q+n), one product for every family; G swaps a and i.
     F, G and M/n are each one correctly rounded quotient of exact integers.  Row
     r of the shared triangle, W_r[c] = (r+c+k) A(r, c)^(-2s) for c >= r,
@@ -146,7 +134,7 @@ def pair_sums_of_k(n: int, k: int, N: int, s: float) -> list[float]:
         return [0.0] * len(families)
     D = 2 * k
     t = -2.0 * s
-    m = [_middle_factor(h - i, k - 1, i) / n for i in families]
+    m = [middle_dimension(h - i, k - 1, i) / n for i in families]
     F, G = _dimension_rows(n, k, N)
 
     R = N + h  # the largest shifted coordinate of any family

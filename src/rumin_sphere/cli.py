@@ -231,7 +231,10 @@ _PREC = dict(type=int, default=DEFAULT_PRECISION_BITS,
                   f"(default {DEFAULT_PRECISION_BITS})")
 
 
-def build_parser() -> argparse.ArgumentParser:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # One parser serves every request of the process: parsing reads it and
+    # writes each request's values into a fresh namespace.
     parser = argparse.ArgumentParser(
         prog="rumin-sphere",
         description=(
@@ -270,13 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--prec", **_PREC)
 
     return parser
-
-
-@lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    # One parser serves every request of the process: parsing reads it and
-    # writes each request's values into a fresh namespace.
-    return build_parser()
 
 
 def main(argv: Optional[list[str]] = None) -> int:

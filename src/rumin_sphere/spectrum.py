@@ -21,7 +21,7 @@ from itertools import chain
 from math import factorial, lcm, prod
 from typing import Iterator, Optional, Sequence
 
-from .weights import HighestWeight
+from .weights import HighestWeight, middle_dimension
 
 
 class InvalidLabelError(ValueError):
@@ -154,22 +154,21 @@ class BlockFamily:
         ``verify.run_all``.  ``spaces`` is passed through.
 
         The eigenvalue is key / ``eigenvalue_denominator(n)``.  The dimension
-        is ``weights.weyl_product`` of the weight (q, m, -p), m the family's
-        middle weight, regrouped: its numerator is a constant from the pairs
-        inside m, times the q-row prod_b (q - m_b + b), the p-row
-        prod_a (m_a + p + n - a) and the factor (q + p + n).  The constant,
-        the q-rows, the key's multiplier and the divisor prod_{a<b} (b - a)
-        are built once per family and the p-row once per p; a remainder or
-        a result below 1 raises ``ArithmeticError`` as in ``weyl_product``.
+        is ``weights.weyl_dimension`` of the weight (q, m, -p), m the middle
+        weight (1^j, 0^{d-1}, (-1)^i), d = n-i-j, regrouped by pairs:
+        ``weights.middle_dimension(j, d-1, i)`` times the q-row
+        prod_b (q - m_b + b), the p-row prod_a (m_a + p + n - a) and
+        (q + p + n), over (n-1)! n!, as the first-middle, middle-last and
+        first-last pairs divide by (n-1)!, (n-1)! and n.  All but the p-rows
+        are built once per family; a remainder or a result below 1 raises
+        ``ArithmeticError`` as in ``weyl_dimension``.
         """
         n, case, i, j = self.n, self.case, self.i, self.j
         d = n - i - j
         mult = eigenvalue_denominator(n) // (4 * d * d)
-        divisor = prod(map(factorial, range(n + 1)))  # prod_{a<b} (b - a) = prod_b b!
+        divisor = factorial(n - 1) * factorial(n)
         middle = _middle_weight(n, j, i)
-        # The factors of the pairs inside the middle weight.
-        const = prod(middle[a] - middle[b] + b - a
-                     for a in range(n - 1) for b in range(a + 1, n - 1))
+        const = middle_dimension(j, d - 1, i)
         q_shifts = [b - m for b, m in enumerate(middle, 1)]
         p_shifts = [m + n - a for a, m in enumerate(middle, 1)]
         ps, qs = self.parameters(bound)

@@ -21,8 +21,11 @@ walks ``spectrum.all_families`` once and reads each family's rows from
 ``BlockFamily.rows``, the generator of every ``spectrum`` record, so the
 label checks certify the keys and dimensions that ``spectrum`` prints,
 each against a second route: the Gelfand-Tsetlin count of the weight, the
-reductions, the norm routes and the weight.  Each row gets its label and
-weight once; each label check adds up its violations over the families.
+special dimension and its polynomial on the Case III and VI rows, the
+reductions, the norm routes and the weight.  No check walks label
+parameters outside the generator or takes a Weyl product.  Each row gets
+its label and weight once; each label check adds up its violations over
+the families.
 Only one family's rows are held at a time, the kernel check's rows of key 0
 apart, and the GT memo is shared by every label of the request.  Exact
 values are compared by cross products of integers.  There is no mirror
@@ -45,7 +48,7 @@ from . import limits, spectrum, torsion, zeta
 from .torsion import KappaEstimate, TorsionReport, rounding_gamma
 from .spectrum import BlockFamily, Case, RuminLabel, label_to_weight
 from .weights import (HighestWeight, dimension_coefficients, gt_pattern_count,
-                      special_dimension, weyl_dimension)
+                      special_dimension)
 
 
 @dataclass(frozen=True)
@@ -100,38 +103,37 @@ def _total(parts: tuple[CheckResult, ...]) -> CheckResult:
     return _exact(parts[0].name, sum(int(c.residual) for c in parts))
 
 
-# Work units one label may take in ``gt_pattern_count`` (one per row count
-# or running sum stored and one per running sum a row count reads).  With
-# the memo shared across the request, the costliest label took 190, 282,
-# 374 and 466 units at n = 6, 8, 10 and 12 with bound 20, and 258 at n = 4
-# with bound 60, so the budget only stops a runaway count.
-GT_BUDGET = 10**6
-
-
 def check_weyl_vs_gt(rows: list[_Row], memo: dict) -> CheckResult:
     # ``memo`` is the GT memo, one dict for every call of a request.
     bad = 0
     for _, w, _, dim in rows:
-        if dim != gt_pattern_count(w, budget=GT_BUDGET, memo=memo):
+        if dim != gt_pattern_count(w, memo=memo):
             bad += 1
     return _exact("weyl_dimension_vs_gt_patterns", bad)
 
 
-def check_special_dimension(n: int, bound: int) -> CheckResult:
-    bad = 0
-    for i in range(n + 1):
-        for p in range(1, bound + 1):
-            w = HighestWeight((0,) * (n - i) + (-1,) * i + (-p,))
-            if special_dimension(n, i, p) != weyl_dimension(w):
-                bad += 1
+def _special(family: BlockFamily, rows: list[_Row]) -> tuple[int, list[_Row]]:
+    # The Case III and VI rows, whose weights are the special ones
+    # (0^{n-i}, (-1)^i, -p), i the family's i or n for Case VI, with that i.
+    return (family.n if family.case is Case.VI else family.i,
+            _of(family, rows, Case.III, Case.VI))
+
+
+def check_special_dimension(family: BlockFamily, rows: list[_Row]) -> CheckResult:
+    i, special = _special(family, rows)
+    bad = sum(1 for label, _, _, dim in special
+              if special_dimension(family.n, i, label.p) != dim)
     return _exact("special_dimension_vs_weyl", bad)
 
 
-def check_dimension_polynomial(n: int, bound: int) -> CheckResult:
+def check_dimension_polynomial(family: BlockFamily, rows: list[_Row]) -> CheckResult:
+    n = family.n
+    i, special = _special(family, rows)
     bad = 0
-    for i in range(n + 1):
+    if special:
         coefficients = dimension_coefficients(n, i)
-        for p in range(1, bound + 1):
+        for label, *_ in special:
+            p = label.p
             value = sum(c * (p + i) ** l for l, c in enumerate(coefficients))
             if value != special_dimension(n, i, p):
                 bad += 1
@@ -441,13 +443,12 @@ def run_all(n: int, bound: int = 20, precision: Optional[int] = None) -> list[Ch
         per_family.append([
             check_weyl_vs_gt(rows, memo),
             *(check(family, rows) for check in (
+                check_special_dimension, check_dimension_polynomial,
                 check_eigenvalue_reductions, check_norm_route, check_case_v_mixed,
                 check_norm_ratios, check_weight_determined))])
         kernel_rows += [row for row in generated if not row[5]]
-    weyl, reductions, norm_route, case_v, ratios, weight = map(_total, zip(*per_family))
     return [
-        weyl, check_special_dimension(n, bound), check_dimension_polynomial(n, bound),
-        reductions, norm_route, case_v, ratios, weight,
+        *map(_total, zip(*per_family)),
         *(check(n) for check in (
             check_c_coefficients, check_sigma, check_vanishing_correction,
             check_cancellation)),

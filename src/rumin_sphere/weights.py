@@ -2,7 +2,8 @@
 
 The sphere S^{2n+1} carries a U(n+1) action, and every object this package
 computes is indexed by a highest weight.  This module holds U(m) data only:
-the weight type, the Weyl dimension formula in exact arithmetic, a
+the weight type, the Weyl dimension formula in exact arithmetic and its
+closed form on the middle weights (1^a, 0^b, (-1)^c) of the labels, a
 Gelfand-Tsetlin pattern counter, a memoised sum over interlacing rows, that
 serves as an independent oracle for the dimension formula, and the special
 dimensions, as integers and as the dimension polynomial whose identities
@@ -38,40 +39,50 @@ class HighestWeight:
             raise ValueError(f"entries must be nonincreasing: {entries}")
 
 
-def weyl_product(entries: Sequence[int]) -> int:
-    """prod_{a<b} (w_a - w_b + b - a)/(b - a) for the integer tuple
-    ``entries``, in exact integer arithmetic.
-
-    ``weyl_dimension`` calls it.  The row generator of the label set,
-    ``spectrum.BlockFamily.rows``, computes the same integer product
-    regrouped by family: a constant from the middle entries, a row in the
-    first entry, a row in the last entry and the factor that pairs the two.
+def weyl_dimension(w: HighestWeight) -> int:
+    """Dimension of the U(m) irreducible with highest weight ``w``:
+    prod_{a<b} (w_a - w_b + b - a)/(b - a), in exact integer arithmetic.
     The numerator is divided by prod_{a<b} (b - a) with ``divmod``, and a
-    remainder or a result below 1 raises ``ArithmeticError``.
-    """
+    remainder or a result below 1 raises ``ArithmeticError``."""
+    entries = w.entries
     m = len(entries)
-    num = 1
-    den = 1
+    num = den = 1
     for a in range(m):
         for b in range(a + 1, m):
             num *= entries[a] - entries[b] + b - a
             den *= b - a
     dim, rem = divmod(num, den)
     if rem or dim <= 0:
-        raise ArithmeticError(
-            f"Weyl product is not a positive integer: {tuple(entries)}"
-        )
+        raise ArithmeticError(f"Weyl product is not a positive integer: {entries}")
     return dim
 
 
-def weyl_dimension(w: HighestWeight) -> int:
-    """Dimension of the U(m) irreducible with highest weight ``w``: the
-    exact-integer ``weyl_product`` of its entries."""
-    return weyl_product(w.entries)
+def middle_dimension(a: int, b: int, c: int) -> int:
+    """The Weyl dimension of the weight (1^a, 0^b, (-1)^c), m = a+b+c
+    entries (1 for m = 0): C(b+c, c) C(m, a) C(m+1, a) / C(a+b+1, a), an
+    exact integer, in O(m) steps instead of O(m^2).
+
+    Within a block of equal entries every factor is 1, and each pair of
+    blocks telescopes: the 1s against the 0s give C(a+b, a), the 0s against
+    the -1s C(b+c, c), and the 1s against the -1s (difference 2)
+    (m+1)! m! b! (b+1)! / ((m+1-a)! (m-a)! (a+b)! (a+b+1)!).  It is the
+    one middle-weight factor of the label dimensions: the row generator
+    ``spectrum.BlockFamily.rows`` and the pair kernel both scale by it.
+    """
+    m = a + b + c
+    return comb(b + c, c) * comb(m, a) * comb(m + 1, a) // comb(a + b + 1, a)
+
+
+# Work units one label may take in ``gt_pattern_count`` (one per row count
+# or running sum stored and one per running sum a row count reads).  With
+# the memo shared across a ``verify`` request, the costliest label took 190,
+# 282, 374 and 466 units at n = 6, 8, 10 and 12 with bound 20, and 258 at
+# n = 4 with bound 60, so the budget only stops a runaway count.
+GT_BUDGET = 10**6
 
 
 def gt_pattern_count(
-    w: HighestWeight, budget: int = 10**8, memo: Optional[dict] = None
+    w: HighestWeight, budget: int = GT_BUDGET, memo: Optional[dict] = None
 ) -> int:
     """Count Gelfand-Tsetlin patterns with top row ``w``.
 
@@ -109,10 +120,11 @@ def gt_pattern_count(
     the 1-tuples (c,), whose item is a tuple, to the lists of running sums,
     so no key of one kind equals a key of the other.  Pass one dict to
     several calls to share their work; a fresh one is used otherwise.
-    ``budget`` bounds the work of this call, counted as one unit for each
-    row count or running sum it stores plus one for each running sum that a
-    row count reads; the units are charged before the sums are made, and
-    ``EnumerationBudgetError`` is raised once they exceed it.
+    ``budget`` (``GT_BUDGET`` by default) bounds the work of this call,
+    counted as one unit for each row count or running sum it stores plus
+    one for each running sum that a row count reads; the units are charged
+    before the sums are made, and ``EnumerationBudgetError`` is raised once
+    they exceed it.
     """
     return _gt_count(w.entries, budget, {} if memo is None else memo)[0]
 

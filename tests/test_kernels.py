@@ -11,7 +11,8 @@ import pytest
 
 from rumin_sphere import _kernels_py, torsion
 from rumin_sphere.spectrum import RuminLabel, eigenvalue_formula, label_to_weight
-from rumin_sphere.weights import special_dimension, weyl_dimension, weyl_product
+from rumin_sphere.weights import (HighestWeight, middle_dimension, special_dimension,
+                                  weyl_dimension)
 
 UNIT_ROUNDOFF = 2.0**-53
 
@@ -250,16 +251,6 @@ def test_axis_sum_small_value_sanity():
     assert val == pytest.approx(2 * (0.5) ** -6, rel=1e-15)
 
 
-def test_middle_factor_is_the_weyl_product():
-    # Every middle weight (1^a, 0^b, (-1)^c) with m = a+b+c <= 40 entries.
-    for m in range(41):
-        for a in range(m + 1):
-            for b in range(m + 1 - a):
-                c = m - a - b
-                assert _kernels_py._middle_factor(a, b, c) == weyl_product(
-                    (1,) * a + (0,) * b + (-1,) * c), (a, b, c)
-
-
 def test_pair_sums_of_k_set_up_is_fast_at_large_n():
     # At n = 80 set-up dominated: the O(n^2) product for each family's
     # middle factor took 5.1 s over the 80 calls.
@@ -269,20 +260,26 @@ def test_pair_sums_of_k_set_up_is_fast_at_large_n():
     assert time.perf_counter() - start < 1.5
 
 
+def weyl(entries):
+    """The Weyl dimension of the nonincreasing tuple ``entries``, 1 for the
+    empty tuple (the middle weight of n = 1)."""
+    return weyl_dimension(HighestWeight(entries)) if entries else 1
+
+
 def check_dimension_rows(n, k, N, families):
     """Rows F_i and G_i of ``pair_sums_of_k``, against the quotient of Weyl
-    products that they stand for: entry q - 1 of the row of the middle
-    weight ``mid`` is weyl_product((q, *mid)) / weyl_product(mid)."""
+    dimensions that they stand for: entry q - 1 of the row of the middle
+    weight ``mid`` is weyl((q, *mid)) / weyl(mid)."""
     h = n - k
     F, G = _kernels_py._dimension_rows(n, k, N)
     assert len(F) == len(G) == h // 2 + 1
     for i in families:
         for row, (a, c) in ((F[i], (h - i, i)), (G[i], (i, h - i))):
             mid = (1,) * a + (0,) * (k - 1) + (-1,) * c
-            dim = weyl_product(mid)
+            dim = weyl(mid)
             assert len(row) == N
             for q, value in enumerate(row, 1):
-                assert value == float(Fraction(weyl_product((q, *mid)), dim)), (a, k - 1, c, q)
+                assert value == float(Fraction(weyl((q, *mid)), dim)), (a, k - 1, c, q)
 
 
 def test_dimension_rows_are_the_weyl_quotient():
@@ -310,8 +307,9 @@ def test_dimension_rows_are_fast_at_large_n():
 
 def exact_pair_sums(n, k, N, s, families):
     """The families' sums of ``pair_sums_of_k`` at 300 bits, from the exact
-    factored dimension M F(q) G(p) (p'+q'+k) / n (each factor is checked
-    against the Weyl product above) and the exact base A / D."""
+    factored dimension M F(q) G(p) (p'+q'+k) / n (F and G are checked
+    against the Weyl dimension above, and M = ``middle_dimension`` in
+    ``test_weights``) and the exact base A / D."""
     h = n - k
     P = [n * (n + 1)]  # P(q) / (n-1)!
     for q in range(1, N):
@@ -321,7 +319,7 @@ def exact_pair_sums(n, k, N, s, families):
         sums = []
         for i in families:
             j = h - i
-            M = Fraction(_kernels_py._middle_factor(h - i, k - 1, i), n)
+            M = Fraction(middle_dimension(h - i, k - 1, i), n)
             total = mpmath.mpf(0)
             for p in range(1, N + 1):
                 G = M * Fraction(P[p - 1], (p + i) * (p + i + k))

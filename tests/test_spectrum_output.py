@@ -100,13 +100,13 @@ def test_spectrum_writer_handles_an_empty_row_list(monkeypatch):
 @pytest.mark.parametrize("n, N", [*((n, 12) for n in range(1, 7)), (10, 3)])
 def test_every_dimension_is_the_weyl_product(n, N):
     # The factored product of ``degree_labels`` against the plain O(n^2)
-    # loop of ``weyl_product``, label by label.
+    # loop of ``weyl_dimension``, label by label.
     for k in range(n + 1):
         got = list(degree_labels(n, k, N))
         assert got
         for _, i, j, q, p, _, dim, _ in got:
             weight = (q, *spectrum._middle_weight(n, j, i), -p)
-            assert dim == weights.weyl_product(weight), (n, k, weight)
+            assert dim == weights.weyl_dimension(weights.HighestWeight(weight)), (n, k, weight)
 
 
 @pytest.mark.parametrize("call", [0, 5], ids=["q_row", "p_row"])

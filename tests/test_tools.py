@@ -22,23 +22,40 @@ def test_requests_are_the_workloads_then_cold_then_the_extras_each_once():
     found = [argv for name in workloads.WORKLOADS for seed in records.SEEDS
              for argv in workloads.build(name, seed)]
     cold = [argv for kinds in workloads.COLD.values() for argv in kinds]
-    # A repeated extra, and an extra that is already a cold request.
-    extras = ["torsion --n 40", shlex.join(cold[0]), "kappa --n 1 --s=-158.4392",
-              "torsion --n 40"]
+    # A repeated extra, an extra that is already a cold request, and one
+    # that is already a fixed request.
+    extras = ["torsion --n 41", shlex.join(cold[0]), "kappa --n 1 --s=-158.4392",
+              "torsion --n 41", "torsion --n 40"]
     reqs = records.requests(extras)
     assert len(set(reqs)) == len(reqs)
     assert set(reqs) == {*found, *cold, *records.REFUSALS, *records.ENGINE,
-                         ("torsion", "--n", "40"), ("kappa", "--n", "1", "--s=-158.4392")}
+                         *records.BEYOND, ("torsion", "--n", "41"),
+                         ("kappa", "--n", "1", "--s=-158.4392")}
     first = {}
-    later = [*cold, *records.REFUSALS, *records.ENGINE,
+    later = [*cold, *records.REFUSALS, *records.ENGINE, *records.BEYOND,
              *(tuple(shlex.split(e)) for e in extras)]
     for i, argv in enumerate(found + later):
         first.setdefault(argv, i)
     assert reqs == sorted(reqs, key=first.__getitem__)
     assert reqs[:len(set(found))] == list(dict.fromkeys(found))
-    assert reqs[-2:] == [("torsion", "--n", "40"), ("kappa", "--n", "1", "--s=-158.4392")]
+    assert reqs[-2:] == [("torsion", "--n", "41"), ("kappa", "--n", "1", "--s=-158.4392")]
     # The engine requests reach what no workload request does.
     assert not set(records.ENGINE) & {*found, *cold}
+
+    # Each request beyond the workloads has a larger n than every workload
+    # or cold request of its subcommand and kappa mode.
+    def path(argv):
+        return argv[0], argv[argv.index("--mode") + 1] if "--mode" in argv else None
+
+    def n_of(argv):
+        return int(argv[argv.index("--n") + 1])
+
+    widest = {}
+    for argv in [*found, *cold]:
+        widest[path(argv)] = max(widest.get(path(argv), 0), n_of(argv))
+    assert len(records.BEYOND) == 5
+    for argv in records.BEYOND:
+        assert n_of(argv) > widest[path(argv)], argv
 
 
 def test_every_refusal_exits_with_its_code_and_one_stderr_line(capsys):

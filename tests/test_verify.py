@@ -208,9 +208,10 @@ def count_calls(monkeypatch, module, name):
 def test_one_request_builds_the_label_set_once(monkeypatch):
     # run_all walks the families once, reading each family's rows from one
     # ``BlockFamily.rows`` call, and builds each label and its weight once
-    # for every label check.  The only other weights are the (n+1) bound of
-    # the special-dimension check; no eigenvalue comes from
-    # ``eigenvalue_formula`` and no dimension from a Weyl product of a label.
+    # for every label check, and no other weight.  No eigenvalue comes from
+    # ``eigenvalue_formula`` and no dimension from a Weyl product: the
+    # special-dimension checks read the (n+1) bound Case III and VI rows,
+    # and each takes one closed form per row.
     n, bound = 3, 5
     families = spectrum.all_families(n)
     labels = sum(len(list(fam.labels(bound))) for fam in families)
@@ -219,14 +220,17 @@ def test_one_request_builds_the_label_set_once(monkeypatch):
     made = count_calls(monkeypatch, weights.HighestWeight, "__post_init__")
     built = count_calls(monkeypatch, spectrum.RuminLabel, "__post_init__")
     formulas = count_calls(monkeypatch, spectrum, "eigenvalue_formula")
-    products = count_calls(monkeypatch, weights, "weyl_product")
+    products = count_calls(monkeypatch, weights, "weyl_dimension")
+    specials = count_calls(monkeypatch, verify, "special_dimension")
     assert all(r.passed for r in verify.run_all(n, bound))
     assert generated == [(fam, bound, fam.spaces) for fam in families]
     assert walked == []
-    assert len(made) == labels + (n + 1) * bound
+    assert len(made) == labels
     assert len(built) == labels
     assert formulas == []
-    assert len(products) == (n + 1) * bound
+    assert products == []
+    assert sorted(specials) == sorted(
+        [(n, i, p) for i in range(n + 1) for p in range(1, bound + 1)] * 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -255,7 +259,7 @@ def test_kernel_check_slices_reach_the_bound(monkeypatch):
 def test_kernel_check_takes_dimensions_only_at_eigenvalue_zero(capsys, monkeypatch):
     # The check reads the generated dimension of the rows of key 0 and of
     # no other row, and takes no Weyl product of its own.
-    products = count_calls(monkeypatch, weights, "weyl_product")
+    products = count_calls(monkeypatch, weights, "weyl_dimension")
     for bound in (1, 5, 20):
         rows = label_rows(3, bound)
         products.clear()
@@ -398,11 +402,16 @@ def test_check_cancellation_fails_on_a_non_cancelling_family(monkeypatch):
     assert not check.passed and check.residual == 3
 
 
+def named_checks(n, bound):
+    return {check.name: check for check in verify.run_all(n, bound)}
+
+
 def test_dimension_check_counts_a_non_integral_value(monkeypatch):
     # Half added to every constant coefficient makes every value of the
     # polynomial non-integral: each (i, p) counts as one violation, where
-    # the value used to raise ArithmeticError.
-    assert verify.check_dimension_polynomial(3, 5).passed
+    # the value used to raise ArithmeticError.  The special dimensions
+    # themselves still match the generated ones.
+    assert named_checks(3, 5)["dimension_polynomial_vs_special"].passed
     coefficients = weights.dimension_coefficients
 
     def broken(n, i):
@@ -410,8 +419,53 @@ def test_dimension_check_counts_a_non_integral_value(monkeypatch):
         return (c0 + Fraction(1, 2), *rest)
 
     monkeypatch.setattr(verify, "dimension_coefficients", broken)
-    check = verify.check_dimension_polynomial(3, 5)
+    checks = named_checks(3, 5)
+    check = checks["dimension_polynomial_vs_special"]
     assert not check.passed and check.residual == 4 * 5
+    assert checks["special_dimension_vs_weyl"].passed
+
+
+@pytest.mark.parametrize("i", [3, 0], ids=["case_vi", "case_iii"])
+def test_special_dimension_checks_read_the_special_rows(capsys, monkeypatch, i):
+    # One special dimension of n = 3 off by one, at p = 3 of i = n (the
+    # Case VI rows) or of i = 0 (the first Case III family): both checks
+    # that compare with it see it, and only they.
+    special = weights.special_dimension
+
+    def off(n, i_, p):
+        return special(n, i_, p) + ((i_, p) == (i, 3))
+
+    assert failing_checks(capsys, 3, 5) == (0, set())
+    monkeypatch.setattr(verify, "special_dimension", off)
+    assert failing_checks(capsys, 3, 5) == (
+        1, {"special_dimension_vs_weyl", "dimension_polynomial_vs_special"})
+    assert failing_checks(capsys, 3, 2) == (0, set())
+
+
+def test_verify_sees_a_doubled_middle_dimension(capsys, monkeypatch):
+    # The middle-weight dimension doubled at (a, b, c) = (1, 1, 0) and
+    # (1, 2, 0), the Case II family (i, j) = (0, 1) at n = 3 and n = 4, in
+    # every module that binds it: the row generator and the pair kernel
+    # share the wrong factor.  The direct zetas change, and the GT check,
+    # which certifies every generated dimension, is the one check that
+    # sees it.
+    original = weights.middle_dimension
+
+    def doubled(a, b, c):
+        return original(a, b, c) * (1 + ((a, b, c) in ((1, 1, 0), (1, 2, 0))))
+
+    before = torsion.degree_zetas_direct(3, 4.2, 50)
+    assert failing_checks(capsys, 4, 10) == (0, set())
+    bound = sorted(name for name, module in list(sys.modules.items())
+                   if name.startswith("rumin_sphere")
+                   and vars(module).get("middle_dimension") is original)
+    assert bound == ["rumin_sphere._kernels_py", "rumin_sphere.spectrum",
+                     "rumin_sphere.weights"]
+    for name in bound:
+        monkeypatch.setattr(sys.modules[name], "middle_dimension", doubled)
+    assert torsion.degree_zetas_direct(3, 4.2, 50) != before
+    assert failing_checks(capsys, 4, 10) == (1, {"weyl_dimension_vs_gt_patterns"})
+    assert failing_checks(capsys, 3, 5) == (1, {"weyl_dimension_vs_gt_patterns"})
 
 
 def test_shift_points_are_the_seeded_draws():

@@ -95,6 +95,18 @@ def test_weyl_dimension_examples():
         assert weyl_dimension(HighestWeight((0, -p))) == p + 1
 
 
+def test_middle_dimension_is_the_weyl_dimension():
+    # Every middle weight (1^a, 0^b, (-1)^c) with m = a+b+c <= 40 entries;
+    # the empty weight of m = 0 (the middle weight of n = 1) counts 1.
+    assert weights.middle_dimension(0, 0, 0) == 1
+    for m in range(1, 41):
+        for a in range(m + 1):
+            for b in range(m + 1 - a):
+                c = m - a - b
+                assert weights.middle_dimension(a, b, c) == weyl_dimension(
+                    HighestWeight((1,) * a + (0,) * b + (-1,) * c)), (a, b, c)
+
+
 def test_gt_pattern_count_examples():
     assert gt_pattern_count(HighestWeight((0, 0))) == 1
     assert gt_pattern_count(HighestWeight((1, 0))) == 2

@@ -7,13 +7,15 @@ Run from the root of a source checkout:
     python3 tools/records.py --parent HEAD --extra 'torsion --n 40'
 
 The requests are every request of ``clibench/workloads.build`` for each
-workload at seeds 1-3, every ``COLD`` request, the fixed ``REFUSALS`` and
-``ENGINE`` requests and each ``--extra`` (split like a shell line), each
-distinct request once.  Every run includes the refusals: one or more
-requests per exit code of ``cli.main``'s exit table, so that every diff
-compares their exit codes and stderr lines too.  It also includes the
+workload at seeds 1-3, every ``COLD`` request, the fixed ``REFUSALS``,
+``ENGINE`` and ``BEYOND`` requests and each ``--extra`` (split like a shell
+line), each distinct request once.  Every run includes the refusals: one or
+more requests per exit code of ``cli.main``'s exit table, so that every
+diff compares their exit codes and stderr lines too.  It also includes the
 engine's extremes, which no workload reaches: passes at the precision
-ceiling, and Hurwitz passes at a > 1 above 128 bits.  The parent revision is
+ceiling, and Hurwitz passes at a > 1 above 128 bits; and requests beyond
+the workloads' n: ``verify`` at n = 6 and 8, ``spectrum`` at n = 5, the
+direct ``kappa`` route at n = 6 and ``torsion`` at n = 40.  The parent revision is
 checked out in a temporary ``git worktree`` (``bench.parent_worktree``); the
 change is this checkout's working tree, committed or not.  One subprocess
 per tree runs every request through that tree's ``rumin_sphere.cli.main``
@@ -61,6 +63,15 @@ ENGINE = tuple(tuple(line.split()) for line in (
     "verify --n 1 --max 1 --prec 1024",
 ))
 
+# Requests beyond the workloads' n, about 0.9 s together: the label checks
+# and the row generator at n = 6 and 8, a spectrum table at n = 5, the pair
+# kernel at n = 6 and the torsion report at n = 40.
+BEYOND = tuple(tuple(line.split()) for line in (
+    "verify --n 6 --max 10", "verify --n 8 --max 6",
+    "spectrum --n 5 --degree 2 --max 8 --format csv",
+    "kappa --n 6 --s 4.9 --mode direct --max 60", "torsion --n 40",
+))
+
 # Runs in each tree: reads the requests as JSON on stdin and writes one
 # [stdout, exit code, last stderr line] per request as JSON on stdout.  An
 # exception that escapes cli.main counts as a process would show it: exit 1
@@ -89,8 +100,8 @@ json.dump(results, sys.stdout)
 
 def requests(extra: list[str]) -> list[tuple[str, ...]]:
     """The workload requests at ``SEEDS``, the ``COLD`` ones, the
-    ``REFUSALS``, the ``ENGINE`` ones, then ``extra``, each distinct request
-    once, in that order."""
+    ``REFUSALS``, the ``ENGINE`` and ``BEYOND`` ones, then ``extra``, each
+    distinct request once, in that order."""
     sys.path.insert(0, str(ROOT / "clibench"))
     import workloads
 
@@ -99,6 +110,7 @@ def requests(extra: list[str]) -> list[tuple[str, ...]]:
     found += [argv for cold in workloads.COLD.values() for argv in cold]
     found += REFUSALS
     found += ENGINE
+    found += BEYOND
     found += [tuple(shlex.split(line)) for line in extra]
     return list(dict.fromkeys(found))
 
