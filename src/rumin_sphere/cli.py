@@ -89,20 +89,22 @@ def _write_spectrum_json(n: int, degree: int, max_level: int, stream) -> None:
     The record has fixed keys, so the text of ``json.dumps(record,
     indent=2, sort_keys=True)`` is written out directly: keys in sorted
     order, strings without escapes, ints and float ``repr``s as json writes
-    them.  Rows are sorted by eigenvalue, and the blocks of a row by (case,
-    i, j, q, p, s, t), which names one block, so the dimension never takes
-    part in the order.  A row's eigenvalue key / L is reduced by one
-    ``gcd``, and its float is the int division key / L, which is correctly
-    rounded, as ``float(Fraction(key, L))`` is.
+    them.  The blocks are the rows of the families of ``degree_families``,
+    one per bidegree.  Rows are sorted by eigenvalue, and the blocks of a
+    row by (case, i, j, q, p, s, t), which names one block, so the
+    dimension never takes part in the order.  A row's eigenvalue key / L is
+    reduced by one ``gcd``, and its float is the int division key / L, which
+    is correctly rounded, as ``float(Fraction(key, L))`` is.
     """
     blocks: dict[int, list] = {}
-    for case, i, j, q, p, key, dim, spaces in spectrum.degree_labels(
-            n, degree, max_level):
-        row = blocks.get(key)
-        if row is None:
-            row = blocks[key] = []
-        for s, t in spaces:
-            row.append((case.value, i, j, q, p, s, t, dim))
+    for family, spaces in spectrum.degree_families(n, degree):
+        case, i, j = family.case.value, family.i, family.j
+        for q, p, key, dim in family.rows(max_level):
+            row = blocks.get(key)
+            if row is None:
+                row = blocks[key] = []
+            for s, t in spaces:
+                row.append((case, i, j, q, p, s, t, dim))
     denominator = spectrum.eigenvalue_denominator(n)
     rows = []
     for key in sorted(blocks):

@@ -4,7 +4,8 @@ exact eigenvalues of the rescaled Rumin Laplacian on them.
 The label table ``all_families`` is the one encoding of the seven case
 ranges; ``RuminLabel`` validates itself by one lookup in it and keeps the
 family it finds, which gives its case and its bidegrees.  The keys and
-dimensions that ``spectrum`` and ``verify`` read come from ``BlockFamily.rows``.
+dimensions that ``spectrum`` and ``verify`` read come from ``BlockFamily.rows``,
+whose rows hold only what varies within a family; readers loop the families.
 
 Everything is exact: eigenvalues are ``Fraction``s, dimensions integers, and
 squared norms carry the rational coefficient of the symbolic unit pi^{n+1}.
@@ -17,7 +18,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from math import factorial, lcm, prod
 from typing import Iterator, Optional, Sequence
 
@@ -146,12 +146,12 @@ class BlockFamily:
             for q in qs:
                 yield RuminLabel(self.n, q, self.j, self.i, p)
 
-    def rows(self, bound: int, spaces: tuple[tuple[int, int], ...]) -> Iterator[
-            tuple[Case, int, int, int, int, int, int, tuple[tuple[int, int], ...]]]:
-        """The row (case, i, j, q, p, key, dimension, spaces) of each member
-        label, free parameters running 1..bound, p-major: the one row
-        generator of the label set, read by ``degree_labels`` and
-        ``verify.run_all``.  ``spaces`` is passed through.
+    def rows(self, bound: int) -> Iterator[tuple[int, int, int, int]]:
+        """The row (q, p, key, dimension) of each member label, free
+        parameters running 1..bound, p-major: the one row generator of the
+        label set, read family by family by ``degree_multiplicities``,
+        ``cli`` and ``verify.run_all``.  The case, i, j and the bidegrees
+        are the family's own, so no row repeats them.
 
         The eigenvalue is key / ``eigenvalue_denominator(n)``.  The dimension
         is ``weights.weyl_dimension`` of the weight (q, m, -p), m the middle
@@ -163,7 +163,7 @@ class BlockFamily:
         are built once per family; a remainder or a result below 1 raises
         ``ArithmeticError`` as in ``weyl_dimension``.
         """
-        n, case, i, j = self.n, self.case, self.i, self.j
+        n, i, j = self.n, self.i, self.j
         d = n - i - j
         mult = eigenvalue_denominator(n) // (4 * d * d)
         divisor = factorial(n - 1) * factorial(n)
@@ -182,7 +182,7 @@ class BlockFamily:
                         "Weyl product is not a positive integer: "
                         f"{(q, *middle, -p)}")
                 a = eigenvalue_numerator(n, q, j, i, p)
-                yield case, i, j, q, p, a * a * mult, dim, spaces
+                yield q, p, a * a * mult, dim
 
 
 @lru_cache(maxsize=None)
@@ -231,20 +231,18 @@ def _family_index(n: int) -> dict:
     return index
 
 
-def degree_labels(
-    n: int, k: int, N: int
-) -> Iterator[tuple[Case, int, int, int, int, int, int, tuple[tuple[int, int], ...]]]:
-    """Every label with a block in degree k, free parameters running 1..N.
+def degree_families(
+    n: int, k: int
+) -> Iterator[tuple[BlockFamily, tuple[tuple[int, int], ...]]]:
+    """Each family with a bidegree (s, t), s + t = k, with those bidegrees,
+    in canonical family order: the one filter of the families by degree.
 
-    The rows of ``BlockFamily.rows`` of each family with a bidegree (s, t),
-    s + t = k, in canonical family order, each row's ``spaces`` holding
-    those bidegrees only, chained with no Python frame between the
-    generator and the reader.  Only degrees k <= n carry blocks; higher
-    degrees are reached through the mirror rule.
+    The blocks of degree k are the rows of each yielded family's
+    ``BlockFamily.rows``, one per yielded bidegree.  Only degrees k <= n
+    carry blocks; higher degrees are reached through the mirror rule.
     """
-    return chain.from_iterable(
-        fam.rows(N, spaces) for fam in all_families(n)
-        if (spaces := tuple((s, t) for s, t in fam.spaces if s + t == k)))
+    return ((fam, spaces) for fam in all_families(n)
+            if (spaces := tuple((s, t) for s, t in fam.spaces if s + t == k)))
 
 
 def _shifted_product(x: int, shifts: Sequence[int]) -> int:
@@ -256,13 +254,16 @@ def degree_multiplicities(n: int, k: int, N: int) -> dict[int, int]:
     """The truncated spectrum on degree k <= n as {key: multiplicity}, in
     increasing key order; the eigenvalue is key / ``eigenvalue_denominator(n)``.
 
-    The one aggregation of ``degree_labels``: it sums the blocks under their
-    exact integer keys, so labels whose eigenvalues genuinely collide are
-    merged correctly.  ``spectrum_slice`` and the CSV table read it.
+    The one aggregation of the rows of ``degree_families``, one block per
+    bidegree: it sums the blocks under their exact integer keys, so labels
+    whose eigenvalues genuinely collide are merged correctly.
+    ``spectrum_slice`` and the CSV table read it.
     """
     counts: dict[int, int] = {}
-    for _, _, _, _, _, key, dim, spaces in degree_labels(n, k, N):
-        counts[key] = counts.get(key, 0) + len(spaces) * dim
+    for fam, spaces in degree_families(n, k):
+        blocks = len(spaces)
+        for _, _, key, dim in fam.rows(N):
+            counts[key] = counts.get(key, 0) + blocks * dim
     return {key: counts[key] for key in sorted(counts)}
 
 

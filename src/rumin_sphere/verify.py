@@ -17,8 +17,9 @@ eigenvalues.
 
 Every check that loops over labels runs their free parameters over
 1..bound, the ``--max`` of the record; no check lowers it.  ``run_all``
-walks ``spectrum.all_families`` once and reads each family's rows from
-``BlockFamily.rows``, the generator of every ``spectrum`` record, so the
+walks ``spectrum.all_families`` once and reads each family's rows (q, p,
+key, dimension) from ``BlockFamily.rows``, the generator of every
+``spectrum`` record, with i and j from the family it walks, so the
 label checks certify the keys and dimensions that ``spectrum`` prints,
 each against a second route: the Gelfand-Tsetlin count of the weight, the
 special dimension and its polynomial on the Case III and VI rows, the
@@ -26,12 +27,13 @@ reductions, the norm routes and the weight.  No check walks label
 parameters outside the generator or takes a Weyl product.  Each row gets
 its label and weight once; each label check adds up its violations over
 the families.
-Only one family's rows are held at a time, the kernel check's rows of key 0
-apart, and the GT memo is shared by every label of the request.  Exact
-values are compared by cross products of integers.  There is no mirror
-check: the package defines degrees above the middle by the mirror rule
-(``spectrum_slice`` folds k to min(k, 2n+1-k)), so a comparison of degree k
-with degree 2n+1-k would compare one computation with itself.
+Only one family's rows are held at a time, the kernel check's (dimension,
+bidegrees) pairs of the rows of key 0 apart, and the GT memo is shared by
+every label of the request.  Exact values are compared by cross products of
+integers.  There is no mirror check: the package defines degrees above the
+middle by the mirror rule (``spectrum_slice`` folds k to min(k, 2n+1-k)), so
+a comparison of degree k with degree 2n+1-k would compare one computation
+with itself.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, inf, pi, prod, ulp
-from typing import Optional
+from typing import Optional, Sequence
 
 import mpmath
 from mpmath import mpf
@@ -126,6 +128,13 @@ def check_special_dimension(family: BlockFamily, rows: list[_Row]) -> CheckResul
     return _exact("special_dimension_vs_weyl", bad)
 
 
+def _horner(coefficients: Sequence[int | Fraction], x: int) -> int | Fraction:
+    value = 0  # sum_l coefficients[l] x^l
+    for c in reversed(coefficients):
+        value = value * x + c
+    return value
+
+
 def check_dimension_polynomial(family: BlockFamily, rows: list[_Row]) -> CheckResult:
     n = family.n
     i, special = _special(family, rows)
@@ -134,8 +143,7 @@ def check_dimension_polynomial(family: BlockFamily, rows: list[_Row]) -> CheckRe
         coefficients = dimension_coefficients(n, i)
         for label, *_ in special:
             p = label.p
-            value = sum(c * (p + i) ** l for l, c in enumerate(coefficients))
-            if value != special_dimension(n, i, p):
+            if _horner(coefficients, p + i) != special_dimension(n, i, p):
                 bad += 1
     return _exact("dimension_polynomial_vs_special", bad)
 
@@ -284,13 +292,6 @@ def check_sigma(n: int) -> CheckResult:
     return _exact("sigma_linearity", bad)
 
 
-def _horner(coefficients: list[int], x: int) -> int:
-    value = 0  # sum_l coefficients[l] x^l
-    for c in reversed(coefficients):
-        value = value * x + c
-    return value
-
-
 def check_vanishing_correction(n: int) -> CheckResult:
     """The reduced route's correction sums are powers of k = 1..i times the
     value at x = k of the integer row n! ``dimension_coefficients(n, i)``;
@@ -323,16 +324,15 @@ def check_cancellation(n: int) -> CheckResult:
     return _exact("case_ii_v_cancellation", bad)
 
 
-def check_kernel_uniqueness(n: int, rows: list[tuple]) -> CheckResult:
+def check_kernel_uniqueness(n: int, kernel: list[tuple]) -> CheckResult:
     # The multiplicity of 0 in each degree k <= n: 1 at k = 0, none above;
-    # degree 2n+1-k mirrors k, so it is not compared again.  ``rows`` are
-    # rows of ``BlockFamily.rows`` with all their family's bidegrees; they
-    # must hold every one of key 0 and may leave out any other.
+    # degree 2n+1-k mirrors k, so it is not compared again.  ``kernel``
+    # holds the pair (dimension, the family's bidegrees) of every row of
+    # ``BlockFamily.rows`` with key 0, and of no other row.
     zero = [0] * (n + 1)
-    for *_, key, dim, spaces in rows:
-        if not key:
-            for s, t in spaces:
-                zero[s + t] += dim
+    for dim, spaces in kernel:
+        for s, t in spaces:
+            zero[s + t] += dim
     bad = int(zero[0] != 1) + sum(1 for mult in zero[1:] if mult != 0)
     return _exact("zero_eigenvalue_only_in_top_and_bottom", bad)
 
@@ -429,30 +429,32 @@ def run_all(n: int, bound: int = 20, precision: Optional[int] = None) -> list[Ch
     or a precision the zeta engine cannot reach, is refused before any label
     check runs.  The label checks then run family by family on the rows of
     ``BlockFamily.rows``, one call per family (see the module docstring);
-    the kernel check, which needs every family, reads the generator's rows
-    of key 0 kept from that walk."""
+    the kernel check, which needs every family, reads the (dimension,
+    bidegrees) pairs of the generator's rows of key 0 kept from that walk.
+    Each row's label takes i and j from the family it is generated by."""
     torsion_values = check_torsion_values(n, precision)
     den = spectrum.eigenvalue_denominator(n)
     memo: dict = {}
     per_family = []
-    kernel_rows = []
+    kernel = []
     for family in spectrum.all_families(n):
-        generated = list(family.rows(bound, family.spaces))
+        i, j = family.i, family.j
+        generated = list(family.rows(bound))
         rows = [(label := RuminLabel(n, q, j, i, p), label_to_weight(label), (key, den), dim)
-                for _, i, j, q, p, key, dim, _ in generated]
+                for q, p, key, dim in generated]
         per_family.append([
             check_weyl_vs_gt(rows, memo),
             *(check(family, rows) for check in (
                 check_special_dimension, check_dimension_polynomial,
                 check_eigenvalue_reductions, check_norm_route, check_case_v_mixed,
                 check_norm_ratios, check_weight_determined))])
-        kernel_rows += [row for row in generated if not row[5]]
+        kernel += [(dim, family.spaces) for _, _, key, dim in generated if not key]
     return [
         *map(_total, zip(*per_family)),
         *(check(n) for check in (
             check_c_coefficients, check_sigma, check_vanishing_correction,
             check_cancellation)),
-        check_kernel_uniqueness(n, kernel_rows),
+        check_kernel_uniqueness(n, kernel),
         check_zeta_constants(precision),
         check_hurwitz_shift(precision),
         torsion_values, check_reduced_continuation(n, precision),

@@ -124,24 +124,33 @@ def test_spectrum_rows_match_spectrum_slice(capsys):
 def test_one_request_calls_the_row_generator_once_per_family(
         capsys, monkeypatch, argv, k):
     # One walk of the families per request: ``BlockFamily.rows`` is called
-    # once per family with a bidegree in the (mirrored) degree k, with those
-    # bidegrees, for ``spectrum`` in JSON or CSV, and once per family, with
-    # all its bidegrees, for ``verify``.
+    # once per family with a bidegree in the (mirrored) degree k, which one
+    # ``degree_families`` call yields with those bidegrees, for ``spectrum``
+    # in JSON or CSV, and once per family, with no filter by degree, for
+    # ``verify``.
     calls = []
     generate = spectrum.BlockFamily.rows
+    filtered = []
+    by_degree = spectrum.degree_families
 
-    def counted(family, bound, spaces):
-        calls.append((family, bound, spaces))
-        return generate(family, bound, spaces)
+    def counted(family, bound):
+        calls.append((family, bound))
+        return generate(family, bound)
+
+    def recorded(n, degree):
+        filtered.append((n, degree, list(by_degree(n, degree))))
+        return iter(filtered[-1][2])
 
     monkeypatch.setattr(spectrum.BlockFamily, "rows", counted)
+    monkeypatch.setattr(spectrum, "degree_families", recorded)
     assert run_cli(capsys, *argv)[0] == 0
     expected = []
     for family in spectrum.all_families(3):
         spaces = tuple(st for st in family.spaces if k is None or sum(st) == k)
         if spaces:
-            expected.append((family, 4, spaces))
-    assert calls == expected
+            expected.append((family, spaces))
+    assert calls == [(family, 4) for family, _ in expected]
+    assert filtered == ([] if k is None else [(3, k, expected)])
 
 
 def test_spectrum_csv_header_and_rows(capsys):

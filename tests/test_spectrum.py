@@ -26,7 +26,7 @@ from rumin_sphere import (
 )
 from rumin_sphere import spectrum
 from rumin_sphere.spectrum import (
-    degree_labels,
+    degree_families,
     eigenvalue_denominator,
 )
 
@@ -116,8 +116,8 @@ def test_block_validates_bidegree():
     assert (1, 1) in spaces and (2, 0) not in spaces
     # Degree 2 carries the label's block at (1, 1) alone, with the Weyl
     # dimension of its weight; bidegree (2, 0) has no family holding it.
-    degree2 = {RuminLabel(2, q, j, i, p): (dim, sp)
-               for _, i, j, q, p, _, dim, sp in degree_labels(2, 2, 1)}
+    degree2 = {RuminLabel(2, q, fam.j, fam.i, p): (dim, sp)
+               for fam, sp in degree_families(2, 2) for q, p, _, dim in fam.rows(1)}
     assert degree2[lab] == (weyl_dimension(label_to_weight(lab)), ((1, 1),))
     assert all(lab not in fam.labels(1) for fam in decompose(2, 2, 0))
     holders = [fam for fam in decompose(2, 1, 1) if lab in fam.labels(1)]
@@ -388,24 +388,27 @@ def test_label_family_spaces_are_the_family_table():
                 assert lab.family.spaces == _paper_bidegrees(lab)
 
 
-def test_degree_labels_enumerates_each_label_once():
+def test_degree_families_enumerate_each_label_once():
     for n in (1, 2, 3):
+        denominator = eigenvalue_denominator(n)
         for k in range(2 * n + 2):
-            got = list(degree_labels(n, k, 4))
+            got = list(degree_families(n, k))
+            rows = [(fam, row) for fam, _ in got for row in fam.rows(4)]
             expected = [
                 lab for lab in table_labels(n, 4)
                 if any(s + t == k for s, t in lab.family.spaces)
             ]
-            labels = [RuminLabel(n, q, j, i, p) for _, i, j, q, p, *_ in got]
+            labels = [RuminLabel(n, q, fam.j, fam.i, p) for fam, (q, p, _, _) in rows]
             assert labels == expected
             if k > n:
                 assert got == []
-            denominator = eigenvalue_denominator(n)
-            for lab, (case, _, _, _, _, key, dim, spaces) in zip(labels, got):
-                assert case is lab.case
-                assert all(type(x) is int for x in (key, dim))
+            assert [fam for fam, _ in got] == [
+                fam for fam in all_families(n) if any(s + t == k for s, t in fam.spaces)]
+            for fam, spaces in got:
+                assert spaces == tuple((s, t) for s, t in fam.spaces if s + t == k)
+            for lab, (fam, row) in zip(labels, rows):
+                assert lab.family is fam
+                assert len(row) == 4 and all(type(x) is int for x in row)
+                _, _, key, dim = row
                 assert Fraction(key, denominator) == eigenvalue_formula(lab)
                 assert dim == weyl_dimension(label_to_weight(lab))
-                assert spaces == tuple(
-                    (s, t) for s, t in lab.family.spaces if s + t == k
-                )

@@ -10,7 +10,7 @@ from functools import lru_cache
 import pytest
 
 from rumin_sphere import cli, label_to_weight, spectrum, weights
-from rumin_sphere.spectrum import all_families, degree_labels
+from rumin_sphere.spectrum import all_families, degree_families
 
 
 def _weyl_fraction(entries):
@@ -88,7 +88,7 @@ def test_spectrum_output_equals_the_reference(capsys, n):
 def test_spectrum_writer_handles_an_empty_row_list(monkeypatch):
     # Every degree carries labels, so an empty table only arises here; the
     # writer must still match json.dumps on it.
-    monkeypatch.setattr(spectrum, "degree_labels", lambda n, k, N: iter(()))
+    monkeypatch.setattr(spectrum, "degree_families", lambda n, k: iter(()))
     stream = io.StringIO()
     cli._write_spectrum_json(1, 0, 1, stream)
     record = {"schema_version": cli.SCHEMA_VERSION, "command": "spectrum",
@@ -99,13 +99,13 @@ def test_spectrum_writer_handles_an_empty_row_list(monkeypatch):
 
 @pytest.mark.parametrize("n, N", [*((n, 12) for n in range(1, 7)), (10, 3)])
 def test_every_dimension_is_the_weyl_product(n, N):
-    # The factored product of ``degree_labels`` against the plain O(n^2)
-    # loop of ``weyl_dimension``, label by label.
+    # The factored product of the rows of ``degree_families`` against the
+    # plain O(n^2) loop of ``weyl_dimension``, label by label.
     for k in range(n + 1):
-        got = list(degree_labels(n, k, N))
+        got = [(fam, row) for fam, _ in degree_families(n, k) for row in fam.rows(N)]
         assert got
-        for _, i, j, q, p, _, dim, _ in got:
-            weight = (q, *spectrum._middle_weight(n, j, i), -p)
+        for fam, (q, p, _, dim) in got:
+            weight = (q, *spectrum._middle_weight(n, fam.j, fam.i), -p)
             assert dim == weights.weyl_dimension(weights.HighestWeight(weight)), (n, k, weight)
 
 
@@ -121,6 +121,8 @@ def test_a_factor_row_off_by_one_is_refused(monkeypatch, call):
     def off_by_one(x, shifts):
         return shifted(x, shifts) + (next(calls) == call)
 
+    family, _ = next(degree_families(3, 1))
+    assert (family.case, family.i, family.j) == (spectrum.Case.II, 0, 0)
     monkeypatch.setattr(spectrum, "_shifted_product", off_by_one)
     with pytest.raises(ArithmeticError, match=r"\(1, 0, 0, -1\)"):
-        list(degree_labels(3, 1, 5))
+        spectrum.degree_multiplicities(3, 1, 5)

@@ -28,21 +28,23 @@ from rumin_sphere import _kernels_py, cli, limits, spectrum, torsion, verify, we
 from rumin_sphere import c_coefficients, sigma
 
 
-def label_rows(n, bound):
-    """Every row of ``BlockFamily.rows`` with all its family's bidegrees, as
-    ``run_all`` reads them family by family."""
-    return [row for fam in spectrum.all_families(n) for row in fam.rows(bound, fam.spaces)]
+def kernel_pairs(n, bound):
+    """The (dimension, bidegrees) pair of every row of ``BlockFamily.rows``
+    with key 0, each with all its family's bidegrees, as ``run_all`` hands
+    them to the kernel check."""
+    return [(dim, fam.spaces) for fam in spectrum.all_families(n)
+            for _, _, key, dim in fam.rows(bound) if not key]
 
 
 def patch_rows(monkeypatch, change):
-    """Make ``BlockFamily.rows`` yield every row with its (key, dimension)
-    replaced by ``change(family, row)``; ``spectrum`` and ``verify`` both
-    read the changed rows."""
+    """Make ``BlockFamily.rows`` yield every row (q, p, key, dimension) with
+    its (key, dimension) replaced by ``change(family, row)``; ``spectrum``
+    and ``verify`` both read the changed rows."""
     generate = spectrum.BlockFamily.rows
 
-    def changed(family, bound, spaces):
-        for row in generate(family, bound, spaces):
-            yield (*row[:5], *change(family, row), row[7])
+    def changed(family, bound):
+        for row in generate(family, bound):
+            yield (*row[:2], *change(family, row))
 
     monkeypatch.setattr(spectrum.BlockFamily, "rows", changed)
 
@@ -56,7 +58,7 @@ def failing_checks(capsys, n, bound):
 def test_weyl_check_reaches_the_bound(capsys, monkeypatch):
     # A generated dimension off by one only at q = 17 is caught at --max 20.
     def wrong_at_q17(family, row):
-        return row[5], row[6] + (row[3] == 17)
+        return row[2], row[3] + (row[0] == 17)
 
     assert failing_checks(capsys, 2, 20) == (0, set())
     patch_rows(monkeypatch, wrong_at_q17)
@@ -67,7 +69,7 @@ def test_weyl_check_reaches_the_bound(capsys, monkeypatch):
 def test_weight_check_reaches_the_bound(capsys, monkeypatch):
     # A generated eigenvalue off by one only at p = 15 is caught at --max 20.
     def wrong_at_p15(family, row):
-        return row[5] + (row[4] == 15) * spectrum.eigenvalue_denominator(family.n), row[6]
+        return row[2] + (row[1] == 15) * spectrum.eigenvalue_denominator(family.n), row[3]
 
     patch_rows(monkeypatch, wrong_at_p15)
     code, failed = failing_checks(capsys, 2, 20)
@@ -103,7 +105,8 @@ def test_verify_sees_a_wrong_key_multiplier_of_the_generator(capsys, monkeypatch
     n = 4
     before = [spectrum.spectrum_slice(n, k, 10) for k in range(n + 1)]
     patch_rows(monkeypatch, lambda family, row: (
-        row[5] * (n - row[1] - row[2]) if n - row[1] - row[2] > 2 else row[5], row[6]))
+        row[2] * (n - family.i - family.j) if n - family.i - family.j > 2 else row[2],
+        row[3]))
     assert [spectrum.spectrum_slice(n, k, 10) for k in range(n + 1)] != before
     assert failing_checks(capsys, n, 10) == (1, {
         "universal_eigenvalue_reductions", "norm_route_eigenvalue_equivalence",
@@ -119,7 +122,7 @@ def test_verify_sees_a_doubled_family_constant_of_the_generator(capsys, monkeypa
 
     def doubled(family, row):
         hit = family.case is spectrum.Case.II and (family.i, family.j) == (0, 1)
-        return row[5], row[6] * (1 + hit)
+        return row[2], row[3] * (1 + hit)
 
     before = [spectrum.spectrum_slice(n, k, 10) for k in range(n + 1)]
     patch_rows(monkeypatch, doubled)
@@ -223,7 +226,7 @@ def test_one_request_builds_the_label_set_once(monkeypatch):
     products = count_calls(monkeypatch, weights, "weyl_dimension")
     specials = count_calls(monkeypatch, verify, "special_dimension")
     assert all(r.passed for r in verify.run_all(n, bound))
-    assert generated == [(fam, bound, fam.spaces) for fam in families]
+    assert generated == [(fam, bound) for fam in families]
     assert walked == []
     assert len(made) == labels
     assert len(built) == labels
@@ -250,25 +253,32 @@ def test_kernel_check_slices_reach_the_bound(monkeypatch):
         return 0 if p == 25 else numerator(n, q, j, i, p)
 
     monkeypatch.setattr(spectrum, "eigenvalue_numerator", zero_at_p25)
-    assert verify.check_kernel_uniqueness(2, label_rows(2, 24)).passed
+    assert verify.check_kernel_uniqueness(2, kernel_pairs(2, 24)).passed
     # Degrees 0, 1 and 2 are each wrong, and each counts once: their
     # mirrors 5, 4 and 3 are not compared again.
-    assert verify.check_kernel_uniqueness(2, label_rows(2, 25)).residual == 3
+    assert verify.check_kernel_uniqueness(2, kernel_pairs(2, 25)).residual == 3
+    # ``run_all`` hands the check the same pairs.
+    name = "zero_eigenvalue_only_in_top_and_bottom"
+    assert named_checks(2, 24)[name].passed
+    assert named_checks(2, 25)[name].residual == 3
 
 
 def test_kernel_check_takes_dimensions_only_at_eigenvalue_zero(capsys, monkeypatch):
-    # The check reads the generated dimension of the rows of key 0 and of
-    # no other row, and takes no Weyl product of its own.
+    # ``run_all`` hands the check the generated dimension, with the family's
+    # bidegrees, of the rows of key 0 and of no other row: the one Case I
+    # row.  Neither takes a Weyl product for it.
     products = count_calls(monkeypatch, weights, "weyl_dimension")
+    handed = count_calls(monkeypatch, verify, "check_kernel_uniqueness")
     for bound in (1, 5, 20):
-        rows = label_rows(3, bound)
+        expected = kernel_pairs(3, bound)
+        assert expected == [(1, ((0, 0),))]
         products.clear()
-        assert verify.check_kernel_uniqueness(3, rows).passed
+        handed.clear()
+        assert all(r.passed for r in verify.run_all(3, bound))
         assert products == []
-        scrambled = [(*row[:6], 0 if row[5] else row[6], row[7]) for row in rows]
-        assert verify.check_kernel_uniqueness(3, scrambled).passed
+        assert handed == [(3, expected)]
     # A doubled dimension of the Case I row fails it, and the GT check.
-    patch_rows(monkeypatch, lambda family, row: (row[5], row[6] * (1 + (row[5] == 0))))
+    patch_rows(monkeypatch, lambda family, row: (row[2], row[3] * (1 + (row[2] == 0))))
     assert failing_checks(capsys, 3, 5) == (
         1, {"weyl_dimension_vs_gt_patterns", "zero_eigenvalue_only_in_top_and_bottom"})
 

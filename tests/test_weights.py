@@ -200,8 +200,8 @@ def test_gt_work_for_a_request_stays_pinned():
     memo = {}
     work = 0
     for fam in all_families(4):
-        for _, i, j, q, p, _, dim, _ in fam.rows(20, fam.spaces):
-            w = label_to_weight(RuminLabel(4, q, j, i, p))
+        for q, p, _, dim in fam.rows(20):
+            w = label_to_weight(RuminLabel(4, q, fam.j, fam.i, p))
             count, units = weights._gt_count(w.entries, 10**6, memo)
             assert count == dim
             work += units
