@@ -6,10 +6,18 @@ ranges; ``RuminLabel`` validates itself by one lookup in it and keeps the
 family it finds, which gives its case and its bidegrees.  The keys and
 dimensions that ``spectrum`` and ``verify`` read come from ``BlockFamily.rows``,
 whose rows hold only what varies within a family; readers loop the families.
+A member's weight comes from ``BlockFamily.weight``, and each norm formula
+has one home that takes (family, q, p) and returns integer pairs
+(numerator, denominator): ``squared_norm_pairs``, ``operator_norm_pairs``,
+``norm_route_pair``, ``case_v_mixed_pair`` and ``case_v_identity_pair``.
+``verify`` reads these; the label functions ``label_to_weight``,
+``squared_norms``, ``operator_norm_squares``, ``norm_route_eigenvalue`` and
+the two Case V routes wrap them for a ``RuminLabel``.
 
-Everything is exact: eigenvalues are ``Fraction``s, dimensions integers, and
-squared norms carry the rational coefficient of the symbolic unit pi^{n+1}.
-Floats only appear downstream, at zeta-evaluation time.
+Everything is exact: eigenvalues are integer keys over one denominator or
+``Fraction``s, dimensions integers, and squared norms carry the rational
+coefficient of the symbolic unit pi^{n+1}.  Floats only appear downstream,
+at zeta-evaluation time.
 """
 
 from __future__ import annotations
@@ -75,14 +83,9 @@ class RuminLabel:
 
 
 def label_to_weight(label: RuminLabel) -> HighestWeight:
-    """Expand a label into its length-(n+1) highest weight.
-
-    The weight is (q, 1 repeated j times, 0 repeated n-1-i-j times,
-    -1 repeated i times, -p); degenerate repetition counts give empty
-    segments.
-    """
-    return HighestWeight(
-        (label.q, *_middle_weight(label.n, label.j, label.i), -label.p))
+    """The length-(n+1) highest weight of a label: ``BlockFamily.weight``
+    of its family at its q and p."""
+    return label.family.weight(label.q, label.p)
 
 
 def _middle_weight(n: int, j: int, i: int) -> tuple[int, ...]:
@@ -145,6 +148,13 @@ class BlockFamily:
         for p in ps:
             for q in qs:
                 yield RuminLabel(self.n, q, self.j, self.i, p)
+
+    def weight(self, q: int, p: int) -> HighestWeight:
+        """The highest weight of the member label at (q, p):
+        (q, 1 repeated j times, 0 repeated n-1-i-j times, -1 repeated i
+        times, -p); degenerate repetition counts give empty segments.  The
+        one weight expansion: ``label_to_weight`` and ``verify`` read it."""
+        return HighestWeight((q, *_middle_weight(self.n, self.j, self.i), -p))
 
     def rows(self, bound: int) -> Iterator[tuple[int, int, int, int]]:
         """The row (q, p, key, dimension) of each member label, free
@@ -292,58 +302,111 @@ def _require_case(label: RuminLabel, cases: tuple[Case, ...], what: str) -> None
         raise CaseRangeError(f"{what} needs a Case {names} label, got {label}")
 
 
-def _norm_numerators(label: RuminLabel) -> tuple[int, int]:
-    # (p+i)(q+n-i) and (q+j)(p+n-j): 2(n-i-j) times A^2 and B^2.
-    n, q, j, i, p = label.n, label.q, label.j, label.i, label.p
-    return (p + i) * (q + n - i), (q + j) * (p + n - j)
+def operator_norm_pairs(family: BlockFamily, q: int, p: int
+                        ) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(A^2, B^2) of the Case II/V label (q, p) of ``family`` as integer
+    pairs (numerator, denominator): ((p+i)(q+n-i), (q+j)(p+n-j)), each over
+    2(n-i-j).  The one home of the operator norms."""
+    n, i, j = family.n, family.i, family.j
+    d = 2 * (n - i - j)
+    return ((p + i) * (q + n - i), d), ((q + j) * (p + n - j), d)
 
 
 def operator_norm_squares(label: RuminLabel) -> tuple[Fraction, Fraction]:
-    """Squared operator norms of the two rescaled half-differentials on the
-    bottom block of a Case II/V label.
-
-    Returns (A^2, B^2) = ((p+i)(q+n-i), (q+j)(p+n-j)) / (2(n-i-j)).
-    """
+    """Squared operator norms (A^2, B^2) of the two rescaled
+    half-differentials on the bottom block of a Case II/V label, from
+    ``operator_norm_pairs``."""
     _require_case(label, (Case.II, Case.V), "operator_norm_squares")
-    a, b = _norm_numerators(label)
-    d = 2 * (label.n - label.i - label.j)
-    return Fraction(a, d), Fraction(b, d)
+    return tuple(Fraction(*x) for x in operator_norm_pairs(label.family, label.q, label.p))
+
+
+def norm_route_pair(family: BlockFamily, q: int, p: int) -> tuple[int, int]:
+    """The eigenvalue of the Case II/V label (q, p) recomputed as
+    (A^2 + B^2)^2 from the operator norms: with A^2 = a/d and B^2 = b/d,
+    the pair ((a + b)^2, d^2)."""
+    (a, d), (b, _) = operator_norm_pairs(family, q, p)
+    return (a + b) ** 2, d * d
 
 
 def norm_route_eigenvalue(label: RuminLabel) -> Fraction:
-    """Eigenvalue recomputed as (A^2 + B^2)^2 from the operator norms: with
-    A^2 = a/d and B^2 = b/d as in ``operator_norm_squares``, it is
-    (a + b)^2 / d^2, one ``Fraction`` from integers."""
+    """The eigenvalue of a Case II/V label from its operator norms,
+    ``norm_route_pair``."""
     _require_case(label, (Case.II, Case.V), "norm_route_eigenvalue")
-    a, b = _norm_numerators(label)
-    d = 2 * (label.n - label.i - label.j)
-    return Fraction((a + b) ** 2, d * d)
+    return Fraction(*norm_route_pair(label.family, label.q, label.p))
 
 
-def case_v_mixed_eigenvalue(label: RuminLabel) -> Fraction:
-    """Eigenvalue on the mixed middle-degree line of a Case V label.
+def case_v_mixed_pair(family: BlockFamily, q: int, p: int) -> tuple[int, int]:
+    """The eigenvalue on the mixed middle-degree line of the Case V label
+    (q, p), as an integer pair.
 
     With C = (p+i-j-q)/2, A' = C - 2A^2, B' = C + 2B^2, the value is
     ((A'B)^2 + (B'A)^2) / (A^2 + B^2); it must agree with the universal
     formula whenever i + j = n - 1.  With A^2 = a/d, B^2 = b/d and
-    C = e/2 this is ((ed - 4a)^2 b + (ed + 4b)^2 a) / (4 d^2 (a + b)),
-    one ``Fraction`` from integers.
+    C = e/2 this is ((ed - 4a)^2 b + (ed + 4b)^2 a) / (4 d^2 (a + b)).
     """
+    (a, d), (b, _) = operator_norm_pairs(family, q, p)
+    ed = (p + family.i - family.j - q) * d
+    return (ed - 4 * a) ** 2 * b + (ed + 4 * b) ** 2 * a, 4 * d * d * (a + b)
+
+
+def case_v_mixed_eigenvalue(label: RuminLabel) -> Fraction:
+    """The mixed-route eigenvalue of a Case V label, ``case_v_mixed_pair``."""
     _require_case(label, (Case.V,), "case_v_mixed_eigenvalue")
-    a, b = _norm_numerators(label)
-    d = 2 * (label.n - label.i - label.j)
-    ed = (label.p + label.i - label.j - label.q) * d
-    return Fraction((ed - 4 * a) ** 2 * b + (ed + 4 * b) ** 2 * a,
-                    4 * d * d * (a + b))
+    return Fraction(*case_v_mixed_pair(label.family, label.q, label.p))
+
+
+def case_v_identity_pair(family: BlockFamily, q: int, p: int) -> tuple[int, int]:
+    """The closed form (q+j-i-p)^2/4 + (p+i)(q+n-i)(q+j)(p+n-j) of the
+    mixed-route eigenvalue of the Case V label (q, p), as an integer pair:
+    with A^2 = a/d and B^2 = b/d, (e^2 + 4ab, 4) for e = q+j-i-p."""
+    (a, _), (b, _) = operator_norm_pairs(family, q, p)
+    e = q + family.j - family.i - p
+    return e * e + 4 * a * b, 4
 
 
 def case_v_identity_value(label: RuminLabel) -> Fraction:
-    """The closed form (q+j-i-p)^2/4 + (p+i)(q+n-i)(q+j)(p+n-j) of the
-    mixed-route eigenvalue."""
+    """The closed form of a Case V label's mixed-route eigenvalue,
+    ``case_v_identity_pair``."""
     _require_case(label, (Case.V,), "case_v_identity_value")
-    a, b = _norm_numerators(label)
-    e = label.q + label.j - label.i - label.p
-    return Fraction(e * e + 4 * a * b, 4)
+    return Fraction(*case_v_identity_pair(label.family, label.q, label.p))
+
+
+def squared_norm_pairs(family: BlockFamily, q: int, p: int
+                       ) -> dict[tuple[int, int], tuple[int, int]]:
+    """Squared L^2 norms of the highest-weight vector of the label (q, p) of
+    ``family`` by bidegree (s, t), as rational coefficients of pi^{n+1},
+    each an integer pair (numerator, denominator), not reduced.
+
+    Implements the tabulated norm formulas, each a multiple of one base
+    constant built once per label, only for the case that needs it:
+    C = 2^{n+1} (q-1)! (p-1)! / (q+p+n)! for Cases II and V, and
+    D = 2^{n+1} (q-1)! / (q+n)! for Case IV, with p in place of q for its
+    conjugate Case III.  Bidegrees outside their side conditions, and the
+    Case I, VI and VII families, have no entry.  The one home of the norm
+    table.
+    """
+    n, i, j, case = family.n, family.i, family.j, family.case
+    two = 2 ** (n + 1)
+
+    if case in (Case.II, Case.V):
+        c = two * factorial(q - 1) * factorial(p - 1)
+        f = factorial(q + p + n)
+        norms = {(i, j): (c * (q + j) * (p + i), f << (i + j))}
+        if j > 0:
+            norms[i + 1, j] = (c * (q + j) * (q + n - i), f << (i + j + 1))
+        if i > 0:
+            norms[i, j + 1] = (c * (p + i) * (p + n - j), f << (i + j + 1))
+        if i > 0 and j > 0 and i + j <= n - 2:
+            norms[i + 1, j + 1] = (c * (q + n - i) * (p + n - j) * (n - 1 - i - j),
+                                   (f * (n - i - j)) << (i + j + 2))
+        return norms
+    if case in (Case.III, Case.IV):
+        # Case III is the conjugate of Case IV: (p, i) plays the role of (q, j).
+        x, y, high = (q, j, (0, j + 1)) if case is Case.IV else (p, i, (i + 1, 0))
+        d, f = two * factorial(x - 1), factorial(x + n)
+        return {(i, j): (d * (x + y), f << y),
+                high: (d * (n - y), f << (y + 1))}
+    return {}
 
 
 def squared_norm(label: RuminLabel, s: int, t: int) -> Fraction:
@@ -357,36 +420,6 @@ def squared_norm(label: RuminLabel, s: int, t: int) -> Fraction:
 
 def squared_norms(label: RuminLabel) -> dict[tuple[int, int], Fraction]:
     """Squared L^2 norms of the highest-weight vector of ``label`` by
-    bidegree (s, t), as rational coefficients of pi^{n+1}.
-
-    Implements the tabulated norm formulas, each a multiple of one base
-    constant built once per label, only for the case that needs it:
-    C = 2^{n+1} (q-1)! (p-1)! / (q+p+n)! for Cases II and V, and
-    D = 2^{n+1} (q-1)! / (q+n)! for Case IV, with p in place of q for its
-    conjugate Case III.  The numerator and the denominator of a value are
-    built as integers and make one ``Fraction``.  Bidegrees outside their
-    side conditions, and the Case I, VI and VII labels, have no entry.
-    """
-    n, q, j, i, p = label.n, label.q, label.j, label.i, label.p
-    case = label.case
-    two = 2 ** (n + 1)
-
-    if case in (Case.II, Case.V):
-        c = two * factorial(q - 1) * factorial(p - 1)
-        f = factorial(q + p + n)
-        norms = {(i, j): Fraction(c * (q + j) * (p + i), f << (i + j))}
-        if j > 0:
-            norms[i + 1, j] = Fraction(c * (q + j) * (q + n - i), f << (i + j + 1))
-        if i > 0:
-            norms[i, j + 1] = Fraction(c * (p + i) * (p + n - j), f << (i + j + 1))
-        if i > 0 and j > 0 and i + j <= n - 2:
-            norms[i + 1, j + 1] = Fraction(c * (q + n - i) * (p + n - j) * (n - 1 - i - j),
-                                           (f * (n - i - j)) << (i + j + 2))
-        return norms
-    if case in (Case.III, Case.IV):
-        # Case III is the conjugate of Case IV: (p, i) plays the role of (q, j).
-        x, y, high = (q, j, (0, j + 1)) if case is Case.IV else (p, i, (i + 1, 0))
-        d, f = two * factorial(x - 1), factorial(x + n)
-        return {(i, j): Fraction(d * (x + y), f << y),
-                high: Fraction(d * (n - y), f << (y + 1))}
-    return {}
+    bidegree, ``squared_norm_pairs`` of its family at its q and p."""
+    return {bidegree: Fraction(*x) for bidegree, x
+            in squared_norm_pairs(label.family, label.q, label.p).items()}

@@ -19,21 +19,23 @@ Every check that loops over labels runs their free parameters over
 1..bound, the ``--max`` of the record; no check lowers it.  ``run_all``
 walks ``spectrum.all_families`` once and reads each family's rows (q, p,
 key, dimension) from ``BlockFamily.rows``, the generator of every
-``spectrum`` record, with i and j from the family it walks, so the
-label checks certify the keys and dimensions that ``spectrum`` prints,
-each against a second route: the Gelfand-Tsetlin count of the weight, the
-special dimension and its polynomial on the Case III and VI rows, the
-reductions, the norm routes and the weight.  No check walks label
-parameters outside the generator or takes a Weyl product.  Each row gets
-its label and weight once; each label check adds up its violations over
-the families.
+``spectrum`` record, so the label checks certify the keys and dimensions
+that ``spectrum`` prints, each against a second route: the Gelfand-Tsetlin
+count of the weight, the special dimension and its polynomial on the Case
+III and VI rows, the reductions, the norm routes and the weight.  No check
+walks label parameters outside the generator or takes a Weyl product.
+Each row gets its weight once, from ``BlockFamily.weight``, and no label:
+the checks read n, i, j and the case from the family they receive, and q
+and p from the row, and call the integer-pair homes of the norm routes in
+``spectrum`` with (family, q, p), so no row builds a ``RuminLabel`` or a
+``Fraction``.  Each label check adds up its violations over the families.
 Only one family's rows are held at a time, the kernel check's (dimension,
 bidegrees) pairs of the rows of key 0 apart, and the GT memo is shared by
 every label of the request.  Exact values are compared by cross products of
-integers.  There is no mirror check: the package defines degrees above the
-middle by the mirror rule (``spectrum_slice`` folds k to min(k, 2n+1-k)), so
-a comparison of degree k with degree 2n+1-k would compare one computation
-with itself.
+integers, which need no reduced pair.  There is no mirror check: the package
+defines degrees above the middle by the mirror rule (``spectrum_slice``
+folds k to min(k, 2n+1-k)), so a comparison of degree k with degree 2n+1-k
+would compare one computation with itself.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from mpmath import mpf
 
 from . import limits, spectrum, torsion, zeta
 from .torsion import KappaEstimate, TorsionReport, rounding_gamma
-from .spectrum import BlockFamily, Case, RuminLabel, label_to_weight
+from .spectrum import BlockFamily, Case
 from .weights import (HighestWeight, dimension_coefficients, gt_pattern_count,
                       special_dimension)
 
@@ -91,9 +93,11 @@ def _worst(name: str, parts: list[CheckResult]) -> CheckResult:
                        residual / ratio if ratio else min(c.bound for c in parts))
 
 
-# One row per label: the label, its weight and, from ``BlockFamily.rows``,
-# its eigenvalue as the pair (key, L) and its dimension.
-_Row = tuple[RuminLabel, HighestWeight, tuple[int, int], int]
+# One row per label of a family: q and p, the weight from
+# ``BlockFamily.weight`` and, from ``BlockFamily.rows``, the eigenvalue as
+# the pair (key, L) and the dimension.  The case, n, i and j are the
+# family's; each check that needs them reads them from the family.
+_Row = tuple[int, int, HighestWeight, tuple[int, int], int]
 
 
 def _of(family: BlockFamily, rows: list[_Row], *cases: Case) -> list[_Row]:
@@ -108,7 +112,7 @@ def _total(parts: tuple[CheckResult, ...]) -> CheckResult:
 def check_weyl_vs_gt(rows: list[_Row], memo: dict) -> CheckResult:
     # ``memo`` is the GT memo, one dict for every call of a request.
     bad = 0
-    for _, w, _, dim in rows:
+    for _, _, w, _, dim in rows:
         if dim != gt_pattern_count(w, memo=memo):
             bad += 1
     return _exact("weyl_dimension_vs_gt_patterns", bad)
@@ -123,8 +127,8 @@ def _special(family: BlockFamily, rows: list[_Row]) -> tuple[int, list[_Row]]:
 
 def check_special_dimension(family: BlockFamily, rows: list[_Row]) -> CheckResult:
     i, special = _special(family, rows)
-    bad = sum(1 for label, _, _, dim in special
-              if special_dimension(family.n, i, label.p) != dim)
+    bad = sum(1 for _, p, _, _, dim in special
+              if special_dimension(family.n, i, p) != dim)
     return _exact("special_dimension_vs_weyl", bad)
 
 
@@ -141,27 +145,25 @@ def check_dimension_polynomial(family: BlockFamily, rows: list[_Row]) -> CheckRe
     bad = 0
     if special:
         coefficients = dimension_coefficients(n, i)
-        for label, *_ in special:
-            p = label.p
+        for _, p, *_ in special:
             if _horner(coefficients, p + i) != special_dimension(n, i, p):
                 bad += 1
     return _exact("dimension_polynomial_vs_special", bad)
 
 
 def _equals(x: tuple[int, int], num: int, den: int) -> bool:
-    # x == num / den for x a pair (numerator, positive denominator), decided
-    # by one cross product of integers; a zero denominator is a violation,
-    # as a division by it would be.
-    return den != 0 and x[0] * den == num * x[1]
+    # x == num / den for x a pair (numerator, denominator), decided by one
+    # cross product of integers, so neither side need be reduced; a zero
+    # denominator on either side is a violation, as a division by it would be.
+    return den != 0 != x[1] and x[0] * den == num * x[1]
 
 
 def check_eigenvalue_reductions(family: BlockFamily, rows: list[_Row]) -> CheckResult:
     # On the one-parameter families the eigenvalue reduces to x^2 / 4, with
     # x = 0 on Case I and p+i, q+j, p+n, q+n on Cases III, IV, VI, VII.
-    n, case = family.n, family.case
+    n, i, j, case = family.n, family.i, family.j, family.case
     bad = 0
-    for label, _, mu, _ in _of(family, rows, Case.I, Case.III, Case.IV, Case.VI, Case.VII):
-        q, j, i, p = label.q, label.j, label.i, label.p
+    for q, p, _, mu, _ in _of(family, rows, Case.I, Case.III, Case.IV, Case.VI, Case.VII):
         x = {Case.I: 0, Case.III: p + i, Case.IV: q + j, Case.VI: p + n, Case.VII: q + n}[case]
         if not _equals(mu, x * x, 4):
             bad += 1
@@ -170,25 +172,27 @@ def check_eigenvalue_reductions(family: BlockFamily, rows: list[_Row]) -> CheckR
 
 def check_norm_route(family: BlockFamily, rows: list[_Row]) -> CheckResult:
     bad = 0
-    for label, _, mu, _ in _of(family, rows, Case.II, Case.V):
-        if not _equals(spectrum.norm_route_eigenvalue(label).as_integer_ratio(), *mu):
+    for q, p, _, mu, _ in _of(family, rows, Case.II, Case.V):
+        if not _equals(mu, *spectrum.norm_route_pair(family, q, p)):
             bad += 1
     return _exact("norm_route_eigenvalue_equivalence", bad)
 
 
 def check_case_v_mixed(family: BlockFamily, rows: list[_Row]) -> CheckResult:
     bad = 0
-    for label, _, mu, _ in _of(family, rows, Case.V):
-        if not _equals(spectrum.case_v_mixed_eigenvalue(label).as_integer_ratio(), *mu):
+    for q, p, _, mu, _ in _of(family, rows, Case.V):
+        if not _equals(mu, *spectrum.case_v_mixed_pair(family, q, p)):
             bad += 1
-        if not _equals(spectrum.case_v_identity_value(label).as_integer_ratio(), *mu):
+        if not _equals(mu, *spectrum.case_v_identity_pair(family, q, p)):
             bad += 1
     return _exact("case_v_mixed_route_equivalence", bad)
 
 
-def _ratio_route(c: int, d: int, up: Fraction, down: Fraction) -> tuple[int, int]:
-    # c/d * up/down as an integer pair (numerator, denominator).
-    return c * up.numerator * down.denominator, d * up.denominator * down.numerator
+def _ratio_route(c: int, d: int, up: tuple[int, int], down: tuple[int, int]
+                 ) -> tuple[int, int]:
+    # c/d * up/down for pairs up and down, as an integer pair (numerator,
+    # denominator).
+    return c * up[0] * down[1], d * up[1] * down[0]
 
 
 def check_norm_ratios(family: BlockFamily, rows: list[_Row]) -> CheckResult:
@@ -198,14 +202,13 @@ def check_norm_ratios(family: BlockFamily, rows: list[_Row]) -> CheckResult:
     # label the route (q+j)^2/(n-j) * |psi^{(0,j+1)}|^2 / |psi^{(0,j)}|^2
     # must give (q+j)/2, whose square is the eigenvalue; Case III is the same
     # with (p, i) in place of (q, j).  Each comparison is one cross product,
-    # and each label's norms come from one ``squared_norms`` table.
-    n, case = family.n, family.case
+    # and each label's norms come from one ``squared_norm_pairs`` table.
+    n, i, j, case = family.n, family.i, family.j, family.case
+    d = n - i - j
     bad = 0
-    for label, _, _, _ in _of(family, rows, Case.II, Case.V):
-        i, j, p, q = label.i, label.j, label.p, label.q
-        d = n - i - j
-        a2, b2 = (x.as_integer_ratio() for x in spectrum.operator_norm_squares(label))
-        norms = spectrum.squared_norms(label)
+    for q, p, _, _, _ in _of(family, rows, Case.II, Case.V):
+        a2, b2 = spectrum.operator_norm_pairs(family, q, p)
+        norms = spectrum.squared_norm_pairs(family, q, p)
         base = norms[i, j]
         if j > 0:
             up = norms[i + 1, j]
@@ -220,13 +223,12 @@ def check_norm_ratios(family: BlockFamily, rows: list[_Row]) -> CheckResult:
                 route = _ratio_route((p + i) ** 2, d - 1, corner, side)
                 if not _equals(a2, *route):
                     bad += 1
-    for label, _, mu, _ in _of(family, rows, Case.III, Case.IV):
-        i, j = label.i, label.j
+    for q, p, _, mu, _ in _of(family, rows, Case.III, Case.IV):
         if case is Case.IV:
-            x, k, low, high = label.q + j, n - j, (0, j), (0, j + 1)
+            x, k, low, high = q + j, n - j, (0, j), (0, j + 1)
         else:
-            x, k, low, high = label.p + i, n - i, (i, 0), (i + 1, 0)
-        norms = spectrum.squared_norms(label)
+            x, k, low, high = p + i, n - i, (i, 0), (i + 1, 0)
+        norms = spectrum.squared_norm_pairs(family, q, p)
         num, den = _ratio_route(x * x, k, norms[high], norms[low])
         if not _equals((x, 2), num, den):
             bad += 1
@@ -250,7 +252,7 @@ def _eigenvalue_from_weight(entries: tuple[int, ...]) -> tuple[int, int]:
 
 def check_weight_determined(family: BlockFamily, rows: list[_Row]) -> CheckResult:
     bad = 0
-    for _, w, mu, _ in rows:
+    for _, _, w, mu, _ in rows:
         if not _equals(mu, *_eigenvalue_from_weight(w.entries)):
             bad += 1
     return _exact("eigenvalue_determined_by_weight", bad)
@@ -431,16 +433,16 @@ def run_all(n: int, bound: int = 20, precision: Optional[int] = None) -> list[Ch
     ``BlockFamily.rows``, one call per family (see the module docstring);
     the kernel check, which needs every family, reads the (dimension,
     bidegrees) pairs of the generator's rows of key 0 kept from that walk.
-    Each row's label takes i and j from the family it is generated by."""
+    Each row is (q, p, weight, (key, L), dimension), its weight from
+    ``BlockFamily.weight``; no label and no ``Fraction`` is built for it."""
     torsion_values = check_torsion_values(n, precision)
     den = spectrum.eigenvalue_denominator(n)
     memo: dict = {}
     per_family = []
     kernel = []
     for family in spectrum.all_families(n):
-        i, j = family.i, family.j
         generated = list(family.rows(bound))
-        rows = [(label := RuminLabel(n, q, j, i, p), label_to_weight(label), (key, den), dim)
+        rows = [(q, p, family.weight(q, p), (key, den), dim)
                 for q, p, key, dim in generated]
         per_family.append([
             check_weyl_vs_gt(rows, memo),

@@ -207,6 +207,43 @@ def test_case_v_mixed_route():
                 assert case_v_identity_value(label) == mu
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fraction_routes_are_their_pair_homes(n):
+    # Every exported ``Fraction`` norm route is its integer-pair home read
+    # as one fraction, and ``label_to_weight`` is ``BlockFamily.weight``, on
+    # every label at bound 6: ``verify`` certifies the homes, so a wrapper
+    # cannot drift from them.  The routes outside their cases are refused.
+    two_parameter = (Case.II, Case.V)
+    for label in table_labels(n, 6):
+        fam, q, p = label.family, label.q, label.p
+        assert label_to_weight(label) == fam.weight(q, p)
+        norms = spectrum.squared_norm_pairs(fam, q, p)
+        assert spectrum.squared_norms(label) == {
+            bidegree: Fraction(*pair) for bidegree, pair in norms.items()}
+        for (s, t), pair in norms.items():
+            assert squared_norm(label, s, t) == Fraction(*pair)
+        if fam.case in two_parameter:
+            assert operator_norm_squares(label) == tuple(
+                Fraction(*pair) for pair in spectrum.operator_norm_pairs(fam, q, p))
+            assert norm_route_eigenvalue(label) == Fraction(
+                *spectrum.norm_route_pair(fam, q, p))
+        else:
+            with pytest.raises(CaseRangeError):
+                operator_norm_squares(label)
+            with pytest.raises(CaseRangeError):
+                norm_route_eigenvalue(label)
+        if fam.case is Case.V:
+            assert case_v_mixed_eigenvalue(label) == Fraction(
+                *spectrum.case_v_mixed_pair(fam, q, p))
+            assert case_v_identity_value(label) == Fraction(
+                *spectrum.case_v_identity_pair(fam, q, p))
+        else:
+            with pytest.raises(CaseRangeError):
+                case_v_mixed_eigenvalue(label)
+            with pytest.raises(CaseRangeError):
+                case_v_identity_value(label)
+
+
 def test_squared_norm_base_constants():
     # The coefficients of pi^2 at n = 1, p = q = 1: C = 2^2 0! 0! / 3! = 2/3
     # (Case V) and D = 2^2 0! / 2! = 2 (Case IV, and Case III with p for

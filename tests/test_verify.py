@@ -78,21 +78,27 @@ def test_weight_check_reaches_the_bound(capsys, monkeypatch):
     assert failing_checks(capsys, 2, 14) == (0, set())
 
 
+def at_target(family, q, p):
+    """Whether (family, q, p) is the one Case V label (q, j, i, p) =
+    (1, 1, 0, 15) of n = 2."""
+    return (family.n, family.i, family.j, q, p) == (2, 0, 1, 1, 15)
+
+
 def test_weight_check_reads_the_shared_weight(capsys, monkeypatch):
-    # A valid but wrong weight, first entry q+1, at the one label (q, j, i,
-    # p) = (1, 1, 0, 15) of n = 2 reaches both checks that read the weight:
-    # the weight-determined eigenvalue, and the GT count, which no longer
+    # A valid but wrong weight, first entry q+1, from the one weight
+    # expansion ``BlockFamily.weight`` at the one label (q, j, i, p) =
+    # (1, 1, 0, 15) of n = 2 reaches both checks that read the weight: the
+    # weight-determined eigenvalue, and the GT count, which no longer
     # matches the generated dimension.  The other checks do not read it.
-    to_weight = verify.label_to_weight
-    target = spectrum.RuminLabel(2, 1, 1, 0, 15)
+    to_weight = spectrum.BlockFamily.weight
 
-    def wrong_at_target(label):
-        w = to_weight(label)
-        if label != target:
+    def wrong_at_target(family, q, p):
+        w = to_weight(family, q, p)
+        if not at_target(family, q, p):
             return w
-        return weights.HighestWeight((label.q + 1, *w.entries[1:]))
+        return weights.HighestWeight((q + 1, *w.entries[1:]))
 
-    monkeypatch.setattr(verify, "label_to_weight", wrong_at_target)
+    monkeypatch.setattr(spectrum.BlockFamily, "weight", wrong_at_target)
     assert failing_checks(capsys, 2, 20) == (
         1, {"eigenvalue_determined_by_weight", "weyl_dimension_vs_gt_patterns"})
     assert failing_checks(capsys, 2, 14) == (0, set())
@@ -130,6 +136,30 @@ def test_verify_sees_a_doubled_family_constant_of_the_generator(capsys, monkeypa
     assert failing_checks(capsys, n, 10) == (1, {"weyl_dimension_vs_gt_patterns"})
 
 
+@pytest.mark.parametrize("i, j, failed", [
+    (0, 2, {"weyl_dimension_vs_gt_patterns", "eigenvalue_determined_by_weight",
+            "norm_route_eigenvalue_equivalence", "case_v_mixed_route_equivalence"}),
+    # The family (1, 1) is its own conjugate: a swap maps it onto itself.
+    (1, 1, set()),
+], ids=["asymmetric", "self_conjugate"])
+def test_verify_sees_swapped_row_parameters(capsys, monkeypatch, i, j, failed):
+    # The generator yields (p, q, key, dimension) for (q, p, key, dimension)
+    # on one Case V family of n = 3: the checks read q and p by position,
+    # so on the asymmetric family (i, j) = (0, 2) the weight, the norm
+    # routes and the mixed route no longer match the key and the dimension.
+    # At --max 1 the swap changes no row.
+    generate = spectrum.BlockFamily.rows
+
+    def swapped(family, bound):
+        hit = family.case is spectrum.Case.V and (family.i, family.j) == (i, j)
+        for q, p, key, dim in generate(family, bound):
+            yield (p, q, key, dim) if hit else (q, p, key, dim)
+
+    monkeypatch.setattr(spectrum.BlockFamily, "rows", swapped)
+    assert failing_checks(capsys, 3, 10) == (int(bool(failed)), failed)
+    assert failing_checks(capsys, 3, 1) == (0, set())
+
+
 def test_verify_sees_running_sums_that_skip_the_child_ending_in_0(capsys, monkeypatch):
     # A copy of ``weights`` whose running sums start at the child ending in
     # 1, not 0: each new list of running sums holds the empty sum P(c, 0) =
@@ -147,31 +177,38 @@ def test_verify_sees_running_sums_that_skip_the_child_ending_in_0(capsys, monkey
     assert failing_checks(capsys, 3, 5) == (1, {"weyl_dimension_vs_gt_patterns"})
 
 
+# Each case patches the integer-pair home of a route; the ids are the ones
+# the cases had when they patched the ``Fraction`` routes, which are now
+# wrappers of these homes.
 @pytest.mark.parametrize("name, check", [
-    ("norm_route_eigenvalue", "norm_route_eigenvalue_equivalence"),
-    ("case_v_mixed_eigenvalue", "case_v_mixed_route_equivalence"),
-    ("case_v_identity_value", "case_v_mixed_route_equivalence"),
-    # The check reads each label's norms from one table; the id is the one
-    # this case had when it patched ``squared_norm``.
-    pytest.param("squared_norms", "operator_norms_vs_l2_ratios",
+    pytest.param("norm_route_pair", "norm_route_eigenvalue_equivalence",
+                 id="norm_route_eigenvalue-norm_route_eigenvalue_equivalence"),
+    pytest.param("case_v_mixed_pair", "case_v_mixed_route_equivalence",
+                 id="case_v_mixed_eigenvalue-case_v_mixed_route_equivalence"),
+    pytest.param("case_v_identity_pair", "case_v_mixed_route_equivalence",
+                 id="case_v_identity_value-case_v_mixed_route_equivalence"),
+    pytest.param("squared_norm_pairs", "operator_norms_vs_l2_ratios",
                  id="squared_norm-operator_norms_vs_l2_ratios"),
 ])
 def test_route_checks_are_exact_to_the_bound(capsys, monkeypatch, name, check):
     # 10^-40 added to a route's value (to every norm of the table) at the
     # one Case V label (q, j, i, p) = (1, 1, 0, 15) of n = 2, relative
     # 10^-26 or less, is caught at --max 20 and not at 14: the cross
-    # products compare exact integers.
+    # products compare exact integers, and the pairs are not reduced.
     route = getattr(spectrum, name)
-    target = spectrum.RuminLabel(2, 1, 1, 0, 15)
-    tiny = Fraction(1, 10**40)
+    tiny = 10**40
 
-    def off_at_target(label):
-        value = route(label)
-        if label != target:
+    def plus_tiny(pair):
+        num, den = pair
+        return num * tiny + den, den * tiny
+
+    def off_at_target(family, q, p):
+        value = route(family, q, p)
+        if not at_target(family, q, p):
             return value
         if isinstance(value, dict):
-            return {bidegree: norm + tiny for bidegree, norm in value.items()}
-        return value + tiny
+            return {bidegree: plus_tiny(norm) for bidegree, norm in value.items()}
+        return plus_tiny(value)
 
     monkeypatch.setattr(spectrum, name, off_at_target)
     assert failing_checks(capsys, 2, 20) == (1, {check})
@@ -181,17 +218,18 @@ def test_route_checks_are_exact_to_the_bound(capsys, monkeypatch, name, check):
 @pytest.mark.parametrize("case", [spectrum.Case.IV, spectrum.Case.III])
 def test_norm_ratio_check_reaches_the_one_parameter_norms(capsys, monkeypatch, case):
     # A factor n-j+1 for n-j in the Case IV norm at (0, j+1), or n-i+1 for
-    # n-i in the Case III norm at (i+1, 0), fails the ratio check.
-    norms = spectrum.squared_norms
+    # n-i in the Case III norm at (i+1, 0), of the norm table's one home
+    # fails the ratio check.
+    norms = spectrum.squared_norm_pairs
 
-    def wrong_factor(label):
-        k = label.n - label.i - label.j
-        return {(s, t): value * (k + 1) / k
-                if label.case is case and s + t == label.i + label.j + 1 else value
-                for (s, t), value in norms(label).items()}
+    def wrong_factor(family, q, p):
+        k = family.n - family.i - family.j
+        return {(s, t): (num * (k + 1), den * k)
+                if family.case is case and s + t == family.i + family.j + 1 else (num, den)
+                for (s, t), (num, den) in norms(family, q, p).items()}
 
     assert failing_checks(capsys, 3, 10) == (0, set())
-    monkeypatch.setattr(spectrum, "squared_norms", wrong_factor)
+    monkeypatch.setattr(spectrum, "squared_norm_pairs", wrong_factor)
     assert failing_checks(capsys, 3, 10) == (1, {"operator_norms_vs_l2_ratios"})
 
 
@@ -208,20 +246,32 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+# The ``Fraction`` wrappers of the norm routes' integer-pair homes.
+NORM_WRAPPERS = ("operator_norm_squares", "norm_route_eigenvalue",
+                 "case_v_mixed_eigenvalue", "case_v_identity_value",
+                 "squared_norms", "squared_norm")
+
+
 def test_one_request_builds_the_label_set_once(monkeypatch):
     # run_all walks the families once, reading each family's rows from one
-    # ``BlockFamily.rows`` call, and builds each label and its weight once
-    # for every label check, and no other weight.  No eigenvalue comes from
-    # ``eigenvalue_formula`` and no dimension from a Weyl product: the
-    # special-dimension checks read the (n+1) bound Case III and VI rows,
-    # and each takes one closed form per row.
+    # ``BlockFamily.rows`` call, and builds each row's weight once, from
+    # ``BlockFamily.weight``, for every label check, and no other weight.
+    # It builds no ``RuminLabel`` and calls no ``Fraction`` norm wrapper:
+    # the checks read (family, q, p) and the integer-pair homes.  No
+    # eigenvalue comes from ``eigenvalue_formula`` and no dimension from a
+    # Weyl product: the special-dimension checks read the (n+1) bound Case
+    # III and VI rows, and each takes one closed form per row.
     n, bound = 3, 5
     families = spectrum.all_families(n)
     labels = sum(len(list(fam.labels(bound))) for fam in families)
+    parameters = [(fam, q, p) for fam in families for q, p, _, _ in fam.rows(bound)]
     generated = count_calls(monkeypatch, spectrum.BlockFamily, "rows")
     walked = count_calls(monkeypatch, spectrum.BlockFamily, "labels")
     made = count_calls(monkeypatch, weights.HighestWeight, "__post_init__")
+    expanded = count_calls(monkeypatch, spectrum.BlockFamily, "weight")
     built = count_calls(monkeypatch, spectrum.RuminLabel, "__post_init__")
+    wrapped = [count_calls(monkeypatch, spectrum, name) for name in NORM_WRAPPERS]
+    to_weight = count_calls(monkeypatch, spectrum, "label_to_weight")
     formulas = count_calls(monkeypatch, spectrum, "eigenvalue_formula")
     products = count_calls(monkeypatch, weights, "weyl_dimension")
     specials = count_calls(monkeypatch, verify, "special_dimension")
@@ -229,7 +279,10 @@ def test_one_request_builds_the_label_set_once(monkeypatch):
     assert generated == [(fam, bound) for fam in families]
     assert walked == []
     assert len(made) == labels
-    assert len(built) == labels
+    assert expanded == parameters
+    assert built == []
+    assert wrapped == [[]] * len(NORM_WRAPPERS)
+    assert to_weight == []
     assert formulas == []
     assert products == []
     assert sorted(specials) == sorted(
