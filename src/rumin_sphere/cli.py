@@ -46,10 +46,9 @@ EXIT_RANGE = 3
 EXIT_POLE = 4
 
 
-def _emit(command: str, parameters: dict, payload, checks: list) -> int:
-    """Write the record to stdout; exit 1 if any of its ``verify.CheckResult``
-    checks fails.  A record holding a NaN or an infinity raises
-    ``OverflowError`` before any byte is written."""
+def _record(command: str, parameters: dict, payload, checks: list) -> str:
+    """The text of a record: the one writer of its envelope.  A record
+    holding a NaN or an infinity raises ``OverflowError``."""
     record = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -59,11 +58,16 @@ def _emit(command: str, parameters: dict, payload, checks: list) -> int:
                     "residual": float(c.residual)} for c in checks],
     }
     try:
-        text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False)
+        return json.dumps(record, indent=2, sort_keys=True, allow_nan=False)
     except ValueError:
         raise OverflowError("the record holds a value that is not a finite "
                             "double") from None
-    sys.stdout.write(text + "\n")
+
+
+def _emit(command: str, parameters: dict, payload, checks: list) -> int:
+    """Write the record to stdout; exit 1 if any of its ``verify.CheckResult``
+    checks fails.  A record that ``_record`` refuses writes no byte."""
+    sys.stdout.write(_record(command, parameters, payload, checks) + "\n")
     return EXIT_OK if all(c.passed for c in checks) else EXIT_VERIFY_FAIL
 
 
@@ -83,18 +87,25 @@ _BLOCK_JSON = (
 )
 
 
+# Holds the place of the rows in the envelope of a spectrum record; its JSON
+# text occurs nowhere else in the envelope.
+_ROWS = "@rows@"
+
+
 def _write_spectrum_json(n: int, degree: int, max_level: int, stream) -> None:
     """Write the spectrum record exactly as ``_emit`` would write it.
 
-    The record has fixed keys, so the text of ``json.dumps(record,
-    indent=2, sort_keys=True)`` is written out directly: keys in sorted
-    order, strings without escapes, ints and float ``repr``s as json writes
-    them.  The blocks are the rows of the families of ``degree_families``,
-    one per bidegree.  Rows are sorted by eigenvalue, and the blocks of a
-    row by (case, i, j, q, p, s, t), which names one block, so the
-    dimension never takes part in the order.  A row's eigenvalue key / L is
-    reduced by one ``gcd``, and its float is the int division key / L, which
-    is correctly rounded, as ``float(Fraction(key, L))`` is.
+    The envelope is ``_record``'s, with ``_ROWS`` in place of the rows.  The
+    rows have fixed keys, so their text is written out directly from a
+    template, as ``json.dumps(indent=2, sort_keys=True)`` writes it inside
+    the record: keys in sorted order, strings without escapes, ints and
+    float ``repr``s as json writes them.  The blocks are the rows of the
+    families of ``degree_families``, one per bidegree.  Rows are sorted by
+    eigenvalue, and the blocks of a row by (case, i, j, q, p, s, t), which
+    names one block, so the dimension never takes part in the order.  A
+    row's eigenvalue key / L is reduced by one ``gcd``, and its float is the
+    int division key / L, which is correctly rounded, as
+    ``float(Fraction(key, L))`` is.
     """
     blocks: dict[int, list] = {}
     for family, spaces in spectrum.degree_families(n, degree):
@@ -123,22 +134,9 @@ def _write_spectrum_json(n: int, degree: int, max_level: int, stream) -> None:
             '      }'
         )
     body = "[\n" + ",\n".join(rows) + "\n    ]" if rows else "[]"
-    stream.write(
-        '{\n'
-        '  "checks": [],\n'
-        '  "command": "spectrum",\n'
-        '  "parameters": {\n'
-        f'    "degree": {degree},\n'
-        '    "format": "json",\n'
-        f'    "max": {max_level},\n'
-        f'    "n": {n}\n'
-        '  },\n'
-        '  "payload": {\n'
-        f'    "rows": {body}\n'
-        '  },\n'
-        f'  "schema_version": "{SCHEMA_VERSION}"\n'
-        '}\n'
-    )
+    params = {"degree": degree, "format": "json", "max": max_level, "n": n}
+    head, tail = _record("spectrum", params, {"rows": _ROWS}, []).split(json.dumps(_ROWS))
+    stream.write(f"{head}{body}{tail}\n")
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:

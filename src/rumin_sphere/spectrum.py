@@ -156,6 +156,20 @@ class BlockFamily:
         one weight expansion: ``label_to_weight`` and ``verify`` read it."""
         return HighestWeight((q, *_middle_weight(self.n, self.j, self.i), -p))
 
+    @property
+    def axis(self) -> Optional[int]:
+        """The axis c of a one-parameter family: i for Case III, j for Case
+        IV, n for Cases VI and VII; None for Cases I, II and V.  The one map
+        from a one-parameter family to its axis.
+
+        The member with free parameter x (p where q is fixed, q where p is)
+        has the dimension ``weights.special_dimension(n, c, x)`` and the
+        eigenvalue ((x+c)/2)^2, so the family's sum in kappa is the axis sum
+        of c.  Its bidegrees ``spaces`` are the low one and, on Cases III
+        and IV, the high one."""
+        return {Case.III: self.i, Case.IV: self.j,
+                Case.VI: self.n, Case.VII: self.n}.get(self.case)
+
     def rows(self, bound: int) -> Iterator[tuple[int, int, int, int]]:
         """The row (q, p, key, dimension) of each member label, free
         parameters running 1..bound, p-major: the one row generator of the
@@ -401,11 +415,12 @@ def squared_norm_pairs(family: BlockFamily, q: int, p: int
                                    (f * (n - i - j)) << (i + j + 2))
         return norms
     if case in (Case.III, Case.IV):
-        # Case III is the conjugate of Case IV: (p, i) plays the role of (q, j).
-        x, y, high = (q, j, (0, j + 1)) if case is Case.IV else (p, i, (i + 1, 0))
+        # Case III is the conjugate of Case IV: x is the free parameter, y
+        # the axis, and the norms sit at the family's low and high bidegrees.
+        x, y = (q if family.q_fixed is None else p), family.axis
+        low, high = family.spaces
         d, f = two * factorial(x - 1), factorial(x + n)
-        return {(i, j): (d * (x + y), f << y),
-                high: (d * (n - y), f << (y + 1))}
+        return {low: (d * (x + y), f << y), high: (d * (n - y), f << (y + 1))}
     return {}
 
 

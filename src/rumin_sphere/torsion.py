@@ -21,8 +21,9 @@ T = (4 pi)^{n+1}, which is n! times the Ray-Singer torsion of the round
 sphere with the matching metric.
 
 Each refusal has one place.  ``kappa_closed`` and ``kappa_continued`` open
-with ``_check_kappa_range`` (``OverflowError`` before any work where kappa(s)
-is known to leave the double range) and ``_check_kappa_pole`` (s = 1/2).
+with ``_check_kappa_range`` (``ValueError`` for an n below 1 or a non-finite
+s, and ``OverflowError`` before any work where 2s, or kappa(s) as far as
+it is known, leaves the double range) and ``_check_kappa_pole`` (s = 1/2).
 ``tail_bound`` is the one guard of the truncated routes, which open with it:
 it refuses a truncation below 1, a divergent sum (``DivergenceError``), the
 kappa range, then a bound that leaves the double range.  ``_finite`` refuses
@@ -125,15 +126,23 @@ def _log_kappa_lower_bound(n: int, s: float) -> float:
 
 
 def _check_kappa_range(n: int, s: float) -> None:
-    # Refuse an s whose kappa(s) leaves the double range, before any work:
+    # Refuse, before any work, an n below 1 and a non-finite s
+    # (``ValueError``), then an s whose kappa(s) leaves the double range:
     # for s > 1/2, zeta(2s) > 1, so |kappa(s)| > (n+1) 2^{2s+1}, which
     # overflows once it reaches 2^max_exp = 2^1024 (2s+1 is exact, and so is
     # log2(n+1) where n+1 is a power of two); for s < 0, the bound above,
     # with a margin of 1 for its rounding.  Evaluating zeta(2s) at such an s
-    # would cost guard bits and prefix terms in |s|.
+    # would cost guard bits and prefix terms in |s|.  Last, a negative
+    # integer s whose 2s, the argument of zeta(2s), is not a double.
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
     if (s > 0.5 and 2 * s + 1 >= sys.float_info.max_exp - log2(n + 1)) or (
             _log_kappa_lower_bound(n, s) > _LN_DOUBLE_MAX + 1):
         raise OverflowError(f"kappa(s) at n={n}, s={s} overflows a double")
+    if not isfinite(2 * s):
+        raise OverflowError(f"2s at s={s} overflows a double")
 
 
 def _check_torsion_range(n: int) -> None:
@@ -256,9 +265,10 @@ def degree_zetas_direct(n: int, s: float, N: int) -> list[float]:
     families populate; the family order is the canonical one from
     ``all_families``.  One ``pair_sums_of_k`` call per k = n-i-j gives every
     pair sum of that k: the sums of (i, j) and (j, i) are equal (dual labels
-    share dimension and eigenvalue).  Cases III and IV repeat the axis sums
-    of 0..n-1, and VI and VII share the i = n axis sum.  The truncated sums
-    exist at every s; ``tail_bound`` refuses the s where they do not
+    share dimension and eigenvalue).  Each one-parameter family reads the
+    axis sum of its ``BlockFamily.axis``: Cases III and IV repeat the axis
+    sums of 0..n-1, and VI and VII share the axis sum of n.  The truncated
+    sums exist at every s; ``tail_bound`` refuses the s where they do not
     converge.
     """
     _check_truncation(N)
@@ -271,10 +281,10 @@ def degree_zetas_direct(n: int, s: float, N: int) -> list[float]:
     for fam in all_families(n):
         if fam.case is Case.I:
             continue
-        if fam.case in (Case.II, Case.V):
+        if fam.axis is None:
             value = pair_sums[min(fam.i, fam.j), max(fam.i, fam.j)]
         else:
-            value = axis_sums[{Case.III: fam.i, Case.IV: fam.j}.get(fam.case, n)]
+            value = axis_sums[fam.axis]
         for bs, bt in fam.spaces:
             zk[bs + bt] += value
     return zk

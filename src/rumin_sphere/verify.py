@@ -13,7 +13,8 @@ does.  ``verify``, ``kappa`` and ``torsion`` build their checks here, and
 exit 1 if one fails.  The coefficient identities read the one dimension
 polynomial, ``weights.dimension_coefficients``; ``sigma``'s product form is
 their independent second route, as ``_eigenvalue_from_weight`` is for the
-eigenvalues.
+eigenvalues: ``run_all`` computes the c_l once, and the sigma check compares
+sigma(k) with sum_l c_l k^l as well as with (n+1)! k.
 
 Every check that loops over labels runs their free parameters over
 1..bound, the ``--max`` of the record; no check lowers it.  ``run_all``
@@ -23,7 +24,12 @@ key, dimension) from ``BlockFamily.rows``, the generator of every
 that ``spectrum`` prints, each against a second route: the Gelfand-Tsetlin
 count of the weight, the special dimension and its polynomial on the Case
 III and VI rows, the reductions, the norm routes and the weight.  No check
-walks label parameters outside the generator or takes a Weyl product.
+walks label parameters outside the generator or takes a Weyl product.  The
+checks of the one-parameter families read each family's axis c from
+``BlockFamily.axis`` and its low and high bidegrees from its ``spaces``, and
+take the free parameter x from the row: the special dimension is
+``special_dimension(n, c, x)``, the eigenvalue ((x+c)/2)^2, and no check
+maps a case to an axis.
 Each row gets its weight once, from ``BlockFamily.weight``, and no label:
 the checks read n, i, j and the case from the family they receive, and q
 and p from the row, and call the integer-pair homes of the norm routes in
@@ -118,17 +124,21 @@ def check_weyl_vs_gt(rows: list[_Row], memo: dict) -> CheckResult:
     return _exact("weyl_dimension_vs_gt_patterns", bad)
 
 
-def _special(family: BlockFamily, rows: list[_Row]) -> tuple[int, list[_Row]]:
-    # The Case III and VI rows, whose weights are the special ones
-    # (0^{n-i}, (-1)^i, -p), i the family's i or n for Case VI, with that i.
-    return (family.n if family.case is Case.VI else family.i,
-            _of(family, rows, Case.III, Case.VI))
+def _free(family: BlockFamily, rows: list[_Row]) -> list[tuple[int, _Row]]:
+    # Each row of a one-parameter family with its free parameter x: p where
+    # q is fixed, q where p is.  Other families have no axis and no rows here.
+    if family.axis is None:
+        return []
+    k = 0 if family.q_fixed is None else 1
+    return [(row[k], row) for row in rows]
 
 
 def check_special_dimension(family: BlockFamily, rows: list[_Row]) -> CheckResult:
-    i, special = _special(family, rows)
-    bad = sum(1 for _, p, _, _, dim in special
-              if special_dimension(family.n, i, p) != dim)
+    # The Case III and VI rows have the special weights (0^{n-c}, (-1)^c, -x),
+    # x the free parameter p and c the axis.
+    c = family.axis
+    bad = sum(1 for x, (*_, dim) in _free(family, _of(family, rows, Case.III, Case.VI))
+              if special_dimension(family.n, c, x) != dim)
     return _exact("special_dimension_vs_weyl", bad)
 
 
@@ -140,14 +150,12 @@ def _horner(coefficients: Sequence[int | Fraction], x: int) -> int | Fraction:
 
 
 def check_dimension_polynomial(family: BlockFamily, rows: list[_Row]) -> CheckResult:
-    n = family.n
-    i, special = _special(family, rows)
-    bad = 0
-    if special:
-        coefficients = dimension_coefficients(n, i)
-        for _, p, *_ in special:
-            if _horner(coefficients, p + i) != special_dimension(n, i, p):
-                bad += 1
+    n, c, bad = family.n, family.axis, 0
+    special = _free(family, _of(family, rows, Case.III, Case.VI))
+    coefficients = dimension_coefficients(n, c) if special else ()
+    for x, _ in special:
+        if _horner(coefficients, x + c) != special_dimension(n, c, x):
+            bad += 1
     return _exact("dimension_polynomial_vs_special", bad)
 
 
@@ -159,14 +167,11 @@ def _equals(x: tuple[int, int], num: int, den: int) -> bool:
 
 
 def check_eigenvalue_reductions(family: BlockFamily, rows: list[_Row]) -> CheckResult:
-    # On the one-parameter families the eigenvalue reduces to x^2 / 4, with
-    # x = 0 on Case I and p+i, q+j, p+n, q+n on Cases III, IV, VI, VII.
-    n, i, j, case = family.n, family.i, family.j, family.case
-    bad = 0
-    for q, p, _, mu, _ in _of(family, rows, Case.I, Case.III, Case.IV, Case.VI, Case.VII):
-        x = {Case.I: 0, Case.III: p + i, Case.IV: q + j, Case.VI: p + n, Case.VII: q + n}[case]
-        if not _equals(mu, x * x, 4):
-            bad += 1
+    # The eigenvalue reduces to 0 on Case I and to ((x+c)/2)^2 on the
+    # one-parameter families, x the free parameter and c the axis.
+    reduced = [(0, row) for row in _of(family, rows, Case.I)] + [
+        (x + family.axis, row) for x, row in _free(family, rows)]
+    bad = sum(1 for x, (_, _, _, mu, _) in reduced if not _equals(mu, x * x, 4))
     return _exact("universal_eigenvalue_reductions", bad)
 
 
@@ -198,12 +203,13 @@ def _ratio_route(c: int, d: int, up: tuple[int, int], down: tuple[int, int]
 def check_norm_ratios(family: BlockFamily, rows: list[_Row]) -> CheckResult:
     # A^2 from the operator-norm table must equal the L^2-norm ratio route
     # (p+i)^2/(n-i-j) * |psi^{(i+1,j)}|^2 / |psi^{(i,j)}|^2 wherever the
-    # tabulated norms apply (j > 0); same for B^2 with i > 0.  On a Case IV
-    # label the route (q+j)^2/(n-j) * |psi^{(0,j+1)}|^2 / |psi^{(0,j)}|^2
-    # must give (q+j)/2, whose square is the eigenvalue; Case III is the same
-    # with (p, i) in place of (q, j).  Each comparison is one cross product,
-    # and each label's norms come from one ``squared_norm_pairs`` table.
-    n, i, j, case = family.n, family.i, family.j, family.case
+    # tabulated norms apply (j > 0); same for B^2 with i > 0.  On a Case III
+    # or IV label, x its free parameter and c its axis, the route
+    # (x+c)^2/(n-c) * |psi^{high}|^2 / |psi^{low}|^2, with low and high the
+    # family's bidegrees, must give (x+c)/2, whose square is the eigenvalue.
+    # Each comparison is one cross product, and each label's norms come from
+    # one ``squared_norm_pairs`` table.
+    n, i, j, c = family.n, family.i, family.j, family.axis
     d = n - i - j
     bad = 0
     for q, p, _, _, _ in _of(family, rows, Case.II, Case.V):
@@ -223,14 +229,11 @@ def check_norm_ratios(family: BlockFamily, rows: list[_Row]) -> CheckResult:
                 route = _ratio_route((p + i) ** 2, d - 1, corner, side)
                 if not _equals(a2, *route):
                     bad += 1
-    for q, p, _, mu, _ in _of(family, rows, Case.III, Case.IV):
-        if case is Case.IV:
-            x, k, low, high = q + j, n - j, (0, j), (0, j + 1)
-        else:
-            x, k, low, high = p + i, n - i, (i, 0), (i + 1, 0)
+    for x, (q, p, _, mu, _) in _free(family, _of(family, rows, Case.III, Case.IV)):
+        low, high = family.spaces
         norms = spectrum.squared_norm_pairs(family, q, p)
-        num, den = _ratio_route(x * x, k, norms[high], norms[low])
-        if not _equals((x, 2), num, den):
+        num, den = _ratio_route((x + c) ** 2, n - c, norms[high], norms[low])
+        if not _equals((x + c, 2), num, den):
             bad += 1
         if not _equals(mu, num * num, den * den):
             bad += 1
@@ -276,21 +279,28 @@ def c_coefficients(n: int) -> tuple[int, ...]:
 def sigma(n: int, k: int) -> int:
     """sigma(k) = sum_l c_l k^l = sum_i (-1)^i C(n, i) prod_{t=0}^{n} (k+n-i-t),
     as e_{n+1} of the shifts n-i-t is 0 (one is 0); must equal (n+1)! k."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if k < 0:
         raise ValueError("k must be >= 0")
     return sum((-1) ** i * comb(n, i) * prod(range(k - i, k + n - i + 1))
                for i in range(n + 1))
 
 
-def check_c_coefficients(n: int) -> CheckResult:
-    cs = c_coefficients(n)
+def check_c_coefficients(n: int, cs: tuple[int, ...]) -> CheckResult:
+    # ``cs`` is ``c_coefficients(n)``.
     bad = int(cs[0] != factorial(n + 1))
     bad += sum(1 for c in cs[1:] if c != 0)
     return _exact("c_coefficients_identity", bad)
 
 
-def check_sigma(n: int) -> CheckResult:
-    bad = sum(1 for k in range(11) if sigma(n, k) != factorial(n + 1) * k)
+def check_sigma(n: int, cs: tuple[int, ...]) -> CheckResult:
+    # sigma(k) from its product form must be (n+1)! k and the polynomial
+    # sum_l c_l k^l of ``cs`` = ``c_coefficients(n)``, at each k = 0..10.
+    bad = 0
+    for k in range(11):
+        value = sigma(n, k)
+        bad += (value != factorial(n + 1) * k) + (value != _horner((0, *cs), k))
     return _exact("sigma_linearity", bad)
 
 
@@ -436,6 +446,7 @@ def run_all(n: int, bound: int = 20, precision: Optional[int] = None) -> list[Ch
     Each row is (q, p, weight, (key, L), dimension), its weight from
     ``BlockFamily.weight``; no label and no ``Fraction`` is built for it."""
     torsion_values = check_torsion_values(n, precision)
+    cs = c_coefficients(n)
     den = spectrum.eigenvalue_denominator(n)
     memo: dict = {}
     per_family = []
@@ -453,9 +464,8 @@ def run_all(n: int, bound: int = 20, precision: Optional[int] = None) -> list[Ch
         kernel += [(dim, family.spaces) for _, _, key, dim in generated if not key]
     return [
         *map(_total, zip(*per_family)),
-        *(check(n) for check in (
-            check_c_coefficients, check_sigma, check_vanishing_correction,
-            check_cancellation)),
+        check_c_coefficients(n, cs), check_sigma(n, cs),
+        *(check(n) for check in (check_vanishing_correction, check_cancellation)),
         check_kernel_uniqueness(n, kernel),
         check_zeta_constants(precision),
         check_hurwitz_shift(precision),

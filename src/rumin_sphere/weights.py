@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, product, repeat
 from math import comb, factorial, prod
-from operator import lt
+from operator import index, lt
 from typing import Optional, Sequence
 
 
@@ -26,12 +26,14 @@ class EnumerationBudgetError(RuntimeError):
 
 @dataclass(frozen=True, order=True)
 class HighestWeight:
-    """Nonincreasing integer tuple labeling a U(m) irreducible."""
+    """Nonincreasing integer tuple labeling a U(m) irreducible.  Each entry
+    is read by ``operator.index``, so an entry that is not an integer (a
+    float or a string) raises ``TypeError`` instead of being truncated."""
 
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        entries = tuple(map(int, self.entries))
+        entries = tuple(map(index, self.entries))
         object.__setattr__(self, "entries", entries)
         if len(entries) < 1:
             raise ValueError("a highest weight needs at least one entry")

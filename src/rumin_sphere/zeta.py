@@ -38,8 +38,8 @@ Two entry points evaluate zeta at real s and integer a >= 1:
 ``hurwitz_zeta`` (``riemann_zeta`` is its a = 1 case) gives the value, and
 ``hurwitz_zeta_and_deriv`` gives the value and the s-derivative from one
 pass, with a bound for each, so a caller needs one pass per distinct zeta
-argument.  Any other a, and an a above ``MAX_HURWITZ_A``, raises
-``ValueError`` before any work.  A pass adds Bernoulli
+argument.  Any other a, an a above ``MAX_HURWITZ_A``, and a NaN or infinite
+s raise ``ValueError`` before any work.  A pass adds Bernoulli
 corrections until each remainder bound is at most 2^-(prec+6) (1 + |v|), v
 the value it certifies as returned; one that has not stopped after 700
 orders raises ``PrecisionError``, so no pass stops short of its target.  So
@@ -73,7 +73,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, isqrt, log2
+from math import factorial, isfinite, isqrt, log2
 from typing import Optional, Sequence, Union
 
 import mpmath
@@ -514,6 +514,9 @@ def _euler_maclaurin(s: Real, a: int, prec: int, want_derivative: bool):
 
 
 def _check_argument(s: Real, a: int) -> None:
+    # Of the ``Real`` types only a float can be a NaN or an infinity.
+    if isinstance(s, float) and not isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
     if s == 1:
         raise PoleError("zeta(s, a) has a pole at s = 1")
     if not (isinstance(a, int) and 1 <= a <= MAX_HURWITZ_A):
@@ -522,9 +525,9 @@ def _check_argument(s: Real, a: int) -> None:
 
 
 def hurwitz_zeta(s: Real, a: int, precision: Optional[int] = None) -> ZetaValue:
-    """Hurwitz zeta(s, a) for real s != 1 and integer 1 <= a <=
-    ``MAX_HURWITZ_A``, analytically continued; any other a raises
-    ``ValueError``.
+    """Hurwitz zeta(s, a) for finite real s != 1 and integer 1 <= a <=
+    ``MAX_HURWITZ_A``, analytically continued; any other a, and a NaN or
+    infinite s, raises ``ValueError``.
 
     Euler-Maclaurin: prefix sum to a precision-driven cutoff, integral and
     boundary terms, then Bernoulli corrections until the rigorous remainder

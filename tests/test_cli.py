@@ -713,6 +713,24 @@ def test_no_state_carries_between_requests(capsys):
     assert out == fresh.stdout
 
 
+def test_one_writer_of_the_record_envelope(capsys, monkeypatch):
+    # A key that ``_record`` adds reaches the JSON spectrum record, whose
+    # rows come from a template, and every other record.
+    record = cli._record
+
+    def with_a_key(*args):
+        return json.dumps({**json.loads(record(*args)), "provenance": {"k": 1}},
+                          indent=2, sort_keys=True)
+
+    monkeypatch.setattr(cli, "_record", with_a_key)
+    for argv in (["spectrum", "--n", "2", "--degree", "1", "--max", "3"],
+                 ["verify", "--n", "1", "--max", "2"]):
+        code, out, _ = run_cli(capsys, *argv)
+        got = json.loads(out)
+        assert code == 0 and got["provenance"] == {"k": 1}, argv
+        assert got["command"] == argv[0]
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_no_record_holds_a_non_finite_value(capsys, monkeypatch, value):
     monkeypatch.setattr(torsion, "kappa_closed",

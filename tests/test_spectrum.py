@@ -20,6 +20,7 @@ from rumin_sphere import (
     label_to_weight,
     norm_route_eigenvalue,
     operator_norm_squares,
+    special_dimension,
     spectrum_slice,
     squared_norm,
     weyl_dimension,
@@ -205,6 +206,24 @@ def test_case_v_mixed_route():
                 mu = eigenvalue_formula(label)
                 assert case_v_mixed_eigenvalue(label) == mu
                 assert case_v_identity_value(label) == mu
+
+
+def test_axis_and_free_parameter_reproduce_the_one_parameter_rows():
+    # A one-parameter family with axis c has, at free parameter x, the
+    # dimension special_dimension(n, c, x) and the eigenvalue ((x+c)/2)^2.
+    for n in range(1, 9):
+        den = eigenvalue_denominator(n)
+        for fam in all_families(n):
+            c = fam.axis
+            assert (c is None) == (fam.case in (Case.I, Case.II, Case.V)), fam
+            if c is None:
+                continue
+            rows = list(fam.rows(6))
+            xs = [q if fam.q_fixed is None else p for q, p, _, _ in rows]
+            assert xs == list(range(1, 7)), fam
+            for x, (_, _, key, dim) in zip(xs, rows):
+                assert dim == special_dimension(n, c, x), (fam, x)
+                assert Fraction(key, den) == Fraction(x + c, 2) ** 2, (fam, x)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

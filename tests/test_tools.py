@@ -163,3 +163,37 @@ def test_bench_paste_line_gives_each_metric_and_the_failures():
         "solve_p50_s worse: 0/3 wins, median 0.01 -> 0.02 s, parent IQR 0; "
         "solves_per_s ok: 2/3 wins, median 100 -> 110, parent IQR 0; "
         "failed 1 / 2, incorrect runs 1")
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings(tmp_path):
+    # Each line of the module is marked 1 if it counts as code, 0 if not.
+    source = (
+        '"""A module docstring\n'                  # 0
+        '\n'                                        # 0
+        'over three lines."""\n'                    # 0
+        'import os  # a trailing comment\n'         # 1
+        '\n'                                        # 0
+        '# a comment line\n'                        # 0
+        'class A:\n'                                # 1
+        '    """A class docstring."""\n'            # 0
+        '\n'                                        # 0
+        '    def f(self, x):\n'                     # 1
+        "        '''A function docstring.'''\n"     # 0
+        '        text = """a string,\n'             # 1
+        '\n'                                        # 0: blank inside it
+        'not a docstring"""\n'                      # 1
+        '        return (x,\n'                      # 1
+        '                # a comment inside\n'      # 0
+        '                text)\n'                   # 1
+        '    \n'                                    # 0
+        'async def g():\n'                          # 1
+        '    """Async docstring."""\n'              # 0
+        '    "a string statement after the first"\n'  # 1
+    )
+    assert bench.code_lines(source) == 9
+    package = tmp_path / "src" / "rumin_sphere"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text(source)
+    (package / "b.py").write_text("x = 1\ny = 2\n")
+    (package / "notes.txt").write_text("x = 1\n")
+    assert bench.src_code_lines(tmp_path) == 11

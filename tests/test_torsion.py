@@ -347,6 +347,28 @@ def test_kappa_routes_refuse_an_s_outside_the_double_range_at_once(em_passes):
             route(1, -500.3, 10)
 
 
+def test_kappa_routes_refuse_n_below_one_and_a_non_finite_s_at_once(em_passes):
+    # kappa_closed(0, 3.0) returned -131.2, kappa_continued(0, 3.0) and
+    # tail_bound(0, 3.0, 10) returned values, kappa_closed(-3, 3.0) raised
+    # "math domain error", and a NaN s failed inside the zeta engine.  The
+    # one range check refuses them before any work.
+    calls = [(kappa_closed, ()), (kappa_continued, ()), (kappa_direct, (10,)),
+             (kappa_reduced, (10,)), (tail_bound, (10,))]
+    for route, rest in calls:
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                route(n, 3.0, *rest)
+        for s in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="s must be finite"):
+                route(1, s, *rest)
+    assert em_passes == []
+    # A finite s whose 2s is not a double (it gives no zeta argument).
+    for route in (kappa_closed, kappa_continued):
+        with pytest.raises(OverflowError, match="2s at s="):
+            route(1, -8.98846567431158e307)
+    assert em_passes == []
+
+
 def test_kappa_routes_refuse_an_overflowing_value_the_range_check_lets_through():
     # The lower bound on log|kappa| passes s = -158.4392 at n = 1, where
     # kappa_closed returned value=inf; 13 of 2000 points in [-177.4, -150]

@@ -361,8 +361,8 @@ def test_run_all_makes_one_direct_route_and_one_pass_at_the_reference_point(
 
 
 def test_run_all_expands_the_c_coefficients_once(monkeypatch):
-    # check_sigma takes sigma(k) from the product the c_l expand, so only
-    # check_c_coefficients computes them.
+    # run_all computes the c_l once and hands them to check_c_coefficients
+    # and check_sigma, which takes sigma(k) from the product the c_l expand.
     calls = count_calls(monkeypatch, verify, "c_coefficients")
     assert all(r.passed for r in verify.run_all(4, 2))
     assert calls == [(4,)]
@@ -381,6 +381,32 @@ def test_vanishing_correction_counts_a_non_integral_row(monkeypatch):
     monkeypatch.setattr(verify, "dimension_coefficients", broken)
     check = verify.check_vanishing_correction(3)
     assert not check.passed and check.residual == 4
+
+
+def test_sigma_certifies_the_c_coefficients(monkeypatch):
+    # One row of the dimension polynomial times (1 + 1/n!) moves the c_l.
+    # sigma(k), from its product form, then differs from sum_l c_l k^l, so
+    # the sigma check fails with the identity it is the second route of.
+    coefficients = weights.dimension_coefficients
+
+    def scaled(n, i):
+        row = coefficients(n, i)
+        return tuple(c * (1 + Fraction(1, factorial(n))) for c in row) if i == 1 else row
+
+    assert all(named_checks(3, 2)[name].passed
+               for name in ("c_coefficients_identity", "sigma_linearity"))
+    monkeypatch.setattr(verify, "dimension_coefficients", scaled)
+    checks = named_checks(3, 2)
+    assert not checks["c_coefficients_identity"].passed
+    assert not checks["sigma_linearity"].passed
+
+
+def test_sigma_refuses_n_below_one():
+    # sigma(0, 3) was 3 and sigma(-1, 3) was 0; c_coefficients refuses both.
+    for n in (0, -1):
+        for f in (lambda: sigma(n, 3), lambda: c_coefficients(n)):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                f()
 
 
 def test_sigma_examples():
@@ -503,6 +529,30 @@ def test_special_dimension_checks_read_the_special_rows(capsys, monkeypatch, i):
     assert failing_checks(capsys, 3, 5) == (
         1, {"special_dimension_vs_weyl", "dimension_polynomial_vs_special"})
     assert failing_checks(capsys, 3, 2) == (0, set())
+
+
+def test_verify_and_torsion_see_a_wrong_axis(capsys, monkeypatch):
+    # BlockFamily.axis + 1 on the Case IV family with j = 1 of n = 3: the
+    # reductions and the norm ratios read it in verify, and the direct
+    # route reads the axis sum of 2 for that family, which fails the torsion
+    # record and verify's torsion check.
+    axis = spectrum.BlockFamily.axis.fget
+
+    def shifted(family):
+        c = axis(family)
+        return c + 1 if (family.n, family.case, family.j) == (3, spectrum.Case.IV, 1) else c
+
+    def torsion_code():
+        code = cli.main(["torsion", "--n", "3"])
+        capsys.readouterr()
+        return code
+
+    assert failing_checks(capsys, 3, 5) == (0, set()) and torsion_code() == 0
+    monkeypatch.setattr(spectrum.BlockFamily, "axis", property(shifted))
+    assert failing_checks(capsys, 3, 5) == (1, {
+        "universal_eigenvalue_reductions", "operator_norms_vs_l2_ratios",
+        "torsion_closed_values"})
+    assert torsion_code() == 1
 
 
 def test_verify_sees_a_doubled_middle_dimension(capsys, monkeypatch):

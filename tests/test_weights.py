@@ -35,6 +35,19 @@ def test_highest_weight_requires_nonincreasing():
         HighestWeight(())
 
 
+def test_highest_weight_refuses_entries_that_are_not_integers():
+    # int() truncated these: (1.5, 0) became (1, 0), ("3", 0) became
+    # (3, 0), and the Weyl dimension of (2.7, 0) was that of (2, 0).
+    for entries in ((1.5, 0), ("3", 0), (2.7, 0)):
+        with pytest.raises(TypeError):
+            HighestWeight(entries)
+    with pytest.raises(TypeError):
+        weyl_dimension(HighestWeight((2.7, 0)))
+    assert HighestWeight((2, 0)).entries == (2, 0)
+    assert HighestWeight((True, False, -1)).entries == (1, 0, -1)
+    assert weyl_dimension(HighestWeight((True, False))) == 2
+
+
 @pytest.mark.parametrize(
     "n, q, j, i, p, expected",
     [

@@ -210,6 +210,18 @@ def test_non_integer_or_nonpositive_a_is_refused(em_passes):
     assert em_passes == []
 
 
+def test_a_non_finite_s_is_refused_before_any_work(em_passes):
+    # A NaN or an infinite s failed inside the engine with "cannot convert
+    # float NaN/infinity to integer".
+    for s in (float("nan"), float("inf"), float("-inf")):
+        for call in (hurwitz_zeta, hurwitz_zeta_and_deriv):
+            with pytest.raises(ValueError, match="s must be finite"):
+                call(s, 2)
+        with pytest.raises(ValueError, match="s must be finite"):
+            zeta.riemann_zeta(s)
+    assert em_passes == []
+
+
 def test_a_beyond_the_sieve_limit_is_refused_before_any_work(em_passes):
     # The sieve covers [1, a+K), so a large a would cost time and memory.
     for a in (zeta.MAX_HURWITZ_A + 1, 10**6):

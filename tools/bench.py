@@ -19,8 +19,11 @@ parent's runs.  The verdict applies the metric's relative ``bound``:
 ``worse`` if the change's median is worse than the parent's by more than
 the bound; else ``unresolved`` if the parent's IQR exceeds the bound times
 its median and not every change run beats every parent run; else ``ok``.
-``--out`` stores every run's metrics with the seeds, both git shas, the
-Python and mpmath versions and the CPU count.  A run killed by a signal
+Before the runs, one line gives the code lines of ``src/rumin_sphere`` in
+both trees (``code_lines``: non-blank lines outside comments and
+docstrings).  ``--out`` stores every run's metrics with the seeds, both git
+shas, both code line counts, the Python and mpmath versions and the CPU
+count.  A run killed by a signal
 leaves its worktree behind; ``git worktree prune`` forgets it once its
 directory is gone.
 """
@@ -28,7 +31,9 @@ directory is gone.
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
+import io
 import json
 import os
 import platform
@@ -36,6 +41,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 
 import mpmath
@@ -62,6 +68,37 @@ def parent_worktree(rev: str):
             yield sha, tree
         finally:
             _git("worktree", "remove", "--force", str(tree))
+
+
+# Tokens that are not code: comments, line ends, indentation.
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(source: str) -> int:
+    """The non-blank lines of a Python module that hold code: lines outside
+    comments and the docstrings of the module, its classes and functions.
+    A line counts once however many tokens it holds, and each non-blank
+    line of a multi-line token counts."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and ast.get_docstring(node) is not None:
+            doc = node.body[0]
+            docstrings.update(range(doc.lineno, doc.end_lineno + 1))
+    lines = source.splitlines()
+    code = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _NOT_CODE:
+            code.update(k for k in range(tok.start[0], tok.end[0] + 1)
+                        if k not in docstrings and lines[k - 1].strip())
+    return len(code)
+
+
+def src_code_lines(tree: Path) -> int:
+    """``code_lines`` summed over the modules of ``src/rumin_sphere``."""
+    return sum(code_lines(path.read_text())
+               for path in sorted((tree / "src" / "rumin_sphere").glob("*.py")))
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
@@ -151,10 +188,14 @@ def main(argv=None) -> int:
             "mpmath": mpmath.__version__,
             "mpmath_backend": mpmath.libmp.BACKEND,
             "cpu_count": os.cpu_count(),
+            "src_code_lines": {"parent": src_code_lines(parent_tree),
+                               "change": src_code_lines(ROOT)},
             "seconds": BENCHMARK["run_seconds"],
             "seeds": list(range(1, args.pairs + 1)),
             "workloads": {},
         }
+        lines = record["src_code_lines"]
+        print(f"src code lines: {lines['parent']} -> {lines['change']}", flush=True)
         for workload in args.workload or WORKLOADS:
             runs = []
             for seed in record["seeds"]:
