@@ -72,17 +72,19 @@ def _emit(command: str, parameters: dict, payload, checks: list) -> int:
 
 
 # One block of a spectrum row as ``json.dumps(indent=2, sort_keys=True)``
-# writes it, filled with (case, dimension, i, j, p, q, s, t).
+# writes it, filled with (case, dimension, i, j, p, q, s, t).  Every field
+# is a ``%s``, so ``_family_template`` can fill the case, i, j, s and t and
+# leave ``%d`` for the dimension, p and q.
 _BLOCK_JSON = (
     '          {\n'
     '            "case": "%s",\n'
-    '            "dimension": %d,\n'
-    '            "i": %d,\n'
-    '            "j": %d,\n'
-    '            "p": %d,\n'
-    '            "q": %d,\n'
-    '            "s": %d,\n'
-    '            "t": %d\n'
+    '            "dimension": %s,\n'
+    '            "i": %s,\n'
+    '            "j": %s,\n'
+    '            "p": %s,\n'
+    '            "q": %s,\n'
+    '            "s": %s,\n'
+    '            "t": %s\n'
     '          }'
 )
 
@@ -92,51 +94,89 @@ _BLOCK_JSON = (
 _ROWS = "@rows@"
 
 
+def _family_template(family, spaces) -> tuple[str, int]:
+    # The blocks of one label of the family, in (s, t) order, with ``%d``
+    # for its (dimension, p, q) once per block, and the number of blocks.
+    case, i, j = family.case.value, family.i, family.j
+    return ",\n".join([_BLOCK_JSON % (case, "%d", i, j, "%d", "%d", s, t)
+                       for s, t in sorted(spaces)]), len(spaces)
+
+
+def _eigenvalue_fields(key: int, denominator: int) -> tuple[int, int, str]:
+    """The fields of a row's eigenvalue key / L as both spectrum formats
+    write them: numerator and denominator reduced by one ``gcd``, and the
+    ``repr`` of the float key / L, an int division, which is correctly
+    rounded, as ``float(Fraction(key, L))`` is."""
+    g = gcd(key, denominator)
+    return key // g, denominator // g, repr(key / denominator)
+
+
 def _write_spectrum_json(n: int, degree: int, max_level: int, stream) -> None:
-    """Write the spectrum record exactly as ``_emit`` would write it.
+    """Write the spectrum record exactly as ``_emit`` would write it, one
+    row at a time.
 
     The envelope is ``_record``'s, with ``_ROWS`` in place of the rows.  The
-    rows have fixed keys, so their text is written out directly from a
-    template, as ``json.dumps(indent=2, sort_keys=True)`` writes it inside
+    rows have fixed keys, so their text is written out directly from
+    templates, as ``json.dumps(indent=2, sort_keys=True)`` writes it inside
     the record: keys in sorted order, strings without escapes, ints and
     float ``repr``s as json writes them.  The blocks are the rows of the
-    families of ``degree_families``, one per bidegree.  Rows are sorted by
-    eigenvalue, and the blocks of a row by (case, i, j, q, p, s, t), which
-    names one block, so the dimension never takes part in the order.  A
-    row's eigenvalue key / L is reduced by one ``gcd``, and its float is the
-    int division key / L, which is correctly rounded, as
-    ``float(Fraction(key, L))`` is.
+    families of ``degree_families``, one per bidegree.  Each family fills
+    its case, i, j and bidegrees into one template of all its blocks once,
+    and one ``%`` writes a label's blocks from its (dimension, p, q).
+
+    Rows are sorted by eigenvalue.  The labels of a row are grouped under
+    its key as (rank, q, p, dimension), rank the family's place in (case
+    name, i, j) order, so sorting a group gives the blocks in (case, i, j,
+    q, p, s, t) order, which names one block: the dimension never takes
+    part in the order.  The multiplicity is the sum over the group of the
+    blocks per label times the dimension.  Every row is read and the
+    envelope built before the first write, so a request refused by the row
+    generator (``ArithmeticError``) or by ``_record`` (``OverflowError``)
+    writes no byte; then each row is written as soon as it is formatted,
+    and no string of the whole output is built.
     """
-    blocks: dict[int, list] = {}
-    for family, spaces in spectrum.degree_families(n, degree):
-        case, i, j = family.case.value, family.i, family.j
+    families = list(spectrum.degree_families(n, degree))
+    by_name = sorted(families, key=lambda fs: (fs[0].case.value, fs[0].i, fs[0].j))
+    templates = [_family_template(family, spaces) for family, spaces in by_name]
+    groups: dict[int, list] = {}
+    for family, spaces in families:
+        rank = by_name.index((family, spaces))
         for q, p, key, dim in family.rows(max_level):
-            row = blocks.get(key)
-            if row is None:
-                row = blocks[key] = []
-            for s, t in spaces:
-                row.append((case, i, j, q, p, s, t, dim))
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = []
+            group.append((rank, q, p, dim))
+    params = {"degree": degree, "format": "json", "max": max_level, "n": n}
+    head, tail = _record("spectrum", params, {"rows": _ROWS}, []).split(json.dumps(_ROWS))
+    if not groups:
+        stream.write(f"{head}[]{tail}\n")
+        return
     denominator = spectrum.eigenvalue_denominator(n)
-    rows = []
-    for key in sorted(blocks):
-        g = gcd(key, denominator)
-        row = sorted(blocks[key])
-        text = ",\n".join([_BLOCK_JSON % (case, dim, i, j, p, q, s, t)
-                            for case, i, j, q, p, s, t, dim in row])
-        rows.append(
-            '      {\n'
+    stream.write(f"{head}[\n")
+    separator = ""
+    for key in sorted(groups):
+        labels = groups[key]
+        labels.sort()
+        texts = []
+        multiplicity = 0
+        for rank, q, p, dim in labels:
+            template, blocks = templates[rank]
+            texts.append(template % ((dim, p, q) * blocks))
+            multiplicity += blocks * dim
+        num, den, flt = _eigenvalue_fields(key, denominator)
+        text = ",\n".join(texts)
+        stream.write(
+            f'{separator}      {{\n'
             '        "blocks": [\n'
             f'{text}\n'
             '        ],\n'
-            f'        "eigenvalue": "{key // g}/{denominator // g}",\n'
-            f'        "eigenvalue_float": {key / denominator!r},\n'
-            f'        "multiplicity": {sum(b[-1] for b in row)}\n'
+            f'        "eigenvalue": "{num}/{den}",\n'
+            f'        "eigenvalue_float": {flt},\n'
+            f'        "multiplicity": {multiplicity}\n'
             '      }'
         )
-    body = "[\n" + ",\n".join(rows) + "\n    ]" if rows else "[]"
-    params = {"degree": degree, "format": "json", "max": max_level, "n": n}
-    head, tail = _record("spectrum", params, {"rows": _ROWS}, []).split(json.dumps(_ROWS))
-    stream.write(f"{head}{body}{tail}\n")
+        separator = ",\n"
+    stream.write(f"\n    ]{tail}\n")
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
@@ -150,14 +190,14 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     canonical = min(degree, 2 * n + 1 - degree)
 
     if args.format == "csv":
-        # One row per eigenvalue key / L, in increasing order, reduced and
-        # rounded as in _write_spectrum_json; no block lists.
+        # One row per eigenvalue key / L, in increasing order, with the
+        # eigenvalue fields of the JSON rows; no block lists.
         denominator = spectrum.eigenvalue_denominator(n)
         counts = spectrum.degree_multiplicities(n, canonical, max_level)
         rows = []
         for key, mult in counts.items():
-            g = gcd(key, denominator)
-            rows.append(f"{key // g},{denominator // g},{key / denominator!r},{mult}\n")
+            num, den, flt = _eigenvalue_fields(key, denominator)
+            rows.append(f"{num},{den},{flt},{mult}\n")
         sys.stdout.write(
             "eigenvalue_num,eigenvalue_den,eigenvalue_float,multiplicity\n"
             + "".join(rows))

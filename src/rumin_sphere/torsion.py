@@ -22,8 +22,11 @@ sphere with the matching metric.
 
 Each refusal has one place.  ``kappa_closed`` and ``kappa_continued`` open
 with ``_check_kappa_range`` (``ValueError`` for an n below 1 or a non-finite
-s, and ``OverflowError`` before any work where 2s, or kappa(s) as far as
-it is known, leaves the double range) and ``_check_kappa_pole`` (s = 1/2).
+s, and ``OverflowError`` before any work where kappa(s), as far as it is
+known, leaves the double range) and ``_check_kappa_pole`` (s = 1/2).  Both
+read zeta(2s) through ``_zeta_of_2s``, which takes the trivial zero of a
+negative integer s from s itself: kappa(s) = -(n+1) at every one, however
+large.
 ``tail_bound`` is the one guard of the truncated routes, which open with it:
 it refuses a truncation below 1, a divergent sum (``DivergenceError``), the
 kappa range, then a bound that leaves the double range.  ``_finite`` refuses
@@ -92,7 +95,7 @@ class KappaEstimate:
 
 
 def _check_kappa_pole(s: float) -> None:
-    if 2 * s == 1:
+    if s == 0.5:
         raise PoleError("kappa(s) has a pole at s = 1/2 (zeta(2s) pole)")
 
 
@@ -132,8 +135,8 @@ def _check_kappa_range(n: int, s: float) -> None:
     # overflows once it reaches 2^max_exp = 2^1024 (2s+1 is exact, and so is
     # log2(n+1) where n+1 is a power of two); for s < 0, the bound above,
     # with a margin of 1 for its rounding.  Evaluating zeta(2s) at such an s
-    # would cost guard bits and prefix terms in |s|.  Last, a negative
-    # integer s whose 2s, the argument of zeta(2s), is not a double.
+    # would cost guard bits and prefix terms in |s|.  A negative integer s,
+    # however large, passes: kappa(s) = -(n+1) there (``_zeta_of_2s``).
     if n < 1:
         raise ValueError("n must be >= 1")
     if not isfinite(s):
@@ -141,8 +144,6 @@ def _check_kappa_range(n: int, s: float) -> None:
     if (s > 0.5 and 2 * s + 1 >= sys.float_info.max_exp - log2(n + 1)) or (
             _log_kappa_lower_bound(n, s) > _LN_DOUBLE_MAX + 1):
         raise OverflowError(f"kappa(s) at n={n}, s={s} overflows a double")
-    if not isfinite(2 * s):
-        raise OverflowError(f"2s at s={s} overflows a double")
 
 
 def _check_torsion_range(n: int) -> None:
@@ -213,12 +214,21 @@ def _closed_deriv_from(
     return _estimate(value, bound, size, prec)
 
 
+def _zeta_of_2s(s: float, prec: int) -> ZetaValue:
+    # zeta(2s), with the trivial zero zeta(2s) = 0 of a negative integer s
+    # read off s itself: no 2s is formed, which is not a double below
+    # -8.98846567431158e307, and no Euler-Maclaurin pass runs.
+    if s < 0 and s % 1 == 0:
+        return ZetaValue(value=mpf(0), error_bound=mpf(0))
+    return riemann_zeta(2 * s, prec)
+
+
 def kappa_closed(n: int, s: float, precision: Optional[int] = None) -> KappaEstimate:
     """Closed form -(n+1)(1 + 2^{2s+1} zeta(2s)); pole at s = 1/2."""
     _check_kappa_range(n, s)
     prec = _check_precision(precision)
     _check_kappa_pole(s)
-    return _closed_from(n, s, riemann_zeta(2 * s, prec), prec)
+    return _closed_from(n, s, _zeta_of_2s(s, prec), prec)
 
 
 def tail_bound(n: int, s: float, N: int) -> float:
@@ -356,7 +366,7 @@ def kappa_continued(
     _check_kappa_range(n, s)
     prec = _check_precision(precision)
     _check_kappa_pole(s)
-    z = riemann_zeta(2 * s, prec)
+    z = _zeta_of_2s(s, prec)
     return _continued_from(n, s, z, prec), _closed_from(n, s, z, prec)
 
 

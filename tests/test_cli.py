@@ -473,12 +473,14 @@ def test_kappa_below_zero_inside_the_double_range(capsys):
     code, record, _ = run_json(capsys, "kappa", "--n", "1", "--s=-150.3")
     assert code == 0
     assert record["payload"]["value"] == 3.657231552032246e+285
-    # zeta(2s) = 0 at negative integers, so kappa = -(n+1) there.
-    for mode_args in (("--mode", "closed"), ("--mode", "reduced")):
-        code, record, _ = run_json(capsys, "kappa", "--n", "2", "--s=-160",
-                                   *mode_args)
-        assert code == 0
-        assert record["payload"]["value"] == -3.0
+    # zeta(2s) = 0 at negative integers, so kappa = -(n+1) there, also
+    # where 2s is not a double (those requests exited 3).
+    for s in ("--s=-160", "--s=-1e308", "--s=-1.7976931348623157e308"):
+        for mode_args in (("--mode", "closed"), ("--mode", "reduced")):
+            code, record, _ = run_json(capsys, "kappa", "--n", "2", s, *mode_args)
+            assert code == 0
+            assert record["payload"]["value"] == -3.0
+            assert record["payload"]["error_bound"] == 0.0
 
 
 @pytest.mark.parametrize("n, s", [(1, -10.25), (2, -15.6), (3, -30.7),

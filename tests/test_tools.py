@@ -53,12 +53,14 @@ def test_requests_are_the_workloads_then_cold_then_the_extras_each_once():
     widest = {}
     for argv in [*found, *cold]:
         widest[path(argv)] = max(widest.get(path(argv), 0), n_of(argv))
-    assert len(records.BEYOND) == 7
+    assert len(records.BEYOND) == 8
     for argv in records.BEYOND:
         assert n_of(argv) > widest[path(argv)], argv
-    # A JSON and a CSV spectrum table, and a reduced kappa truncated by --max.
+    # Two JSON spectrum tables, one at a mirrored degree, a CSV one, and a
+    # reduced kappa truncated by --max.
     tables = [argv for argv in records.BEYOND if argv[0] == "spectrum"]
-    assert sorted("--format" in argv for argv in tables) == [False, True]
+    assert sorted("--format" in argv for argv in tables) == [False, False, True]
+    assert any(int(argv[argv.index("--degree") + 1]) > n_of(argv) for argv in tables)
     assert any(path(argv) == ("kappa", "reduced") and "--max" in argv
                for argv in records.BEYOND)
 

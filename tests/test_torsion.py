@@ -362,10 +362,15 @@ def test_kappa_routes_refuse_n_below_one_and_a_non_finite_s_at_once(em_passes):
             with pytest.raises(ValueError, match="s must be finite"):
                 route(1, s, *rest)
     assert em_passes == []
-    # A finite s whose 2s is not a double (it gives no zeta argument).
-    for route in (kappa_closed, kappa_continued):
-        with pytest.raises(OverflowError, match="2s at s="):
-            route(1, -8.98846567431158e307)
+    # A negative integer s whose 2s is not a double gives the trivial zero
+    # of zeta(2s), read off s with no pass: kappa(s) = -(n+1), bound 0, as
+    # at s = -1e300.  The range check refused it with ``OverflowError``.
+    for n in (1, 4):
+        for s in (-8.98846567431158e307, -1.7976931348623157e308, -1e300):
+            closed = kappa_closed(n, s)
+            continued, paired = kappa_continued(n, s)
+            for est in (closed, continued, paired):
+                assert (est.value, est.bound) == (-(n + 1), 0.0), (n, s)
     assert em_passes == []
 
 

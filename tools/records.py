@@ -15,7 +15,7 @@ diff compares their exit codes and stderr lines too.  It also includes the
 engine's extremes, which no workload reaches: passes at the precision
 ceiling, and Hurwitz passes at a > 1 above 128 bits; and requests beyond
 the workloads' n: ``verify`` at n = 6 and 8, ``spectrum`` at n = 5 as a
-CSV and a JSON table, the direct ``kappa`` route at n = 6, the reduced one
+CSV and a JSON table and at n = 4 as a JSON table of degree 5, the direct ``kappa`` route at n = 6, the reduced one
 truncated by ``--max`` at n = 7, and ``torsion`` at n = 40.  The parent revision is
 checked out in a temporary ``git worktree`` (``bench.parent_worktree``); the
 change is this checkout's working tree, committed or not.  One subprocess
@@ -66,12 +66,14 @@ ENGINE = tuple(tuple(line.split()) for line in (
 
 # Requests beyond the workloads' n, about 1 s together: the label checks
 # and the row generator at n = 6 and 8, a CSV and a JSON spectrum table at
-# n = 5, the pair kernel at n = 6, the truncated reduced route at n = 7 and
-# the torsion report at n = 40.
+# n = 5, a larger JSON table at n = 4, the pair kernel at n = 6, the
+# truncated reduced route at n = 7 and the torsion report at n = 40.
 BEYOND = tuple(tuple(line.split()) for line in (
     "verify --n 6 --max 10", "verify --n 8 --max 6",
     "spectrum --n 5 --degree 2 --max 8 --format csv",
     "spectrum --n 5 --degree 3 --max 6",
+    # A 2.2 MB JSON table at a mirrored degree, with many multi-family rows.
+    "spectrum --n 4 --degree 5 --max 30",
     "kappa --n 6 --s 4.9 --mode direct --max 60",
     "kappa --n 7 --s 4.6 --mode reduced --max 120", "torsion --n 40",
 ))
