@@ -12,8 +12,9 @@ first call, serves every ``main`` call of a process, and ``main`` picks the
 command function by ``args.command`` when it runs it.  Exit codes (the README
 lists the cases): 0 ok; 1 a check of the record failed (the record is
 written first); 2 usage error, or ``PrecisionError``; 3 a ``spectrum``
-degree outside 0..2n+1, or ``OverflowError`` (a result outside the double
-range); 4 ``PoleError`` or ``DivergenceError``.
+degree outside 0..2n+1, ``OverflowError`` (a result outside the double
+range) or ``EnumerationBudgetError`` (a Gelfand-Tsetlin count over its work
+budget); 4 ``PoleError`` or ``DivergenceError``.
 
 At import this module loads only ``spectrum``, ``weights`` and ``limits``,
 which import nothing beyond the standard library: the parser's ``--prec``
@@ -36,6 +37,7 @@ from typing import Optional
 from . import spectrum
 from .limits import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, DivergenceError,
                      PoleError, PrecisionError, _check_precision)
+from .weights import EnumerationBudgetError
 
 SCHEMA_VERSION = "1"
 
@@ -334,6 +336,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         code, reason = EXIT_POLE, exc
     except OverflowError as exc:
         code, reason = EXIT_RANGE, f"outside the double range: {exc}"
+    except EnumerationBudgetError as exc:
+        code, reason = EXIT_RANGE, f"over the work budget: {exc}"
     except PrecisionError as exc:
         code, reason = EXIT_USAGE, exc
     print(f"{args.command}: {reason}", file=sys.stderr)

@@ -37,7 +37,11 @@ and p from the row, and call the integer-pair homes of the norm routes in
 ``Fraction``.  Each label check adds up its violations over the families.
 Only one family's rows are held at a time, the kernel check's (dimension,
 bidegrees) pairs of the rows of key 0 apart, and the GT memo is shared by
-every label of the request.  Exact values are compared by cross products of
+every label of the request.  The GT check counts each run of a family's
+rows with one p, whose weights differ only in their first entry, by one
+call for the run's top row under ``GT_BUDGET`` times the run's length; that
+call stores the count of every row of the run, so the others are memo hits.
+Exact values are compared by cross products of
 integers, which need no reduced pair.  There is no mirror check: the package
 defines degrees above the middle by the mirror rule (``spectrum_slice``
 folds k to min(k, 2n+1-k)), so a comparison of degree k with degree 2n+1-k
@@ -48,7 +52,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import comb, factorial, inf, pi, prod, ulp
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import mpmath
@@ -57,8 +63,8 @@ from mpmath import mpf
 from . import limits, spectrum, torsion, zeta
 from .torsion import KappaEstimate, TorsionReport, rounding_gamma
 from .spectrum import BlockFamily, Case
-from .weights import (HighestWeight, dimension_coefficients, gt_pattern_count,
-                      special_dimension)
+from .weights import (GT_BUDGET, HighestWeight, dimension_coefficients,
+                      gt_pattern_count, special_dimension)
 
 
 @dataclass(frozen=True)
@@ -116,11 +122,17 @@ def _total(parts: tuple[CheckResult, ...]) -> CheckResult:
 
 
 def check_weyl_vs_gt(rows: list[_Row], memo: dict) -> CheckResult:
-    # ``memo`` is the GT memo, one dict for every call of a request.
+    # ``memo`` is the GT memo, one dict for every call of a request.  The
+    # rows come p-major with q ascending, so a run of rows of one p has the
+    # weights (q, m, -p) that differ in their first entry only, and its last
+    # row has the largest q.  Counting that row first stores the count of
+    # every row of the run on the way down, so the others are memo hits; it
+    # does their work too, so its budget is ``GT_BUDGET`` per row of the run.
     bad = 0
-    for _, _, w, _, dim in rows:
-        if dim != gt_pattern_count(w, memo=memo):
-            bad += 1
+    for _, run in groupby(rows, itemgetter(1)):
+        *rest, (_, _, w, _, dim) = run
+        bad += dim != gt_pattern_count(w, GT_BUDGET * (len(rest) + 1), memo)
+        bad += sum(1 for _, _, w, _, dim in rest if dim != gt_pattern_count(w, memo=memo))
     return _exact("weyl_dimension_vs_gt_patterns", bad)
 
 

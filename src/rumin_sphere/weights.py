@@ -75,11 +75,14 @@ def middle_dimension(a: int, b: int, c: int) -> int:
     return comb(b + c, c) * comb(m, a) * comb(m + 1, a) // comb(a + b + 1, a)
 
 
-# Work units one label may take in ``gt_pattern_count`` (one per row count
-# or running sum stored and one per running sum a row count reads).  With
-# the memo shared across a ``verify`` request, the costliest label took 190,
-# 282, 374 and 466 units at n = 6, 8, 10 and 12 with bound 20, and 258 at
-# n = 4 with bound 60, so the budget only stops a runaway count.
+# Work units per label for ``gt_pattern_count`` (one per row count or
+# running sum stored and one per running sum a row count reads).  ``verify``
+# counts each run of labels that differ only in their first entry with one
+# call, from the run's top label, under this budget times the run's length.
+# With the memo shared across a ``verify`` request, the costliest such call
+# took 1,049 units at n = 4 with bound 20, 7,929 with bound 60 and 46,809
+# with bound 150, and 2,015, 2,981, 3,947 and 4,913 at n = 6, 8, 10 and 12
+# with bound 20, so the budget only stops a runaway count.
 GT_BUDGET = 10**6
 
 
@@ -126,7 +129,11 @@ def gt_pattern_count(
     counted as one unit for each row count or running sum it stores plus
     one for each running sum that a row count reads; the units are charged
     before the sums are made, and ``EnumerationBudgetError`` is raised once
-    they exceed it.
+    they exceed it.  On its way down, a call for the top row (x, tail)
+    stores the count of every row (y, tail) with tail[0] <= y < x that the
+    memo lacks, so rows that differ only in their first entry can be counted
+    by one call for the largest, under the budget of all of them, and the
+    rest are then memo hits of no work: ``verify`` counts them so.
     """
     return _gt_count(w.entries, budget, {} if memo is None else memo)[0]
 

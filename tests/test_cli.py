@@ -317,6 +317,19 @@ def test_verify_n_beyond_double_range_exits_3_at_once(capsys):
     assert len(err.splitlines()) == 1 and "1..170" in err
 
 
+def test_verify_over_the_gt_budget_exits_3(capsys, monkeypatch):
+    # A Gelfand-Tsetlin count over its work budget is refused like a result
+    # out of range: exit 3, one stderr line naming the command, no record.
+    from rumin_sphere import verify
+
+    monkeypatch.setattr(verify, "GT_BUDGET", 1)
+    code, out, err = run_cli(capsys, "verify", "--n", "2", "--max", "3")
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("verify: over the work budget: more than ")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

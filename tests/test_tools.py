@@ -43,19 +43,27 @@ def test_requests_are_the_workloads_then_cold_then_the_extras_each_once():
     assert not set(records.ENGINE) & {*found, *cold}
 
     # Each request beyond the workloads has a larger n than every workload
-    # or cold request of its subcommand and kappa mode.
+    # or cold request of its subcommand and kappa mode, or, for ``verify``,
+    # a larger --max than every one of them at the largest n.
     def path(argv):
         return argv[0], argv[argv.index("--mode") + 1] if "--mode" in argv else None
 
     def n_of(argv):
         return int(argv[argv.index("--n") + 1])
 
+    def max_of(argv):
+        return int(argv[argv.index("--max") + 1])
+
     widest = {}
     for argv in [*found, *cold]:
         widest[path(argv)] = max(widest.get(path(argv), 0), n_of(argv))
-    assert len(records.BEYOND) == 8
+    longest = max(max_of(argv) for argv in [*found, *cold] if argv[0] == "verify")
+    assert len(records.BEYOND) == 9
     for argv in records.BEYOND:
-        assert n_of(argv) > widest[path(argv)], argv
+        assert n_of(argv) > widest[path(argv)] or (
+            argv[0] == "verify" and n_of(argv) == widest[path(argv)]
+            and max_of(argv) > longest), argv
+    assert any(argv[0] == "verify" and max_of(argv) > longest for argv in records.BEYOND)
     # Two JSON spectrum tables, one at a mirrored degree, a CSV one, and a
     # reduced kappa truncated by --max.
     tables = [argv for argv in records.BEYOND if argv[0] == "spectrum"]

@@ -10,6 +10,7 @@ import dataclasses
 import functools
 import inspect
 import io
+import itertools
 import json
 import math
 import random
@@ -18,6 +19,7 @@ import time
 import types
 from fractions import Fraction
 from math import factorial
+from operator import itemgetter
 
 import mpmath
 import pytest
@@ -175,6 +177,62 @@ def test_verify_sees_running_sums_that_skip_the_child_ending_in_0(capsys, monkey
     assert failing_checks(capsys, 3, 5) == (0, set())
     monkeypatch.setattr(verify, "gt_pattern_count", mutant.gt_pattern_count)
     assert failing_checks(capsys, 3, 5) == (1, {"weyl_dimension_vs_gt_patterns"})
+
+
+def gt_calls(monkeypatch):
+    """Record (top row, work units) of every ``weights._gt_count`` call that
+    ``gt_pattern_count`` makes, in the returned list."""
+    calls = []
+    count = weights._gt_count
+
+    def recorded(top, budget, table):
+        got = count(top, budget, table)
+        calls.append((top, got[1]))
+        return got
+
+    monkeypatch.setattr(weights, "_gt_count", recorded)
+    return calls
+
+
+def test_gt_check_counts_each_run_from_its_top_row(monkeypatch):
+    # The rows of a run differ only in q.  The check counts the run's
+    # largest q first, and that call stores the rest of the run, so each row
+    # is counted by one call and only a run's first call does any work: 52
+    # calls, where counting row by row makes 349.
+    calls = gt_calls(monkeypatch)
+    assert all(c.passed for c in verify.run_all(3, 10))
+    # The weights of each run of one family and one p, in the rows' order.
+    runs = [[fam.weight(q, p).entries for q, p, _, _ in run]
+            for fam in spectrum.all_families(3)
+            for _, run in itertools.groupby(fam.rows(10), itemgetter(1))]
+    assert len(runs) == 105 and len(calls) == sum(map(len, runs))
+    at = 0
+    for run in runs:
+        made, at = calls[at:at + len(run)], at + len(run)
+        assert [top for top, _ in made] == [run[-1], *run[:-1]]
+        assert not any(work for _, work in made[1:]), run
+    assert sum(1 for _, work in calls if work) == 52
+
+
+def test_gt_check_budgets_a_run_by_its_rows(monkeypatch):
+    # 98 units is the costliest single row of ``run_all(4, 20)`` counted row
+    # by row in the generator's order.  Under a per-row budget of 98, each
+    # run's top call has 98 units per row of the run, which covers its
+    # 1,049; one row's 98 would stop the run of (q, 0, 0, 0, -1).
+    memo = {}
+    single = [weights._gt_count(fam.weight(q, p).entries, 10**6, memo)[1]
+              for fam in spectrum.all_families(4) for q, p, _, _ in fam.rows(20)]
+    assert max(single) == 98
+    monkeypatch.setattr(verify, "GT_BUDGET", 98)
+    calls = gt_calls(monkeypatch)
+    assert all(c.passed for c in verify.run_all(4, 20))
+    assert max(work for _, work in calls) == 1049
+    count = verify.gt_pattern_count
+    monkeypatch.setattr(verify, "gt_pattern_count",
+                        lambda w, budget=98, memo=None: count(w, min(budget, 98), memo))
+    with pytest.raises(weights.EnumerationBudgetError,
+                       match=r"top row \(20, 0, 0, 0, -1\)$"):
+        verify.run_all(4, 20)
 
 
 # Each case patches the integer-pair home of a route; the ids are the ones

@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rumin_sphere import weights
@@ -219,6 +219,24 @@ def test_gt_work_for_a_request_stays_pinned():
             assert count == dim
             work += units
     assert work < 36_000
+
+
+@settings(max_examples=60, deadline=None)
+@given(row=rows_up_to_6.filter(lambda row: len(row) >= 2))
+@example(row=(20, 0, 0, 0, -1))
+@example(row=(9, 2, 2, -1, -3))
+@example(row=(6, 6, 1, 0))
+def test_gt_count_of_a_top_row_stores_every_row_below_it(row):
+    # One count of (x, tail) with a fresh memo stores the count of every
+    # (y, tail) for tail[0] <= y <= x: each is then a hit, of zero work
+    # even under budget 0, and equals its count from a fresh memo.
+    x, *tail = row
+    memo = {}
+    assert weights._gt_count(row, 10**6, memo)[0] == gt_pattern_count(HighestWeight(row))
+    for y in range(tail[0], x + 1):
+        below = (y, *tail)
+        assert weights._gt_count(below, 0, memo) == (
+            gt_pattern_count(HighestWeight(below)), 0), below
 
 
 def test_gt_budget_guard():

@@ -14,7 +14,8 @@ more requests per exit code of ``cli.main``'s exit table, so that every
 diff compares their exit codes and stderr lines too.  It also includes the
 engine's extremes, which no workload reaches: passes at the precision
 ceiling, and Hurwitz passes at a > 1 above 128 bits; and requests beyond
-the workloads' n: ``verify`` at n = 6 and 8, ``spectrum`` at n = 5 as a
+the workloads' n or ``--max``: ``verify`` at n = 6 and 8, and at n = 4 with
+``--max 60``, three times the workloads' bound, ``spectrum`` at n = 5 as a
 CSV and a JSON table and at n = 4 as a JSON table of degree 5, the direct ``kappa`` route at n = 6, the reduced one
 truncated by ``--max`` at n = 7, and ``torsion`` at n = 40.  The parent revision is
 checked out in a temporary ``git worktree`` (``bench.parent_worktree``); the
@@ -64,12 +65,15 @@ ENGINE = tuple(tuple(line.split()) for line in (
     "verify --n 1 --max 1 --prec 1024",
 ))
 
-# Requests beyond the workloads' n, about 1 s together: the label checks
-# and the row generator at n = 6 and 8, a CSV and a JSON spectrum table at
-# n = 5, a larger JSON table at n = 4, the pair kernel at n = 6, the
-# truncated reduced route at n = 7 and the torsion report at n = 40.
+# Requests beyond the workloads' n or bound, about 1.2 s together: the
+# label checks and the row generator at n = 6 and 8 and at bound 60, a CSV
+# and a JSON spectrum table at n = 5, a larger JSON table at n = 4, the pair
+# kernel at n = 6, the truncated reduced route at n = 7 and the torsion
+# report at n = 40.
 BEYOND = tuple(tuple(line.split()) for line in (
     "verify --n 6 --max 10", "verify --n 8 --max 6",
+    # Runs of 60 rows, each counted from its top row by the GT check.
+    "verify --n 4 --max 60",
     "spectrum --n 5 --degree 2 --max 8 --format csv",
     "spectrum --n 5 --degree 3 --max 6",
     # A 2.2 MB JSON table at a mirrored degree, with many multi-family rows.
