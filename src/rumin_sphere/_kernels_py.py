@@ -14,25 +14,27 @@ k alone.  The dimension's free factor p+q+n = p'+q'+k is too.  So one
 triangle of weights (p'+q'+k) A^(-2s), q' >= p', serves every family with
 i + j = n-k, and ``pair_sums_of_k`` builds it once per k.  A is an integer
 and grows by 2p'+k per step in q', so a triangle row is one C-level ``map``
-of ``math.pow`` over a ``range``; each family then reads its terms from the
-row with one dot product per half.  A family's dimension is
+of ``math.pow`` over the exact doubles that ``itertools.accumulate`` adds
+up step by step; each family then reads its terms from the row with one
+dot product per half.  A family's dimension is
 ``weights.middle_dimension``, the factor that ``verify`` certifies in every
 dimension of ``spectrum.BlockFamily.rows``, times rows in q and p that share
 one product: P(q) = q (q+1) ... (q+n) over two of its factors.
 
 Both kernels take each power of an exact value: the pair kernel of A 2^-e,
 the axis kernel of (p+i)/2 2^-e, and one power of the exact D 2^-e or 2^e
-undoes the scale at the end.  The exponent e (``_scale_exponent``) is 0
-wherever every power is a normal double unscaled, which holds at every s
-the workloads ask for; above that it moves the powers back into the normal
-range.  So both kernels have one power path and one
-rounding bound, ``term_roundings``.
+undoes the scale at the end.  The axis kernel is one C-level dot of the
+exact dimensions with those powers.  The exponent e (``_scale_exponent``)
+is 0 wherever every power is a normal double unscaled, which holds at every
+s the workloads ask for; above that it moves the powers back into the
+normal range.  So both kernels have one power path and one rounding bound,
+``term_roundings``.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import mul
 
 from .weights import middle_dimension, special_dimension
@@ -118,13 +120,18 @@ def pair_sums_of_k(n: int, k: int, N: int, s: float) -> list[float]:
     same.
 
     Each power is of the exact double A 2^-e, and the scale
-    (D 2^-e)^{2s} of the whole sum undoes both D and 2^-e.  e is chosen
-    once for the triangle (``_scale_exponent``): from its smallest base
-    2(1+k), its largest 2R(R+k), the least M/n, and a bound on the
-    dimension, F and G factors and the N^2 terms of a family.  All terms are
-    positive, so the sum is within ``term_roundings``' bound: a recursive
-    summation within each half, and ``math.fsum`` over the halves (Higham,
-    Accuracy and Stability of Numerical Algorithms, sec. 4.2).
+    (D 2^-e)^{2s} of the whole sum undoes both D and 2^-e.  A row's bases
+    are the running sums of its step (2r+k) 2^-e from 2r(r+k) 2^-e: each is
+    an integer of at most 2R(R+k) times 2^-e, so each sum is exact and
+    ``math.pow`` gets A 2^-e itself.  Above 2^53 an integer need not be a
+    double, so a call whose largest base 2R(R+k), R = N+n-k, exceeds 2^53
+    raises ``OverflowError`` before any work.  e is chosen once for the
+    triangle (``_scale_exponent``): from its smallest base 2(1+k), its
+    largest 2R(R+k), the least M/n, and a bound on the dimension, F and G
+    factors and the N^2 terms of a family.  All terms are positive, so the
+    sum is within ``term_roundings``' bound: a recursive summation within
+    each half, and ``math.fsum`` over the halves (Higham, Accuracy and
+    Stability of Numerical Algorithms, sec. 4.2).
     """
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
@@ -132,30 +139,32 @@ def pair_sums_of_k(n: int, k: int, N: int, s: float) -> list[float]:
     families = range(h // 2 + 1)
     if N < 1:
         return [0.0] * len(families)
+    R = N + h  # the largest shifted coordinate of any family
+    if 2 * R * (R + k) > 2**53:
+        raise OverflowError(f"the pair kernel's largest base 2R(R+k) at n={n}, "
+                            f"k={k}, N={N} exceeds 2^53: its bases would not "
+                            "all be exact doubles")
     D = 2 * k
     t = -2.0 * s
     m = [middle_dimension(h - i, k - 1, i) / n for i in families]
     F, G = _dimension_rows(n, k, N)
 
-    R = N + h  # the largest shifted coordinate of any family
     dims = list(map(float, range(2 * R + k + 1)))
     e = _scale_exponent(
         t, math.log2(2 * (1 + k)), math.log2(2 * R * (R + k)), math.log2(D), min(m),
         math.log2(N * N * dims[-1]) + math.log2(max(r[-1] for r in F))
         + math.log2(max(r[-1] for r in G)))
+    unit = math.ldexp(1.0, -e)
 
     halves: list[list[float]] = [[] for _ in families]
+    rows = [(i, h - i, F[i], G[i], halves[i]) for i in families]
     for r in range(1, R + 1):
         step = 2 * r + k
-        a_lo = 2 * r * (r + k)
-        bases = range(a_lo, a_lo + (R + 1 - r) * step, step)
-        if e:
-            bases = map(mul, bases, repeat(math.ldexp(1.0, -e)))
+        # A(r, c) 2^-e for c = r..R, each partial sum exact.
+        bases = accumulate(repeat(step * unit, R - r), initial=2 * r * (r + k) * unit)
         # W[c - r] = (r+c+k) (A(r, c) 2^-e)^(-2s) for c = r..R.
         W = list(map(mul, dims[step:r + R + k + 1], map(math.pow, bases, repeat(t))))
-        for i in families:
-            j = h - i
-            Fi, Gi, out = F[i], G[i], halves[i]
+        for i, j, Fi, Gi, out in rows:
             if i == j:
                 if i < r <= i + N:
                     f = Fi[r - i - 1]
@@ -187,7 +196,11 @@ def term_roundings(N: int) -> int:
     An axis term takes N + 6: the dimension's conversion to a double (1;
     exact below 2^53), the power (2), the product (1), the sum (N - 1), and
     the scale (2^e)^{-2s} (2) and its product with the sum (1).  The bases
-    and their scale 2^-e are exact, so no step depends on s.
+    and their scale 2^-e are exact, so no step depends on s.  A pair base
+    is an integer of at most 2R(R+k), R = N+n-k, times 2^-e, exact up to
+    2^53, and ``pair_sums_of_k`` refuses a larger 2R(R+k) with
+    ``OverflowError``; an axis base (p+i)/2 2^-e is exact for p+i up to
+    2^53.
 
     Those counts hold for normal doubles.  With gradual underflow every
     operation obeys fl(x op y) = (x op y)(1 + d) + h, |d| <= u and
@@ -223,7 +236,9 @@ def axis_family_sum(n: int, i: int, N: int, s: float) -> float:
     power is of the exact double (p+i)/2 2^-e, and (2^e)^(-2s) undoes the
     scale once at the end (``_scale_exponent``: the bases run from (1+i)/2
     to (N+i)/2, and the N terms carry at most the dimension at p = N).  The
-    terms are positive, so the sum is within ``term_roundings``' bound.
+    sum is one C-level dot: ``sum`` of the products of each dimension with
+    its power, added left to right from 0.  The terms are positive, so the
+    sum is within ``term_roundings``' bound.
     """
     if not 0 <= i <= n:
         raise ValueError(f"i={i} out of range for n={n}")
@@ -233,7 +248,6 @@ def axis_family_sum(n: int, i: int, N: int, s: float) -> float:
     e = _scale_exponent(t, math.log2((1 + i) / 2), math.log2((N + i) / 2), 0.0, 1.0,
                         math.log2(N * special_dimension(n, i, N)))
     half = math.ldexp(0.5, -e)
-    acc = 0.0
-    for p in range(1, N + 1):
-        acc += special_dimension(n, i, p) * ((p + i) * half) ** t
+    acc = sum(map(mul, map(special_dimension, repeat(n), repeat(i), range(1, N + 1)),
+                  map(math.pow, map(mul, range(1 + i, N + i + 1), repeat(half)), repeat(t))))
     return acc * math.pow(math.ldexp(1.0, e), t)

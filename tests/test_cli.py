@@ -330,6 +330,26 @@ def test_verify_over_the_gt_budget_exits_3(capsys, monkeypatch):
     assert err.startswith("verify: over the work budget: more than ")
 
 
+def test_kappa_direct_beyond_exact_pair_bases_exits_3_at_once(capsys, monkeypatch):
+    # At --max 10^8 the pair kernel's largest base 2N(N+1) exceeds 2^53, so
+    # it is refused before any work; the request used to run out of memory.
+    # Should the refusal go, the patched rows fail the test before the
+    # N-sized lists are built.
+    from rumin_sphere import _kernels_py
+
+    def rows(n, k, N):
+        raise AssertionError("the pair kernel reached its rows")
+
+    monkeypatch.setattr(_kernels_py, "_dimension_rows", rows)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "kappa", "--n", "1", "--s", "1.0000001",
+                             "--mode", "direct", "--max", "100000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "2^53" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

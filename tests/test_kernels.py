@@ -392,3 +392,67 @@ def test_kernel_bits_where_no_power_is_scaled(n, N, s, digest):
     sums += [_kernels_py.axis_family_sum(n, i, N, s) for i in range(n + 1)]
     text = " ".join(map(float.hex, sums))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def recorded_scales(monkeypatch):
+    """The exponents e that ``_scale_exponent`` returns, one per kernel
+    call, in call order."""
+    scales = []
+    choose = _kernels_py._scale_exponent
+
+    def record(*args):
+        scales.append(choose(*args))
+        return scales[-1]
+
+    monkeypatch.setattr(_kernels_py, "_scale_exponent", record)
+    return scales
+
+
+@pytest.mark.parametrize("n, N, s, digest", [
+    (1, 20, 150.75, "ba952097864bf15b"), (3, 20, 150.75, "bf86a65319c77ee3"),
+    (5, 40, 150.75, "0dc1ea0aaafb9173"), (2, 20, 340.0, "54133678e1d1afb5"),
+])
+def test_kernel_bits_where_every_pair_power_is_scaled(monkeypatch, n, N, s, digest):
+    # Every pair call here scales its bases by 2^-e, e = 2..6, and the axis
+    # calls by e = 0..2: these digests of every pair and axis sum's
+    # float.hex pin the bits of the scaled power path.
+    scales = recorded_scales(monkeypatch)
+    sums = [v for k in range(1, n + 1) for v in _kernels_py.pair_sums_of_k(n, k, N, s)]
+    assert len(scales) == n and min(scales) > 0
+    sums += [_kernels_py.axis_family_sum(n, i, N, s) for i in range(n + 1)]
+    assert max(scales[n:]) > 0
+    text = " ".join(map(float.hex, sums))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def test_kernel_bits_at_the_torsion_n40_grid(monkeypatch):
+    # torsion --n 40's reference grid (N = 80, s = 21.5), with no scale:
+    # the pair sums of k = 1, 20 and 40, and every axis sum, whose
+    # dimensions exceed 2^53.
+    n, N, s = 40, 80, 21.5
+    scales = recorded_scales(monkeypatch)
+    pairs = [v for k in (1, 20, 40) for v in _kernels_py.pair_sums_of_k(n, k, N, s)]
+    axes = [_kernels_py.axis_family_sum(n, i, N, s) for i in range(n + 1)]
+    assert set(scales) == {0}
+    assert max(special_dimension(n, i, N) for i in range(n + 1)) > 2**53
+    for sums, digest in ((pairs, "6d873f31c9d6fcad"), (axes, "5d786c9de022e9c0")):
+        text = " ".join(map(float.hex, sums))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def test_pair_sums_of_k_refuses_a_base_above_2_53_before_any_work(monkeypatch):
+    # The largest base 2R(R+k), R = N + n - k, is an exact double up to
+    # 2^53, and so is every partial sum of a row's bases.  At n = k = 1 it
+    # is 2N(N+1): N = 2^26 - 1 passes and reaches the rows, N = 2^26 is
+    # refused before them.
+    class Reached(Exception):
+        pass
+
+    def rows(n, k, N):
+        raise Reached
+
+    monkeypatch.setattr(_kernels_py, "_dimension_rows", rows)
+    with pytest.raises(Reached):
+        _kernels_py.pair_sums_of_k(1, 1, 2**26 - 1, 3.0)
+    with pytest.raises(OverflowError, match="2\\^53"):
+        _kernels_py.pair_sums_of_k(1, 1, 2**26, 3.0)

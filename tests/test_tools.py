@@ -58,7 +58,7 @@ def test_requests_are_the_workloads_then_cold_then_the_extras_each_once():
     for argv in [*found, *cold]:
         widest[path(argv)] = max(widest.get(path(argv), 0), n_of(argv))
     longest = max(max_of(argv) for argv in [*found, *cold] if argv[0] == "verify")
-    assert len(records.BEYOND) == 9
+    assert len(records.BEYOND) == 10
     for argv in records.BEYOND:
         assert n_of(argv) > widest[path(argv)] or (
             argv[0] == "verify" and n_of(argv) == widest[path(argv)]

@@ -16,13 +16,14 @@ engine's extremes, which no workload reaches: passes at the precision
 ceiling, and Hurwitz passes at a > 1 above 128 bits; and requests beyond
 the workloads' n or ``--max``: ``verify`` at n = 6 and 8, and at n = 4 with
 ``--max 60``, three times the workloads' bound, ``spectrum`` at n = 5 as a
-CSV and a JSON table and at n = 4 as a JSON table of degree 5, the direct ``kappa`` route at n = 6, the reduced one
-truncated by ``--max`` at n = 7, and ``torsion`` at n = 40.  The parent revision is
-checked out in a temporary ``git worktree`` (``bench.parent_worktree``); the
-change is this checkout's working tree, committed or not.  One subprocess
-per tree runs every request through that tree's ``rumin_sphere.cli.main``
-and keeps its stdout, its exit code and, on a nonzero exit, its last stderr
-line.
+CSV and a JSON table and at n = 4 as a JSON table of degree 5, the direct
+``kappa`` route at n = 6 and, with scaled powers, at n = 5, the reduced one
+truncated by ``--max`` at n = 7, and ``torsion`` at n = 40.  The parent
+revision is checked out in a temporary ``git worktree``
+(``bench.parent_worktree``); the change is this checkout's working tree,
+committed or not.  One subprocess per tree runs every request through that
+tree's ``rumin_sphere.cli.main`` and keeps its stdout, its exit code and, on
+a nonzero exit, its last stderr line.
 
 Printed: the number of identical records per subcommand, then one line per
 request that differs: a changed exit code or stderr line, the JSON pointers
@@ -65,11 +66,11 @@ ENGINE = tuple(tuple(line.split()) for line in (
     "verify --n 1 --max 1 --prec 1024",
 ))
 
-# Requests beyond the workloads' n or bound, about 1.2 s together: the
+# Requests beyond the workloads' n or bound, about 1.4 s together: the
 # label checks and the row generator at n = 6 and 8 and at bound 60, a CSV
 # and a JSON spectrum table at n = 5, a larger JSON table at n = 4, the pair
-# kernel at n = 6, the truncated reduced route at n = 7 and the torsion
-# report at n = 40.
+# kernel at n = 6 and, with scaled powers, at n = 5, the truncated reduced
+# route at n = 7 and the torsion report at n = 40.
 BEYOND = tuple(tuple(line.split()) for line in (
     "verify --n 6 --max 10", "verify --n 8 --max 6",
     # Runs of 60 rows, each counted from its top row by the GT check.
@@ -79,6 +80,8 @@ BEYOND = tuple(tuple(line.split()) for line in (
     # A 2.2 MB JSON table at a mirrored degree, with many multi-family rows.
     "spectrum --n 4 --degree 5 --max 30",
     "kappa --n 6 --s 4.9 --mode direct --max 60",
+    # Both kernels on scaled powers, 2^-e with e > 0, end to end.
+    "kappa --n 5 --s 150.75 --mode direct --max 40",
     "kappa --n 7 --s 4.6 --mode reduced --max 120", "torsion --n 40",
 ))
 
