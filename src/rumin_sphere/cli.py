@@ -189,6 +189,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_RANGE
+    # The mirror rule, and its one home: degree k > n carries the blocks of
+    # degree 2n+1-k, so both read min(k, 2n+1-k).
     canonical = min(degree, 2 * n + 1 - degree)
 
     if args.format == "csv":

@@ -2,42 +2,30 @@
 exact eigenvalues of the rescaled Rumin Laplacian on them.
 
 The label table ``all_families`` is the one encoding of the seven case
-ranges; ``RuminLabel`` validates itself by one lookup in it and keeps the
-family it finds, which gives its case and its bidegrees.  The keys and
-dimensions that ``spectrum`` and ``verify`` read come from ``BlockFamily.rows``,
-whose rows hold only what varies within a family; readers loop the families.
-A member's weight comes from ``BlockFamily.weight``, and each norm formula
-has one home that takes (family, q, p) and returns integer pairs
-(numerator, denominator): ``squared_norm_pairs``, ``operator_norm_pairs``,
-``norm_route_pair``, ``case_v_mixed_pair`` and ``case_v_identity_pair``.
-``verify`` reads these; the label functions ``label_to_weight``,
-``squared_norms``, ``operator_norm_squares``, ``norm_route_eigenvalue`` and
-the two Case V routes wrap them for a ``RuminLabel``.
+ranges: a label (q, j, i, p) is a member of one of its families, which gives
+its case and its bidegrees.  The keys and dimensions that ``spectrum`` and
+``verify`` read come from ``BlockFamily.rows``, whose rows hold only what
+varies within a family; readers loop the families.  A member's weight comes
+from ``BlockFamily.weight``, and each norm formula has one home that takes
+(family, q, p) and returns integer pairs (numerator, denominator):
+``squared_norm_pairs``, ``operator_norm_pairs``, ``norm_route_pair``,
+``case_v_mixed_pair`` and ``case_v_identity_pair``.  ``verify`` reads these.
 
-Everything is exact: eigenvalues are integer keys over one denominator or
-``Fraction``s, dimensions integers, and squared norms carry the rational
-coefficient of the symbolic unit pi^{n+1}.  Floats only appear downstream,
-at zeta-evaluation time.
+Everything is exact: eigenvalues are integer keys over one denominator,
+dimensions integers, and squared norms carry the rational coefficient of the
+symbolic unit pi^{n+1}.  Floats only appear downstream, at zeta-evaluation
+time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm, prod
 from typing import Iterator, Optional, Sequence
 
 from .weights import HighestWeight, middle_dimension
-
-
-class InvalidLabelError(ValueError):
-    """A (q, j, i, p) tuple that lies in none of the admissible case ranges."""
-
-
-class CaseRangeError(ValueError):
-    """Operation applied to a label outside the case range it requires."""
 
 
 class Case(Enum):
@@ -52,42 +40,6 @@ class Case(Enum):
     VII = "VII"
 
 
-@dataclass(frozen=True, order=True)
-class RuminLabel:
-    """Label (q, j, i, p) of one irreducible summand on S^{2n+1}.
-
-    Construction looks the tuple up in the label table ``all_families`` and
-    raises ``InvalidLabelError`` if no family holds it.  ``label.family`` is
-    the family that does, and ``label.case`` its case; the family takes no
-    part in comparison, hashing or the repr.
-    """
-
-    n: int
-    q: int
-    j: int
-    i: int
-    p: int
-    family: BlockFamily = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        q, p = self.q, self.p
-        key = (self.i, self.j, q if q < 1 else None, p if p < 1 else None)
-        family = _family_index(self.n).get(key) if self.n >= 1 else None
-        if family is None:
-            raise InvalidLabelError(f"{self} lies in no case range")
-        object.__setattr__(self, "family", family)
-
-    @property
-    def case(self) -> Case:
-        return self.family.case
-
-
-def label_to_weight(label: RuminLabel) -> HighestWeight:
-    """The length-(n+1) highest weight of a label: ``BlockFamily.weight``
-    of its family at its q and p."""
-    return label.family.weight(label.q, label.p)
-
-
 def _middle_weight(n: int, j: int, i: int) -> tuple[int, ...]:
     # The weight between q and -p: (1^j, 0^{n-1-i-j}, (-1)^i).
     return (1,) * j + (0,) * (n - 1 - i - j) + (-1,) * i
@@ -97,19 +49,6 @@ def eigenvalue_numerator(n: int, q: int, j: int, i: int, p: int) -> int:
     """A = (p+i)(q+n-i) + (q+j)(p+n-j), the integer whose square over
     4 (n-i-j)^2 is the eigenvalue of the label (q, j, i, p)."""
     return (p + i) * (q + n - i) + (q + j) * (p + n - j)
-
-
-def eigenvalue_formula(label: RuminLabel) -> Fraction:
-    """Eigenvalue of the Rumin Laplacian on every block of ``label``.
-
-    The single expression A^2 / (4 (n-i-j)^2), with A from
-    ``eigenvalue_numerator``, covers all seven cases; it degenerates to
-    (p+i)^2/4, (q+j)^2/4, (p+n)^2/4 and (q+n)^2/4 on the one-parameter
-    families.
-    """
-    n, q, j, i, p = label.n, label.q, label.j, label.i, label.p
-    num = eigenvalue_numerator(n, q, j, i, p)
-    return Fraction(num * num, 4 * (n - i - j) ** 2)
 
 
 def eigenvalue_denominator(n: int) -> int:
@@ -142,18 +81,11 @@ class BlockFamily:
         qs = (self.q_fixed,) if self.q_fixed is not None else free
         return ps, qs
 
-    def labels(self, bound: int) -> Iterator[RuminLabel]:
-        """Member labels with free parameters running 1..bound."""
-        ps, qs = self.parameters(bound)
-        for p in ps:
-            for q in qs:
-                yield RuminLabel(self.n, q, self.j, self.i, p)
-
     def weight(self, q: int, p: int) -> HighestWeight:
         """The highest weight of the member label at (q, p):
         (q, 1 repeated j times, 0 repeated n-1-i-j times, -1 repeated i
         times, -p); degenerate repetition counts give empty segments.  The
-        one weight expansion: ``label_to_weight`` and ``verify`` read it."""
+        one weight expansion: ``verify`` reads it."""
         return HighestWeight((q, *_middle_weight(self.n, self.j, self.i), -p))
 
     @property
@@ -178,14 +110,15 @@ class BlockFamily:
         are the family's own, so no row repeats them.
 
         The eigenvalue is key / ``eigenvalue_denominator(n)``.  The dimension
-        is ``weights.weyl_dimension`` of the weight (q, m, -p), m the middle
-        weight (1^j, 0^{d-1}, (-1)^i), d = n-i-j, regrouped by pairs:
+        is the Weyl dimension prod_{a<b} (w_a - w_b + b - a)/(b - a) of the
+        weight w = (q, m, -p), m the middle weight (1^j, 0^{d-1}, (-1)^i),
+        d = n-i-j, regrouped by pairs:
         ``weights.middle_dimension(j, d-1, i)`` times the q-row
         prod_b (q - m_b + b), the p-row prod_a (m_a + p + n - a) and
         (q + p + n), over (n-1)! n!, as the first-middle, middle-last and
         first-last pairs divide by (n-1)!, (n-1)! and n.  All but the p-rows
         are built once per family; a remainder or a result below 1 raises
-        ``ArithmeticError`` as in ``weyl_dimension``.
+        ``ArithmeticError``.
         """
         n, i, j = self.n, self.i, self.j
         d = n - i - j
@@ -214,8 +147,9 @@ def all_families(n: int) -> tuple[BlockFamily, ...]:
     """The complete, finite list of label families for S^{2n+1}.
 
     This is the one table of the label set, of its seven case ranges and of
-    its bidegrees: ``RuminLabel`` validates against it, and every
-    enumeration of labels or blocks in the package is built on it.  Order is
+    its bidegrees: every enumeration of labels or blocks in the package is
+    built on it, and no two families share (i, j, q_fixed, p_fixed), so no
+    label lies in two of them.  Order is
     canonical (I, then II/V by (i, j), then III, IV, VI, VII) so that every
     enumeration and summation downstream is deterministic.
     """
@@ -239,20 +173,6 @@ def all_families(n: int) -> tuple[BlockFamily, ...]:
     fams.append(BlockFamily(n, Case.VI, n - 1, 0, -1, None, ((n, 0),)))
     fams.append(BlockFamily(n, Case.VII, 0, n - 1, None, -1, ((0, n),)))
     return tuple(fams)
-
-
-@lru_cache(maxsize=None)
-def _family_index(n: int) -> dict:
-    # The label table keyed as a label looks itself up: (i, j, q, p) with
-    # None for a free parameter.  Two families under one key would give a
-    # label two cases, so the table is refused.
-    index: dict = {}
-    for fam in all_families(n):
-        key = (fam.i, fam.j, fam.q_fixed, fam.p_fixed)
-        if key in index:
-            raise ValueError(f"two families of n={n} share the key {key}")
-        index[key] = fam
-    return index
 
 
 def degree_families(
@@ -280,8 +200,8 @@ def degree_multiplicities(n: int, k: int, N: int) -> dict[int, int]:
 
     The one aggregation of the rows of ``degree_families``, one block per
     bidegree: it sums the blocks under their exact integer keys, so labels
-    whose eigenvalues genuinely collide are merged correctly.
-    ``spectrum_slice`` and the CSV table read it.
+    whose eigenvalues genuinely collide are merged correctly.  The CSV
+    table reads it.
     """
     counts: dict[int, int] = {}
     for fam, spaces in degree_families(n, k):
@@ -289,31 +209,6 @@ def degree_multiplicities(n: int, k: int, N: int) -> dict[int, int]:
         for _, _, key, dim in fam.rows(N):
             counts[key] = counts.get(key, 0) + blocks * dim
     return {key: counts[key] for key in sorted(counts)}
-
-
-def spectrum_slice(n: int, k: int, N: int) -> dict[Fraction, int]:
-    """The truncated spectrum of the Rumin Laplacian on degree k, as a dict
-    {eigenvalue: multiplicity} in increasing eigenvalue order.
-
-    Degree k is read as min(k, 2n+1-k), so mirrored degrees give the same
-    dict.  Free label parameters run over 1..N; structural parameters are
-    never truncated.  The multiplicities are those of
-    ``degree_multiplicities``; one ``Fraction`` is made per distinct
-    eigenvalue.
-    """
-    if not 0 <= k <= 2 * n + 1:
-        raise ValueError(f"degree {k} outside 0..{2 * n + 1}")
-    if N < 1:
-        raise ValueError("truncation must be >= 1")
-    denominator = eigenvalue_denominator(n)
-    return {Fraction(key, denominator): mult for key, mult
-            in degree_multiplicities(n, min(k, 2 * n + 1 - k), N).items()}
-
-
-def _require_case(label: RuminLabel, cases: tuple[Case, ...], what: str) -> None:
-    if label.case not in cases:
-        names = "/".join(c.value for c in cases)
-        raise CaseRangeError(f"{what} needs a Case {names} label, got {label}")
 
 
 def operator_norm_pairs(family: BlockFamily, q: int, p: int
@@ -326,27 +221,12 @@ def operator_norm_pairs(family: BlockFamily, q: int, p: int
     return ((p + i) * (q + n - i), d), ((q + j) * (p + n - j), d)
 
 
-def operator_norm_squares(label: RuminLabel) -> tuple[Fraction, Fraction]:
-    """Squared operator norms (A^2, B^2) of the two rescaled
-    half-differentials on the bottom block of a Case II/V label, from
-    ``operator_norm_pairs``."""
-    _require_case(label, (Case.II, Case.V), "operator_norm_squares")
-    return tuple(Fraction(*x) for x in operator_norm_pairs(label.family, label.q, label.p))
-
-
 def norm_route_pair(family: BlockFamily, q: int, p: int) -> tuple[int, int]:
     """The eigenvalue of the Case II/V label (q, p) recomputed as
     (A^2 + B^2)^2 from the operator norms: with A^2 = a/d and B^2 = b/d,
     the pair ((a + b)^2, d^2)."""
     (a, d), (b, _) = operator_norm_pairs(family, q, p)
     return (a + b) ** 2, d * d
-
-
-def norm_route_eigenvalue(label: RuminLabel) -> Fraction:
-    """The eigenvalue of a Case II/V label from its operator norms,
-    ``norm_route_pair``."""
-    _require_case(label, (Case.II, Case.V), "norm_route_eigenvalue")
-    return Fraction(*norm_route_pair(label.family, label.q, label.p))
 
 
 def case_v_mixed_pair(family: BlockFamily, q: int, p: int) -> tuple[int, int]:
@@ -363,12 +243,6 @@ def case_v_mixed_pair(family: BlockFamily, q: int, p: int) -> tuple[int, int]:
     return (ed - 4 * a) ** 2 * b + (ed + 4 * b) ** 2 * a, 4 * d * d * (a + b)
 
 
-def case_v_mixed_eigenvalue(label: RuminLabel) -> Fraction:
-    """The mixed-route eigenvalue of a Case V label, ``case_v_mixed_pair``."""
-    _require_case(label, (Case.V,), "case_v_mixed_eigenvalue")
-    return Fraction(*case_v_mixed_pair(label.family, label.q, label.p))
-
-
 def case_v_identity_pair(family: BlockFamily, q: int, p: int) -> tuple[int, int]:
     """The closed form (q+j-i-p)^2/4 + (p+i)(q+n-i)(q+j)(p+n-j) of the
     mixed-route eigenvalue of the Case V label (q, p), as an integer pair:
@@ -376,13 +250,6 @@ def case_v_identity_pair(family: BlockFamily, q: int, p: int) -> tuple[int, int]
     (a, _), (b, _) = operator_norm_pairs(family, q, p)
     e = q + family.j - family.i - p
     return e * e + 4 * a * b, 4
-
-
-def case_v_identity_value(label: RuminLabel) -> Fraction:
-    """The closed form of a Case V label's mixed-route eigenvalue,
-    ``case_v_identity_pair``."""
-    _require_case(label, (Case.V,), "case_v_identity_value")
-    return Fraction(*case_v_identity_pair(label.family, label.q, label.p))
 
 
 def squared_norm_pairs(family: BlockFamily, q: int, p: int
@@ -422,19 +289,3 @@ def squared_norm_pairs(family: BlockFamily, q: int, p: int
         d, f = two * factorial(x - 1), factorial(x + n)
         return {low: (d * (x + y), f << y), high: (d * (n - y), f << (y + 1))}
     return {}
-
-
-def squared_norm(label: RuminLabel, s: int, t: int) -> Fraction:
-    """The entry (s, t) of ``squared_norms(label)``; a bidegree with no
-    tabulated norm raises ``CaseRangeError``."""
-    norm = squared_norms(label).get((s, t))
-    if norm is None:
-        raise CaseRangeError(f"no tabulated norm for {label} at bidegree ({s}, {t})")
-    return norm
-
-
-def squared_norms(label: RuminLabel) -> dict[tuple[int, int], Fraction]:
-    """Squared L^2 norms of the highest-weight vector of ``label`` by
-    bidegree, ``squared_norm_pairs`` of its family at its q and p."""
-    return {bidegree: Fraction(*x) for bidegree, x
-            in squared_norm_pairs(label.family, label.q, label.p).items()}

@@ -30,11 +30,11 @@ checks of the one-parameter families read each family's axis c from
 take the free parameter x from the row: the special dimension is
 ``special_dimension(n, c, x)``, the eigenvalue ((x+c)/2)^2, and no check
 maps a case to an axis.
-Each row gets its weight once, from ``BlockFamily.weight``, and no label:
-the checks read n, i, j and the case from the family they receive, and q
-and p from the row, and call the integer-pair homes of the norm routes in
-``spectrum`` with (family, q, p), so no row builds a ``RuminLabel`` or a
-``Fraction``.  Each label check adds up its violations over the families.
+Each row gets its weight once, from ``BlockFamily.weight``: the checks
+read n, i, j and the case from the family they receive, and q and p from
+the row, and call the integer-pair homes of the norm routes in ``spectrum``
+with (family, q, p), so no row builds a ``Fraction``.  Each label check
+adds up its violations over the families.
 Only one family's rows are held at a time, the kernel check's (dimension,
 bidegrees) pairs of the rows of key 0 apart, and the GT memo is shared by
 every label of the request.  The GT check counts each run of a family's
@@ -43,7 +43,7 @@ call for the run's top row under ``GT_BUDGET`` times the run's length; that
 call stores the count of every row of the run, so the others are memo hits.
 Exact values are compared by cross products of
 integers, which need no reduced pair.  There is no mirror check: the package
-defines degrees above the middle by the mirror rule (``spectrum_slice``
+defines degrees above the middle by the mirror rule (``cli.cmd_spectrum``
 folds k to min(k, 2n+1-k)), so a comparison of degree k with degree 2n+1-k
 would compare one computation with itself.
 """

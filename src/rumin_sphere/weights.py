@@ -2,12 +2,12 @@
 
 The sphere S^{2n+1} carries a U(n+1) action, and every object this package
 computes is indexed by a highest weight.  This module holds U(m) data only:
-the weight type, the Weyl dimension formula in exact arithmetic and its
-closed form on the middle weights (1^a, 0^b, (-1)^c) of the labels, a
-Gelfand-Tsetlin pattern counter, a memoised sum over interlacing rows, that
-serves as an independent oracle for the dimension formula, and the special
-dimensions, as integers and as the dimension polynomial whose identities
-``verify`` checks.  The label type lives in ``spectrum``.
+the weight type, the closed form of the Weyl dimension on the middle weights
+(1^a, 0^b, (-1)^c) of the labels, a Gelfand-Tsetlin pattern counter, a
+memoised sum over interlacing rows, that serves as an independent oracle for
+the dimension formula, and the special dimensions, as integers and as the
+dimension polynomial whose identities ``verify`` checks.  The label table
+lives in ``spectrum``.
 """
 
 from __future__ import annotations
@@ -39,24 +39,6 @@ class HighestWeight:
             raise ValueError("a highest weight needs at least one entry")
         if any(map(lt, entries, entries[1:])):
             raise ValueError(f"entries must be nonincreasing: {entries}")
-
-
-def weyl_dimension(w: HighestWeight) -> int:
-    """Dimension of the U(m) irreducible with highest weight ``w``:
-    prod_{a<b} (w_a - w_b + b - a)/(b - a), in exact integer arithmetic.
-    The numerator is divided by prod_{a<b} (b - a) with ``divmod``, and a
-    remainder or a result below 1 raises ``ArithmeticError``."""
-    entries = w.entries
-    m = len(entries)
-    num = den = 1
-    for a in range(m):
-        for b in range(a + 1, m):
-            num *= entries[a] - entries[b] + b - a
-            den *= b - a
-    dim, rem = divmod(num, den)
-    if rem or dim <= 0:
-        raise ArithmeticError(f"Weyl product is not a positive integer: {entries}")
-    return dim
 
 
 def middle_dimension(a: int, b: int, c: int) -> int:
@@ -118,8 +100,8 @@ def gt_pattern_count(
       path.
 
     The method only adds counts of interlacing rows; it deliberately shares
-    no algebra with ``weyl_dimension`` and is the oracle the formula is
-    tested against.
+    no algebra with the Weyl dimension formula and is the oracle the
+    formula is tested against.
 
     ``memo`` maps shifted rows, which are tuples of integers, to counts, and
     the 1-tuples (c,), whose item is a tuple, to the lists of running sums,

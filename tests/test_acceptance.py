@@ -4,6 +4,9 @@ One test per criterion, each asserting its stated tolerance and runtime
 budget and printing a PASS line (run with ``pytest -s`` to see them live).
 """
 
+import contextlib
+import io
+import json
 import random
 import time
 from fractions import Fraction
@@ -11,28 +14,25 @@ from math import exp, factorial, log, pi
 
 import mpmath
 
+from oracles import weyl_dimension
+from rumin_sphere import cli
 from rumin_sphere import (
     Case,
     HighestWeight,
     c_coefficients,
-    case_v_mixed_eigenvalue,
     degree_weights,
-    eigenvalue_formula,
     gt_pattern_count,
     hurwitz_zeta,
     hurwitz_zeta_and_deriv,
     kappa_closed,
     kappa_direct,
-    label_to_weight,
-    norm_route_eigenvalue,
     riemann_zeta,
     sigma,
     special_dimension,
-    spectrum_slice,
     torsion_estimates,
-    weyl_dimension,
 )
-from rumin_sphere.spectrum import all_families
+from rumin_sphere.spectrum import (all_families, case_v_mixed_pair, eigenvalue_numerator,
+                                   norm_route_pair)
 from rumin_sphere.torsion import rounding_gamma
 from rumin_sphere import verify
 from rumin_sphere.verify import route_check, run_all
@@ -121,8 +121,8 @@ def test_criterion_05_case_ii_v_cancellation():
             for fam in all_families(n):
                 if fam.case not in (Case.II, Case.V):
                     continue
-                for label in fam.labels(20):
-                    assert sum(ws[s + t] for s, t in label.family.spaces) == 0
+                assert len(list(fam.rows(20))) == 400
+                assert sum(ws[s + t] for s, t in fam.spaces) == 0
     report(5, "Case II/V cancellation, p,q <= 20, n <= 4", t)
 
 
@@ -145,11 +145,13 @@ def test_criterion_07_eigenvalue_route_equivalence():
             for fam in all_families(n):
                 if fam.case not in (Case.II, Case.V):
                     continue
-                for label in fam.labels(50):
-                    mu = eigenvalue_formula(label)
-                    assert norm_route_eigenvalue(label) == mu
-                    if label.case is Case.V:
-                        assert case_v_mixed_eigenvalue(label) == mu
+                d = fam.n - fam.i - fam.j
+                for q, p, _, _ in fam.rows(50):
+                    a = eigenvalue_numerator(n, q, fam.j, fam.i, p)
+                    mu = Fraction(a * a, 4 * d * d)
+                    assert Fraction(*norm_route_pair(fam, q, p)) == mu
+                    if fam.case is Case.V:
+                        assert Fraction(*case_v_mixed_pair(fam, q, p)) == mu
     report(7, "norm and mixed routes == formula, p,q <= 50, n <= 4", t)
 
 
@@ -157,9 +159,9 @@ def test_criterion_08_dimension_oracle():
     with Timer(60.0) as t:
         for n in range(1, 4):
             for fam in all_families(n):
-                for label in fam.labels(4):
-                    w = label_to_weight(label)
-                    assert weyl_dimension(w) == gt_pattern_count(w)
+                for q, p, _, dim in fam.rows(4):
+                    w = fam.weight(q, p)
+                    assert weyl_dimension(w) == gt_pattern_count(w) == dim
         for n in range(1, 5):
             for i in range(n + 1):
                 for p in range(1, 31):
@@ -202,17 +204,38 @@ def test_criterion_09_special_functions():
     report(9, "zeta special values and shift identity at 128 bits", t)
 
 
+def _spectrum(n, k, N, form):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["spectrum", "--n", str(n), "--degree", str(k),
+                         "--max", str(N), "--format", form])
+    assert code == 0
+    return out.getvalue()
+
+
 def test_criterion_10_mirror_and_kernel_structure():
+    # Through the CLI: degree k and its mirror 2n+1-k give the same record,
+    # byte for byte, as JSON (whose /parameters/degree holds the lower of
+    # the two) and as CSV, and eigenvalue 0 appears only at k = 0 and
+    # k = 2n+1, with multiplicity 1.
     with Timer(10.0) as t:
         for n in range(1, 4):
             for N in (1, 5, 20):
                 for k in range(2 * n + 2):
-                    mirror = spectrum_slice(n, 2 * n + 1 - k, N)
-                    sl = spectrum_slice(n, k, N)
-                    assert list(sl.items()) == list(mirror.items())
-                    zero_mult = sl.get(Fraction(0), 0)
-                    assert zero_mult == (1 if k in (0, 2 * n + 1) else 0)
-    report(10, "mirror rule and kernel uniqueness, n <= 3, N <= 20", t)
+                    mirror = 2 * n + 1 - k
+                    text = _spectrum(n, k, N, "json")
+                    assert text == _spectrum(n, mirror, N, "json"), (n, k, N)
+                    record = json.loads(text)
+                    assert record["parameters"]["degree"] == min(k, mirror)
+                    csv = _spectrum(n, k, N, "csv")
+                    assert csv == _spectrum(n, mirror, N, "csv"), (n, k, N)
+                    zero = 1 if k in (0, 2 * n + 1) else 0
+                    rows = record["payload"]["rows"]
+                    assert [r["multiplicity"] for r in rows
+                            if r["eigenvalue"] == "0/1"] == [1] * zero
+                    assert [line for line in csv.splitlines()
+                            if line.startswith("0,")] == ["0,1,0.0,1"] * zero
+    report(10, "mirror rule and kernel uniqueness through the CLI, n <= 3, N <= 20", t)
 
 
 def test_criterion_11_verify_every_label_up_to_the_bound():

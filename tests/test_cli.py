@@ -21,8 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rumin_sphere import (
-    DivergenceError, KappaEstimate, PoleError, PrecisionError, cli, spectrum,
-    spectrum_slice, torsion,
+    DivergenceError, KappaEstimate, PoleError, PrecisionError, cli, spectrum, torsion,
 )
 from rumin_sphere.limits import MAX_PRECISION_BITS
 
@@ -113,7 +112,11 @@ def test_spectrum_rows_match_spectrum_slice(capsys):
                     b["dimension"] for b in row["blocks"]
                 )
             got = {Fraction(r["eigenvalue"]): r["multiplicity"] for r in rows}
-            assert list(got.items()) == list(spectrum_slice(n, k, 5).items()), (n, k)
+            den = spectrum.eigenvalue_denominator(n)
+            canonical = min(k, 2 * n + 1 - k)
+            expected = {Fraction(key, den): mult for key, mult
+                        in spectrum.degree_multiplicities(n, canonical, 5).items()}
+            assert list(got.items()) == list(expected.items()), (n, k)
 
 
 @pytest.mark.parametrize("argv, k", [

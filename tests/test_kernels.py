@@ -9,10 +9,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from oracles import holders, weyl_dimension
 from rumin_sphere import _kernels_py, torsion
-from rumin_sphere.spectrum import RuminLabel, eigenvalue_formula, label_to_weight
-from rumin_sphere.weights import (HighestWeight, middle_dimension, special_dimension,
-                                  weyl_dimension)
+from rumin_sphere.spectrum import eigenvalue_numerator
+from rumin_sphere.weights import HighestWeight, middle_dimension, special_dimension
 
 UNIT_ROUNDOFF = 2.0**-53
 
@@ -38,14 +38,14 @@ def pair_sum_error_bound(N):
 
 def oracle_pair_sum(n, i, j, N, s):
     """The same sum at 200 bits, from the exact eigenvalue Fractions."""
+    [fam] = holders(n, 1, j, i, 1)
     with mpmath.workprec(200):
         total = mpmath.mpf(0)
         minus_s = -mpmath.mpf(s)
         for p in range(1, N + 1):
             for q in range(1, N + 1):
-                label = RuminLabel(n, q, j, i, p)
-                dim = weyl_dimension(label_to_weight(label))
-                mu = eigenvalue_formula(label)
+                dim = weyl_dimension(fam.weight(q, p))
+                mu = Fraction(eigenvalue_numerator(n, q, j, i, p) ** 2, 4 * (n - i - j) ** 2)
                 total += dim * (mpmath.mpf(mu.numerator) / mu.denominator) ** minus_s
         return total
 

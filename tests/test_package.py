@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import json
 import os
 import re
 import subprocess
@@ -33,14 +34,13 @@ def _public_members(cls):
 def test_every_exported_name_has_a_caller():
     # An exported name, and a public method or property of an exported
     # class, earns its place by a use: in the package outside its own
-    # definition (the export list in __init__ does not count), in the
-    # benchmark harness, or in the README.  A member is used where
-    # ``.member`` is.
+    # definition (the export list in __init__ does not count), or in the
+    # benchmark harness.  A mention in the README is not a use.  A member
+    # is used where ``.member`` is.
     root = Path(rumin_sphere.__file__).parents[2]
     src = [p.read_text() for p in sorted((root / "src" / "rumin_sphere").glob("*.py"))
            if p.name != "__init__.py"]
     others = [p.read_text() for p in sorted((root / "clibench").glob("*.py"))]
-    others.append((root / "README.md").read_text())
     names = [(name, rf"\b{re.escape(name)}\b") for name in rumin_sphere.__all__]
     for owner in rumin_sphere.__all__:
         if inspect.isclass(cls := getattr(rumin_sphere, owner)):
@@ -55,6 +55,54 @@ def test_every_exported_name_has_a_caller():
         if not (in_src or any(word.search(text) for text in others)):
             unused.append(name)
     assert unused == []
+
+
+# Runs the first request of each workload at seed 1, every cold request and
+# every refusal through ``cli.main`` under ``sys.setprofile``, and prints the
+# (file, first line) of each function of the package that is entered.
+REACH = """
+import contextlib, io, json, os, sys
+sys.path[:0] = [os.path.join(ROOT, "clibench"), os.path.join(ROOT, "tools")]
+import records, workloads
+from rumin_sphere import cli
+package = os.path.dirname(cli.__file__) + os.sep
+requests = [workloads.build(name, 1)[0] for name in workloads.WORKLOADS]
+requests += [argv for kinds in workloads.COLD.values() for argv in kinds]
+requests += records.REFUSALS
+entered = set()
+
+def profile(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and code.co_filename.startswith(package):
+        entered.add((code.co_filename, code.co_firstlineno))
+
+sink = io.StringIO()
+with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+    sys.setprofile(profile)
+    for argv in requests:
+        cli.main(list(argv))
+    sys.setprofile(None)
+print(json.dumps(sorted((os.path.realpath(f), line) for f, line in entered)))
+"""
+
+
+def test_every_src_function_is_entered_by_a_request():
+    # Every function of the package is reached by some request: the only
+    # one no request enters is the package's ``dir()`` hook.  A fresh
+    # process starts with every cache cold.  Class bodies run at import,
+    # before the trace starts, and are not functions here.
+    root = Path(rumin_sphere.__file__).parents[2]
+    code = f"ROOT = {str(root)!r}\n" + REACH
+    entered = {tuple(pair) for pair in json.loads(_run(code))}
+    never = []
+    for path in sorted(Path(rumin_sphere.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                # A code object starts at its first decorator.
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                if (str(path.resolve()), first) not in entered:
+                    never.append(f"{path.stem}.{node.name}")
+    assert never == ["__init__.__dir__"]
 
 
 def test_src_reaches_no_private_name_of_another_module():

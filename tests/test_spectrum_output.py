@@ -10,7 +10,8 @@ from functools import lru_cache
 
 import pytest
 
-from rumin_sphere import cli, label_to_weight, spectrum, weights
+from oracles import weyl_dimension
+from rumin_sphere import cli, spectrum, weights
 from rumin_sphere.spectrum import all_families, degree_families
 
 
@@ -27,16 +28,18 @@ def _weyl_fraction(entries):
 @lru_cache(maxsize=None)
 def _reference_rows(n, degree, N):
     """Rows sorted by eigenvalue, each listing its contributing blocks: one
-    RuminLabel, HighestWeight and Fraction eigenvalue per label."""
+    weight tuple and Fraction eigenvalue per label."""
     blocks = {}
     for fam in all_families(n):
         spaces = [(s, t) for s, t in fam.spaces if s + t == degree]
-        for label in fam.labels(N) if spaces else ():
-            q, j, i, p = label.q, label.j, label.i, label.p
+        ps, qs = fam.parameters(N) if spaces else ((), ())
+        for p, q in itertools.product(ps, qs):
+            i, j = fam.i, fam.j
             num = (p + i) * (q + n - i) + (q + j) * (p + n - j)
             mu = Fraction(num * num, 4 * (n - i - j) ** 2)
-            dim = _weyl_fraction(label_to_weight(label).entries)
-            key = (label.case.value, i, j, q, p)
+            weight = (q,) + (1,) * j + (0,) * (n - 1 - i - j) + (-1,) * i + (-p,)
+            dim = _weyl_fraction(weight)
+            key = (fam.case.value, i, j, q, p)
             blocks.setdefault(mu, []).extend((*key, s, t, dim) for s, t in spaces)
     rows = []
     for mu in sorted(blocks):
@@ -154,13 +157,13 @@ def test_a_refused_table_writes_no_byte(monkeypatch):
 @pytest.mark.parametrize("n, N", [*((n, 12) for n in range(1, 7)), (10, 3)])
 def test_every_dimension_is_the_weyl_product(n, N):
     # The factored product of the rows of ``degree_families`` against the
-    # plain O(n^2) loop of ``weyl_dimension``, label by label.
+    # plain O(n^2) loop of ``oracles.weyl_dimension``, label by label.
     for k in range(n + 1):
         got = [(fam, row) for fam, _ in degree_families(n, k) for row in fam.rows(N)]
         assert got
         for fam, (q, p, _, dim) in got:
             weight = (q, *spectrum._middle_weight(n, fam.j, fam.i), -p)
-            assert dim == weights.weyl_dimension(weights.HighestWeight(weight)), (n, k, weight)
+            assert dim == weyl_dimension(weights.HighestWeight(weight)), (n, k, weight)
 
 
 @pytest.mark.parametrize("call", [0, 5], ids=["q_row", "p_row"])

@@ -1,6 +1,7 @@
 """The three kappa routes and the torsion report."""
 
 import time
+from fractions import Fraction
 from math import exp, factorial, isfinite
 
 import mpmath
@@ -18,10 +19,10 @@ from rumin_sphere import (
     kappa_continued,
     kappa_direct,
     kappa_reduced,
-    spectrum_slice,
     tail_bound,
     torsion_estimates,
 )
+from rumin_sphere.spectrum import degree_multiplicities, eigenvalue_denominator
 from rumin_sphere.torsion import rounding_gamma
 from rumin_sphere.verify import route_check
 
@@ -109,9 +110,10 @@ def test_kappa_direct_matches_exact_slice_aggregation():
     value = 0.0
     for k, w in enumerate(degree_weights(n)):
         zk = 1.0 if k == 0 else 0.0
-        for mu, mult in spectrum_slice(n, k, N).items():
-            if mu != 0:
-                zk += mult * float(mu) ** (-s)
+        canonical = min(k, 2 * n + 1 - k)
+        for key, mult in degree_multiplicities(n, canonical, N).items():
+            if key != 0:
+                zk += mult * float(Fraction(key, eigenvalue_denominator(n))) ** (-s)
         value += w * zk
     est = kappa_direct(n, s, N)
     assert abs(est.value - value) < 1e-10 * max(1.0, abs(value))

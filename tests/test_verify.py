@@ -111,11 +111,11 @@ def test_verify_sees_a_wrong_key_multiplier_of_the_generator(capsys, monkeypatch
     # the key times d, exactly, as 4 d^2 divides L.  It changes the spectrum
     # that ``spectrum`` prints, and four checks see it.
     n = 4
-    before = [spectrum.spectrum_slice(n, k, 10) for k in range(n + 1)]
+    before = [spectrum.degree_multiplicities(n, k, 10) for k in range(n + 1)]
     patch_rows(monkeypatch, lambda family, row: (
         row[2] * (n - family.i - family.j) if n - family.i - family.j > 2 else row[2],
         row[3]))
-    assert [spectrum.spectrum_slice(n, k, 10) for k in range(n + 1)] != before
+    assert [spectrum.degree_multiplicities(n, k, 10) for k in range(n + 1)] != before
     assert failing_checks(capsys, n, 10) == (1, {
         "universal_eigenvalue_reductions", "norm_route_eigenvalue_equivalence",
         "operator_norms_vs_l2_ratios", "eigenvalue_determined_by_weight"})
@@ -132,9 +132,9 @@ def test_verify_sees_a_doubled_family_constant_of_the_generator(capsys, monkeypa
         hit = family.case is spectrum.Case.II and (family.i, family.j) == (0, 1)
         return row[2], row[3] * (1 + hit)
 
-    before = [spectrum.spectrum_slice(n, k, 10) for k in range(n + 1)]
+    before = [spectrum.degree_multiplicities(n, k, 10) for k in range(n + 1)]
     patch_rows(monkeypatch, doubled)
-    assert [spectrum.spectrum_slice(n, k, 10) for k in range(n + 1)] != before
+    assert [spectrum.degree_multiplicities(n, k, 10) for k in range(n + 1)] != before
     assert failing_checks(capsys, n, 10) == (1, {"weyl_dimension_vs_gt_patterns"})
 
 
@@ -236,8 +236,8 @@ def test_gt_check_budgets_a_run_by_its_rows(monkeypatch):
 
 
 # Each case patches the integer-pair home of a route; the ids are the ones
-# the cases had when they patched the ``Fraction`` routes, which are now
-# wrappers of these homes.
+# the cases had when they patched the ``Fraction`` routes, which wrapped
+# these homes and are gone.
 @pytest.mark.parametrize("name, check", [
     pytest.param("norm_route_pair", "norm_route_eigenvalue_equivalence",
                  id="norm_route_eigenvalue-norm_route_eigenvalue_equivalence"),
@@ -304,45 +304,24 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
-# The ``Fraction`` wrappers of the norm routes' integer-pair homes.
-NORM_WRAPPERS = ("operator_norm_squares", "norm_route_eigenvalue",
-                 "case_v_mixed_eigenvalue", "case_v_identity_value",
-                 "squared_norms", "squared_norm")
-
-
 def test_one_request_builds_the_label_set_once(monkeypatch):
     # run_all walks the families once, reading each family's rows from one
     # ``BlockFamily.rows`` call, and builds each row's weight once, from
     # ``BlockFamily.weight``, for every label check, and no other weight.
-    # It builds no ``RuminLabel`` and calls no ``Fraction`` norm wrapper:
-    # the checks read (family, q, p) and the integer-pair homes.  No
-    # eigenvalue comes from ``eigenvalue_formula`` and no dimension from a
-    # Weyl product: the special-dimension checks read the (n+1) bound Case
-    # III and VI rows, and each takes one closed form per row.
+    # The checks read (family, q, p) and the integer-pair homes; the
+    # special-dimension checks read the (n+1) bound Case III and VI rows,
+    # and each takes one closed form per row.
     n, bound = 3, 5
     families = spectrum.all_families(n)
-    labels = sum(len(list(fam.labels(bound))) for fam in families)
     parameters = [(fam, q, p) for fam in families for q, p, _, _ in fam.rows(bound)]
     generated = count_calls(monkeypatch, spectrum.BlockFamily, "rows")
-    walked = count_calls(monkeypatch, spectrum.BlockFamily, "labels")
     made = count_calls(monkeypatch, weights.HighestWeight, "__post_init__")
     expanded = count_calls(monkeypatch, spectrum.BlockFamily, "weight")
-    built = count_calls(monkeypatch, spectrum.RuminLabel, "__post_init__")
-    wrapped = [count_calls(monkeypatch, spectrum, name) for name in NORM_WRAPPERS]
-    to_weight = count_calls(monkeypatch, spectrum, "label_to_weight")
-    formulas = count_calls(monkeypatch, spectrum, "eigenvalue_formula")
-    products = count_calls(monkeypatch, weights, "weyl_dimension")
     specials = count_calls(monkeypatch, verify, "special_dimension")
     assert all(r.passed for r in verify.run_all(n, bound))
     assert generated == [(fam, bound) for fam in families]
-    assert walked == []
-    assert len(made) == labels
+    assert len(made) == len(parameters)
     assert expanded == parameters
-    assert built == []
-    assert wrapped == [[]] * len(NORM_WRAPPERS)
-    assert to_weight == []
-    assert formulas == []
-    assert products == []
     assert sorted(specials) == sorted(
         [(n, i, p) for i in range(n + 1) for p in range(1, bound + 1)] * 2)
 
@@ -350,8 +329,8 @@ def test_one_request_builds_the_label_set_once(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_run_all_builds_no_spectrum_slice(monkeypatch, n):
     # The kernel check reads the multiplicity of 0 off the labels; no check
-    # aggregates a whole slice.
-    calls = count_calls(monkeypatch, spectrum, "spectrum_slice")
+    # aggregates the whole spectrum of a degree.
+    calls = count_calls(monkeypatch, spectrum, "degree_multiplicities")
     assert all(r.passed for r in verify.run_all(n, 3))
     assert calls == []
 
@@ -377,16 +356,13 @@ def test_kernel_check_slices_reach_the_bound(monkeypatch):
 def test_kernel_check_takes_dimensions_only_at_eigenvalue_zero(capsys, monkeypatch):
     # ``run_all`` hands the check the generated dimension, with the family's
     # bidegrees, of the rows of key 0 and of no other row: the one Case I
-    # row.  Neither takes a Weyl product for it.
-    products = count_calls(monkeypatch, weights, "weyl_dimension")
+    # row.
     handed = count_calls(monkeypatch, verify, "check_kernel_uniqueness")
     for bound in (1, 5, 20):
         expected = kernel_pairs(3, bound)
         assert expected == [(1, ((0, 0),))]
-        products.clear()
         handed.clear()
         assert all(r.passed for r in verify.run_all(3, bound))
-        assert products == []
         assert handed == [(3, expected)]
     # A doubled dimension of the Case I row fails it, and the GT check.
     patch_rows(monkeypatch, lambda family, row: (row[2], row[3] * (1 + (row[2] == 0))))
@@ -398,8 +374,8 @@ def test_run_all_has_no_mirror_check():
     names = [r.name for r in verify.run_all(1, 2)]
     assert len(names) == len(set(names)) == 17
     # No check that compares one computation with itself, or that cannot
-    # fail (labels of two families never coincide: ``_family_index``
-    # refuses two families under one key), and no second direct route.
+    # fail (labels of two families never coincide: no two families of
+    # ``all_families`` share a key), and no second direct route.
     for gone in ("mirror_rule_slices", "block_multiplicity_one",
                  "direct_route_within_tail_bound"):
         assert gone not in names

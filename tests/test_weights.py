@@ -1,5 +1,5 @@
-"""Weight bookkeeping: tuple expansion, Weyl dimension, GT oracle, the
-elementary symmetric rows behind the dimension polynomial, and the
+"""Weight bookkeeping: tuple expansion, the Weyl product of ``oracles``
+against the GT oracle and the closed forms, the elementary symmetric rows behind the dimension polynomial, and the
 polynomial against the special dimensions."""
 
 import itertools
@@ -11,18 +11,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import holders, weyl_dimension
 from rumin_sphere import weights
 from rumin_sphere import (
     Case,
     EnumerationBudgetError,
     HighestWeight,
-    InvalidLabelError,
-    RuminLabel,
     dimension_coefficients,
     gt_pattern_count,
-    label_to_weight,
     special_dimension,
-    weyl_dimension,
 )
 from rumin_sphere.spectrum import all_families
 
@@ -63,7 +60,8 @@ def test_highest_weight_refuses_entries_that_are_not_integers():
     ],
 )
 def test_label_to_weight_expansion(n, q, j, i, p, expected):
-    assert label_to_weight(RuminLabel(n, q, j, i, p)).entries == expected
+    [fam] = holders(n, q, j, i, p)
+    assert fam.weight(q, p).entries == expected
 
 
 @pytest.mark.parametrize(
@@ -79,7 +77,7 @@ def test_label_to_weight_expansion(n, q, j, i, p, expected):
     ],
 )
 def test_label_case_classification(n, q, j, i, p, case):
-    assert RuminLabel(n, q, j, i, p).case is case
+    assert [fam.case for fam in holders(n, q, j, i, p)] == [case]
 
 
 @pytest.mark.parametrize(
@@ -95,8 +93,7 @@ def test_label_case_classification(n, q, j, i, p, case):
     ],
 )
 def test_invalid_labels_rejected(n, q, j, i, p):
-    with pytest.raises(InvalidLabelError):
-        RuminLabel(n, q, j, i, p)
+    assert holders(n, q, j, i, p) == []
 
 
 def test_weyl_dimension_examples():
@@ -214,7 +211,7 @@ def test_gt_work_for_a_request_stays_pinned():
     work = 0
     for fam in all_families(4):
         for q, p, _, dim in fam.rows(20):
-            w = label_to_weight(RuminLabel(4, q, fam.j, fam.i, p))
+            w = fam.weight(q, p)
             count, units = weights._gt_count(w.entries, 10**6, memo)
             assert count == dim
             work += units
@@ -274,9 +271,9 @@ def test_gt_budget_guard_charges_the_running_sums():
 def test_weyl_matches_gt_on_bounded_labels():
     for n in (1, 2, 3):
         for fam in all_families(n):
-            for label in fam.labels(4):
-                w = label_to_weight(label)
-                assert weyl_dimension(w) == gt_pattern_count(w), label
+            for q, p, _, dim in fam.rows(4):
+                w = fam.weight(q, p)
+                assert weyl_dimension(w) == gt_pattern_count(w) == dim, w
 
 
 small_weights = st.lists(
